@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import random
 import sys
 from dataclasses import asdict, dataclass
@@ -36,7 +35,7 @@ from .marked_graph import (
     marked_graph_from_json_obj,
     translation_length,
 )
-from .splittings import FreeSplitting, bfs_distance
+from .splittings import FreeSplitting, KeyCollisionError, StateCapExceeded, bfs_distance
 from .words import Automorphism, CyclicWord, Word, parse_word, reduce, word_str
 
 
@@ -142,13 +141,6 @@ def _fmt(x) -> str:
 def main() -> None:
     """Exact intersection pairings on free groups: length functions,
     currents, expanding-map diagnostics and splitting graphs."""
-    threads = os.environ.get("OI_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            raise _fail(f"OI_THREADS must be a positive integer, got {threads!r}")
 
 
 @main.command()
@@ -196,7 +188,10 @@ def intersect(graph: str, current: str) -> None:
 @main.command("current-freq")
 @click.argument("current", type=click.Path(exists=True, dir_okay=False))
 @click.argument("graph", type=click.Path(exists=True, dir_okay=False))
-@click.option("--depth", "-k", default=1, show_default=True, help="Cylinder path length.")
+@click.option(
+    "--depth", "-k", default=1, show_default=True, type=click.IntRange(min=1),
+    help="Cylinder path length.",
+)
 def current_freq(current: str, graph: str, depth: int) -> None:
     """Frequency vector of CURRENT at the given depth on GRAPH."""
     M = _load_graph(graph)
@@ -308,9 +303,15 @@ def _load_graph_map(path: str):
 @click.option("--map", "map_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--seed", "seed_word", required=True, help="Seed word, e.g. 'a' or '[1,2]'.")
 @click.option("--n", "n_max", default=10, show_default=True)
-@click.option("--depth", default=2, show_default=True, help="Frequency vector depth.")
+@click.option(
+    "--depth", default=2, show_default=True, type=click.IntRange(min=1),
+    help="Frequency vector depth.",
+)
 @click.option("--tol", default=1e-12, show_default=True)
-@click.option("--cap", default=10 ** 6, show_default=True, help="Letter budget for iterates.")
+@click.option(
+    "--cap", default=10 ** 6, show_default=True, type=click.IntRange(min=1),
+    help="Letter budget for iterates.",
+)
 @click.option(
     "--n-cap", default=15, show_default=True,
     help="Iteration ceiling; the stretch-factor error drifts like 2n times "
@@ -427,7 +428,7 @@ def graph_cmd(
             key_depth=key_depth,
             state_cap=state_cap,
         )
-    except ValueError as exc:
+    except (ValueError, StateCapExceeded, KeyCollisionError) as exc:
         raise _fail(str(exc))
     _echo_json(
         {

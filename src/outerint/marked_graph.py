@@ -412,12 +412,17 @@ def subdivide_edge(M: MarkedMetricGraph, e: int, ratio=Fraction(1, 2)) -> Marked
     mid = f"w{len(g.vertices)}"
     while mid in g.vertices:
         mid += "'"
+    taken = set(g.edge_names + g.inverse_names)
+    name, inverse = g.edge_names[e - 1] + "2", g.inverse_names[e - 1] + "2"
+    while name in taken or inverse in taken or name == inverse:
+        name += "'"
+        inverse += "'"
     m = g.num_edges
     # +e becomes the pair (+e, m+1); all other edges keep their numbers.
     graph = SerreGraph(
         vertices=g.vertices + (mid,),
-        edge_names=g.edge_names + (g.edge_names[e - 1] + "2",),
-        inverse_names=g.inverse_names + (g.inverse_names[e - 1] + "2",),
+        edge_names=g.edge_names + (name,),
+        inverse_names=g.inverse_names + (inverse,),
         origins=g.origins[: e - 1] + (g.origins[e - 1],) + g.origins[e:] + (mid,),
         termini=g.termini[: e - 1] + (mid,) + g.termini[e:] + (g.termini[e - 1],),
     )
@@ -440,7 +445,8 @@ def subdivide_edge(M: MarkedMetricGraph, e: int, ratio=Fraction(1, 2)) -> Marked
         + (Word(M.rank),)
         + mk.edge_words[e:]
         + (mk.edge_words[e - 1],),
-        spanning_tree=frozenset(mk.spanning_tree | {e}),
+        # +e reaches the new vertex; a tree edge needs both of its halves
+        spanning_tree=mk.spanning_tree | ({e, m + 1} if e in mk.spanning_tree else {e}),
     )
     L = M.lengths
     lengths = L[: e - 1] + (ratio * L[e - 1],) + L[e:] + ((1 - ratio) * L[e - 1],)

@@ -14,9 +14,11 @@ only ever touched through the integer translation length function:
 * twisted: the same after applying the inverse twist.
 
 Vertices of the splitting graphs are identified by their length functions
-sampled on a fixed finite test set (:class:`GraphVertexKey`).  Distinct
-splittings may in principle share a key at a given depth; merges of
-structurally different data are re-checked at a deeper depth and raise
+sampled on a fixed finite test set (:class:`GraphVertexKey`).  Keys are
+memoised per (splitting, depth) in a bounded process-wide cache, and
+counted on the raw letters of the test words.  Distinct splittings may in
+principle share a key at a given depth; merges of structurally different
+data are re-checked at a deeper depth and raise
 :class:`KeyCollisionError` on disagreement instead of silently merging.
 
 The adjacency predicates are deliberately partial where no algorithm is
@@ -33,6 +35,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Literal, Optional, Sequence, Union
 
@@ -138,19 +141,47 @@ def splitting_length(s: FreeSplitting, g: Word) -> int:
     """Translation length of ``g`` on the Bass-Serre tree of ``s``."""
     if g.rank != s.rank:
         raise ValueError("rank mismatch")
-    if not s.twist.is_identity:
-        g = s.twist.apply_inverse(g)
-    root, _ = cyclic_reduce(g)
-    if root is None:
-        return 0
-    letters = root.letters
+    return _length(s, _untwist_table(s), g.letters)
+
+
+def _untwist_table(s: FreeSplitting) -> Optional[dict[int, tuple[int, ...]]]:
+    """Letter -> letters of its inverse-twist image, or None untwisted."""
+    if s.twist.is_identity:
+        return None
+    table: dict[int, tuple[int, ...]] = {}
+    for i, w in enumerate(s.twist.inverse_images, start=1):
+        table[i] = w.letters
+        table[-i] = tuple(-l for l in reversed(w.letters))
+    return table
+
+
+def _length(
+    s: FreeSplitting, untwist: Optional[dict[int, tuple[int, ...]]], letters: Sequence[int]
+) -> int:
+    """:func:`splitting_length` on the letters of a reduced word of rank
+    ``s.rank``, trusted unchecked; ``untwist`` is ``_untwist_table(s)``.
+    The count is the same on every rotation, so no canonical form is
+    taken."""
+    if untwist is not None:
+        stack: list[int] = []
+        for l in letters:
+            for x in untwist[l]:
+                if stack and stack[-1] == -x:
+                    stack.pop()
+                else:
+                    stack.append(x)
+        letters = stack
+    lo, hi = 0, len(letters)
+    while hi - lo >= 2 and letters[lo] == -letters[hi - 1]:
+        lo += 1
+        hi -= 1
+    core = letters[lo:hi]
     if s.kind == "loop":
-        return sum(1 for l in letters if abs(l) == s.stable)
-    inside = [abs(l) in s.subset for l in letters]
-    if all(inside) or not any(inside):
-        return 0
-    n = len(inside)
-    return sum(1 for i in range(n) if inside[i] != inside[(i + 1) % n])
+        return core.count(s.stable) + core.count(-s.stable)
+    # syllable boundaries, read cyclically; none when one side is absent
+    subset = s.subset
+    inside = [abs(l) in subset for l in core]
+    return sum(1 for i in range(len(inside)) if inside[i] != inside[i - 1])
 
 
 def is_elliptic(s: FreeSplitting, g: Word) -> bool:
@@ -169,10 +200,22 @@ class GraphVertexKey:
     lengths: tuple[int, ...]
 
 
+# vertex keys are memoised per (splitting, depth) in one bounded
+# process-wide cache; equal splittings compare equal and share an entry
+_KEY_CACHE_SIZE = 4096
+
+
 def vertex_key(s: FreeSplitting, depth: int = 4) -> GraphVertexKey:
+    # one positional call, so that every way of passing depth hits one entry
+    return _vertex_key(s, depth)
+
+
+@lru_cache(maxsize=_KEY_CACHE_SIZE)
+def _vertex_key(s: FreeSplitting, depth: int) -> GraphVertexKey:
+    untwist = _untwist_table(s)
     test_set = enumerate_cyclic_words(s.rank, depth, up_to_inversion=True)
     return GraphVertexKey(
-        s.rank, depth, tuple(splitting_length(s, cw.as_word()) for cw in test_set)
+        s.rank, depth, tuple(_length(s, untwist, cw.letters) for cw in test_set)
     )
 
 
@@ -196,9 +239,9 @@ def fstar_adjacent(
 def _common_elliptic(
     s1: FreeSplitting, s2: FreeSplitting, search_length: int
 ) -> Optional[CyclicWord]:
+    t1, t2 = _untwist_table(s1), _untwist_table(s2)
     for cw in enumerate_cyclic_words(s1.rank, search_length, up_to_inversion=True):
-        w = cw.as_word()
-        if is_elliptic(s1, w) and is_elliptic(s2, w):
+        if _length(s1, t1, cw.letters) == 0 and _length(s2, t2, cw.letters) == 0:
             return cw
     return None
 
@@ -409,10 +452,11 @@ def _family(s: FreeSplitting, include_loops: bool) -> list[FreeSplitting]:
 
 
 def _elliptic_classes(s: FreeSplitting, search_length: int) -> list[CyclicWord]:
+    untwist = _untwist_table(s)
     return [
         cw
         for cw in enumerate_cyclic_words(s.rank, search_length, up_to_inversion=True)
-        if splitting_length(s, cw.as_word()) == 0
+        if _length(s, untwist, cw.letters) == 0
     ]
 
 
@@ -489,9 +533,11 @@ def bfs_distance(
                     universe.add(u)
                     found.add(uk)
         elif flavor == "Z":
+            # elliptic classes are minted into the universe, and adjacency
+            # to every stored vertex, minted or not, is decided in one place
             if isinstance(v, FreeSplitting):
                 for cw in _elliptic_classes(v, search_length):
-                    found.add(universe.add(cw))
+                    universe.add(cw)
                 for u in universe.each(CyclicWord):
                     if splitting_length(v, u.as_word()) == 0:
                         found.add(universe.key(u))
@@ -505,7 +551,7 @@ def bfs_distance(
                     from .currents import counting_current
 
                     for cw in _elliptic_classes(v, search_length):
-                        found.add(universe.add(counting_current(cw.as_word())))
+                        universe.add(counting_current(cw.as_word()))
                 for u in universe.each(RationalCurrent):
                     if intersection_graph_adjacent(v, u):
                         found.add(universe.key(u))

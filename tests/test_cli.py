@@ -179,14 +179,53 @@ class TestDeterminism:
         assert run(*args).output == run(*args).output
 
 
-class TestEnvironment:
-    def test_invalid_thread_cap_rejected(self):
-        result = run("bbt", FIXTURES / "rose2.json", env={"OI_THREADS": "zero"})
-        assert result.exit_code != 0
+class TestUserErrors:
+    """Bad user input ends in one error line, never a traceback."""
 
-    def test_valid_thread_cap_accepted(self):
-        result = run("bbt", FIXTURES / "rose2.json", env={"OI_THREADS": "4"})
-        assert result.exit_code == 0
+    @staticmethod
+    def assert_one_line_error(result, *fragments):
+        assert result.exit_code != 0
+        assert "Traceback" not in result.output
+        errors = [l for l in result.output.splitlines() if l.startswith("Error:")]
+        assert len(errors) == 1
+        assert result.output.rstrip("\n").endswith(errors[0])
+        for fragment in fragments:
+            assert fragment in errors[0]
+
+    def test_graph_state_cap(self):
+        result = run(
+            "graph",
+            "--flavor", "S",
+            "--from", FIXTURES / "splitting_a_rank3.json",
+            "--to", FIXTURES / "splitting_loop_a_rank3.json",
+            "--radius", "2",
+            "--state-cap", "2",
+        )
+        self.assert_one_line_error(result, "state cap exceeded")
+
+    def test_graph_key_collision(self):
+        result = run(
+            "graph",
+            "--flavor", "F",
+            "--from", FIXTURES / "splitting_a_rank3.json",
+            "--to", FIXTURES / "splitting_ab_rank3.json",
+            "--radius", "1",
+            "--key-depth", "1",
+        )
+        self.assert_one_line_error(result, "collide at key depth 1")
+
+    def test_iwip_zero_cap(self):
+        result = run(
+            "iwip", "--map", FIXTURES / "fibonacci_map.json",
+            "--seed", "a", "--n", "3", "--cap", "0",
+        )
+        self.assert_one_line_error(result, "--cap")
+
+    def test_current_freq_zero_depth(self):
+        result = run(
+            "current-freq", FIXTURES / "current_ab.json", FIXTURES / "rose2.json", "-k", "0"
+        )
+        self.assert_one_line_error(result, "--depth")
 
 
 class TestFixturesLoad:

@@ -237,6 +237,17 @@ class TestSubdivision:
             w = random_reduced_word(rng, 3, rng.randint(0, 8))
             assert translation_length(Ms, w) == translation_length(M, w)
 
+    def test_same_edge_twice(self):
+        # the second cut meets the names and the tree edge the first one made
+        M = rose(2, [1, 1])
+        Ms = subdivide_edge(subdivide_edge(M, 1), 1)
+        Ms = subdivide_edge(Ms, Ms.graph.num_edges, Fraction(1, 3))
+        assert Ms.graph.num_edges == 5
+        assert Ms.volume() == M.volume()
+        for text in ("a", "b", "ab", "aBAb", "aab", "bbA"):
+            w = parse_word(text, 2)
+            assert translation_length(Ms, w) == translation_length(M, w)
+
     def test_scale(self):
         M = scale_lengths(unit_rose(2), Fraction(3, 2))
         assert translation_length(M, parse_word("ab", 2)) == 3

@@ -22,10 +22,18 @@ from outerint.splittings import (
     splitting_length,
     vertex_key,
 )
-from outerint.words import Word, parse_word
+from outerint.splittings import _Universe, _vertex_key
+from outerint.words import Word, enumerate_cyclic_words, parse_word
 
 from _generators import random_automorphism, random_reduced_word
 from oracles import bass_serre_translation_length
+
+
+def nontrivial_automorphism(rng, rank):
+    while True:
+        phi = random_automorphism(rng, rank, max_factors=4)
+        if not phi.is_identity:
+            return phi
 
 
 class TestSplittingLength:
@@ -124,6 +132,50 @@ class TestVertexKey:
         assert vertex_key(loop_splitting(3, 1)) != vertex_key(
             separating_splitting(3, [1])
         )
+
+    @pytest.mark.parametrize("rank, depth", [(3, 2), (3, 4), (3, 6), (4, 3), (4, 5)])
+    @pytest.mark.parametrize("kind", ["sep", "loop"])
+    @pytest.mark.parametrize("twisted", [False, True])
+    def test_key_is_the_length_function_on_the_test_set(self, rank, depth, kind, twisted):
+        rng = random.Random(100 * rank + 10 * depth + twisted)
+        twist = nontrivial_automorphism(rng, rank) if twisted else None
+        if kind == "sep":
+            subset = rng.sample(range(1, rank + 1), rng.randint(1, rank - 1))
+            s = separating_splitting(rank, subset, twist)
+        else:
+            s = loop_splitting(rank, rng.randint(1, rank), twist)
+        words = [cw.as_word() for cw in enumerate_cyclic_words(rank, depth, True)]
+        want = tuple(splitting_length(s, w) for w in words)
+        assert vertex_key(s, depth).lengths == want
+        assert vertex_key(s, depth).lengths == want  # served from the cache
+        phi = nontrivial_automorphism(rng, rank)
+        t = act(phi, s)
+        moved = vertex_key(t, depth).lengths
+        assert moved == tuple(splitting_length(t, w) for w in words)
+        assert moved == tuple(splitting_length(s, phi.apply_inverse(w)) for w in words)
+
+    def test_every_call_form_shares_one_cache_entry(self):
+        s = loop_splitting(3, 2, nontrivial_automorphism(random.Random(41), 3))
+        before = _vertex_key.cache_info()
+        keys = {vertex_key(s), vertex_key(s, 4), vertex_key(s, depth=4)}
+        after = _vertex_key.cache_info()
+        assert len(keys) == 1
+        assert after.hits + after.misses - before.hits - before.misses == 3
+        assert after.misses - before.misses <= 1
+
+    def test_collision_recheck_runs_with_a_warm_cache(self):
+        # both keys are (0, 0, 0) at depth 1 and differ at depth 3; cached
+        # keys must not let the merge skip the deeper comparison
+        s1, s2 = separating_splitting(3, {1}), separating_splitting(3, {2})
+        for depth in (1, 3):
+            vertex_key(s1, depth), vertex_key(s2, depth)
+        assert vertex_key(s1, 1) == vertex_key(s2, 1)
+        assert vertex_key(s1, 1).lengths == (0, 0, 0)
+        assert vertex_key(s1, 3) != vertex_key(s2, 3)
+        universe = _Universe(1, 100)
+        universe.add(s1)
+        with pytest.raises(KeyCollisionError):
+            universe.add(s2)
 
 
 class TestFstarAdjacency:
