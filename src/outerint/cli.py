@@ -215,8 +215,8 @@ def current_freq(current: str, graph: str, depth: int) -> None:
 @main.command("scaling-exp")
 @click.argument("graph", type=click.Path(exists=True, dir_okay=False))
 @click.option("--delta", default="1/10", show_default=True, help="Perturbation size (rational).")
-@click.option("--samples", default=1000, show_default=True)
-@click.option("--max-len", default=20, show_default=True)
+@click.option("--samples", default=1000, show_default=True, type=click.IntRange(min=1))
+@click.option("--max-len", default=20, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True)
 def scaling_exp(graph: str, delta: str, samples: int, max_len: int, seed: int) -> None:
     """Perturb GRAPH twice and compare the length change of sampled words

@@ -16,6 +16,10 @@ boundary, and does so repeatedly when the period is shorter than the
 pattern).  This is the convention under which length-weighted one-edge
 counts reproduce translation lengths exactly; the equality is enforced as
 a cross-module invariant rather than assumed.
+
+:func:`frequency_vector` computes the axis period of each term once and
+counts every depth-``k`` path on it, rather than recomputing the periods
+for each path as repeated :func:`cylinder_count` calls would.
 """
 
 from __future__ import annotations
@@ -137,10 +141,12 @@ def act(phi: Automorphism, mu: RationalCurrent) -> RationalCurrent:
     """Push a current forward: each class goes to the class of its image."""
     if phi.rank != mu.rank:
         raise ValueError("rank mismatch")
-    out = zero_current(mu.rank)
-    for cw, weight in mu.terms:
-        out = add(out, scale(weight, counting_current(phi.apply(cw.as_word()))))
-    return out
+    # an automorphism sends nontrivial classes to nontrivial ones, so
+    # every image has a root; the terms are normalised once, together
+    return RationalCurrent(
+        mu.rank,
+        tuple((cyclic_reduce(phi.apply(cw.as_word()))[0], weight) for cw, weight in mu.terms),
+    )
 
 
 def occurrences_in_cycle(period: Sequence[int], pattern: Sequence[int]) -> int:
@@ -149,11 +155,19 @@ def occurrences_in_cycle(period: Sequence[int], pattern: Sequence[int]) -> int:
     p, k = len(period), len(pattern)
     if p == 0 or k == 0:
         raise ValueError("period and pattern must be nonempty")
-    return sum(
-        1
-        for i in range(p)
-        if all(period[(i + j) % p] == pattern[j] for j in range(k))
-    )
+    pattern = tuple(pattern)
+    first = pattern[0]
+    # every window starting in the first period fits, wrap-around included
+    ext = tuple(period) * (1 + (k + p - 2) // p)
+    count = 0
+    i = -1
+    try:
+        while True:
+            i = ext.index(first, i + 1, p)
+            if ext[i : i + k] == pattern:
+                count += 1
+    except ValueError:  # no further start within the period
+        return count
 
 
 def cylinder_count(mu: RationalCurrent, M: MarkedMetricGraph, v: EdgePath) -> Fraction:
@@ -165,14 +179,19 @@ def cylinder_count(mu: RationalCurrent, M: MarkedMetricGraph, v: EdgePath) -> Fr
         raise ValueError("cylinder path must be nontrivial")
     if not is_reduced_path(M.graph, v):
         raise ValueError("cylinder path must be reduced")
+    return _weighted_count([(M.axis_period(cw), weight) for cw, weight in mu.terms], v)
+
+
+def _weighted_count(periods: Sequence[tuple[EdgePath, Fraction]], v: EdgePath) -> Fraction:
+    """Cylinder count of ``v`` against (axis period, weight) pairs."""
     v_inv = inverse_path(v)
-    total = Fraction(0)
-    for cw, weight in mu.terms:
-        period = M.axis_period(cw)
-        total += weight * (
-            occurrences_in_cycle(period, v) + occurrences_in_cycle(period, v_inv)
-        )
-    return total
+    return sum(
+        (
+            weight * (occurrences_in_cycle(period, v) + occurrences_in_cycle(period, v_inv))
+            for period, weight in periods
+        ),
+        Fraction(0),
+    )
 
 
 def _path_sort_key(path: EdgePath) -> tuple[int, ...]:
@@ -237,9 +256,14 @@ def frequency_vector(mu: RationalCurrent, M: MarkedMetricGraph, k: int) -> Frequ
     mass.  Undefined (an error) for the zero current."""
     if mu.is_zero:
         raise ValueError("cannot normalise the zero current")
+    if mu.rank != M.rank:
+        raise ValueError("rank mismatch")
     mass = one_letter_mass(mu)
+    periods = [(M.axis_period(cw), weight) for cw, weight in mu.terms]
+    # the enumerated paths are reduced by construction, so unlike
+    # cylinder_count nothing is re-checked per path
     entries = tuple(
-        (path, cylinder_count(mu, M, path) / mass)
+        (path, _weighted_count(periods, path) / mass)
         for path in enumerate_reduced_paths(M.graph, k)
     )
     return FrequencyVector(k, entries, mass)

@@ -3,10 +3,12 @@ currents, computed by two independent routes that must agree exactly.
 
 Route A expands the current and evaluates translation lengths term by
 term; route B sums, over the positive edges of the chart, the edge length
-times the one-edge cylinder count.  Both routes are exact rational
-arithmetic, so any difference between them is a defect, not a rounding
-artefact: a mismatch raises :class:`RouteDisagreement` instead of being
-averaged away.
+times the one-edge cylinder count, that is, times the weighted number of
+crossings of the edge by the axes of the current.  Route B counts the
+crossings of every edge in one pass over each axis period.  Both routes
+are exact rational arithmetic, so any difference between them is a
+defect, not a rounding artefact: a mismatch raises
+:class:`RouteDisagreement` instead of being averaged away.
 
 Length functions that are not backed by a chart (for example limits
 produced by iterating an automorphism) enter through
@@ -17,12 +19,13 @@ carry an explicit per-query error estimate.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .currents import RationalCurrent, cylinder_count
-from .marked_graph import MarkedMetricGraph, translation_length
+from .currents import RationalCurrent
+from .marked_graph import MarkedMetricGraph, edge_crossings, translation_length
 from .words import Automorphism, Word, cyclic_length
 from . import currents as _currents
 from . import marked_graph as _marked_graph
@@ -46,12 +49,12 @@ def intersect_report(M: MarkedMetricGraph, mu: RationalCurrent) -> IntersectionR
         (weight * translation_length(M, cw.as_word()) for cw, weight in mu.terms),
         Fraction(0),
     )
+    crossings = Counter()
+    for cw, weight in mu.terms:
+        for k, n in edge_crossings(M, cw).items():
+            crossings[k] += weight * n
     via_crossings = sum(
-        (
-            M.lengths[k - 1] * cylinder_count(mu, M, (k,))
-            for k in M.graph.positive_edges
-        ),
-        Fraction(0),
+        (M.lengths[k - 1] * c for k, c in crossings.items()), Fraction(0)
     )
     if via_lengths != via_crossings:
         raise RouteDisagreement(

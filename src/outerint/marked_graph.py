@@ -22,7 +22,7 @@ All values are immutable, all operations pure.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -124,10 +124,13 @@ def reduce_path(path: Sequence[int]) -> EdgePath:
 
 
 def cyclic_reduce_path(path: Sequence[int]) -> EdgePath:
-    p = list(reduce_path(path))
-    while len(p) >= 2 and p[0] == -p[-1]:
-        p = p[1:-1]
-    return tuple(p)
+    """Reduce, then strip every cancelling first/last pair."""
+    p = reduce_path(path)
+    i, j = 0, len(p) - 1
+    while i < j and p[i] == -p[j]:
+        i += 1
+        j -= 1
+    return p[i : j + 1]
 
 
 def inverse_path(path: Sequence[int]) -> EdgePath:
@@ -208,7 +211,7 @@ class MarkedMetricGraph:
             raise ValueError("spanning tree contains unknown edges")
         if len(tree) != len(g.vertices) - 1:
             raise ValueError("spanning tree has wrong edge count")
-        self._tree_paths()  # raises if the tree does not span
+        tree_paths = self._tree_paths()  # raises if the tree does not span
         for i, loop in enumerate(mk.generator_loops):
             if not loop:
                 raise ValueError(f"generator loop {i} is empty")
@@ -227,9 +230,8 @@ class MarkedMetricGraph:
         # tree-loop of that edge (reduced closed paths are compared, which
         # is exact in a graph).
         for k in g.positive_edges:
-            if reduce_path(self.word_to_path(mk.edge_words[k - 1])) != reduce_path(
-                self._tree_loop(k)
-            ):
+            tree_loop = tree_paths[g.initial(k)] + (k,) + inverse_path(tree_paths[g.terminal(k)])
+            if reduce_path(self.word_to_path(mk.edge_words[k - 1])) != reduce_path(tree_loop):
                 raise ValueError(
                     f"marking inconsistent: word of edge {g.name(k)} does not match its tree loop"
                 )
@@ -251,10 +253,6 @@ class MarkedMetricGraph:
         if len(paths) != len(g.vertices):
             raise ValueError("spanning tree does not span the graph")
         return paths
-
-    def _tree_loop(self, e: int) -> EdgePath:
-        paths = self._tree_paths()
-        return paths[self.graph.initial(e)] + (e,) + inverse_path(paths[self.graph.terminal(e)])
 
     # -- dictionary directions ------------------------------------------
 
@@ -293,7 +291,12 @@ class MarkedMetricGraph:
         return self.lengths[abs(e) - 1]
 
     def path_length(self, path: Sequence[int]) -> Fraction:
-        return sum((self.edge_length(e) for e in path), Fraction(0))
+        """Sum of the edge lengths along ``path``, as one multiple of
+        each edge length crossed."""
+        lengths = self.lengths
+        return sum(
+            (lengths[k - 1] * n for k, n in Counter(map(abs, path)).items()), Fraction(0)
+        )
 
     def point_displacement(self, w: Word) -> Fraction:
         """Distance in the universal cover between the base lift and its
@@ -322,9 +325,8 @@ def translation_length(M: MarkedMetricGraph, w: Word) -> Fraction:
 def edge_crossings(M: MarkedMetricGraph, cw: CyclicWord) -> dict[int, int]:
     """How often each positive edge is crossed (in either direction) by
     one period of the axis of ``cw``."""
-    counts = {k: 0 for k in M.graph.positive_edges}
-    for e in M.axis_period(cw):
-        counts[abs(e)] += 1
+    counts = dict.fromkeys(M.graph.positive_edges, 0)
+    counts.update(Counter(map(abs, M.axis_period(cw))))
     return counts
 
 

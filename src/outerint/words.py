@@ -70,10 +70,7 @@ class Word:
 
     def __pow__(self, m: int) -> "Word":
         base = self if m >= 0 else self.inverse()
-        out = Word(self.rank)
-        for _ in range(abs(m)):
-            out = out * base
-        return out
+        return reduce(base.letters * abs(m), self.rank)
 
     def conjugate_by(self, u: "Word") -> "Word":
         """u * self * u^-1."""

@@ -83,6 +83,20 @@ def random_marked_graph(rng: random.Random, rank: int) -> MarkedMetricGraph:
     return M
 
 
+def random_chart_of_each_kind(
+    rng: random.Random, rank: int
+) -> tuple[MarkedMetricGraph, MarkedMetricGraph, MarkedMetricGraph]:
+    """A rose with random rational lengths, the same rose with one edge
+    subdivided, and the subdivided rose re-marked by a nontrivial
+    automorphism."""
+    M = rose(rank, [random_fraction(rng) for _ in range(rank)])
+    sub = subdivide_edge(M, rng.randint(1, rank), Fraction(rng.randint(1, 3), 4))
+    phi = Automorphism.identity(rank)
+    while phi == Automorphism.identity(rank):
+        phi = random_automorphism(rng, rank)
+    return M, sub, act(phi, sub)
+
+
 def random_current(
     rng: random.Random, rank: int, max_terms: int = 3, max_word_len: int = 6
 ) -> RationalCurrent:

@@ -227,6 +227,11 @@ class TestUserErrors:
         )
         self.assert_one_line_error(result, "--depth")
 
+    @pytest.mark.parametrize("option", ["--samples", "--max-len"])
+    def test_scaling_exp_zero_count(self, option):
+        result = run("scaling-exp", FIXTURES / "rose2.json", option, "0")
+        self.assert_one_line_error(result, option)
+
 
 class TestFixturesLoad:
     @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")))

@@ -21,6 +21,7 @@ from outerint.words import Automorphism, Word, compose, parse_word, primitive_ro
 
 from _generators import (
     random_automorphism,
+    random_chart_of_each_kind,
     random_current,
     random_marked_graph,
     random_reduced_word,
@@ -112,6 +113,42 @@ class TestCylinderCounts:
         assert occurrences_in_cycle((1, 2), (2, 1)) == 1
         assert occurrences_in_cycle((1,), (1, 1, 1)) == 1
         assert occurrences_in_cycle((1, 2, 1, 2), (1, 2)) == 2
+        assert occurrences_in_cycle((1, 1, 1), (1, 1)) == 3
+        assert occurrences_in_cycle((2, 1, 1, 2, 1), (1, 2, 1)) == 2  # overlapping, one wraps
+        assert occurrences_in_cycle((1, 2), (1, 2, 1, 2, 1)) == 1
+        assert occurrences_in_cycle((1, 2), (1, 1)) == 0
+        with pytest.raises(ValueError):
+            occurrences_in_cycle((), (1,))
+        with pytest.raises(ValueError):
+            occurrences_in_cycle((1,), ())
+
+    def test_occurrences_in_cycle_matches_modular_definition(self):
+        def by_modular_index(period, pattern):
+            p, k = len(period), len(pattern)
+            return sum(
+                1
+                for i in range(p)
+                if all(period[(i + j) % p] == pattern[j] for j in range(k))
+            )
+
+        rng = random.Random(18)
+        alphabet = (1, -1, 2)  # few letters, so that windows often match and overlap
+        wrapped = overlapping = 0
+        for _ in range(3000):
+            period = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 12)))
+            if rng.random() < 0.5:  # a window of the period, so it occurs at least once
+                start = rng.randrange(len(period))
+                pattern = tuple(
+                    period[(start + j) % len(period)] for j in range(rng.randint(1, 6))
+                )
+            else:
+                pattern = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 6)))
+            expected = by_modular_index(period, pattern)
+            assert occurrences_in_cycle(period, pattern) == expected
+            assert occurrences_in_cycle(list(period), list(pattern)) == expected
+            wrapped += len(period) < len(pattern) and expected > 0
+            overlapping += expected * len(pattern) > len(period)
+        assert wrapped > 100 and overlapping > 100
 
     def test_flip_invariance(self):
         rng = random.Random(7)
@@ -198,9 +235,26 @@ class TestFrequencyVector:
             assert sum(val for _, val in vec.entries) * vec.mass == vec.mass
             assert sum(val * vec.mass for _, val in vec.entries) == one_letter_mass(mu)
 
+    def test_entries_are_normalised_cylinder_counts(self):
+        rng = random.Random(19)
+        for _ in range(3):
+            rank = rng.choice([2, 3])
+            mu = random_current(rng, rank, max_terms=4, max_word_len=8)
+            mass = one_letter_mass(mu)
+            for M in random_chart_of_each_kind(rng, rank):
+                for k in range(1, 5):
+                    assert frequency_vector(mu, M, k).entries == tuple(
+                        (v, cylinder_count(mu, M, v) / mass)
+                        for v in enumerate_reduced_paths(M.graph, k)
+                    )
+
     def test_zero_current_rejected(self):
         with pytest.raises(ValueError):
             frequency_vector(zero_current(2), unit_rose(2), 1)
+
+    def test_rank_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            frequency_vector(counting_current(parse_word("a", 3)), unit_rose(2), 1)
 
     def test_sup_distance(self):
         M = unit_rose(2)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from outerint.currents import add, counting_current, scale, zero_current
+from outerint.currents import add, counting_current, cylinder_count, scale, zero_current
 from outerint.intersection import (
     LengthFunctionOracle,
     equivariance_check,
@@ -17,6 +17,7 @@ from outerint.words import Automorphism, Word, parse_word, word_length
 
 from _generators import (
     random_automorphism,
+    random_chart_of_each_kind,
     random_current,
     random_fraction,
     random_marked_graph,
@@ -43,6 +44,17 @@ class TestIntersect:
                 random_marked_graph(rng, rank), random_current(rng, rank)
             )
             assert report.via_lengths == report.via_crossings == report.value
+
+    def test_crossing_route_is_length_weighted_one_edge_counts(self):
+        rng = random.Random(31)
+        for _ in range(15):
+            rank = rng.choice([2, 3])
+            mu = random_current(rng, rank, max_terms=4, max_word_len=10)
+            for M in random_chart_of_each_kind(rng, rank):
+                assert intersect_report(M, mu).via_crossings == sum(
+                    M.lengths[k - 1] * cylinder_count(mu, M, (k,))
+                    for k in M.graph.positive_edges
+                )
 
     def test_homogeneity(self):
         rng = random.Random(2)

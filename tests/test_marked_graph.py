@@ -9,7 +9,9 @@ from outerint.marked_graph import (
     SerreGraph,
     act,
     bbt_upper_bound,
+    cyclic_reduce_path,
     edge_crossings,
+    inverse_path,
     lemma_ll_check,
     marked_graph_from_json_obj,
     marked_graph_to_json_obj,
@@ -23,6 +25,7 @@ from outerint.words import Word, cyclic_length, cyclic_reduce, parse_word
 
 from _generators import (
     random_automorphism,
+    random_chart_of_each_kind,
     random_cyclically_reduced_word,
     random_marked_graph,
     random_reduced_word,
@@ -121,6 +124,34 @@ class TestPaths:
             assert M.path_to_word(M.word_to_path(w)) == w
 
 
+class TestCyclicReducePath:
+    def test_small_cases(self):
+        assert cyclic_reduce_path(()) == ()
+        assert cyclic_reduce_path((1,)) == (1,)
+        assert cyclic_reduce_path((-2,)) == (-2,)
+        assert cyclic_reduce_path((1, -1)) == ()
+        assert cyclic_reduce_path((1, 2, -1)) == (2,)
+        assert cyclic_reduce_path((1, 2, 3, -2, -1)) == (3,)
+        assert cyclic_reduce_path((1, 2, 2, -1)) == (2, 2)
+        assert cyclic_reduce_path((1, 2, -2, -1)) == ()  # cancels freely
+        assert cyclic_reduce_path((1, 2, -3, -2)) == (1, 2, -3, -2)  # reduced already
+
+    def test_long_conjugators_are_stripped(self):
+        rng = random.Random(18)
+        letters = (1, -1, 2, -2, 3, -3)
+        for n in (1, 2, 7, 50, 2000):
+            while True:
+                c = tuple(rng.choice(letters) for _ in range(rng.randint(1, 6)))
+                if all(x != -y for x, y in zip(c, c[1:] + c[:1])):  # cyclically reduced
+                    break
+            u = [rng.choice([l for l in letters if l != -c[0] and l != c[-1]])]
+            while len(u) < n:  # built right to left, so u c u^-1 is reduced as written
+                u.insert(0, rng.choice([l for l in letters if l != -u[0]]))
+            conjugate = tuple(u) + c + inverse_path(u)
+            assert cyclic_reduce_path(conjugate) == c
+            assert cyclic_reduce_path(tuple(u) + inverse_path(u)) == ()
+
+
 class TestTranslationLength:
     def test_weighted_rose(self):
         M = rose(2, [2, 3])
@@ -176,6 +207,23 @@ class TestEdgeCrossings:
             counts = edge_crossings(M, root)
             total = sum(M.lengths[k - 1] * counts[k] for k in M.graph.positive_edges)
             assert total == translation_length(M, w)
+
+
+class TestPathLength:
+    def test_matches_edge_by_edge_sum(self):
+        rng = random.Random(19)
+        for _ in range(10):
+            rank = rng.choice([2, 3])
+            for M in random_chart_of_each_kind(rng, rank):
+                edges = M.graph.oriented_edges()
+                paths = [
+                    M.word_to_path(random_reduced_word(rng, rank, rng.randint(0, 30))),
+                    tuple(rng.choice(edges) for _ in range(rng.randint(0, 30))),
+                ]
+                for path in paths:
+                    assert M.path_length(path) == sum(
+                        (M.edge_length(e) for e in path), Fraction(0)
+                    )
 
 
 class TestBBT:

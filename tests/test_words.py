@@ -210,6 +210,7 @@ class TestLengths:
         base = w if m >= 0 else w.inverse()
         for _ in range(abs(m)):
             powered = powered * base
+        assert w ** m == powered
         assert cyclic_length(powered) == abs(m) * cyclic_length(w)
 
     @given(letters_rank3, letters_rank3)
