@@ -10,7 +10,6 @@ from .words import (
     Automorphism,
     CyclicWord,
     Word,
-    apply_aut,
     compose,
     cyclic_length,
     cyclic_reduce,

@@ -13,18 +13,17 @@ import hashlib
 import json
 import random
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Optional
 
 import click
 
 from . import __version__
 from .currents import RationalCurrent, frequency_vector
 from .dynamics import (
+    ConvergenceError,
+    NonPrimitiveMatrixError,
     graph_map_from_json_obj,
     iwip_rows,
-    metric_from_pf,
     pf_eigenpair,
     transition_matrix,
 )
@@ -65,6 +64,13 @@ def _load_current(path: str) -> RationalCurrent:
         raise _fail(f"bad current file {path}: {exc}")
 
 
+def _load_chart_and_current(graph: str, current: str) -> tuple[MarkedMetricGraph, RationalCurrent]:
+    M, mu = _load_graph(graph), _load_current(current)
+    if M.rank != mu.rank:
+        raise _fail(f"rank mismatch: {current} has rank {mu.rank}, {graph} has rank {M.rank}")
+    return M, mu
+
+
 def _parse_word_arg(text: str, rank: int) -> Word:
     try:
         if text.lstrip().startswith("["):
@@ -72,31 +78,6 @@ def _parse_word_arg(text: str, rank: int) -> Word:
         return parse_word(text, rank)
     except (ValueError, json.JSONDecodeError) as exc:
         raise _fail(f"bad word {text!r}: {exc}")
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Resolved parameters of one batch run, hashed into every output so
-    reruns are verifiable."""
-
-    command: str
-    rank: int
-    inputs: tuple[tuple[str, str], ...]
-    iteration_cap: Optional[int] = None
-    depth: Optional[int] = None
-    tolerance: Optional[float] = None
-    seed: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.iteration_cap is not None and self.iteration_cap < 1:
-            raise ValueError("iteration cap must be >= 1")
-        if self.depth is not None and self.depth < 1:
-            raise ValueError("depth must be >= 1")
-        if self.tolerance is not None and self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-
-    def payload(self) -> dict:
-        return asdict(self)
 
 
 def _config_hash(payload) -> str:
@@ -167,8 +148,7 @@ def bbt(graph: str) -> None:
 def intersect(graph: str, current: str) -> None:
     """Pairing of GRAPH with CURRENT; both evaluation routes are shown
     and any disagreement is a hard failure."""
-    M = _load_graph(graph)
-    mu = _load_current(current)
+    M, mu = _load_chart_and_current(graph, current)
     payload = {"graph": graph, "current": current}
     try:
         report = intersect_report(M, mu)
@@ -194,8 +174,7 @@ def intersect(graph: str, current: str) -> None:
 )
 def current_freq(current: str, graph: str, depth: int) -> None:
     """Frequency vector of CURRENT at the given depth on GRAPH."""
-    M = _load_graph(graph)
-    mu = _load_current(current)
+    M, mu = _load_chart_and_current(graph, current)
     if mu.is_zero:
         raise _fail("the zero current has no frequency vector")
     vec = frequency_vector(mu, M, depth)
@@ -228,14 +207,15 @@ def scaling_exp(graph: str, delta: str, samples: int, max_len: int, seed: int) -
         raise _fail(f"bad delta {delta!r}")
     rng = random.Random(seed)
     sample = [_random_reduced_word(rng, M.rank, rng.randint(1, max_len)) for _ in range(samples)]
-    config = ExperimentConfig(
-        command="scaling-exp",
-        rank=M.rank,
-        inputs=(("graph", graph),),
-        iteration_cap=samples,
-        depth=max_len,
-        seed=str(seed),
-    )
+    payload = {
+        "command": "scaling-exp",
+        "rank": M.rank,
+        "inputs": [["graph", graph]],
+        "iteration_cap": samples,
+        "depth": max_len,
+        "tolerance": None,
+        "seed": str(seed),
+    }
     try:
         report = scaling_modulus_experiment(M, d, sample, seed=seed)
     except ValueError as exc:
@@ -248,7 +228,7 @@ def scaling_exp(graph: str, delta: str, samples: int, max_len: int, seed: int) -
             "holds": report.holds,
             "worst_word": None if report.worst_word is None else word_str(report.worst_word),
             "skipped_identities": report.skipped_identities,
-            "meta": _meta("scaling-exp", config.payload(), seed),
+            "meta": _meta("scaling-exp", payload, seed),
         }
     )
 
@@ -264,15 +244,23 @@ def _random_reduced_word(rng: random.Random, rank: int, length: int) -> Word:
     return Word(rank, tuple(letters))
 
 
+_TOL = click.FloatRange(min=0, min_open=True)
+
+
+def _pf(f, tol: float):
+    try:
+        return pf_eigenpair(transition_matrix(f), tol=tol)
+    except (NonPrimitiveMatrixError, ConvergenceError) as exc:
+        raise _fail(str(exc))
+
+
 @main.command()
 @click.option("--map", "map_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--tol", default=1e-12, show_default=True)
+@click.option("--tol", default=1e-12, show_default=True, type=_TOL)
 def pf(map_path: str, tol: float) -> None:
     """Dominant eigenpair of the transition matrix of an expanding map."""
     f = _load_graph_map(map_path)
-    T = transition_matrix(f)
-    result = pf_eigenpair(T, tol=tol)
-    M = metric_from_pf(f, tol=tol)
+    result = _pf(f, tol)
     g = f.chart.graph
     _echo_json(
         {
@@ -281,11 +269,11 @@ def pf(map_path: str, tol: float) -> None:
             "residual": _fmt(result.residual),
             "iterations": result.iterations,
             "eigenvector": {
-                g.edge_names[k - 1]: _fmt(result.eigenvector[k - 1])
+                g.edge_names[k - 1]: _fmt(float(result.eigenvector[k - 1]))
                 for k in g.positive_edges
             },
             "metric": {
-                g.edge_names[k - 1]: _fmt(M.lengths[k - 1]) for k in g.positive_edges
+                g.edge_names[k - 1]: _fmt(result.eigenvector[k - 1]) for k in g.positive_edges
             },
             "meta": _meta("pf", {"map": map_path, "tol": tol}),
         }
@@ -302,12 +290,12 @@ def _load_graph_map(path: str):
 @main.command()
 @click.option("--map", "map_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--seed", "seed_word", required=True, help="Seed word, e.g. 'a' or '[1,2]'.")
-@click.option("--n", "n_max", default=10, show_default=True)
+@click.option("--n", "n_max", default=10, show_default=True, type=click.IntRange(min=0))
 @click.option(
     "--depth", default=2, show_default=True, type=click.IntRange(min=1),
     help="Frequency vector depth.",
 )
-@click.option("--tol", default=1e-12, show_default=True)
+@click.option("--tol", default=1e-12, show_default=True, type=_TOL)
 @click.option(
     "--cap", default=10 ** 6, show_default=True, type=click.IntRange(min=1),
     help="Letter budget for iterates.",
@@ -328,22 +316,22 @@ def iwip(
         raise _fail("seed word must be nontrivial")
     if n_max > n_cap:
         raise _fail(f"n={n_max} exceeds the iteration ceiling {n_cap} (raise --n-cap deliberately)")
-    config = ExperimentConfig(
-        command="iwip",
-        rank=f.chart.rank,
-        inputs=(("map", map_path),),
-        iteration_cap=cap,
-        depth=depth,
-        tolerance=tol,
-        seed=seed_word,
-    )
-    pf_result = pf_eigenpair(transition_matrix(f), tol=tol)
+    payload = {
+        "command": "iwip",
+        "rank": f.chart.rank,
+        "inputs": [["map", map_path]],
+        "iteration_cap": cap,
+        "depth": depth,
+        "tolerance": tol,
+        "seed": seed_word,
+    }
+    pf_result = _pf(f, tol)
     lam = pf_result.eigenvalue
     drift = 2 * n_max * pf_result.eigenvalue_bound / lam
     rows = iwip_rows(f.automorphism, f.chart, lam, g, n_max, depth, cap)
     _echo_csv(
         "iwip",
-        config.payload(),
+        payload,
         seed_word,
         ["n", "length_estimate", "pairing_estimate", "freq_delta"],
         [

@@ -6,10 +6,10 @@ together with the automorphism it induces, checked for consistency at
 construction (endpoints, reduced images, agreement on the fundamental
 group).  Nothing here attempts to construct train track structures.
 
-From the transition matrix the dominant eigenpair is found by power
-iteration; eigenvalue enclosures use the min/max of the component ratios,
-which rigorously bracket the dominant eigenvalue of a primitive
-nonnegative matrix.
+From the transition matrix the dominant eigenpair is found by exact
+integer power iteration; the eigenvalue enclosure is the exact
+Collatz-Wielandt bracket (min/max of the component ratios as fractions),
+which contains the dominant eigenvalue of a primitive nonnegative matrix.
 
 The limit objects themselves (stable trees and stable currents) never get
 an exact representation: they are observed through normalised length
@@ -20,11 +20,10 @@ rather than claiming convergence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .currents import FrequencyVector, counting_current, frequency_vector
 from .intersection import LengthFunctionOracle
@@ -158,20 +157,17 @@ class TransitionMatrix:
     def size(self) -> int:
         return len(self.entries)
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=float)
-
     def is_primitive(self) -> bool:
         """Some power is entrywise positive; by Wielandt's bound it is
         enough to look at exponents up to (n-1)^2 + 1."""
         n = self.size
-        b = np.array(self.entries, dtype=bool)
-        power = b.copy()
-        for _ in range((n - 1) ** 2 + 1):
-            if power.all():
+        power = [[x > 0 for x in row] for row in self.entries]
+        cols = list(zip(*power))
+        for _ in range((n - 1) ** 2):
+            if all(all(row) for row in power):
                 return True
-            power = (power.astype(int) @ b.astype(int)) > 0
-        return bool(power.all())
+            power = [[any(p and c for p, c in zip(row, col)) for col in cols] for row in power]
+        return all(all(row) for row in power)
 
 
 def transition_matrix(f: GraphMap) -> TransitionMatrix:
@@ -189,26 +185,37 @@ def transition_matrix(f: GraphMap) -> TransitionMatrix:
 class PFResult:
     """Dominant eigenpair of a primitive transition matrix.
 
-    ``eigenvalue_bound`` is half the width of the min/max ratio enclosure
-    and is rigorous; ``vector_bound`` is the last sup-norm step of the
-    power iteration and is a heuristic accuracy estimate.
+    ``eigenvector`` is the exact final iterate of the integer power
+    iteration, normalised to sum 1.  Its Collatz-Wielandt ratios bracket
+    the dominant eigenvalue exactly; ``eigenvalue`` is the float nearest
+    the bracket's midpoint and ``eigenvalue_bound`` is rounded up, so that
+    ``eigenvalue +- eigenvalue_bound`` (taken exactly) contains the
+    bracket and hence the eigenvalue.  ``residual`` is the float sup-norm
+    of ``T^t v - mid * v`` for that vector and the exact midpoint.
     """
 
     eigenvalue: float
     eigenvalue_bound: float
-    eigenvector: tuple[float, ...]
-    vector_bound: float
+    eigenvector: tuple[Fraction, ...]
     residual: float
     iterations: int
+
+
+def _float_at_least(x: Fraction) -> float:
+    f = float(x)
+    return f if Fraction(f) >= x else math.nextafter(f, math.inf)
 
 
 def pf_eigenpair(
     T: TransitionMatrix, tol: float = 1e-12, max_iterations: int = 100_000
 ) -> PFResult:
-    """Left dominant eigenpair by power iteration.
+    """Left dominant eigenpair by exact integer power iteration.
 
-    The returned vector v satisfies ``sum_i T[i][j] v[i] ~ lambda v[j]``,
-    i.e. it is the length vector stretched uniformly by the map.
+    From ``v = 1`` the iteration sets ``v <- T^t v`` with Python integers
+    and stops once the Collatz-Wielandt bracket ``min_j (T^t v)_j / v_j <=
+    lambda <= max_j (T^t v)_j / v_j`` has half-width at most ``tol``.  The
+    returned vector satisfies ``sum_i T[i][j] v[i] ~ lambda v[j]``, i.e. it
+    is the length vector stretched uniformly by the map.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -216,47 +223,37 @@ def pf_eigenpair(
         raise NonPrimitiveMatrixError(
             "transition matrix is not primitive (no power is entrywise positive)"
         )
-    A = T.as_array().T
-    n = T.size
-    v = np.full(n, 1.0 / n)
+    columns = tuple(zip(*T.entries))
+    tol2 = 2 * Fraction(tol)
+    v = [1] * T.size
     for it in range(1, max_iterations + 1):
-        w = A @ v
-        w /= w.sum()
-        step = float(np.abs(w - v).max())
-        v = w
-        if step < tol:
+        w = [sum(a * x for a, x in zip(col, v)) for col in columns]
+        ratios = [Fraction(y, x) for x, y in zip(v, w)]
+        lo, hi = min(ratios), max(ratios)
+        if hi - lo <= tol2:
             break
+        v = w
     else:
         raise ConvergenceError(f"power iteration did not converge in {max_iterations} steps")
-    ratios = (A @ v) / v
-    lo, hi = float(ratios.min()), float(ratios.max())
-    lam = (lo + hi) / 2
-    residual = float(np.abs(A @ v - lam * v).max())
-    if lam < 1:
-        raise NonPrimitiveMatrixError("dominant eigenvalue below 1 for an integer matrix")
+    mid, total = (lo + hi) / 2, sum(v)
+    lam = float(mid)
     return PFResult(
         eigenvalue=lam,
-        eigenvalue_bound=(hi - lo) / 2,
-        eigenvector=tuple(float(x) for x in v),
-        vector_bound=step,
-        residual=residual,
+        eigenvalue_bound=_float_at_least(max(hi - Fraction(lam), Fraction(lam) - lo)),
+        eigenvector=tuple(Fraction(x, total) for x in v),
+        residual=float(max(abs(y - mid * x) for x, y in zip(v, w)) / total),
         iterations=it,
     )
 
 
 def metric_from_pf(f: GraphMap, tol: float = 1e-12) -> MarkedMetricGraph:
-    """Chart of ``f`` remetrised by the dominant length vector, rounded to
-    exact rationals within ``tol`` and normalised to total volume 1, so
-    the map stretches every edge by the dominant eigenvalue up to the
-    rounding and iteration error."""
-    pf = pf_eigenpair(transition_matrix(f), tol=tol)
-    den = max(10, int(2.0 / tol))
-    lengths = [Fraction(x).limit_denominator(den) for x in pf.eigenvector]
-    total = sum(lengths, Fraction(0))
-    lengths = [x / total for x in lengths]
+    """Chart of ``f`` remetrised by the exact dominant length vector of
+    :func:`pf_eigenpair`, normalised to total volume 1: the map stretches
+    edge ``k`` by exactly the ``k``-th Collatz-Wielandt ratio, which lies
+    in the eigenvalue enclosure."""
     from .marked_graph import with_lengths
 
-    return with_lengths(f.chart, lengths)
+    return with_lengths(f.chart, pf_eigenpair(transition_matrix(f), tol=tol).eigenvector)
 
 
 def eigenmetric_defect(f: GraphMap, M: MarkedMetricGraph, lam: float) -> float:

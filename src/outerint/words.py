@@ -122,6 +122,11 @@ def _least_rotation(keys: Sequence[int]) -> int:
     return k
 
 
+def _canonical_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
+    start = _least_rotation([letter_sort_key(l) for l in letters])
+    return letters[start:] + letters[:start]
+
+
 @dataclass(frozen=True)
 class CyclicWord:
     """A nonempty cyclically reduced word, stored in canonical rotation.
@@ -142,8 +147,7 @@ class CyclicWord:
         for i in range(n):
             if self.letters[i] == -self.letters[(i + 1) % n]:
                 raise ValueError("word is not cyclically reduced")
-        start = _least_rotation([letter_sort_key(l) for l in self.letters])
-        object.__setattr__(self, "letters", self.letters[start:] + self.letters[:start])
+        object.__setattr__(self, "letters", _canonical_rotation(self.letters))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -316,11 +320,6 @@ class Automorphism:
         return cls.from_images(int(obj["rank"]), obj["images"], obj["inverse_images"])
 
 
-def apply_aut(phi: Automorphism, w: Word) -> Word:
-    """Image of ``w`` under ``phi`` (substitution followed by reduction)."""
-    return phi.apply(w)
-
-
 def compose(phi: Automorphism, psi: Automorphism) -> Automorphism:
     """The automorphism ``phi after psi`` (first psi, then phi)."""
     if phi.rank != psi.rank:
@@ -385,8 +384,8 @@ def enumerate_cyclic_words(
     Classes are represented by canonical rotations; with
     ``up_to_inversion`` each {class, inverse class} pair is represented by
     its flip-normalised member only.  The output order is deterministic.
+    Each class is tested on its raw letters and built once.
     """
-    seen: set[tuple[int, ...]] = set()
     out: list[CyclicWord] = []
     alphabet = [l for i in range(1, rank + 1) for l in (i, -i)]
 
@@ -404,10 +403,11 @@ def enumerate_cyclic_words(
     for length in range(1, max_length + 1):
         for first in alphabet:
             for letters in extend([first], length - 1):
-                cw = CyclicWord(rank, letters)
+                if _canonical_rotation(letters) != letters:
+                    continue
                 if up_to_inversion:
-                    cw = flip_normalize(cw)
-                if cw.letters not in seen:
-                    seen.add(cw.letters)
-                    out.append(cw)
+                    inverse = _canonical_rotation(tuple(-l for l in reversed(letters)))
+                    if list(map(letter_sort_key, inverse)) < list(map(letter_sort_key, letters)):
+                        continue
+                out.append(CyclicWord(rank, letters))
     return tuple(sorted(out, key=CyclicWord.sort_key))

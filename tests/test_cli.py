@@ -232,6 +232,70 @@ class TestUserErrors:
         result = run("scaling-exp", FIXTURES / "rose2.json", option, "0")
         self.assert_one_line_error(result, option)
 
+    def test_pf_zero_tol(self):
+        result = run("pf", "--map", FIXTURES / "fibonacci_map.json", "--tol", "0")
+        assert result.exit_code == 2
+        self.assert_one_line_error(result, "--tol")
+
+    def test_iwip_zero_tol(self):
+        result = run(
+            "iwip", "--map", FIXTURES / "fibonacci_map.json", "--seed", "a", "--tol", "0"
+        )
+        assert result.exit_code == 2
+        self.assert_one_line_error(result, "--tol")
+
+    def test_iwip_negative_n(self):
+        result = run("iwip", "--map", FIXTURES / "fibonacci_map.json", "--seed", "a", "--n", "-1")
+        assert result.exit_code == 2
+        self.assert_one_line_error(result, "--n")
+
+    @staticmethod
+    def identity_map(tmp_path):
+        from outerint.dynamics import GraphMap, graph_map_to_json_obj
+        from outerint.marked_graph import unit_rose
+        from outerint.words import Automorphism
+
+        path = tmp_path / "identity_map.json"
+        f = GraphMap.on_rose(unit_rose(2), Automorphism.identity(2))
+        path.write_text(json.dumps(graph_map_to_json_obj(f)))
+        return path
+
+    def test_pf_non_primitive(self, tmp_path):
+        result = run("pf", "--map", self.identity_map(tmp_path))
+        assert result.exit_code == 1
+        self.assert_one_line_error(result, "not primitive")
+
+    def test_iwip_non_primitive(self, tmp_path):
+        result = run("iwip", "--map", self.identity_map(tmp_path), "--seed", "a")
+        assert result.exit_code == 1
+        self.assert_one_line_error(result, "not primitive")
+
+    def test_intersect_rank_mismatch(self):
+        result = run("intersect", FIXTURES / "rose2.json", FIXTURES / "current_b_rank3.json")
+        assert result.exit_code == 1
+        self.assert_one_line_error(result, "rank mismatch")
+
+    def test_current_freq_rank_mismatch(self):
+        result = run("current-freq", FIXTURES / "current_b_rank3.json", FIXTURES / "rose2.json")
+        assert result.exit_code == 1
+        self.assert_one_line_error(result, "rank mismatch")
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    import subprocess
+    import sys
+
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, outerint.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
+
 
 class TestFixturesLoad:
     @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")))

@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -29,9 +31,16 @@ from outerint.dynamics import (
 from outerint.marked_graph import unit_rose
 from outerint.words import Automorphism, Word, parse_word
 
-from oracles import dominant_root_by_bisection
+from oracles import char_poly, dominant_root_by_bisection
 
 GOLDEN = (1 + 5 ** 0.5) / 2
+
+
+def char_poly_at(matrix, x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in char_poly(matrix):
+        acc = acc * x + c
+    return acc
 
 
 class TestGraphMap:
@@ -85,13 +94,11 @@ class TestTransitionMatrix:
         # cancellation-free images: counts of the square equal the matrix square
         f = fibonacci_rose_map()
         ff = compose_graph_maps(f, f)
-        T = transition_matrix(f)
-        import numpy as np
-
-        expected = np.array(T.entries) @ np.array(T.entries)
-        assert transition_matrix(ff).entries == tuple(
-            tuple(int(x) for x in row) for row in expected
+        A = transition_matrix(f).entries
+        expected = tuple(
+            tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*A)) for row in A
         )
+        assert transition_matrix(ff).entries == expected
 
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError):
@@ -115,20 +122,22 @@ class TestPFEigenpair:
         with pytest.raises(NonPrimitiveMatrixError):
             pf_eigenpair(TransitionMatrix(((1, 0), (0, 1))))
 
-    def test_random_primitive_3x3_against_char_poly(self):
+    def test_random_primitive_against_char_poly(self):
+        # p = det(xI - T) changes sign at the simple dominant root of a
+        # primitive T: an enclosure of that root sees p <= 0 below, >= 0 above
         rng = random.Random(20)
-        checked = 0
-        while checked < 10:
-            entries = tuple(
-                tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(3)
-            )
-            T = TransitionMatrix(entries)
-            if not T.is_primitive():
-                continue
-            result = pf_eigenpair(T, tol=1e-13)
-            oracle = dominant_root_by_bisection(entries, 1e-12)
-            assert abs(result.eigenvalue - oracle) < 1e-8
-            checked += 1
+        for n in range(2, 7):
+            checked = 0
+            while checked < 10:
+                entries = tuple(tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(n))
+                T = TransitionMatrix(entries)
+                if not T.is_primitive():
+                    continue
+                result = pf_eigenpair(T, tol=1e-13)
+                lam, half = Fraction(result.eigenvalue), Fraction(result.eigenvalue_bound)
+                assert char_poly_at(entries, lam - half) <= 0
+                assert char_poly_at(entries, lam + half) >= 0
+                checked += 1
 
     def test_eigenvector_positive_and_residual_small(self):
         result = pf_eigenpair(transition_matrix(supergolden_rose_map()), tol=1e-13)
@@ -144,6 +153,20 @@ class TestMetricFromPF:
     def test_volume_normalised(self):
         M = metric_from_pf(supergolden_rose_map(), tol=1e-12)
         assert M.volume() == 1
+
+    @pytest.mark.parametrize(
+        "f", [fibonacci_rose_map(), fibonacci_inverse_rose_map(), supergolden_rose_map()]
+    )
+    @pytest.mark.parametrize("tol", [1e-3, 1e-12])
+    def test_edge_stretches_lie_in_enclosure(self, f, tol):
+        M = metric_from_pf(f, tol=tol)
+        pf = pf_eigenpair(transition_matrix(f), tol=tol)
+        lam, half = Fraction(pf.eigenvalue), Fraction(pf.eigenvalue_bound)
+        # the bracket's half-width is at most tol; rounding adds an ulp
+        assert half <= Fraction(tol) + Fraction(math.ulp(pf.eigenvalue))
+        for k in M.graph.positive_edges:
+            stretch = M.path_length(f.edge_images[k - 1]) / M.lengths[k - 1]
+            assert lam - half <= stretch <= lam + half
 
     def test_defining_relation(self):
         f = fibonacci_rose_map()

@@ -245,6 +245,25 @@ class TestEnumeration:
         assert all(flip_normalize(cw) == cw for cw in half)
         assert {flip_normalize(cw).letters for cw in full} == {cw.letters for cw in half}
 
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    @pytest.mark.parametrize("up_to_inversion", [False, True])
+    def test_matches_brute_force(self, rank, up_to_inversion):
+        # every letter tuple, kept when cyclically reduced, through the public
+        # constructor (and flip normalisation) and de-duplicated
+        import itertools
+
+        alphabet = [l for i in range(1, rank + 1) for l in (i, -i)]
+        expected = set()
+        for length in range(1, 6):
+            for letters in itertools.product(alphabet, repeat=length):
+                if any(letters[i] == -letters[(i + 1) % length] for i in range(length)):
+                    continue
+                cw = CyclicWord(rank, letters)
+                expected.add(flip_normalize(cw) if up_to_inversion else cw)
+        got = enumerate_cyclic_words(rank, 5, up_to_inversion)
+        assert len(got) == len(expected)
+        assert set(got) == expected
+
     def test_deterministic_order(self):
         a = enumerate_cyclic_words(3, 3)
         b = enumerate_cyclic_words(3, 3)
