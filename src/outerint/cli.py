@@ -13,6 +13,7 @@ import hashlib
 import json
 import random
 import sys
+from decimal import ROUND_CEILING, Context, Decimal, localcontext
 from fractions import Fraction
 
 import click
@@ -115,6 +116,15 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.12g}"
     return str(x)
+
+
+def _fmt_error(center: float, bound: float) -> str:
+    """``bound`` widened by the rounding of the printed ``center`` and
+    rounded up to 12 significant digits: the printed interval, taken
+    exactly, contains ``center +- bound``."""
+    err = abs(Fraction(_fmt(center)) - Fraction(center)) + Fraction(bound)
+    with localcontext(Context(prec=12, rounding=ROUND_CEILING)):
+        return _fmt(float(Decimal(err.numerator) / Decimal(err.denominator)))
 
 
 @click.group()
@@ -265,7 +275,7 @@ def pf(map_path: str, tol: float) -> None:
     _echo_json(
         {
             "lambda": _fmt(result.eigenvalue),
-            "lambda_error": _fmt(result.eigenvalue_bound),
+            "lambda_error": _fmt_error(result.eigenvalue, result.eigenvalue_bound),
             "residual": _fmt(result.residual),
             "iterations": result.iterations,
             "eigenvector": {
@@ -346,7 +356,7 @@ def iwip(
             for r in rows
         ],
         extra_header=[
-            f"lambda={_fmt(lam)} lambda_error={_fmt(pf_result.eigenvalue_bound)} "
+            f"lambda={_fmt(lam)} lambda_error={_fmt_error(lam, pf_result.eigenvalue_bound)} "
             f"relative_drift_bound={_fmt(drift)}"
         ],
     )
@@ -373,11 +383,11 @@ def _load_vertex(path: str):
 @click.option("--flavor", required=True, type=click.Choice(["F", "S", "Fstar", "Z", "I0"]))
 @click.option("--from", "from_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--to", "to_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--radius", default=3, show_default=True)
+@click.option("--radius", default=3, show_default=True, type=click.IntRange(min=0))
 @click.option("--moves", "moves_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--search-length", default=6, show_default=True)
-@click.option("--key-depth", default=4, show_default=True)
-@click.option("--state-cap", default=5000, show_default=True)
+@click.option("--search-length", default=6, show_default=True, type=click.IntRange(min=1))
+@click.option("--key-depth", default=4, show_default=True, type=click.IntRange(min=1))
+@click.option("--state-cap", default=5000, show_default=True, type=click.IntRange(min=1))
 def graph_cmd(
     flavor: str,
     from_path: str,

@@ -34,7 +34,7 @@ from .marked_graph import (
     is_reduced_path,
     translation_length,
 )
-from .words import Automorphism, Word
+from .words import Automorphism, Word, _concat, _letter_table
 
 DEFAULT_WORD_CAP = 10 ** 6
 
@@ -89,6 +89,7 @@ class GraphMap:
         base = self.chart.marking.base
         if vmap[base] != base:
             raise ValueError("the base vertex must be fixed by the map")
+        object.__setattr__(self, "_images", _letter_table(self.edge_images))  # checked above
         for i in range(1, self.chart.rank + 1):
             loop = self.apply_to_path(self.chart.marking.generator_loops[i - 1])
             if self.chart.path_to_word(loop) != self.automorphism.images[i - 1]:
@@ -97,15 +98,7 @@ class GraphMap:
                 )
 
     def apply_to_path(self, path: Sequence[int]) -> EdgePath:
-        out: list[int] = []
-        for e in path:
-            img = self.edge_images[e - 1] if e > 0 else inverse_path(self.edge_images[-e - 1])
-            for x in img:
-                if out and out[-1] == -x:
-                    out.pop()
-                else:
-                    out.append(x)
-        return tuple(out)
+        return tuple(_concat(self._images, path))
 
     @classmethod
     def on_rose(cls, M: MarkedMetricGraph, phi: Automorphism) -> "GraphMap":

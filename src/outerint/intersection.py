@@ -5,8 +5,10 @@ Route A expands the current and evaluates translation lengths term by
 term; route B sums, over the positive edges of the chart, the edge length
 times the one-edge cylinder count, that is, times the weighted number of
 crossings of the edge by the axes of the current.  Route B counts the
-crossings of every edge in one pass over each axis period.  Both routes
-are exact rational arithmetic, so any difference between them is a
+crossings of every edge in one pass over each axis period, adds them as
+integers over common denominators of the weights and of ``M.lengths``
+(not the chart's cached lengths of route A), and divides once.  Both
+routes are exact rational arithmetic, so any difference between them is a
 defect, not a rounding artefact: a mismatch raises
 :class:`RouteDisagreement` instead of being averaged away.
 
@@ -22,6 +24,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional, Sequence
 
 from .currents import RationalCurrent
@@ -49,13 +52,16 @@ def intersect_report(M: MarkedMetricGraph, mu: RationalCurrent) -> IntersectionR
         (weight * translation_length(M, cw.as_word()) for cw, weight in mu.terms),
         Fraction(0),
     )
+    # weights over D and lengths over E: integer crossings, one division
+    D = lcm(*(weight.denominator for _, weight in mu.terms))
+    E = lcm(*(L.denominator for L in M.lengths))
     crossings = Counter()
     for cw, weight in mu.terms:
+        p = weight.numerator * (D // weight.denominator)
         for k, n in edge_crossings(M, cw).items():
-            crossings[k] += weight * n
-    via_crossings = sum(
-        (M.lengths[k - 1] * c for k, c in crossings.items()), Fraction(0)
-    )
+            crossings[k] += p * n
+    q = [L.numerator * (E // L.denominator) for L in M.lengths]
+    via_crossings = Fraction(sum(q[k - 1] * c for k, c in crossings.items()), D * E)
     if via_lengths != via_crossings:
         raise RouteDisagreement(
             f"length route {via_lengths} != crossing route {via_crossings}"

@@ -16,6 +16,9 @@ generator, and a word for each edge.  Construction of a
 :class:`MarkedMetricGraph` proves the two directions are mutually inverse
 (on generators and on the tree-loop basis), which certifies that the
 chart really is an isomorphism; inconsistent dictionaries are rejected.
+Construction also builds, once, the reduced loop of each letter (so
+word-to-path cancels only at junctions) and the lengths as integers over
+one denominator (so a path length is one ``Fraction``).
 
 All values are immutable, all operations pure.
 """
@@ -25,19 +28,16 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
-from .words import Automorphism, CyclicWord, Word, reduce
+from .words import Automorphism, CyclicWord, Word, _concat, _letter_table, reduce
 
 EdgePath = tuple[int, ...]
 
 
 def _check_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (Fraction, int, str)):
         return Fraction(x)
     raise ValueError(f"expected exact rational, got {x!r}")
 
@@ -219,6 +219,14 @@ class MarkedMetricGraph:
                 raise ValueError(f"generator loop {i} is not a valid edge path")
             if g.initial(loop[0]) != mk.base or g.terminal(loop[-1]) != mk.base:
                 raise ValueError(f"generator loop {i} is not closed at the base")
+        # tables indexed by signed letter or edge (see the module docstring)
+        den = lcm(*(x.denominator for x in self.lengths))
+        nums = [x.numerator * (den // x.denominator) for x in self.lengths]
+        loops = [reduce_path(loop) for loop in mk.generator_loops]
+        object.__setattr__(self, "_loops", _letter_table(loops))
+        object.__setattr__(self, "_edge_words", _letter_table([w.letters for w in mk.edge_words]))
+        object.__setattr__(self, "_length_nums", (0, *nums, *reversed(nums)))
+        object.__setattr__(self, "_length_den", den)
         # Two-sided verification.  Direction 1: reading each generator loop
         # through the edge words must give back that generator.
         for i, loop in enumerate(mk.generator_loops):
@@ -264,26 +272,10 @@ class MarkedMetricGraph:
         """Reduced closed edge path at the base representing ``w``."""
         if w.rank != self.rank:
             raise ValueError("rank mismatch")
-        out: list[int] = []
-        for l in w.letters:
-            loop = self.marking.generator_loops[l - 1] if l > 0 else inverse_path(
-                self.marking.generator_loops[-l - 1]
-            )
-            for e in loop:
-                if out and out[-1] == -e:
-                    out.pop()
-                else:
-                    out.append(e)
-        return tuple(out)
+        return tuple(_concat(self._loops, w.letters))
 
     def path_to_word(self, path: Sequence[int]) -> Word:
-        letters: list[int] = []
-        for e in path:
-            w = self.marking.edge_words[e - 1] if e > 0 else self.marking.edge_words[
-                -e - 1
-            ].inverse()
-            letters.extend(w.letters)
-        return reduce(letters, self.rank)
+        return reduce([l for e in path for l in self._edge_words[e]], self.rank)
 
     # -- lengths ----------------------------------------------------------
 
@@ -291,12 +283,9 @@ class MarkedMetricGraph:
         return self.lengths[abs(e) - 1]
 
     def path_length(self, path: Sequence[int]) -> Fraction:
-        """Sum of the edge lengths along ``path``, as one multiple of
-        each edge length crossed."""
-        lengths = self.lengths
-        return sum(
-            (lengths[k - 1] * n for k, n in Counter(map(abs, path)).items()), Fraction(0)
-        )
+        """Sum of the edge lengths along ``path``: an integer sum of the
+        cached numerators, made one ``Fraction``."""
+        return Fraction(sum(map(self._length_nums.__getitem__, path)), self._length_den)
 
     def point_displacement(self, w: Word) -> Fraction:
         """Distance in the universal cover between the base lift and its

@@ -206,6 +206,8 @@ _KEY_CACHE_SIZE = 4096
 
 
 def vertex_key(s: FreeSplitting, depth: int = 4) -> GraphVertexKey:
+    if depth < 1:
+        raise ValueError("key depth must be >= 1")
     # one positional call, so that every way of passing depth hits one entry
     return _vertex_key(s, depth)
 
@@ -485,6 +487,8 @@ def bfs_distance(
         raise ValueError(f"unknown flavor {flavor!r}")
     if radius < 0:
         raise ValueError("radius must be >= 0")
+    if key_depth < 1 or search_length < 1:
+        raise ValueError("key depth and search length must be >= 1")
     rank = v1.rank
     if rank < 3:
         raise ValueError("the splitting graphs are defined for rank >= 3")

@@ -11,6 +11,12 @@ deterministic enumeration) the total order used is
 
 realised by :func:`letter_sort_key`.
 
+Input is validated once, by the public constructors, :func:`reduce` and
+the parsers; values derived from validated ones (reductions, inverses,
+cyclic reductions, primitive roots, automorphic images) are built by the
+trusted ``_make`` constructors.  Substitution cancels only at the
+junctions of reduced pieces (:func:`_concat`, shared with word-to-path).
+
 Everything in this module is immutable and all operations are pure, so
 values can be shared freely between threads.
 """
@@ -53,6 +59,14 @@ class Word:
             if x == -y:
                 raise ValueError(f"word is not freely reduced at {x}, {y}")
 
+    @classmethod
+    def _make(cls, rank: int, letters: tuple[int, ...]) -> "Word":
+        """Trusted: reduced letters derived from validated values."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "rank", rank)
+        object.__setattr__(w, "letters", letters)
+        return w
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -66,7 +80,7 @@ class Word:
         return reduce(self.letters + other.letters, self.rank)
 
     def inverse(self) -> "Word":
-        return Word(self.rank, tuple(-l for l in reversed(self.letters)))
+        return Word._make(self.rank, tuple(-l for l in reversed(self.letters)))
 
     def __pow__(self, m: int) -> "Word":
         base = self if m >= 0 else self.inverse()
@@ -97,7 +111,23 @@ def reduce(letters: Sequence[int], rank: int) -> Word:
             stack.pop()
         else:
             stack.append(l)
-    return Word(rank, tuple(stack))
+    return Word._make(rank, tuple(stack))
+
+
+def _concat(table: Sequence[tuple[int, ...]], keys: Iterable[int]) -> list[int]:
+    """Free reduction of the pieces ``table[k]`` concatenated over ``keys``.
+    Each piece is reduced, so letters cancel only at junctions: pop while
+    the last output letter cancels the piece's next, then extend."""
+    out: list[int] = []
+    pop = out.pop
+    for k in keys:
+        piece = table[k]
+        j, n = 0, len(piece)
+        while out and j < n and out[-1] == -piece[j]:
+            pop()
+            j += 1
+        out.extend(piece[j:] if j else piece)
+    return out
 
 
 def _least_rotation(keys: Sequence[int]) -> int:
@@ -149,14 +179,22 @@ class CyclicWord:
                 raise ValueError("word is not cyclically reduced")
         object.__setattr__(self, "letters", _canonical_rotation(self.letters))
 
+    @classmethod
+    def _make(cls, rank: int, letters: tuple[int, ...]) -> "CyclicWord":
+        """Trusted: cyclically reduced letters derived from validated values."""
+        cw = object.__new__(cls)
+        object.__setattr__(cw, "rank", rank)
+        object.__setattr__(cw, "letters", _canonical_rotation(letters))
+        return cw
+
     def __len__(self) -> int:
         return len(self.letters)
 
     def as_word(self) -> Word:
-        return Word(self.rank, self.letters)
+        return Word._make(self.rank, self.letters)
 
     def inverse(self) -> "CyclicWord":
-        return CyclicWord(self.rank, tuple(-l for l in reversed(self.letters)))
+        return CyclicWord._make(self.rank, tuple(-l for l in reversed(self.letters)))
 
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
         return (len(self.letters), tuple(letter_sort_key(l) for l in self.letters))
@@ -188,9 +226,9 @@ def cyclic_reduce(w: Word) -> tuple[CyclicWord | None, Word]:
         hi -= 1
     core = tuple(letters[lo:hi])
     if not core:
-        return None, Word(w.rank)
-    conjugator = Word(w.rank, tuple(-l for l in reversed(letters[:lo])))
-    return CyclicWord(w.rank, core), conjugator
+        return None, Word._make(w.rank, ())
+    conjugator = Word._make(w.rank, tuple(-l for l in reversed(letters[:lo])))
+    return CyclicWord._make(w.rank, core), conjugator
 
 
 def primitive_root(cw: CyclicWord) -> tuple[CyclicWord, int]:
@@ -217,7 +255,7 @@ def primitive_root(cw: CyclicWord) -> tuple[CyclicWord, int]:
     period = n - fail[n]
     if n % period != 0:
         period = n
-    return CyclicWord(cw.rank, s[:period]), n // period
+    return CyclicWord._make(cw.rank, s[:period]), n // period
 
 
 def word_length(w: Word) -> int:
@@ -229,6 +267,13 @@ def cyclic_length(w: Word) -> int:
     """Number of letters of the cyclically reduced form."""
     root, _ = cyclic_reduce(w)
     return 0 if root is None else len(root)
+
+
+def _letter_table(pieces: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """``table[l]`` is the piece of letter ``l``; ``table[-l]``, counted
+    from the end, is its inverse."""
+    inverses = (tuple(-l for l in reversed(p)) for p in reversed(pieces))
+    return ((), *pieces, *inverses)
 
 
 @dataclass(frozen=True)
@@ -253,6 +298,9 @@ class Automorphism:
         for w in (*self.images, *self.inverse_images):
             if w.rank != self.rank:
                 raise ValueError("image rank mismatch")
+        # per-letter image tables, built once (and checked by the loop below)
+        for name, words in (("_images", self.images), ("_inverses", self.inverse_images)):
+            object.__setattr__(self, name, _letter_table([w.letters for w in words]))
         for i in range(1, self.rank + 1):
             gen = Word(self.rank, (i,))
             fwd = self.apply(self.apply_inverse(gen))
@@ -281,26 +329,16 @@ class Automorphism:
     def is_identity(self) -> bool:
         return all(w.letters == (i + 1,) for i, w in enumerate(self.images))
 
-    def _substitute(self, table: tuple[Word, ...], w: Word) -> Word:
-        out: list[int] = []
-        for l in w.letters:
-            img = table[l - 1].letters if l > 0 else tuple(-x for x in reversed(table[-l - 1].letters))
-            for x in img:
-                if out and out[-1] == -x:
-                    out.pop()
-                else:
-                    out.append(x)
-        return Word(self.rank, tuple(out))
+    def _substitute(self, table: tuple[tuple[int, ...], ...], w: Word) -> Word:
+        if w.rank != self.rank:
+            raise ValueError("rank mismatch")
+        return Word._make(self.rank, tuple(_concat(table, w.letters)))
 
     def apply(self, w: Word) -> Word:
-        if w.rank != self.rank:
-            raise ValueError("rank mismatch")
-        return self._substitute(self.images, w)
+        return self._substitute(self._images, w)
 
     def apply_inverse(self, w: Word) -> Word:
-        if w.rank != self.rank:
-            raise ValueError("rank mismatch")
-        return self._substitute(self.inverse_images, w)
+        return self._substitute(self._inverses, w)
 
     def __call__(self, w: Word) -> Word:
         return self.apply(w)

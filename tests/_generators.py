@@ -6,8 +6,17 @@ import random
 from fractions import Fraction
 
 from outerint.currents import RationalCurrent, add, counting_current, scale, zero_current
-from outerint.marked_graph import MarkedMetricGraph, act, rose, subdivide_edge
-from outerint.words import Automorphism, Word, compose
+from outerint.marked_graph import (
+    MarkedMetricGraph,
+    act,
+    marked_graph_from_json_obj,
+    marked_graph_to_json_obj,
+    rose,
+    scale_lengths,
+    subdivide_edge,
+    with_lengths,
+)
+from outerint.words import Automorphism, CyclicWord, Word, compose
 
 
 def random_reduced_word(rng: random.Random, rank: int, length: int) -> Word:
@@ -110,3 +119,37 @@ def random_current(
     if mu.is_zero:
         return counting_current(Word(rank, (1,)))
     return mu
+
+
+def awkward_fractions(rng: random.Random, count: int) -> list[Fraction]:
+    """Positive rationals over pairwise coprime denominators, one of which
+    is 2^100 (about 10^30)."""
+    dens = rng.sample([3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41], count)
+    dens[rng.randrange(count)] = 2 ** 100
+    return [Fraction(rng.randint(1, 3 * d), d) for d in dens]
+
+
+def charts_with_awkward_lengths(rng: random.Random, rank: int) -> list[MarkedMetricGraph]:
+    """One chart given awkward lengths by ``with_lengths``, and the charts
+    that ``scale_lengths``, ``subdivide_edge``, ``act`` and a JSON round
+    trip derive from it."""
+    M = random_marked_graph(rng, rank)
+    N = with_lengths(M, awkward_fractions(rng, M.graph.num_edges))
+    sub = subdivide_edge(N, rng.randint(1, N.graph.num_edges), Fraction(rng.randint(1, 6), 7))
+    moved = act(random_automorphism(rng, rank), sub)
+    return [
+        N,
+        scale_lengths(N, Fraction(rng.randint(1, 10 ** 6), 2 ** 61 - 1)),
+        sub,
+        moved,
+        marked_graph_from_json_obj(marked_graph_to_json_obj(moved)),
+    ]
+
+
+def awkward_current(rng: random.Random, rank: int, terms: int = 3) -> RationalCurrent:
+    """Cyclic words of 1-12 letters with weights from :func:`awkward_fractions`."""
+    words = [random_cyclically_reduced_word(rng, rank, rng.randint(1, 12)) for _ in range(terms)]
+    weights = awkward_fractions(rng, terms)
+    return RationalCurrent(
+        rank, tuple((CyclicWord(rank, w.letters), x) for w, x in zip(words, weights))
+    )

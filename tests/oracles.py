@@ -87,6 +87,14 @@ def char_poly(matrix: Sequence[Sequence[int]]) -> list[Fraction]:
     return coeffs
 
 
+def char_poly_at(matrix: Sequence[Sequence[int]], x: Fraction) -> Fraction:
+    """det(xI - M) evaluated exactly by Horner's rule."""
+    acc = Fraction(0)
+    for c in char_poly(matrix):
+        acc = acc * x + c
+    return acc
+
+
 def dominant_root_by_bisection(matrix: Sequence[Sequence[int]], tol: float) -> float:
     """Largest real root of the characteristic polynomial: scan down from
     the Gershgorin bound to the first sign change, then bisect."""

@@ -1,10 +1,13 @@
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
 from outerint.cli import main
+
+from oracles import char_poly_at
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -73,6 +76,38 @@ class TestPF:
         assert abs(float(data["lambda"]) - (1 + 5 ** 0.5) / 2) < 1e-9
         assert set(data["eigenvector"]) == {"a", "b"}
         assert set(data["metric"]) == {"a", "b"}
+
+
+def printed_enclosure(output: str) -> tuple[Fraction, Fraction]:
+    """The printed lambda -+ lambda_error of `oi pf` or an `oi iwip` header, exactly."""
+    if output.startswith("{"):
+        data = json.loads(output)
+    else:
+        header = next(l for l in output.splitlines() if l.startswith("# lambda="))
+        data = dict(field.split("=") for field in header[2:].split())
+    lam, err = Fraction(data["lambda"]), Fraction(data["lambda_error"])
+    return lam - err, lam + err
+
+
+class TestPrintedEnclosure:
+    """The printed lambda +- lambda_error contains the stretch factor."""
+
+    @pytest.mark.parametrize("command", ["pf", "iwip"])
+    def test_fibonacci_contains_golden_ratio(self, command):
+        extra = ["--seed", "a", "--n", "2"] if command == "iwip" else []
+        result = run(command, "--map", FIXTURES / "fibonacci_map.json", "--tol", "1e-14", *extra)
+        lo, hi = printed_enclosure(result.output)
+        # x^2 - x - 1 is increasing past 1/2 and vanishes at the golden ratio
+        assert 1 < lo and lo * lo - lo - 1 < 0 < hi * hi - hi - 1
+
+    @pytest.mark.parametrize("tol", ["1e-12", "1e-14"])
+    def test_supergolden_brackets_a_root(self, tol):
+        from outerint.dynamics import graph_map_from_json_obj, transition_matrix
+
+        path = FIXTURES / "supergolden_map.json"
+        entries = transition_matrix(graph_map_from_json_obj(json.loads(path.read_text()))).entries
+        lo, hi = printed_enclosure(run("pf", "--map", path, "--tol", tol).output)
+        assert char_poly_at(entries, lo) < 0 < char_poly_at(entries, hi)
 
 
 class TestIwip:
@@ -274,6 +309,24 @@ class TestUserErrors:
         result = run("intersect", FIXTURES / "rose2.json", FIXTURES / "current_b_rank3.json")
         assert result.exit_code == 1
         self.assert_one_line_error(result, "rank mismatch")
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--key-depth", "-1"), ("--key-depth", "0"), ("--search-length", "0"),
+         ("--radius", "-1"), ("--state-cap", "0")],
+    )
+    def test_graph_option_out_of_range(self, option, value):
+        # --key-depth -1 used to merge the two splittings and print distance 0
+        result = run(
+            "graph",
+            "--flavor", "F",
+            "--from", FIXTURES / "splitting_a_rank3.json",
+            "--to", FIXTURES / "splitting_ab_rank3.json",
+            "--radius", "2",
+            option, value,
+        )
+        assert result.exit_code == 2
+        self.assert_one_line_error(result, option)
 
     def test_current_freq_rank_mismatch(self):
         result = run("current-freq", FIXTURES / "current_b_rank3.json", FIXTURES / "rose2.json")

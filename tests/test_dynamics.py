@@ -31,16 +31,9 @@ from outerint.dynamics import (
 from outerint.marked_graph import unit_rose
 from outerint.words import Automorphism, Word, parse_word
 
-from oracles import char_poly, dominant_root_by_bisection
+from oracles import char_poly_at, dominant_root_by_bisection
 
 GOLDEN = (1 + 5 ** 0.5) / 2
-
-
-def char_poly_at(matrix, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in char_poly(matrix):
-        acc = acc * x + c
-    return acc
 
 
 class TestGraphMap:

@@ -12,10 +12,17 @@ from outerint.intersection import (
     intersect_report,
     scaling_modulus_experiment,
 )
-from outerint.marked_graph import scale_lengths, translation_length, unit_rose
+from outerint.marked_graph import (
+    cyclic_reduce_path,
+    scale_lengths,
+    translation_length,
+    unit_rose,
+)
 from outerint.words import Automorphism, Word, parse_word, word_length
 
 from _generators import (
+    awkward_current,
+    charts_with_awkward_lengths,
     random_automorphism,
     random_chart_of_each_kind,
     random_current,
@@ -55,6 +62,21 @@ class TestIntersect:
                     M.lengths[k - 1] * cylinder_count(mu, M, (k,))
                     for k in M.graph.positive_edges
                 )
+
+    def test_routes_equal_edge_by_edge_sums_with_awkward_denominators(self):
+        rng = random.Random(74)
+        for _ in range(6):
+            rank = rng.choice([2, 3])
+            mu = awkward_current(rng, rank)
+            for M in charts_with_awkward_lengths(rng, rank):
+                expected = Fraction(0)
+                for cw, weight in mu.terms:
+                    period = cyclic_reduce_path(M.word_to_path(cw.as_word()))
+                    for e in period:
+                        expected += weight * M.lengths[abs(e) - 1]
+                report = intersect_report(M, mu)
+                assert report.via_crossings == expected
+                assert report.via_lengths == expected
 
     def test_homogeneity(self):
         rng = random.Random(2)

@@ -24,12 +24,14 @@ from outerint.marked_graph import (
 from outerint.words import Word, cyclic_length, cyclic_reduce, parse_word
 
 from _generators import (
+    charts_with_awkward_lengths,
     random_automorphism,
     random_chart_of_each_kind,
     random_cyclically_reduced_word,
     random_marked_graph,
     random_reduced_word,
 )
+from oracles import scan_reduce
 
 
 def theta_graph(lengths=(1, 1, 1)) -> MarkedMetricGraph:
@@ -362,3 +364,74 @@ class TestJson:
         assert translation_length(back, parse_word("ab", 2)) == translation_length(
             M, parse_word("ab", 2)
         )
+
+
+def naive_path(M: MarkedMetricGraph, w: Word) -> tuple[int, ...]:
+    """Free reduction of the generator loops concatenated letter by letter."""
+    loops = M.marking.generator_loops
+    edges = [e for l in w.letters for e in (loops[l - 1] if l > 0 else inverse_path(loops[-l - 1]))]
+    return tuple(scan_reduce(edges))
+
+
+def edge_sum(M: MarkedMetricGraph, path) -> Fraction:
+    return sum((M.lengths[abs(e) - 1] for e in path), Fraction(0))
+
+
+def backtracking_charts() -> list[MarkedMetricGraph]:
+    """A rose and a theta graph whose generator loops back-track."""
+    rose_graph = SerreGraph(("v",), ("a", "b"), ("A", "B"), ("v", "v"), ("v", "v"))
+    rose_marking = Marking(
+        base="v",
+        generator_loops=((1, 2, -2), (-1, 1, 2, 1, -1)),
+        edge_words=(Word(2, (1,)), Word(2, (2,))),
+        spanning_tree=frozenset(),
+    )
+    theta = theta_graph((2, 1, Fraction(1, 3)))
+    theta_marking = Marking(
+        base="x",
+        generator_loops=((2, -1, 1, -1), (3, -2, 2, -1)),
+        edge_words=theta.marking.edge_words,
+        spanning_tree=theta.marking.spanning_tree,
+    )
+    return [
+        MarkedMetricGraph(rose_graph, rose_marking, (Fraction(2, 3), Fraction(5, 7))),
+        MarkedMetricGraph(theta.graph, theta_marking, theta.lengths),
+    ]
+
+
+class TestTrustedTables:
+    """The per-letter loop table and the integer length cache built at
+    construction give the letter-by-letter and edge-by-edge results."""
+
+    def test_word_to_path_matches_scan_of_loops(self):
+        rng = random.Random(71)
+        for _ in range(40):
+            rank = rng.choice([2, 3, 4])
+            charts = random_chart_of_each_kind(rng, rank) + (random_marked_graph(rng, rank),)
+            for M in charts:
+                w = random_reduced_word(rng, rank, rng.randint(0, 30))
+                assert M.word_to_path(w) == naive_path(M, w)
+
+    def test_backtracking_generator_loops(self):
+        rng = random.Random(72)
+        for M in backtracking_charts():
+            for _ in range(40):
+                w = random_reduced_word(rng, 2, rng.randint(0, 16))
+                path = M.word_to_path(w)
+                assert path == naive_path(M, w)
+                assert M.path_to_word(path) == w
+                assert M.path_length(path) == edge_sum(M, path)
+                assert translation_length(M, w) == edge_sum(M, cyclic_reduce_path(path))
+
+    def test_lengths_with_awkward_denominators(self):
+        rng = random.Random(73)
+        for _ in range(8):
+            rank = rng.choice([2, 3])
+            for M in charts_with_awkward_lengths(rng, rank):
+                edges = M.graph.oriented_edges()
+                w = random_reduced_word(rng, rank, rng.randint(0, 30))
+                path = M.word_to_path(w)
+                for p in (path, tuple(rng.choice(edges) for _ in range(rng.randint(0, 30)))):
+                    assert M.path_length(p) == edge_sum(M, p)
+                assert translation_length(M, w) == edge_sum(M, cyclic_reduce_path(path))
+                assert M.volume() == edge_sum(M, M.graph.positive_edges)

@@ -311,6 +311,17 @@ class TestMaps:
 
 
 class TestBFS:
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_and_search_length_below_one_rejected(self, depth):
+        # an empty key test set would merge distinct splittings (distance 0)
+        s1, s2 = separating_splitting(3, [1]), separating_splitting(3, [1, 2])
+        with pytest.raises(ValueError, match="key depth"):
+            vertex_key(s1, depth)
+        with pytest.raises(ValueError, match="key depth"):
+            bfs_distance("F", s1, s2, 2, key_depth=depth)
+        with pytest.raises(ValueError, match="search length"):
+            bfs_distance("F", s1, s2, 2, search_length=depth)
+
     def test_same_vertex_distance_zero(self):
         s = separating_splitting(3, [1])
         assert bfs_distance("F", s, separating_splitting(3, [2, 3]), 3) == 0

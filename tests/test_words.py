@@ -269,3 +269,90 @@ class TestEnumeration:
         b = enumerate_cyclic_words(3, 3)
         assert a == b
         assert list(a) == sorted(a, key=CyclicWord.sort_key)
+
+
+def image_letters(phi_images, l):
+    """Letter-by-letter image of one letter: the image, or its reversed inverse."""
+    img = phi_images[abs(l) - 1].letters
+    return img if l > 0 else tuple(-x for x in reversed(img))
+
+
+def naive_apply(images, w: Word) -> tuple[int, ...]:
+    return tuple(scan_reduce([x for l in w.letters for x in image_letters(images, l)]))
+
+
+class TestJunctionKernel:
+    """Substitution cancels only at junctions; it must still equal the
+    free reduction of the letter-by-letter concatenation."""
+
+    def test_random_words_and_automorphisms(self):
+        from _generators import random_automorphism, random_reduced_word
+
+        rng = random.Random(70)
+        for _ in range(150):
+            rank = rng.choice([2, 3, 4])
+            phi = random_automorphism(rng, rank, max_factors=5, max_image_len=10)
+            w = random_reduced_word(rng, rank, rng.randint(0, 40))
+            assert phi.apply(w).letters == naive_apply(phi.images, w)
+            assert phi.apply_inverse(w).letters == naive_apply(phi.inverse_images, w)
+
+    def test_image_cancels_completely_at_a_junction(self):
+        # a -> ab, b -> b on a b^-1: the image B of b^-1 cancels entirely
+        phi = Automorphism.from_images(2, [[1, 2], [2]], [[1, -2], [2]])
+        assert phi.apply(parse_word("aB", 2)).letters == (1,)
+        # a -> ab, b -> bab on a b^-1: ab . BAB cancels two letters, all of ab
+        psi = Automorphism.from_images(2, [[1, 2], [2, 1, 2]], [[1, 1, -2], [2, -1]])
+        for text in ("aB", "aBaB", "bAbaB", "BAbab"):
+            w = parse_word(text, 2)
+            assert psi.apply(w).letters == naive_apply(psi.images, w)
+            assert psi.apply_inverse(w).letters == naive_apply(psi.inverse_images, w)
+        assert psi.apply(parse_word("aB", 2)).letters == (-2,)
+
+
+class TestBoundary:
+    """Public constructors and parsers validate; derived values are trusted."""
+
+    def test_word_rejects_bad_input(self):
+        for letters in [(3,), (0,), (1, -1), (2, 1, -1, 2), ("a",), (1.0,)]:
+            with pytest.raises(ValueError):
+                Word(2, letters)
+        with pytest.raises(ValueError):
+            Word(1, ())
+
+    def test_cyclic_word_rejects_bad_input(self):
+        for letters in [(), (3,), (1, 2, -1), (1, -1), (0, 1)]:
+            with pytest.raises(ValueError):
+                CyclicWord(2, letters)
+
+    def test_reduce_rejects_bad_letters(self):
+        for letters in [[1, 5], [1, 0], [-3], [1, "b"]]:
+            with pytest.raises(ValueError):
+                reduce(letters, 2)
+
+    def test_from_images_rejects_bad_input(self):
+        with pytest.raises(ValueError):  # letter out of range
+            Automorphism.from_images(2, [[1, 3], [2]], [[1, -3], [2]])
+        with pytest.raises(ValueError):  # not an inverse pair
+            Automorphism.from_images(2, [[1, 2], [2]], [[1, 2], [2]])
+        with pytest.raises(ValueError):  # one image short
+            Automorphism.from_images(2, [[1]], [[1]])
+
+    def test_current_from_json_rejects_bad_roots(self):
+        from outerint.currents import RationalCurrent
+
+        for root, weight in [([1, -1], "1"), ([1, 3], "1"), ([0], "1"), ([], "1"), ([1], "-1")]:
+            with pytest.raises(ValueError):
+                RationalCurrent.from_json_obj({"rank": 2, "terms": [{"root": root, "weight": weight}]})
+
+    def test_derived_values_equal_validated_ones(self):
+        phi = fib_aut()
+        w = reduce([1, 2, -2, -1, 2, 1, 1], 2)
+        cw = CyclicWord(2, (2, 1, 2))
+        for got in [w, w.inverse(), phi.apply(w), phi.apply_inverse(w), cw.as_word(),
+                    cyclic_reduce(parse_word("abA", 2))[1]]:
+            again = Word(got.rank, got.letters)
+            assert got == again and hash(got) == hash(again) and vars(got) == vars(again)
+        root, _ = cyclic_reduce(parse_word("abbA", 2))
+        for got in [cw.inverse(), primitive_root(CyclicWord(2, (1, 2, 1, 2)))[0], root]:
+            again = CyclicWord(got.rank, got.letters)
+            assert got == again and got.letters == again.letters and vars(got) == vars(again)
