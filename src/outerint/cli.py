@@ -35,7 +35,7 @@ from .marked_graph import (
     marked_graph_from_json_obj,
     translation_length,
 )
-from .splittings import FreeSplitting, KeyCollisionError, StateCapExceeded, bfs_distance
+from .splittings import FLAVORS, FreeSplitting, KeyCollisionError, StateCapExceeded, bfs_distance
 from .words import Automorphism, CyclicWord, Word, parse_word, reduce, word_str
 
 
@@ -380,7 +380,7 @@ def _load_vertex(path: str):
 
 
 @main.command("graph")
-@click.option("--flavor", required=True, type=click.Choice(["F", "S", "Fstar", "Z", "I0"]))
+@click.option("--flavor", required=True, type=click.Choice(FLAVORS))
 @click.option("--from", "from_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--to", "to_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--radius", default=3, show_default=True, type=click.IntRange(min=0))

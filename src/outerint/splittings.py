@@ -27,7 +27,10 @@ and common-elliptic adjacency is a bounded search whose negative verdict
 ("none found within the bound") is not a proof of non-adjacency.
 Distances come from breadth-first search over an explicitly generated
 vertex universe, so they are exact within the explored ball and upper
-bounds in general.
+bounds in general.  The search dispatches on vertex kind from one table
+(key at a depth, image under an automorphism, per vertex type) and on
+flavor from another (admitted vertex kinds and neighbour rule: coordinate
+families for F, S and Fstar, trees against minted witnesses for Z and I0).
 """
 
 from __future__ import annotations
@@ -37,10 +40,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Literal, Optional, Sequence, Union
+from typing import Callable, Iterable, Literal, NamedTuple, Optional, Sequence, Union
 
-from .currents import RationalCurrent, one_letter_mass, scale
+from .currents import RationalCurrent, counting_current, one_letter_mass, scale
+from .currents import act as act_on_current
 from .marked_graph import MarkedMetricGraph, translation_length
+from .marked_graph import act as act_on_chart
 from .words import (
     Automorphism,
     CyclicWord,
@@ -52,7 +57,6 @@ from .words import (
 )
 
 Flavor = Literal["F", "S", "Fstar", "Z", "I0"]
-FLAVORS: tuple[Flavor, ...] = ("F", "S", "Fstar", "Z", "I0")
 
 
 class StateCapExceeded(Exception):
@@ -248,10 +252,6 @@ def _common_elliptic(
     return None
 
 
-def _same_twist(s1: FreeSplitting, s2: FreeSplitting) -> bool:
-    return s1.twist.images == s2.twist.images
-
-
 def refinement_adjacent(s1: FreeSplitting, s2: FreeSplitting) -> str:
     """Decidable refinement adjacency for separating splittings.
 
@@ -262,15 +262,7 @@ def refinement_adjacent(s1: FreeSplitting, s2: FreeSplitting) -> str:
     """
     if s1.kind != "sep" or s2.kind != "sep":
         raise ValueError("refinement adjacency is defined here for separating splittings")
-    if s1.rank != s2.rank:
-        raise ValueError("rank mismatch")
-    if vertex_key(s1) == vertex_key(s2):
-        return "no"
-    if not _same_twist(s1, s2):
-        return "unknown"
-    if s1.subset < s2.subset or s2.subset < s1.subset:
-        return "yes"
-    return "unknown"
+    return cut_refinement_adjacent(s1, s2)
 
 
 def cut_refinement_adjacent(s1: FreeSplitting, s2: FreeSplitting) -> str:
@@ -285,7 +277,7 @@ def cut_refinement_adjacent(s1: FreeSplitting, s2: FreeSplitting) -> str:
         raise ValueError("rank mismatch")
     if vertex_key(s1) == vertex_key(s2):
         return "no"
-    if not _same_twist(s1, s2):
+    if s1.twist.images != s2.twist.images:
         return "unknown"
     if s1.kind == "sep" and s2.kind == "sep":
         return "yes" if (s1.subset < s2.subset or s2.subset < s1.subset) else "unknown"
@@ -305,6 +297,8 @@ def intersection_graph_adjacent(T: TreeVertex, mu: RationalCurrent) -> bool:
     adjacent to a nonzero current."""
     if mu.is_zero:
         raise ValueError("the zero current has no projective class")
+    if T.rank != mu.rank:
+        raise ValueError("rank mismatch")
     if isinstance(T, MarkedMetricGraph):
         return False
     total = 0
@@ -328,20 +322,29 @@ def map_q(s: FreeSplitting) -> FreeSplitting:
 # -- breadth-first exploration -------------------------------------------------
 
 
-def _class_key(cw: CyclicWord) -> tuple:
-    return ("class", flip_normalize(cw).letters)
-
-
-def _current_key(mu: RationalCurrent) -> tuple:
-    unit = scale(Fraction(1) / one_letter_mass(mu), mu)
-    return ("curr", tuple((cw.letters, w) for cw, w in unit.terms))
-
-
 def _chart_key(M: MarkedMetricGraph, depth: int) -> tuple:
     test_set = enumerate_cyclic_words(M.rank, depth, up_to_inversion=True)
     values = [translation_length(M, cw.as_word()) for cw in test_set]
     first = next(v for v in values if v > 0)
     return ("cvtree", tuple(v / first for v in values))
+
+
+def _current_key(mu: RationalCurrent, depth: int) -> tuple:
+    unit = scale(Fraction(1) / one_letter_mass(mu), mu)
+    return ("curr", tuple((cw.letters, w) for cw, w in unit.terms))
+
+
+# vertex kind -> (key at a key depth, image under an automorphism); keys
+# are tagged by kind, so equal keys always belong to one kind
+_VERTEX_KINDS = {
+    FreeSplitting: (lambda s, depth: ("tree", vertex_key(s, depth).lengths), act),
+    MarkedMetricGraph: (_chart_key, act_on_chart),
+    RationalCurrent: (_current_key, act_on_current),
+    CyclicWord: (
+        lambda cw, depth: ("class", flip_normalize(cw).letters),
+        lambda phi, cw: cyclic_reduce(phi.apply(cw.as_word()))[0],
+    ),
+}
 
 
 def _splitting_data(s: FreeSplitting) -> tuple:
@@ -365,15 +368,7 @@ class _Universe:
         self.vertices: dict[tuple, list[GraphVertex]] = {}
 
     def key(self, v: GraphVertex) -> tuple:
-        if isinstance(v, FreeSplitting):
-            return ("tree", vertex_key(v, self.depth).lengths)
-        if isinstance(v, MarkedMetricGraph):
-            return _chart_key(v, self.depth)
-        if isinstance(v, RationalCurrent):
-            return _current_key(v)
-        if isinstance(v, CyclicWord):
-            return _class_key(v)
-        raise TypeError(f"not a graph vertex: {v!r}")
+        return _VERTEX_KINDS[type(v)][0](v, self.depth)
 
     def add(self, v: GraphVertex) -> tuple:
         k = self.key(v)
@@ -382,7 +377,7 @@ class _Universe:
             if len(self.vertices) >= self.cap:
                 raise StateCapExceeded(len(self.vertices))
             self.vertices[k] = [v]
-        elif isinstance(v, FreeSplitting) and isinstance(known[0], FreeSplitting):
+        elif type(v) is FreeSplitting:
             if all(_splitting_data(v) != _splitting_data(u) for u in known):
                 deep = self.depth + 2
                 if vertex_key(v, deep) != vertex_key(known[0], deep):
@@ -393,51 +388,28 @@ class _Universe:
                 known.append(v)
         return k
 
-    def splittings(self) -> list[FreeSplitting]:
-        out = []
-        for presentations in self.vertices.values():
-            out.extend(p for p in presentations if isinstance(p, FreeSplitting))
-        return out
-
-    def each(self, cls) -> list:
-        return [ps[0] for ps in self.vertices.values() if isinstance(ps[0], cls)]
+    def each(self, *kinds: type) -> list[GraphVertex]:
+        """Every stored presentation of the given kinds, in insertion order."""
+        return [p for ps in self.vertices.values() for p in ps if type(p) in kinds]
 
 
-def _move_closure(
-    universe: _Universe, seeds: Sequence[GraphVertex], moves: Sequence[Automorphism], depth: int
-) -> None:
-    from . import currents as _currents
-
-    def apply_move(phi: Automorphism, v: GraphVertex) -> GraphVertex:
-        if isinstance(v, FreeSplitting):
-            return act(phi, v)
-        if isinstance(v, RationalCurrent):
-            return _currents.act(phi, v)
-        if isinstance(v, CyclicWord):
-            root, _ = cyclic_reduce(phi.apply(v.as_word()))
-            return root
-        if isinstance(v, MarkedMetricGraph):
-            from . import marked_graph as _mg
-
-            return _mg.act(phi, v)
-        raise TypeError
-
-    frontier = list(seeds)
-    for v in frontier:
-        universe.add(v)
+def _move_closure(universe: _Universe, seeds: Sequence[GraphVertex],
+                  moves: Sequence[Automorphism], depth: int) -> None:
+    """Add the images of the (already stored) seeds under up to ``depth``
+    applications of the moves and their inverses."""
+    both_ways = [psi for phi in moves for psi in (phi, phi.inverse())]
+    frontier = seeds
     for _ in range(depth):
         nxt = []
         for v in frontier:
-            for phi in moves:
-                for psi in (phi, phi.inverse()):
-                    image = apply_move(psi, v)
-                    is_new = universe.key(image) not in universe.vertices
-                    universe.add(image)
-                    if is_new:
-                        nxt.append(image)
+            image = _VERTEX_KINDS[type(v)][1]
+            for psi in both_ways:
+                u = image(psi, v)
+                known = len(universe.vertices)
+                universe.add(u)
+                if len(universe.vertices) > known:
+                    nxt.append(u)
         frontier = nxt
-        if not frontier:
-            break
 
 
 def _family(s: FreeSplitting, include_loops: bool) -> list[FreeSplitting]:
@@ -462,6 +434,88 @@ def _elliptic_classes(s: FreeSplitting, search_length: int) -> list[CyclicWord]:
     ]
 
 
+NeighbourRule = Callable[[_Universe, tuple, int], list]
+
+
+def _coordinate_rule(include_loops: bool, adjacent) -> NeighbourRule:
+    """F, S and Fstar: the candidates are the coordinate families of the
+    vertex's presentations and every stored splitting; ``adjacent`` is
+    called with the presentations, a candidate and the search length."""
+
+    def neighbours(universe: _Universe, key: tuple, search_length: int) -> list[tuple]:
+        presentations = universe.vertices[key]
+        # a separating splitting equals its complement presentation;
+        # fold any same-vertex family members into the view list first,
+        # since the coordinate certificates depend on the presentation
+        for p in list(presentations):
+            for u in _family(p, include_loops):
+                if universe.key(u) == key:
+                    universe.add(u)
+        views = list(presentations)
+        candidates = [u for p in views for u in _family(p, include_loops)]
+        found: set[tuple] = set()
+        for u in candidates + universe.each(FreeSplitting):
+            uk = universe.key(u)
+            if uk == key:
+                continue
+            if uk in found:
+                universe.add(u)  # extra presentation of a known neighbour
+                continue
+            if adjacent(views, u, search_length):
+                universe.add(u)
+                found.add(uk)
+        return sorted(found)
+
+    return neighbours
+
+
+def _bipartite_rule(witness: type, mint, adjacent) -> NeighbourRule:
+    """Z and I0: trees on one side, ``witness`` vertices on the other.  A
+    splitting mints ``mint(cw)`` for each of its elliptic classes, and
+    ``adjacent(tree, witness)`` decides every stored pair, minted or not."""
+
+    def neighbours(universe: _Universe, key: tuple, search_length: int) -> list[tuple]:
+        v = universe.vertices[key][0]
+        if type(v) is witness:
+            trees = universe.each(FreeSplitting, MarkedMetricGraph)
+            return sorted({universe.key(t) for t in trees if adjacent(t, v)})
+        if type(v) is FreeSplitting:  # a chart acts freely: nothing is elliptic
+            for cw in _elliptic_classes(v, search_length):
+                universe.add(mint(cw))
+        return sorted({universe.key(w) for w in universe.each(witness) if adjacent(v, w)})
+
+    return neighbours
+
+
+class _Flavor(NamedTuple):
+    """One splitting graph of :data:`FLAVORS`."""
+
+    kinds: tuple[type, ...]  # the vertex kinds admitted
+    noun: str  # how the rejection message names them
+    separating_only: bool
+    neighbours: NeighbourRule
+
+
+_FLAVORS: dict[Flavor, _Flavor] = {
+    "F": _Flavor((FreeSplitting,), "separating splittings", True, _coordinate_rule(
+        False, lambda views, u, n: any(refinement_adjacent(p, u) == "yes" for p in views)
+    )),
+    "S": _Flavor((FreeSplitting,), "splittings", False, _coordinate_rule(
+        True, lambda views, u, n: any(cut_refinement_adjacent(p, u) == "yes" for p in views)
+    )),
+    "Fstar": _Flavor((FreeSplitting,), "separating splittings", True, _coordinate_rule(
+        False, lambda views, u, n: _common_elliptic(views[0], u, n) is not None
+    )),
+    "Z": _Flavor((FreeSplitting, CyclicWord), "splittings or conjugacy classes", False,
+                 _bipartite_rule(CyclicWord, lambda cw: cw,
+                                 lambda s, cw: splitting_length(s, cw.as_word()) == 0)),
+    "I0": _Flavor((FreeSplitting, MarkedMetricGraph, RationalCurrent), "trees or currents", False,
+                  _bipartite_rule(RationalCurrent, lambda cw: counting_current(cw.as_word()),
+                                  intersection_graph_adjacent)),
+}
+FLAVORS: tuple[Flavor, ...] = tuple(_FLAVORS)
+
+
 def bfs_distance(
     flavor: Flavor,
     v1: GraphVertex,
@@ -483,7 +537,7 @@ def bfs_distance(
     an upper bound for the full graph; None means the target was not
     reached within ``radius``.
     """
-    if flavor not in FLAVORS:
+    if flavor not in _FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -494,8 +548,10 @@ def bfs_distance(
         raise ValueError("the splitting graphs are defined for rank >= 3")
     if v2.rank != rank:
         raise ValueError("rank mismatch")
-    _check_vertex_type(flavor, v1)
-    _check_vertex_type(flavor, v2)
+    graph = _FLAVORS[flavor]
+    for v in (v1, v2):
+        if type(v) not in graph.kinds or (graph.separating_only and v.kind != "sep"):
+            raise ValueError(f"flavor {flavor} vertices are {graph.noun}")
 
     universe = _Universe(key_depth, state_cap)
     k1, k2 = universe.add(v1), universe.add(v2)
@@ -503,93 +559,16 @@ def bfs_distance(
     if k1 == k2:
         return 0
 
-    def neighbor_keys(key: tuple) -> list[tuple]:
-        presentations = universe.vertices[key]
-        v = presentations[0]
-        found: set[tuple] = set()
-        if flavor in ("F", "S", "Fstar") and isinstance(v, FreeSplitting):
-            # a separating splitting equals its complement presentation;
-            # fold any same-vertex family members into the view list first,
-            # since the coordinate certificates depend on the presentation
-            for p in [p for p in presentations if isinstance(p, FreeSplitting)]:
-                for u in _family(p, include_loops=flavor == "S"):
-                    if universe.key(u) == key:
-                        universe.add(u)
-            views = [p for p in universe.vertices[key] if isinstance(p, FreeSplitting)]
-            candidates: list[FreeSplitting] = []
-            for p in views:
-                candidates += _family(p, include_loops=flavor == "S")
-            candidates += universe.splittings()
-            for u in candidates:
-                uk = universe.key(u)
-                if uk == key:
-                    continue
-                if uk in found:
-                    universe.add(u)  # extra presentation of a known neighbour
-                    continue
-                if flavor == "Fstar":
-                    ok = _common_elliptic(v, u, search_length) is not None
-                elif flavor == "F":
-                    ok = any(refinement_adjacent(p, u) == "yes" for p in views)
-                else:
-                    ok = any(cut_refinement_adjacent(p, u) == "yes" for p in views)
-                if ok:
-                    universe.add(u)
-                    found.add(uk)
-        elif flavor == "Z":
-            # elliptic classes are minted into the universe, and adjacency
-            # to every stored vertex, minted or not, is decided in one place
-            if isinstance(v, FreeSplitting):
-                for cw in _elliptic_classes(v, search_length):
-                    universe.add(cw)
-                for u in universe.each(CyclicWord):
-                    if splitting_length(v, u.as_word()) == 0:
-                        found.add(universe.key(u))
-            elif isinstance(v, CyclicWord):
-                for u in universe.each(FreeSplitting):
-                    if splitting_length(u, v.as_word()) == 0:
-                        found.add(universe.key(u))
-        elif flavor == "I0":
-            if isinstance(v, (FreeSplitting, MarkedMetricGraph)):
-                if isinstance(v, FreeSplitting):
-                    from .currents import counting_current
-
-                    for cw in _elliptic_classes(v, search_length):
-                        universe.add(counting_current(cw.as_word()))
-                for u in universe.each(RationalCurrent):
-                    if intersection_graph_adjacent(v, u):
-                        found.add(universe.key(u))
-            elif isinstance(v, RationalCurrent):
-                for u in universe.each(FreeSplitting) + universe.each(MarkedMetricGraph):
-                    if intersection_graph_adjacent(u, v):
-                        found.add(universe.key(u))
-        return sorted(found)
-
     dist = {k1: 0}
     queue = deque([k1])
     while queue:
         key = queue.popleft()
         if dist[key] >= radius:
             continue
-        for nk in neighbor_keys(key):
+        for nk in graph.neighbours(universe, key, search_length):
             if nk not in dist:
                 dist[nk] = dist[key] + 1
                 if nk == k2:
                     return dist[nk]
                 queue.append(nk)
     return dist.get(k2)
-
-
-def _check_vertex_type(flavor: Flavor, v: GraphVertex) -> None:
-    if flavor in ("F", "Fstar"):
-        if not (isinstance(v, FreeSplitting) and v.kind == "sep"):
-            raise ValueError(f"flavor {flavor} vertices are separating splittings")
-    elif flavor == "S":
-        if not isinstance(v, FreeSplitting):
-            raise ValueError("flavor S vertices are splittings")
-    elif flavor == "Z":
-        if not isinstance(v, (FreeSplitting, CyclicWord)):
-            raise ValueError("flavor Z vertices are splittings or conjugacy classes")
-    else:
-        if not isinstance(v, (FreeSplitting, MarkedMetricGraph, RationalCurrent)):
-            raise ValueError("flavor I0 vertices are trees or currents")

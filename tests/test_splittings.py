@@ -1,9 +1,11 @@
 import random
+from itertools import combinations
 
 import pytest
 
+from outerint.catalog import supergolden_automorphism
 from outerint.currents import add, counting_current, scale, zero_current
-from outerint.marked_graph import unit_rose
+from outerint.marked_graph import scale_lengths, unit_rose
 from outerint.splittings import (
     FreeSplitting,
     KeyCollisionError,
@@ -23,7 +25,7 @@ from outerint.splittings import (
     vertex_key,
 )
 from outerint.splittings import _Universe, _vertex_key
-from outerint.words import Word, enumerate_cyclic_words, parse_word
+from outerint.words import Automorphism, Word, cyclic_reduce, enumerate_cyclic_words, parse_word
 
 from _generators import random_automorphism, random_reduced_word
 from oracles import bass_serre_translation_length
@@ -88,6 +90,32 @@ class TestSplittingLength:
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):
             splitting_length(separating_splitting(3, [1]), Word(2, (1,)))
+
+    def test_oracle_catches_linear_syllable_count(self):
+        # planted bug: syllable boundaries counted on the linear word, so
+        # the boundary between the last and the first letter is missed
+        def linear_length(subset, letters):
+            inside = [abs(l) in subset for l in letters]
+            return sum(1 for i in range(1, len(inside)) if inside[i] != inside[i - 1])
+
+        classes = enumerate_cyclic_words(3, 4, up_to_inversion=True)
+        subsets = [frozenset(c) for k in (1, 2) for c in combinations((1, 2, 3), k)]
+        assert linear_length({1}, (1, 2)) == 1
+        assert bass_serre_translation_length("sep", frozenset({1}), (1, 2)) == 2
+        missed = [
+            (sub, cw.letters)
+            for sub in subsets
+            for cw in classes
+            if linear_length(sub, cw.letters)
+            != bass_serre_translation_length("sep", sub, cw.letters)
+        ]
+        assert missed
+        for sub in subsets:
+            s = separating_splitting(3, sub)
+            for cw in classes:
+                assert splitting_length(s, cw.as_word()) == bass_serre_translation_length(
+                    "sep", sub, cw.letters
+                ), (sorted(sub), cw.letters)
 
 
 class TestEllipticity:
@@ -188,8 +216,6 @@ class TestFstarAdjacency:
         assert is_elliptic(s1, w) and is_elliptic(s2, w)
 
     def test_all_untwisted_separating_pairs_adjacent(self):
-        from itertools import combinations
-
         subsets = [[1], [2], [3], [1, 2], [1, 3], [2, 3]]
         splittings = [separating_splitting(3, s) for s in subsets]
         for s1, s2 in combinations(splittings, 2):
@@ -281,6 +307,13 @@ class TestIntersectionGraph:
         with pytest.raises(ValueError):
             intersection_graph_adjacent(separating_splitting(3, [1]), zero_current(3))
 
+    @pytest.mark.parametrize(
+        "tree", [unit_rose(2), separating_splitting(2, [1])], ids=["chart", "splitting"]
+    )
+    def test_rank_mismatch(self, tree):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            intersection_graph_adjacent(tree, counting_current(parse_word("c", 3)))
+
 
 class TestMaps:
     def test_j_preserves_certified_edges(self):
@@ -308,6 +341,15 @@ class TestMaps:
         s = separating_splitting(3, [2])
         assert vertex_key(map_j(act(phi, s))) == vertex_key(act(phi, map_j(s)))
         assert vertex_key(map_q(act(phi, s))) == vertex_key(act(phi, map_q(s)))
+
+
+VERTICES = {
+    "sep": separating_splitting(3, [1]),
+    "loop": loop_splitting(3, 1),
+    "class": cyclic_reduce(parse_word("b", 3))[0],
+    "current": counting_current(parse_word("b", 3)),
+    "chart": unit_rose(3),
+}
 
 
 class TestBFS:
@@ -386,11 +428,77 @@ class TestBFS:
                 "F", separating_splitting(2, [1]), separating_splitting(2, [2]), 1
             )
 
-    def test_flavor_vertex_type_checked(self):
-        with pytest.raises(ValueError):
-            bfs_distance(
-                "F", loop_splitting(3, 1), separating_splitting(3, [1]), 1
-            )
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+    @pytest.mark.parametrize(
+        "flavor, kind, message",
+        [
+            pytest.param(flavor, kind, message, id=f"{flavor}-{kind}")
+            for flavor, kinds, message in [
+                ("F", "loop class current chart", "flavor F vertices are separating splittings"),
+                ("Fstar", "loop class current chart",
+                 "flavor Fstar vertices are separating splittings"),
+                ("S", "class current chart", "flavor S vertices are splittings"),
+                ("Z", "chart current", "flavor Z vertices are splittings or conjugacy classes"),
+                ("I0", "class", "flavor I0 vertices are trees or currents"),
+            ]
+            for kind in kinds.split()
+        ],
+    )
+    def test_flavor_vertex_type_checked(self, flavor, kind, message, first):
+        bad = VERTICES[kind]
+        pair = (bad, VERTICES["sep"]) if first else (VERTICES["sep"], bad)
+        with pytest.raises(ValueError) as info:
+            bfs_distance(flavor, *pair, 1)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "flavor, v1, v2, radius, moves, expected",
+        [
+            ("Z", "class b", "sep 1", 2, False, 1),
+            ("Z", "class ab", "sep 1", 3, False, None),
+            ("Z", "class c", "loop 1", 2, False, 1),
+            ("I0", "current b", "sep 1", 2, False, 1),
+            ("I0", "current b", "loop 2", 3, False, None),
+            ("I0", "chart", "chart x2", 2, False, 0),
+            ("I0", "chart", "current b", 3, False, None),
+            ("I0", "current b", "chart", 3, False, None),
+            ("S", "loop 1", "sep 2", 2, False, 1),
+            ("S", "sep 2", "loop 1", 2, False, 1),
+            ("S", "loop 1", "sep 12", 3, False, 1),
+            ("S", "sep 12", "loop 1", 3, False, 1),
+            ("S", "loop 2", "loop 3 swapped", 2, False, 1),
+            ("Z", "sep 1", "loop 1", 2, True, 2),
+            ("Z", "sep 1", "class ac", 2, True, None),
+            ("Z", "class b", "sep 2 moved", 2, True, 1),
+            ("I0", "sep 1", "loop 3", 2, True, 2),
+            ("I0", "sep 1", "current ac", 2, True, None),
+            ("I0", "current b", "loop 1 moved", 2, True, None),
+        ],
+    )
+    def test_pinned_distances(self, flavor, v1, v2, radius, moves, expected):
+        # values computed before the flavor and vertex-kind tables existed
+        g = supergolden_automorphism()
+        swap = Automorphism.from_images(3, [[2], [1], [3]], [[2], [1], [3]])
+        named = {
+            "sep 1": separating_splitting(3, [1]),
+            "sep 2": separating_splitting(3, [2]),
+            "sep 12": separating_splitting(3, [1, 2]),
+            "loop 1": loop_splitting(3, 1),
+            "loop 2": loop_splitting(3, 2),
+            "loop 3": loop_splitting(3, 3),
+            "sep 2 moved": act(g, separating_splitting(3, [2])),
+            "loop 1 moved": act(g, loop_splitting(3, 1)),
+            # equal to the untwisted loop over c, reached through the
+            # loop family of the other endpoint
+            "loop 3 swapped": loop_splitting(3, 3, swap),
+            "chart": unit_rose(3),
+            "chart x2": scale_lengths(unit_rose(3), 2),
+        }
+        for w in ("b", "c", "ab", "ac"):
+            named[f"class {w}"] = cyclic_reduce(parse_word(w, 3))[0]
+            named[f"current {w}"] = counting_current(parse_word(w, 3))
+        d = bfs_distance(flavor, named[v1], named[v2], radius, [g] if moves else [])
+        assert d == expected
 
     def test_moves_inject_orbit(self):
         rng = random.Random(0)
