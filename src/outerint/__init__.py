@@ -9,6 +9,7 @@ splittings with their desk-scale graphs.
 from .words import (
     Automorphism,
     CyclicWord,
+    OuterintError,
     Word,
     compose,
     cyclic_length,

@@ -5,6 +5,10 @@ Commands read JSON inputs, run one computation and emit a single result
 carries the tool version, a hash of the fully resolved configuration and
 the random seed (null when the command uses none), and is byte-identical
 across reruns with the same inputs.
+
+Errors are handled in one place, :class:`_Main`: a library error or a
+rejected argument becomes one ``Error:`` line on stderr and the exit code
+of its class (3 for a route disagreement, otherwise 1).
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import sys
 from decimal import ROUND_CEILING, Context, Decimal, localcontext
 from fractions import Fraction
 
@@ -20,55 +23,39 @@ import click
 
 from . import __version__
 from .currents import RationalCurrent, frequency_vector
-from .dynamics import (
-    ConvergenceError,
-    NonPrimitiveMatrixError,
-    graph_map_from_json_obj,
-    iwip_rows,
-    pf_eigenpair,
-    transition_matrix,
-)
-from .intersection import RouteDisagreement, intersect_report, scaling_modulus_experiment
+from .dynamics import graph_map_from_json_obj, iwip_rows, pf_eigenpair, transition_matrix
+from .intersection import intersect_report, scaling_modulus_experiment
 from .marked_graph import (
     MarkedMetricGraph,
     bbt_upper_bound,
     marked_graph_from_json_obj,
     translation_length,
 )
-from .splittings import FLAVORS, FreeSplitting, KeyCollisionError, StateCapExceeded, bfs_distance
-from .words import Automorphism, CyclicWord, Word, parse_word, reduce, word_str
+from .splittings import FLAVORS, FreeSplitting, bfs_distance
+from .words import Automorphism, CyclicWord, OuterintError, Word, parse_word, reduce, word_str
 
 
-def _fail(message: str) -> "click.ClickException":
-    return click.ClickException(message)
-
-
-def _load_json(path: str):
+def _load(path: str, parse, what: str):
+    """``parse`` of the JSON in ``path``; any shape ``parse`` rejects is
+    one error naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise _fail(f"cannot read JSON from {path}: {exc}")
-
-
-def _load_graph(path: str) -> MarkedMetricGraph:
+            obj = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise click.ClickException(f"cannot read JSON from {path}: {exc}")
     try:
-        return marked_graph_from_json_obj(_load_json(path))
-    except (KeyError, ValueError) as exc:
-        raise _fail(f"bad graph file {path}: {exc}")
-
-
-def _load_current(path: str) -> RationalCurrent:
-    try:
-        return RationalCurrent.from_json_obj(_load_json(path))
-    except (KeyError, ValueError) as exc:
-        raise _fail(f"bad current file {path}: {exc}")
+        return parse(obj)
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise click.ClickException(f"bad {what} file {path}: {exc}")
 
 
 def _load_chart_and_current(graph: str, current: str) -> tuple[MarkedMetricGraph, RationalCurrent]:
-    M, mu = _load_graph(graph), _load_current(current)
+    M = _load(graph, marked_graph_from_json_obj, "graph")
+    mu = _load(current, RationalCurrent.from_json_obj, "current")
     if M.rank != mu.rank:
-        raise _fail(f"rank mismatch: {current} has rank {mu.rank}, {graph} has rank {M.rank}")
+        raise click.ClickException(
+            f"rank mismatch: {current} has rank {mu.rank}, {graph} has rank {M.rank}"
+        )
     return M, mu
 
 
@@ -77,8 +64,8 @@ def _parse_word_arg(text: str, rank: int) -> Word:
         if text.lstrip().startswith("["):
             return reduce(json.loads(text), rank)
         return parse_word(text, rank)
-    except (ValueError, json.JSONDecodeError) as exc:
-        raise _fail(f"bad word {text!r}: {exc}")
+    except ValueError as exc:
+        raise click.ClickException(f"bad word {text!r}: {exc}")
 
 
 def _config_hash(payload) -> str:
@@ -127,7 +114,21 @@ def _fmt_error(center: float, bound: float) -> str:
         return _fmt(float(Decimal(err.numerator) / Decimal(err.denominator)))
 
 
-@click.group()
+class _Main(click.Group):
+    """The one error handler: an :class:`OuterintError` or a
+    ``ValueError`` (a rejected argument) from any command is one
+    ``Error:`` line and the exit code of its class."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (OuterintError, ValueError) as exc:
+            error = click.ClickException(str(exc))
+            error.exit_code = getattr(exc, "exit_code", 1)
+            raise error from exc
+
+
+@click.group(cls=_Main)
 @click.version_option(__version__, prog_name="oi")
 def main() -> None:
     """Exact intersection pairings on free groups: length functions,
@@ -139,7 +140,7 @@ def main() -> None:
 @click.argument("word")
 def translen(graph: str, word: str) -> None:
     """Translation length of WORD on the tree of GRAPH."""
-    M = _load_graph(graph)
+    M = _load(graph, marked_graph_from_json_obj, "graph")
     w = _parse_word_arg(word, M.rank)
     click.echo(_fmt(translation_length(M, w)))
 
@@ -148,7 +149,7 @@ def translen(graph: str, word: str) -> None:
 @click.argument("graph", type=click.Path(exists=True, dir_okay=False))
 def bbt(graph: str) -> None:
     """Back-tracking bound of GRAPH: total generator displacement."""
-    M = _load_graph(graph)
+    M = _load(graph, marked_graph_from_json_obj, "graph")
     click.echo(_fmt(bbt_upper_bound(M)))
 
 
@@ -159,18 +160,13 @@ def intersect(graph: str, current: str) -> None:
     """Pairing of GRAPH with CURRENT; both evaluation routes are shown
     and any disagreement is a hard failure."""
     M, mu = _load_chart_and_current(graph, current)
-    payload = {"graph": graph, "current": current}
-    try:
-        report = intersect_report(M, mu)
-    except RouteDisagreement as exc:
-        click.echo(f"route disagreement: {exc}", err=True)
-        sys.exit(3)
+    report = intersect_report(M, mu)
     _echo_json(
         {
             "value": _fmt(report.value),
             "route_a": _fmt(report.via_lengths),
             "route_b": _fmt(report.via_crossings),
-            "meta": _meta("intersect", payload),
+            "meta": _meta("intersect", {"graph": graph, "current": current}),
         }
     )
 
@@ -185,8 +181,6 @@ def intersect(graph: str, current: str) -> None:
 def current_freq(current: str, graph: str, depth: int) -> None:
     """Frequency vector of CURRENT at the given depth on GRAPH."""
     M, mu = _load_chart_and_current(graph, current)
-    if mu.is_zero:
-        raise _fail("the zero current has no frequency vector")
     vec = frequency_vector(mu, M, depth)
     rows = [
         [".".join(M.graph.name(e) for e in path), _fmt(value)]
@@ -210,11 +204,11 @@ def current_freq(current: str, graph: str, depth: int) -> None:
 def scaling_exp(graph: str, delta: str, samples: int, max_len: int, seed: int) -> None:
     """Perturb GRAPH twice and compare the length change of sampled words
     against the a-priori scaling bound."""
-    M = _load_graph(graph)
+    M = _load(graph, marked_graph_from_json_obj, "graph")
     try:
         d = Fraction(delta)
-    except ValueError:
-        raise _fail(f"bad delta {delta!r}")
+    except (ValueError, ZeroDivisionError):
+        raise click.ClickException(f"bad delta {delta!r}")
     rng = random.Random(seed)
     sample = [_random_reduced_word(rng, M.rank, rng.randint(1, max_len)) for _ in range(samples)]
     payload = {
@@ -226,10 +220,7 @@ def scaling_exp(graph: str, delta: str, samples: int, max_len: int, seed: int) -
         "tolerance": None,
         "seed": str(seed),
     }
-    try:
-        report = scaling_modulus_experiment(M, d, sample, seed=seed)
-    except ValueError as exc:
-        raise _fail(str(exc))
+    report = scaling_modulus_experiment(M, d, sample, seed=seed)
     _echo_json(
         {
             "delta": _fmt(report.delta),
@@ -257,20 +248,13 @@ def _random_reduced_word(rng: random.Random, rank: int, length: int) -> Word:
 _TOL = click.FloatRange(min=0, min_open=True)
 
 
-def _pf(f, tol: float):
-    try:
-        return pf_eigenpair(transition_matrix(f), tol=tol)
-    except (NonPrimitiveMatrixError, ConvergenceError) as exc:
-        raise _fail(str(exc))
-
-
 @main.command()
 @click.option("--map", "map_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--tol", default=1e-12, show_default=True, type=_TOL)
 def pf(map_path: str, tol: float) -> None:
     """Dominant eigenpair of the transition matrix of an expanding map."""
-    f = _load_graph_map(map_path)
-    result = _pf(f, tol)
+    f = _load(map_path, graph_map_from_json_obj, "graph map")
+    result = pf_eigenpair(transition_matrix(f), tol=tol)
     g = f.chart.graph
     _echo_json(
         {
@@ -290,13 +274,6 @@ def pf(map_path: str, tol: float) -> None:
     )
 
 
-def _load_graph_map(path: str):
-    try:
-        return graph_map_from_json_obj(_load_json(path))
-    except (KeyError, ValueError) as exc:
-        raise _fail(f"bad graph map file {path}: {exc}")
-
-
 @main.command()
 @click.option("--map", "map_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--seed", "seed_word", required=True, help="Seed word, e.g. 'a' or '[1,2]'.")
@@ -311,7 +288,7 @@ def _load_graph_map(path: str):
     help="Letter budget for iterates.",
 )
 @click.option(
-    "--n-cap", default=15, show_default=True,
+    "--n-cap", default=15, show_default=True, type=click.IntRange(min=0),
     help="Iteration ceiling; the stretch-factor error drifts like 2n times "
     "its enclosure width, so deep runs need a smaller tol.",
 )
@@ -320,12 +297,12 @@ def iwip(
 ) -> None:
     """Deflated length, pairing and frequency diagnostics for an
     expanding map, one CSV row per iteration."""
-    f = _load_graph_map(map_path)
+    f = _load(map_path, graph_map_from_json_obj, "graph map")
     g = _parse_word_arg(seed_word, f.chart.rank)
-    if g.is_identity:
-        raise _fail("seed word must be nontrivial")
     if n_max > n_cap:
-        raise _fail(f"n={n_max} exceeds the iteration ceiling {n_cap} (raise --n-cap deliberately)")
+        raise click.ClickException(
+            f"n={n_max} exceeds the iteration ceiling {n_cap} (raise --n-cap deliberately)"
+        )
     payload = {
         "command": "iwip",
         "rank": f.chart.rank,
@@ -335,7 +312,7 @@ def iwip(
         "tolerance": tol,
         "seed": seed_word,
     }
-    pf_result = _pf(f, tol)
+    pf_result = pf_eigenpair(transition_matrix(f), tol=tol)
     lam = pf_result.eigenvalue
     drift = 2 * n_max * pf_result.eigenvalue_bound / lam
     rows = iwip_rows(f.automorphism, f.chart, lam, g, n_max, depth, cap)
@@ -362,21 +339,17 @@ def iwip(
     )
 
 
-def _load_vertex(path: str):
-    obj = _load_json(path)
-    try:
-        if "kind" in obj:
-            return FreeSplitting.from_json_obj(obj)
-        if "terms" in obj:
-            return RationalCurrent.from_json_obj(obj)
-        if "class" in obj:
-            w = reduce(obj["class"], int(obj["rank"]))
-            return CyclicWord(w.rank, w.letters)
-        if "edges" in obj:
-            return marked_graph_from_json_obj(obj)
-    except (KeyError, ValueError) as exc:
-        raise _fail(f"bad vertex file {path}: {exc}")
-    raise _fail(f"cannot tell what kind of vertex {path} holds")
+def _vertex(obj):
+    if "kind" in obj:
+        return FreeSplitting.from_json_obj(obj)
+    if "terms" in obj:
+        return RationalCurrent.from_json_obj(obj)
+    if "class" in obj:
+        w = reduce(obj["class"], int(obj["rank"]))
+        return CyclicWord(w.rank, w.letters)
+    if "edges" in obj:
+        return marked_graph_from_json_obj(obj)
+    raise ValueError("cannot tell its kind: no 'kind', 'terms', 'class' or 'edges' key")
 
 
 @main.command("graph")
@@ -399,13 +372,10 @@ def graph_cmd(
     state_cap: int,
 ) -> None:
     """Bounded-radius distance between two vertices of a splitting graph."""
-    v1, v2 = _load_vertex(from_path), _load_vertex(to_path)
+    v1, v2 = _load(from_path, _vertex, "vertex"), _load(to_path, _vertex, "vertex")
     moves = []
     if moves_path:
-        try:
-            moves = [Automorphism.from_json_obj(o) for o in _load_json(moves_path)]
-        except (KeyError, ValueError) as exc:
-            raise _fail(f"bad moves file {moves_path}: {exc}")
+        moves = _load(moves_path, lambda objs: list(map(Automorphism.from_json_obj, objs)), "moves")
     payload = {
         "flavor": flavor,
         "from": from_path,
@@ -415,19 +385,10 @@ def graph_cmd(
         "search_length": search_length,
         "key_depth": key_depth,
     }
-    try:
-        dist = bfs_distance(
-            flavor,  # type: ignore[arg-type]
-            v1,
-            v2,
-            radius,
-            moves,
-            search_length=search_length,
-            key_depth=key_depth,
-            state_cap=state_cap,
-        )
-    except (ValueError, StateCapExceeded, KeyCollisionError) as exc:
-        raise _fail(str(exc))
+    dist = bfs_distance(
+        flavor, v1, v2, radius, moves,  # type: ignore[arg-type]
+        search_length=search_length, key_depth=key_depth, state_cap=state_cap,
+    )
     _echo_json(
         {
             "flavor": flavor,

@@ -40,6 +40,7 @@ from .words import (
     Word,
     cyclic_reduce,
     flip_normalize,
+    letter_sort_key,
     primitive_root,
 )
 
@@ -195,7 +196,7 @@ def _weighted_count(periods: Sequence[tuple[EdgePath, Fraction]], v: EdgePath) -
 
 
 def _path_sort_key(path: EdgePath) -> tuple[int, ...]:
-    return tuple(2 * e - 2 if e > 0 else -2 * e - 1 for e in path)
+    return tuple(map(letter_sort_key, path))
 
 
 def enumerate_reduced_paths(

@@ -34,21 +34,21 @@ from .marked_graph import (
     is_reduced_path,
     translation_length,
 )
-from .words import Automorphism, Word, _concat, _letter_table
+from .words import Automorphism, OuterintError, Word, _concat, _letter_table
 
 DEFAULT_WORD_CAP = 10 ** 6
 
 
-class NonPrimitiveMatrixError(Exception):
+class NonPrimitiveMatrixError(OuterintError):
     """The transition matrix has no positive power: the map cannot carry
     an expanding irreducible structure."""
 
 
-class ConvergenceError(Exception):
+class ConvergenceError(OuterintError):
     pass
 
 
-class WordLengthCapError(Exception):
+class WordLengthCapError(OuterintError):
     """An iterated image outgrew the configured letter budget; retry with
     a smaller iteration count or a larger cap."""
 

@@ -29,13 +29,15 @@ from typing import Callable, Optional, Sequence
 
 from .currents import RationalCurrent
 from .marked_graph import MarkedMetricGraph, edge_crossings, translation_length
-from .words import Automorphism, Word, cyclic_length
+from .words import Automorphism, OuterintError, Word, cyclic_length
 from . import currents as _currents
 from . import marked_graph as _marked_graph
 
 
-class RouteDisagreement(Exception):
+class RouteDisagreement(OuterintError):
     """The two exact evaluation routes differ: an implementation bug."""
+
+    exit_code = 3
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,9 @@ from .marked_graph import act as act_on_chart
 from .words import (
     Automorphism,
     CyclicWord,
+    OuterintError,
     Word,
+    _concat,
     compose,
     cyclic_reduce,
     enumerate_cyclic_words,
@@ -59,13 +61,13 @@ from .words import (
 Flavor = Literal["F", "S", "Fstar", "Z", "I0"]
 
 
-class StateCapExceeded(Exception):
+class StateCapExceeded(OuterintError):
     def __init__(self, explored: int):
         super().__init__(f"state cap exceeded after exploring {explored} vertices")
         self.explored = explored
 
 
-class KeyCollisionError(Exception):
+class KeyCollisionError(OuterintError):
     """Two splittings agree on the key test set but differ deeper: the
     key depth is too coarse for this instance."""
 
@@ -148,33 +150,20 @@ def splitting_length(s: FreeSplitting, g: Word) -> int:
     return _length(s, _untwist_table(s), g.letters)
 
 
-def _untwist_table(s: FreeSplitting) -> Optional[dict[int, tuple[int, ...]]]:
-    """Letter -> letters of its inverse-twist image, or None untwisted."""
-    if s.twist.is_identity:
-        return None
-    table: dict[int, tuple[int, ...]] = {}
-    for i, w in enumerate(s.twist.inverse_images, start=1):
-        table[i] = w.letters
-        table[-i] = tuple(-l for l in reversed(w.letters))
-    return table
+def _untwist_table(s: FreeSplitting) -> Optional[tuple[tuple[int, ...], ...]]:
+    """The twist's letter table of inverse images, or None untwisted."""
+    return None if s.twist.is_identity else s.twist._inverses
 
 
 def _length(
-    s: FreeSplitting, untwist: Optional[dict[int, tuple[int, ...]]], letters: Sequence[int]
+    s: FreeSplitting, untwist: Optional[tuple[tuple[int, ...], ...]], letters: Sequence[int]
 ) -> int:
     """:func:`splitting_length` on the letters of a reduced word of rank
     ``s.rank``, trusted unchecked; ``untwist`` is ``_untwist_table(s)``.
     The count is the same on every rotation, so no canonical form is
     taken."""
     if untwist is not None:
-        stack: list[int] = []
-        for l in letters:
-            for x in untwist[l]:
-                if stack and stack[-1] == -x:
-                    stack.pop()
-                else:
-                    stack.append(x)
-        letters = stack
+        letters = _concat(untwist, letters)
     lo, hi = 0, len(letters)
     while hi - lo >= 2 and letters[lo] == -letters[hi - 1]:
         lo += 1

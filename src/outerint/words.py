@@ -29,6 +29,12 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 
+class OuterintError(Exception):
+    """Base of the package's own errors; a rejected argument is a
+    ``ValueError`` instead.  ``exit_code`` is the ``oi`` exit status."""
+
+    exit_code = 1
+
 def letter_sort_key(letter: int) -> int:
     """Rank of a letter in the order a_1 < a_1^-1 < a_2 < a_2^-1 < ...
 

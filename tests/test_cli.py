@@ -279,10 +279,12 @@ class TestUserErrors:
         assert result.exit_code == 2
         self.assert_one_line_error(result, "--tol")
 
-    def test_iwip_negative_n(self):
-        result = run("iwip", "--map", FIXTURES / "fibonacci_map.json", "--seed", "a", "--n", "-1")
+    @pytest.mark.parametrize("option", ["--n", "--n-cap"])
+    def test_iwip_negative_count(self, option):
+        # --n-cap -1 used to reach the ceiling check: "n=0 exceeds the iteration ceiling -1"
+        result = run("iwip", "--map", FIXTURES / "fibonacci_map.json", "--seed", "a", option, "-1")
         assert result.exit_code == 2
-        self.assert_one_line_error(result, "--n")
+        self.assert_one_line_error(result, option)
 
     @staticmethod
     def identity_map(tmp_path):
@@ -332,6 +334,151 @@ class TestUserErrors:
         result = run("current-freq", FIXTURES / "current_b_rank3.json", FIXTURES / "rose2.json")
         assert result.exit_code == 1
         self.assert_one_line_error(result, "rank mismatch")
+
+    @staticmethod
+    def write_malformed(directory):
+        """Well-formed JSON of a shape the parsers cannot read."""
+        chart = json.loads((FIXTURES / "rose2.json").read_text())
+        infinite_length = json.loads((FIXTURES / "rose2.json").read_text())
+        infinite_length["edges"][0]["length"] = "1/0"
+        infinite_weight = json.loads((FIXTURES / "current_ab.json").read_text())
+        infinite_weight["terms"][0]["weight"] = "1/0"
+        files = {
+            "list.json": [1, 2],
+            "number.json": 5,
+            "kind_list.json": ["kind"],
+            "subset.json": {"kind": "sep", "rank": 3, "subset": 5},
+            "chart.json": chart,
+            "length.json": infinite_length,
+            "weight.json": infinite_weight,
+        }
+        for name, obj in files.items():
+            (directory / name).write_text(json.dumps(obj))
+        (directory / "rank.json").write_text('{"rank": 1e400, "terms": []}')
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["translen", "list.json", "a"], "bad graph file list.json"),
+            (["pf", "--map", "list.json"], "bad graph map file list.json"),
+            (["intersect", FIXTURES / "rose2.json", "list.json"], "bad current file list.json"),
+            (["graph", "--from", "number.json"], "bad vertex file number.json"),
+            (["graph", "--from", "kind_list.json"], "bad vertex file kind_list.json"),
+            (["graph", "--from", "subset.json"], "bad vertex file subset.json"),
+            (["graph", "--moves", "chart.json"], "bad moves file chart.json"),
+            (["translen", "length.json", "a"], "bad graph file length.json"),
+            (["intersect", FIXTURES / "rose2.json", "weight.json"], "bad current file weight.json"),
+            (["intersect", FIXTURES / "rose2.json", "rank.json"], "bad current file rank.json"),
+            (["scaling-exp", FIXTURES / "rose2.json", "--delta", "1/0"], "bad delta '1/0'"),
+        ],
+        ids=[
+            "translen-list", "pf-list", "intersect-list", "graph-number-vertex", "graph-list-vertex",
+            "graph-bad-subset", "graph-chart-as-moves", "length-1/0", "weight-1/0", "rank-1e400",
+            "delta-1/0",
+        ],
+    )
+    def test_malformed_input(self, tmp_path, monkeypatch, args, message):
+        # each of these used to end in a traceback: TypeError, AttributeError,
+        # ZeroDivisionError or OverflowError
+        self.write_malformed(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        if args[0] == "graph":  # a good search, but for the one bad file given
+            args = [
+                "graph", "--flavor", "S",
+                "--from", FIXTURES / "splitting_a_rank3.json",
+                "--to", FIXTURES / "splitting_ab_rank3.json",
+                *args[1:],
+            ]
+        result = run(*args)
+        assert result.exit_code == 1
+        self.assert_one_line_error(result, message)
+
+
+class TestExitCodes:
+    """0 for success, 1 for input the command rejects, 2 for a usage
+    error, 3 for a route disagreement; each failure is one Error: line."""
+
+    def test_success_exits_0(self):
+        result = run("bbt", FIXTURES / "rose2.json")
+        assert result.exit_code == 0
+        assert result.output == "2\n"
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["current-freq", "zero.json", FIXTURES / "rose2.json"],
+             "cannot normalise the zero current"),
+            (["iwip", "--map", FIXTURES / "fibonacci_map.json", "--seed", "[]"],
+             "seed must be nontrivial"),
+        ],
+        ids=["zero-current", "identity-seed"],
+    )
+    def test_library_rejection_exits_1(self, tmp_path, monkeypatch, args, message):
+        (tmp_path / "zero.json").write_text(json.dumps({"rank": 2, "terms": []}))
+        monkeypatch.chdir(tmp_path)
+        result = run(*args)
+        assert result.exit_code == 1
+        TestUserErrors.assert_one_line_error(result, message)
+
+    def test_usage_error_exits_2(self):
+        result = run("bbt", FIXTURES / "rose2.json", "--no-such-option")
+        assert result.exit_code == 2
+        TestUserErrors.assert_one_line_error(result, "--no-such-option")
+
+    def test_intersect_route_disagreement_exits_3(self, monkeypatch):
+        from outerint import intersection
+
+        real = intersection.edge_crossings
+        monkeypatch.setattr(
+            intersection, "edge_crossings",
+            lambda M, cw: {k: 2 * n for k, n in real(M, cw).items()},
+        )
+        result = run("intersect", FIXTURES / "rose2.json", FIXTURES / "current_ab.json")
+        assert result.exit_code == 3
+        TestUserErrors.assert_one_line_error(result, "length route 2 != crossing route 4")
+
+    def test_scaling_exp_route_disagreement_exits_3(self, monkeypatch):
+        import itertools
+
+        from outerint import intersection
+
+        # a length route that drifts from call to call breaks the a-priori bound
+        calls = itertools.count()
+        monkeypatch.setattr(
+            intersection, "translation_length", lambda M, w: Fraction(100 * next(calls))
+        )
+        result = run("scaling-exp", FIXTURES / "rose2.json", "--samples", "20")
+        assert result.exit_code == 3
+        TestUserErrors.assert_one_line_error(result, "exceeds a-priori bound")
+
+    def test_programming_error_keeps_its_traceback(self, monkeypatch):
+        from outerint import intersection
+
+        def broken(M, cw):
+            raise TypeError("planted")
+
+        monkeypatch.setattr(intersection, "edge_crossings", broken)
+        with pytest.raises(TypeError, match="planted"):
+            run("intersect", FIXTURES / "rose2.json", FIXTURES / "current_ab.json")
+
+
+def test_every_library_exception_is_an_outerint_error():
+    import importlib
+    import pkgutil
+
+    import outerint
+    from outerint import OuterintError
+
+    defined = [
+        obj
+        for info in pkgutil.iter_modules(outerint.__path__)
+        for obj in vars(importlib.import_module(f"outerint.{info.name}")).values()
+        if isinstance(obj, type)
+        and issubclass(obj, Exception)
+        and obj.__module__ == f"outerint.{info.name}"
+    ]
+    assert len(defined) >= 7
+    assert [c.__name__ for c in defined if not issubclass(c, OuterintError)] == []
 
 
 def test_cli_import_leaves_numpy_unloaded():
