@@ -1,10 +1,12 @@
 """Batch command line front end.
 
-Commands read JSON inputs, run one computation and emit a single result
-(JSON object) or a table (CSV with ``#`` header lines).  Every output
-carries the tool version, a hash of the fully resolved configuration and
-the random seed (null when the command uses none), and is byte-identical
-across reruns with the same inputs.
+Commands read JSON inputs, run one computation and print the result.
+``translen`` and ``bbt`` print a bare number; every other command prints
+a JSON object or a table (CSV with ``#`` header lines) that carries the
+tool version, ``config_hash`` and the seed (null when the command uses
+none).  ``config_hash`` covers the command name and every resolved
+argument and option, with paths as given and file contents not read.
+Every output is byte-identical across reruns with the same inputs.
 
 Errors are handled in one place, :class:`_Main`: a library error or a
 rejected argument becomes one ``Error:`` line on stderr and the exit code
@@ -23,7 +25,9 @@ import click
 
 from . import __version__
 from .currents import RationalCurrent, frequency_vector
-from .dynamics import graph_map_from_json_obj, iwip_rows, pf_eigenpair, transition_matrix
+from .dynamics import (
+    DEFAULT_WORD_CAP, graph_map_from_json_obj, iwip_rows, pf_eigenpair, transition_matrix
+)
 from .intersection import intersect_report, scaling_modulus_experiment
 from .marked_graph import (
     MarkedMetricGraph,
@@ -32,7 +36,9 @@ from .marked_graph import (
     translation_length,
 )
 from .splittings import FLAVORS, FreeSplitting, bfs_distance
-from .words import Automorphism, CyclicWord, OuterintError, Word, parse_word, reduce, word_str
+from .words import (
+    Automorphism, CyclicWord, OuterintError, Word, _check_int, parse_word, reduce, word_str
+)
 
 
 def _load(path: str, parse, what: str):
@@ -73,22 +79,24 @@ def _config_hash(payload) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _meta(command: str, payload, seed=None) -> dict:
+def _meta() -> dict:
+    """Provenance of the running command, read from its click context."""
+    ctx = click.get_current_context()
     return {
         "tool": "oi",
         "version": __version__,
-        "config_hash": _config_hash([command, payload]),
-        "seed": seed,
+        "config_hash": _config_hash([ctx.info_name, ctx.params]),
+        "seed": ctx.params.get("seed"),
     }
 
 
 def _echo_json(obj) -> None:
-    click.echo(json.dumps(obj, sort_keys=True, indent=2))
+    click.echo(json.dumps({**obj, "meta": _meta()}, sort_keys=True, indent=2))
 
 
-def _echo_csv(command: str, payload, seed, columns, rows, extra_header=()) -> None:
-    meta = _meta(command, payload, seed)
-    click.echo(f"# oi {command} v{meta['version']}")
+def _echo_csv(columns, rows, extra_header=()) -> None:
+    meta = _meta()
+    click.echo(f"# oi {click.get_current_context().info_name} v{meta['version']}")
     click.echo(f"# config_hash={meta['config_hash']} seed={meta['seed']}")
     for line in extra_header:
         click.echo(f"# {line}")
@@ -166,7 +174,6 @@ def intersect(graph: str, current: str) -> None:
             "value": _fmt(report.value),
             "route_a": _fmt(report.via_lengths),
             "route_b": _fmt(report.via_crossings),
-            "meta": _meta("intersect", {"graph": graph, "current": current}),
         }
     )
 
@@ -186,13 +193,7 @@ def current_freq(current: str, graph: str, depth: int) -> None:
         [".".join(M.graph.name(e) for e in path), _fmt(value)]
         for path, value in vec.entries
     ]
-    _echo_csv(
-        "current-freq",
-        {"current": current, "graph": graph, "depth": depth},
-        None,
-        ["path", "frequency"],
-        rows,
-    )
+    _echo_csv(["path", "frequency"], rows)
 
 
 @main.command("scaling-exp")
@@ -211,15 +212,6 @@ def scaling_exp(graph: str, delta: str, samples: int, max_len: int, seed: int) -
         raise click.ClickException(f"bad delta {delta!r}")
     rng = random.Random(seed)
     sample = [_random_reduced_word(rng, M.rank, rng.randint(1, max_len)) for _ in range(samples)]
-    payload = {
-        "command": "scaling-exp",
-        "rank": M.rank,
-        "inputs": [["graph", graph]],
-        "iteration_cap": samples,
-        "depth": max_len,
-        "tolerance": None,
-        "seed": str(seed),
-    }
     report = scaling_modulus_experiment(M, d, sample, seed=seed)
     _echo_json(
         {
@@ -229,7 +221,6 @@ def scaling_exp(graph: str, delta: str, samples: int, max_len: int, seed: int) -
             "holds": report.holds,
             "worst_word": None if report.worst_word is None else word_str(report.worst_word),
             "skipped_identities": report.skipped_identities,
-            "meta": _meta("scaling-exp", payload, seed),
         }
     )
 
@@ -269,14 +260,13 @@ def pf(map_path: str, tol: float) -> None:
             "metric": {
                 g.edge_names[k - 1]: _fmt(result.eigenvector[k - 1]) for k in g.positive_edges
             },
-            "meta": _meta("pf", {"map": map_path, "tol": tol}),
         }
     )
 
 
 @main.command()
 @click.option("--map", "map_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--seed", "seed_word", required=True, help="Seed word, e.g. 'a' or '[1,2]'.")
+@click.option("--seed", required=True, help="Seed word, e.g. 'a' or '[1,2]'.")
 @click.option("--n", "n_max", default=10, show_default=True, type=click.IntRange(min=0))
 @click.option(
     "--depth", default=2, show_default=True, type=click.IntRange(min=1),
@@ -284,7 +274,7 @@ def pf(map_path: str, tol: float) -> None:
 )
 @click.option("--tol", default=1e-12, show_default=True, type=_TOL)
 @click.option(
-    "--cap", default=10 ** 6, show_default=True, type=click.IntRange(min=1),
+    "--cap", default=DEFAULT_WORD_CAP, show_default=True, type=click.IntRange(min=1),
     help="Letter budget for iterates.",
 )
 @click.option(
@@ -293,33 +283,21 @@ def pf(map_path: str, tol: float) -> None:
     "its enclosure width, so deep runs need a smaller tol.",
 )
 def iwip(
-    map_path: str, seed_word: str, n_max: int, depth: int, tol: float, cap: int, n_cap: int
+    map_path: str, seed: str, n_max: int, depth: int, tol: float, cap: int, n_cap: int
 ) -> None:
     """Deflated length, pairing and frequency diagnostics for an
     expanding map, one CSV row per iteration."""
     f = _load(map_path, graph_map_from_json_obj, "graph map")
-    g = _parse_word_arg(seed_word, f.chart.rank)
+    g = _parse_word_arg(seed, f.chart.rank)
     if n_max > n_cap:
         raise click.ClickException(
             f"n={n_max} exceeds the iteration ceiling {n_cap} (raise --n-cap deliberately)"
         )
-    payload = {
-        "command": "iwip",
-        "rank": f.chart.rank,
-        "inputs": [["map", map_path]],
-        "iteration_cap": cap,
-        "depth": depth,
-        "tolerance": tol,
-        "seed": seed_word,
-    }
     pf_result = pf_eigenpair(transition_matrix(f), tol=tol)
     lam = pf_result.eigenvalue
     drift = 2 * n_max * pf_result.eigenvalue_bound / lam
     rows = iwip_rows(f.automorphism, f.chart, lam, g, n_max, depth, cap)
     _echo_csv(
-        "iwip",
-        payload,
-        seed_word,
         ["n", "length_estimate", "pairing_estimate", "freq_delta"],
         [
             [
@@ -345,7 +323,7 @@ def _vertex(obj):
     if "terms" in obj:
         return RationalCurrent.from_json_obj(obj)
     if "class" in obj:
-        w = reduce(obj["class"], int(obj["rank"]))
+        w = reduce(obj["class"], _check_int(obj["rank"], "rank"))
         return CyclicWord(w.rank, w.letters)
     if "edges" in obj:
         return marked_graph_from_json_obj(obj)
@@ -376,27 +354,11 @@ def graph_cmd(
     moves = []
     if moves_path:
         moves = _load(moves_path, lambda objs: list(map(Automorphism.from_json_obj, objs)), "moves")
-    payload = {
-        "flavor": flavor,
-        "from": from_path,
-        "to": to_path,
-        "radius": radius,
-        "moves": moves_path,
-        "search_length": search_length,
-        "key_depth": key_depth,
-    }
     dist = bfs_distance(
         flavor, v1, v2, radius, moves,  # type: ignore[arg-type]
         search_length=search_length, key_depth=key_depth, state_cap=state_cap,
     )
-    _echo_json(
-        {
-            "flavor": flavor,
-            "distance": dist,
-            "radius": radius,
-            "meta": _meta("graph", payload),
-        }
-    )
+    _echo_json({"flavor": flavor, "distance": dist, "radius": radius})
 
 
 if __name__ == "__main__":

@@ -31,6 +31,7 @@ from typing import Iterable, Sequence
 from .marked_graph import (
     EdgePath,
     MarkedMetricGraph,
+    _check_fraction,
     inverse_path,
     is_reduced_path,
 )
@@ -38,6 +39,7 @@ from .words import (
     Automorphism,
     CyclicWord,
     Word,
+    _check_int,
     cyclic_reduce,
     flip_normalize,
     letter_sort_key,
@@ -96,13 +98,13 @@ class RationalCurrent:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RationalCurrent":
-        rank = int(obj["rank"])
+        rank = _check_int(obj["rank"], "rank")
         terms = []
         for t in obj["terms"]:
             root, _ = cyclic_reduce(Word(rank, tuple(t["root"])))
             if root is None:
                 raise ValueError("current term root is the identity")
-            terms.append((root, Fraction(t["weight"])))
+            terms.append((root, _check_fraction(t["weight"])))
         return cls(rank, tuple(terms))
 
 

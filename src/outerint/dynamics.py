@@ -257,6 +257,18 @@ def eigenmetric_defect(f: GraphMap, M: MarkedMetricGraph, lam: float) -> float:
     )
 
 
+def _iterates(phi: Automorphism, w: Word, n: int, cap: int) -> list[Word]:
+    """``[w, phi(w), ..., phi^n(w)]``, cut before the first iterate with
+    more than ``cap`` letters."""
+    out = [w]
+    for _ in range(n):
+        nxt = phi.apply(out[-1])
+        if len(nxt) > cap:
+            break
+        out.append(nxt)
+    return out
+
+
 def iterate_images(
     phi: Automorphism, w: Word, n: int, cap: int = DEFAULT_WORD_CAP
 ) -> list[Word]:
@@ -265,14 +277,9 @@ def iterate_images(
     silently grinding."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    out = [w]
-    for k in range(n):
-        nxt = phi.apply(out[-1])
-        if len(nxt) > cap:
-            raise WordLengthCapError(
-                f"iterate {k + 1} has {len(nxt)} letters (cap {cap}); use a smaller n"
-            )
-        out.append(nxt)
+    out = _iterates(phi, w, n, cap)
+    if len(out) <= n:
+        raise WordLengthCapError(f"iterate {len(out)} has more than {cap} letters; use a smaller n")
     return out
 
 
@@ -397,12 +404,7 @@ def iwip_rows(
     pairing sequence and successive frequency-vector gaps."""
     if g.is_identity:
         raise ValueError("seed must be nontrivial")
-    iterates = [g]
-    for _ in range(2 * n_max):
-        nxt = phi.apply(iterates[-1])
-        if len(nxt) > cap:
-            break
-        iterates.append(nxt)
+    iterates = _iterates(phi, g, 2 * n_max, cap)
     available = len(iterates) - 1
     rows = []
     prev_vec: Optional[FrequencyVector] = None

@@ -37,7 +37,7 @@ EdgePath = tuple[int, ...]
 
 
 def _check_fraction(x) -> Fraction:
-    if isinstance(x, (Fraction, int, str)):
+    if isinstance(x, (Fraction, int, str)) and not isinstance(x, bool):
         return Fraction(x)
     raise ValueError(f"expected exact rational, got {x!r}")
 

@@ -51,6 +51,7 @@ from .words import (
     CyclicWord,
     OuterintError,
     Word,
+    _check_int,
     _concat,
     compose,
     cyclic_reduce,
@@ -118,11 +119,12 @@ class FreeSplitting:
         else:
             if "rank" not in obj:
                 raise ValueError("untwisted splitting JSON needs an explicit rank")
-            rank = int(obj["rank"])
+            rank = _check_int(obj["rank"], "rank")
             phi = Automorphism.identity(rank)
         if obj["kind"] == "sep":
-            return separating_splitting(rank, obj["subset"], phi)
-        return loop_splitting(rank, int(obj["stable"]), phi)
+            subset = [_check_int(i, "subset member") for i in obj["subset"]]
+            return separating_splitting(rank, subset, phi)
+        return loop_splitting(rank, _check_int(obj["stable"], "stable letter"), phi)
 
 
 def separating_splitting(

@@ -44,11 +44,19 @@ def letter_sort_key(letter: int) -> int:
     return 2 * letter - 2 if letter > 0 else -2 * letter - 1
 
 
+def _check_int(x, what: str) -> int:
+    """``x``, which must be an integer and not a bool: a JSON number is
+    never truncated into one."""
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def _check_letters(letters: Sequence[int], rank: int) -> None:
     if rank < 2:
         raise ValueError(f"rank must be >= 2, got {rank}")
     for l in letters:
-        if not isinstance(l, int) or l == 0 or abs(l) > rank:
+        if type(l) is not int or l == 0 or abs(l) > rank:
             raise ValueError(f"invalid letter {l!r} for rank {rank}")
 
 
@@ -361,7 +369,8 @@ class Automorphism:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Automorphism":
-        return cls.from_images(int(obj["rank"]), obj["images"], obj["inverse_images"])
+        rank = _check_int(obj["rank"], "rank")
+        return cls.from_images(rank, obj["images"], obj["inverse_images"])
 
 
 def compose(phi: Automorphism, psi: Automorphism) -> Automorphism:

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -214,6 +215,53 @@ class TestDeterminism:
         assert run(*args).output == run(*args).output
 
 
+class TestConfigHash:
+    """``config_hash`` covers every resolved option: changing one changes
+    the hash, an unchanged rerun keeps it."""
+
+    BASE = {
+        "iwip": ["iwip", "--map", FIXTURES / "fibonacci_map.json", "--seed", "a", "--n", "3"],
+        "scaling-exp": ["scaling-exp", FIXTURES / "rose2.json", "--samples", "20"],
+        "pf": ["pf", "--map", FIXTURES / "fibonacci_map.json"],
+        "current-freq": ["current-freq", FIXTURES / "current_ab.json", FIXTURES / "rose2.json"],
+        "graph": [
+            "graph", "--flavor", "S",
+            "--from", FIXTURES / "splitting_a_rank3.json",
+            "--to", FIXTURES / "splitting_loop_a_rank3.json",
+            "--radius", "2",
+        ],
+    }
+
+    @staticmethod
+    def config_hash(args) -> str:
+        result = run(*args)
+        assert result.exit_code == 0, result.output
+        return re.search(r"config_hash\W+([0-9a-f]{16})", result.output).group(1)
+
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [
+            ("iwip", "--n", "4"),
+            ("iwip", "--depth", "3"),
+            ("iwip", "--tol", "1e-10"),
+            ("iwip", "--cap", "1000"),
+            ("scaling-exp", "--delta", "1/5"),
+            ("scaling-exp", "--samples", "21"),
+            ("scaling-exp", "--max-len", "5"),
+            ("scaling-exp", "--seed", "1"),
+            ("pf", "--tol", "1e-10"),
+            ("current-freq", "-k", "2"),
+            ("graph", "--radius", "3"),
+            ("graph", "--key-depth", "5"),
+            ("graph", "--moves", FIXTURES / "moves_supergolden.json"),
+        ],
+    )
+    def test_each_option_moves_the_hash(self, command, option, value):
+        base = self.BASE[command]
+        assert self.config_hash(base) == self.config_hash(base)
+        assert self.config_hash([*base, option, value]) != self.config_hash(base)
+
+
 class TestUserErrors:
     """Bad user input ends in one error line, never a traceback."""
 
@@ -343,6 +391,8 @@ class TestUserErrors:
         infinite_length["edges"][0]["length"] = "1/0"
         infinite_weight = json.loads((FIXTURES / "current_ab.json").read_text())
         infinite_weight["terms"][0]["weight"] = "1/0"
+        float_rank_map = json.loads((FIXTURES / "fibonacci_map.json").read_text())
+        float_rank_map["automorphism"]["rank"] = 2.7
         files = {
             "list.json": [1, 2],
             "number.json": 5,
@@ -351,6 +401,13 @@ class TestUserErrors:
             "chart.json": chart,
             "length.json": infinite_length,
             "weight.json": infinite_weight,
+            "float_rank.json": {"rank": 2.9, "terms": [{"root": [1], "weight": 1}]},
+            "float_weight.json": {"rank": 2, "terms": [{"root": [1], "weight": 0.1}]},
+            "float_loop.json": {"kind": "loop", "rank": 3.5, "stable": 1.9, "twist": None},
+            "float_stable.json": {"kind": "loop", "rank": 3, "stable": 1.9, "twist": None},
+            "float_subset.json": {"kind": "sep", "rank": 3, "subset": [1.0], "twist": None},
+            "float_rank_map.json": float_rank_map,
+            "bool_letter.json": {"rank": 3, "class": [1, True]},
         }
         for name, obj in files.items():
             (directory / name).write_text(json.dumps(obj))
@@ -370,11 +427,21 @@ class TestUserErrors:
             (["intersect", FIXTURES / "rose2.json", "weight.json"], "bad current file weight.json"),
             (["intersect", FIXTURES / "rose2.json", "rank.json"], "bad current file rank.json"),
             (["scaling-exp", FIXTURES / "rose2.json", "--delta", "1/0"], "bad delta '1/0'"),
+            (["intersect", FIXTURES / "rose2.json", "float_rank.json"],
+             "bad current file float_rank.json"),
+            (["intersect", FIXTURES / "rose2.json", "float_weight.json"],
+             "bad current file float_weight.json"),
+            (["graph", "--from", "float_loop.json"], "bad vertex file float_loop.json"),
+            (["graph", "--from", "float_stable.json"], "bad vertex file float_stable.json"),
+            (["graph", "--from", "float_subset.json"], "bad vertex file float_subset.json"),
+            (["pf", "--map", "float_rank_map.json"], "bad graph map file float_rank_map.json"),
+            (["graph", "--from", "bool_letter.json"], "bad vertex file bool_letter.json"),
         ],
         ids=[
             "translen-list", "pf-list", "intersect-list", "graph-number-vertex", "graph-list-vertex",
             "graph-bad-subset", "graph-chart-as-moves", "length-1/0", "weight-1/0", "rank-1e400",
-            "delta-1/0",
+            "delta-1/0", "rank-2.9", "weight-0.1", "loop-rank-3.5", "stable-1.9", "subset-1.0",
+            "map-rank-2.7", "class-true",
         ],
     )
     def test_malformed_input(self, tmp_path, monkeypatch, args, message):

@@ -36,6 +36,30 @@ from oracles import char_poly_at, dominant_root_by_bisection
 GOLDEN = (1 + 5 ** 0.5) / 2
 
 
+def random_primitive_matrices(seed: int, per_size: int = 10):
+    """``per_size`` primitive 0..3 matrices of each size 2..6."""
+    rng = random.Random(seed)
+    for n in range(2, 7):
+        found = 0
+        while found < per_size:
+            entries = tuple(tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(n))
+            if TransitionMatrix(entries).is_primitive():
+                found += 1
+                yield entries
+
+
+def brackets_dominant_root(entries, lo: Fraction, hi: Fraction) -> bool:
+    """p = det(xI - T) changes sign at the simple dominant root of a
+    primitive T: an enclosure of that root sees p <= 0 below, >= 0 above."""
+    return char_poly_at(entries, lo) <= 0 <= char_poly_at(entries, hi)
+
+
+def pf_bracket(entries) -> tuple[Fraction, Fraction]:
+    result = pf_eigenpair(TransitionMatrix(entries), tol=1e-13)
+    lam, half = Fraction(result.eigenvalue), Fraction(result.eigenvalue_bound)
+    return lam - half, lam + half
+
+
 class TestGraphMap:
     def test_fibonacci_map_validates(self):
         f = fibonacci_rose_map()
@@ -116,21 +140,18 @@ class TestPFEigenpair:
             pf_eigenpair(TransitionMatrix(((1, 0), (0, 1))))
 
     def test_random_primitive_against_char_poly(self):
-        # p = det(xI - T) changes sign at the simple dominant root of a
-        # primitive T: an enclosure of that root sees p <= 0 below, >= 0 above
-        rng = random.Random(20)
-        for n in range(2, 7):
-            checked = 0
-            while checked < 10:
-                entries = tuple(tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(n))
-                T = TransitionMatrix(entries)
-                if not T.is_primitive():
-                    continue
-                result = pf_eigenpair(T, tol=1e-13)
-                lam, half = Fraction(result.eigenvalue), Fraction(result.eigenvalue_bound)
-                assert char_poly_at(entries, lam - half) <= 0
-                assert char_poly_at(entries, lam + half) >= 0
-                checked += 1
+        for entries in random_primitive_matrices(20):
+            assert brackets_dominant_root(entries, *pf_bracket(entries))
+
+    def test_char_poly_catches_shifted_bracket(self):
+        def shifted(entries):
+            lo, hi = pf_bracket(entries)
+            return hi, 2 * hi - lo
+
+        assert not all(
+            brackets_dominant_root(entries, *shifted(entries))
+            for entries in random_primitive_matrices(20)
+        )
 
     def test_eigenvector_positive_and_residual_small(self):
         result = pf_eigenpair(transition_matrix(supergolden_rose_map()), tol=1e-13)

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import find, given, settings, strategies as st
 
 from outerint.words import (
     Automorphism,
@@ -26,6 +26,10 @@ from oracles import divisor_primitive_root, fibonacci, scan_reduce
 letters_rank2 = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=40)
 letters_rank3 = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=40)
 
+# Planted-bug searches: ``find`` raises when no generated input tells the
+# planted version apart from the oracle, so each oracle shows it can fail.
+PLANTED = settings(database=None, derandomize=True)
+
 
 def fib_aut() -> Automorphism:
     return Automorphism.from_images(2, [[1, 2], [1]], [[2], [-2, 1]])
@@ -41,6 +45,17 @@ class TestReduce:
     @given(letters_rank2)
     def test_matches_scan_oracle(self, letters):
         assert reduce(letters, 2).letters == tuple(scan_reduce(letters))
+
+    def test_scan_oracle_catches_one_pair_per_pass(self):
+        def one_pair(letters):
+            out = list(letters)
+            for i in range(len(out) - 1):
+                if out[i] == -out[i + 1]:
+                    del out[i : i + 2]
+                    break
+            return tuple(out)
+
+        find(letters_rank2, lambda l: one_pair(l) != tuple(scan_reduce(l)), settings=PLANTED)
 
     @given(letters_rank2)
     def test_word_times_inverse_is_identity(self, letters):
@@ -127,6 +142,21 @@ class TestPrimitiveRoot:
         assert got_m == oracle_m
         assert len(root) % len(got_root) == 0
         assert got_root.letters == oracle_root
+
+    def test_divisor_oracle_catches_missed_power(self):
+        def squares_only(letters):  # sees w^2 but misses w^3
+            half = len(letters) // 2
+            if len(letters) % 2 == 0 and letters[:half] == letters[half:]:
+                return letters[:half], 2
+            return letters, 1
+
+        def misses(letters):
+            root, _ = cyclic_reduce(reduce(letters, 2))
+            return root is not None and (
+                squares_only(root.letters) != divisor_primitive_root(root.letters)
+            )
+
+        find(letters_rank2, misses, settings=PLANTED)
 
     @given(letters_rank2, st.integers(min_value=1, max_value=4))
     def test_power_recovers_root(self, letters, m):
