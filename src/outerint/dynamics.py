@@ -283,6 +283,11 @@ def iterate_images(
     return out
 
 
+def _deflated(M: MarkedMetricGraph, lam: float, iterates: Sequence[Word], j: int) -> float:
+    """Chart length of the j-th iterate, deflated by ``lam^j``."""
+    return float(translation_length(M, iterates[j])) / lam ** j
+
+
 def stable_length_oracle(
     phi: Automorphism,
     M: MarkedMetricGraph,
@@ -299,15 +304,14 @@ def stable_length_oracle(
     if n < 1:
         raise ValueError("n must be >= 1")
 
-    def stage(w: Word, k: int) -> float:
-        img = iterate_images(phi, w, k, cap)[-1]
-        return float(translation_length(M, img)) / lam ** k
+    def error_bound(w: Word) -> float:
+        images = iterate_images(phi, w, n, cap)
+        return abs(_deflated(M, lam, images, n) - _deflated(M, lam, images, n - 1))
 
     return LengthFunctionOracle(
-        evaluate=lambda w: stage(w, n),
+        evaluate=lambda w: _deflated(M, lam, iterate_images(phi, w, n, cap), n),
         exact=False,
-        error_bound=lambda w: abs(stage(w, n) - stage(w, n - 1)),
-        description=f"stable length, {n} iterations, stretch {lam}",
+        error_bound=error_bound,
     )
 
 
@@ -337,11 +341,6 @@ class PairingReport:
 
     values: tuple[float, ...]
     window: tuple[float, float]
-    bound_constant: float
-
-    @property
-    def final(self) -> float:
-        return self.values[-1]
 
     @property
     def differences(self) -> tuple[float, ...]:
@@ -371,12 +370,8 @@ def pairing_estimate(
     if g.is_identity:
         raise ValueError("seed must be nontrivial")
     iterates = iterate_images(phi, g, 2 * n, cap)
-    values = tuple(
-        float(translation_length(M, iterates[2 * m])) / lam ** (2 * m)
-        for m in range(1, n + 1)
-    )
-    lo, hi = min(values), max(values)
-    return PairingReport(values, (lo, hi), max(hi, 1.0 / lo if lo > 0 else float("inf")))
+    values = tuple(_deflated(M, lam, iterates, 2 * m) for m in range(1, n + 1))
+    return PairingReport(values, (min(values), max(values)))
 
 
 @dataclass(frozen=True)
@@ -401,26 +396,23 @@ def iwip_rows(
     cap: int = DEFAULT_WORD_CAP,
 ) -> list[IwipRow]:
     """Diagnostic table for one seed: deflated lengths, deflated even
-    pairing sequence and successive frequency-vector gaps."""
+    pairing sequence and successive frequency-vector gaps.  Each iterate
+    the table reads is measured once."""
     if g.is_identity:
         raise ValueError("seed must be nontrivial")
     iterates = _iterates(phi, g, 2 * n_max, cap)
     available = len(iterates) - 1
+    read = {j for n in range(n_max + 1) for j in (n, 2 * n) if j <= available}
+    deflated = {j: _deflated(M, lam, iterates, j) for j in read}
     rows = []
     prev_vec: Optional[FrequencyVector] = None
     for n in range(n_max + 1):
-        length = delta = None
+        delta = None
         if n <= available:
             vec = frequency_vector(counting_current(iterates[n]), M, depth)
-            length = float(translation_length(M, iterates[n])) / lam ** n
             delta = None if prev_vec is None else vec.sup_distance(prev_vec)
             prev_vec = vec
-        pairing = (
-            float(translation_length(M, iterates[2 * n])) / lam ** (2 * n)
-            if 2 * n <= available
-            else None
-        )
-        rows.append(IwipRow(n, length, pairing, delta))
+        rows.append(IwipRow(n, deflated.get(n), deflated.get(2 * n), delta))
     return rows
 
 

@@ -94,18 +94,13 @@ class LengthFunctionOracle:
     evaluate: Callable[[Word], Fraction | float]
     exact: bool
     error_bound: Optional[Callable[[Word], float]] = None
-    description: str = ""
 
     def __call__(self, w: Word) -> Fraction | float:
         return self.evaluate(w)
 
     @classmethod
     def from_marked_graph(cls, M: MarkedMetricGraph) -> "LengthFunctionOracle":
-        return cls(
-            evaluate=lambda w: translation_length(M, w),
-            exact=True,
-            description="chart lengths",
-        )
+        return cls(evaluate=lambda w: translation_length(M, w), exact=True)
 
     def spot_check(self, sample: Sequence[Word], rel_tol: float = 1e-6) -> None:
         """Raise if the oracle visibly fails the length-function laws on
@@ -132,11 +127,9 @@ class LengthFunctionOracle:
 def intersect_oracle(oracle: LengthFunctionOracle, mu: RationalCurrent):
     """Pairing of an oracle-backed length function with a rational
     current: the weighted sum of oracle values over the terms (a finite
-    sum, so no limit is involved).  Exactness follows the oracle."""
-    total = Fraction(0) if oracle.exact else 0.0
-    for cw, weight in mu.terms:
-        total += (weight if oracle.exact else float(weight)) * oracle.evaluate(cw.as_word())
-    return total
+    sum, so no limit is involved).  Exactness follows the oracle: a
+    ``Fraction`` weight times a float value is the float product."""
+    return sum((weight * oracle.evaluate(cw.as_word()) for cw, weight in mu.terms), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -163,8 +156,6 @@ def equivariance_check(
 @dataclass(frozen=True)
 class ScalingReport:
     delta: Fraction
-    lengths_one: tuple[Fraction, ...]
-    lengths_two: tuple[Fraction, ...]
     empirical_modulus: Fraction
     a_priori_modulus: Fraction
     worst_word: Optional[Word]
@@ -222,8 +213,6 @@ def scaling_modulus_experiment(
             empirical, worst = gap, w
     report = ScalingReport(
         delta=delta,
-        lengths_one=T1.lengths,
-        lengths_two=T2.lengths,
         empirical_modulus=empirical,
         a_priori_modulus=delta * ratio,
         worst_word=worst,

@@ -18,7 +18,9 @@ generator, and a word for each edge.  Construction of a
 chart really is an isomorphism; inconsistent dictionaries are rejected.
 Construction also builds, once, the reduced loop of each letter (so
 word-to-path cancels only at junctions) and the lengths as integers over
-one denominator (so a path length is one ``Fraction``).
+one denominator (so a path length is one ``Fraction``).  Paths are
+reduced, cut and inverted by the code of words (:mod:`.words`), and one
+breadth-first search checks connectivity and finds the tree paths.
 
 All values are immutable, all operations pure.
 """
@@ -31,7 +33,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, Sequence
 
-from .words import Automorphism, CyclicWord, Word, _concat, _letter_table, reduce
+from .words import Automorphism, CyclicWord, Word, _concat, _cyclic_cut, _free_reduce
+from .words import _inverse, _letter_table, reduce
 
 EdgePath = tuple[int, ...]
 
@@ -74,18 +77,22 @@ class SerreGraph:
         for v, d in valence.items():
             if d == 1:
                 raise ValueError(f"valence-one vertex {v!r} not allowed")
-        reached = {self.vertices[0]}
-        queue = deque(reached)
+        if len(self._search(self.vertices[0], self.oriented_edges())) != len(vset):
+            raise ValueError("graph is not connected")
+
+    def _search(self, start: str, edges: Sequence[int]) -> dict[str, EdgePath]:
+        """Breadth-first search from ``start`` along the oriented ``edges``:
+        a shortest path to each vertex reached."""
+        paths: dict[str, EdgePath] = {start: ()}
+        queue = deque([start])
         while queue:
             v = queue.popleft()
-            for k in range(1, m + 1):
-                for a, b in ((self.origins[k - 1], self.termini[k - 1]),
-                             (self.termini[k - 1], self.origins[k - 1])):
-                    if a == v and b not in reached:
-                        reached.add(b)
-                        queue.append(b)
-        if reached != vset:
-            raise ValueError("graph is not connected")
+            for e in edges:
+                w = self.terminal(e)
+                if self.initial(e) == v and w not in paths:
+                    paths[w] = paths[v] + (e,)
+                    queue.append(w)
+        return paths
 
     @property
     def num_edges(self) -> int:
@@ -114,27 +121,17 @@ class SerreGraph:
 
 def reduce_path(path: Sequence[int]) -> EdgePath:
     """Cancel adjacent ``e, -e`` pairs."""
-    stack: list[int] = []
-    for e in path:
-        if stack and stack[-1] == -e:
-            stack.pop()
-        else:
-            stack.append(e)
-    return tuple(stack)
+    return tuple(_free_reduce(path))
 
 
 def cyclic_reduce_path(path: Sequence[int]) -> EdgePath:
     """Reduce, then strip every cancelling first/last pair."""
     p = reduce_path(path)
-    i, j = 0, len(p) - 1
-    while i < j and p[i] == -p[j]:
-        i += 1
-        j -= 1
-    return p[i : j + 1]
+    cut = _cyclic_cut(p)
+    return p[cut : len(p) - cut]
 
 
-def inverse_path(path: Sequence[int]) -> EdgePath:
-    return tuple(-e for e in reversed(path))
+inverse_path = _inverse
 
 
 def is_edge_path(graph: SerreGraph, path: Sequence[int]) -> bool:
@@ -249,15 +246,7 @@ class MarkedMetricGraph:
     def _tree_paths(self) -> dict[str, EdgePath]:
         """Reduced path in the spanning tree from the base to each vertex."""
         g, mk = self.graph, self.marking
-        paths: dict[str, EdgePath] = {mk.base: ()}
-        queue = deque([mk.base])
-        tree_edges = [s * k for k in mk.spanning_tree for s in (1, -1)]
-        while queue:
-            v = queue.popleft()
-            for e in tree_edges:
-                if g.initial(e) == v and g.terminal(e) not in paths:
-                    paths[g.terminal(e)] = paths[v] + (e,)
-                    queue.append(g.terminal(e))
+        paths = g._search(mk.base, [s * k for k in mk.spanning_tree for s in (1, -1)])
         if len(paths) != len(g.vertices):
             raise ValueError("spanning tree does not span the graph")
         return paths
@@ -545,29 +534,14 @@ def lemma_ll_check(
 
 def marked_graph_to_json_obj(M: MarkedMetricGraph) -> dict:
     g, mk = M.graph, M.marking
-    edges = []
-    for k in g.positive_edges:
-        edges.append(
-            {
-                "id": g.edge_names[k - 1],
-                "inverse": g.inverse_names[k - 1],
-                "from": g.origins[k - 1],
-                "to": g.termini[k - 1],
-                "length": str(M.lengths[k - 1]),
-            }
-        )
-        edges.append(
-            {
-                "id": g.inverse_names[k - 1],
-                "inverse": g.edge_names[k - 1],
-                "from": g.termini[k - 1],
-                "to": g.origins[k - 1],
-                "length": str(M.lengths[k - 1]),
-            }
-        )
     return {
         "vertices": list(g.vertices),
-        "edges": edges,
+        "edges": [
+            {"id": g.name(e), "inverse": g.name(-e), "from": g.initial(e), "to": g.terminal(e),
+             "length": str(M.edge_length(e))}
+            for k in g.positive_edges
+            for e in (k, -k)
+        ],
         "marking": {
             "base": mk.base,
             "generator_loops": [[g.name(e) for e in loop] for loop in mk.generator_loops],

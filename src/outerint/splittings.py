@@ -37,12 +37,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterable, Literal, NamedTuple, Optional, Sequence, Union
 
-from .currents import RationalCurrent, counting_current, one_letter_mass, scale
+from .currents import RationalCurrent, counting_current, one_letter_mass
 from .currents import act as act_on_current
 from .marked_graph import MarkedMetricGraph, translation_length
 from .marked_graph import act as act_on_chart
@@ -53,6 +52,7 @@ from .words import (
     Word,
     _check_int,
     _concat,
+    _cyclic_cut,
     compose,
     cyclic_reduce,
     enumerate_cyclic_words,
@@ -116,6 +116,8 @@ class FreeSplitting:
         if twist is not None:
             phi = Automorphism.from_json_obj(twist)
             rank = phi.rank
+            if "rank" in obj and _check_int(obj["rank"], "rank") != rank:
+                raise ValueError(f"rank {obj['rank']} contradicts the twist's rank {rank}")
         else:
             if "rank" not in obj:
                 raise ValueError("untwisted splitting JSON needs an explicit rank")
@@ -166,11 +168,8 @@ def _length(
     taken."""
     if untwist is not None:
         letters = _concat(untwist, letters)
-    lo, hi = 0, len(letters)
-    while hi - lo >= 2 and letters[lo] == -letters[hi - 1]:
-        lo += 1
-        hi -= 1
-    core = letters[lo:hi]
+    cut = _cyclic_cut(letters)
+    core = letters[cut : len(letters) - cut]
     if s.kind == "loop":
         return core.count(s.stable) + core.count(-s.stable)
     # syllable boundaries, read cyclically; none when one side is absent
@@ -321,8 +320,8 @@ def _chart_key(M: MarkedMetricGraph, depth: int) -> tuple:
 
 
 def _current_key(mu: RationalCurrent, depth: int) -> tuple:
-    unit = scale(Fraction(1) / one_letter_mass(mu), mu)
-    return ("curr", tuple((cw.letters, w) for cw, w in unit.terms))
+    mass = one_letter_mass(mu)
+    return ("curr", tuple((cw.letters, w / mass) for cw, w in mu.terms))
 
 
 # vertex kind -> (key at a key depth, image under an automorphism); keys

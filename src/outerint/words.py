@@ -14,8 +14,10 @@ realised by :func:`letter_sort_key`.
 Input is validated once, by the public constructors, :func:`reduce` and
 the parsers; values derived from validated ones (reductions, inverses,
 cyclic reductions, primitive roots, automorphic images) are built by the
-trusted ``_make`` constructors.  Substitution cancels only at the
-junctions of reduced pieces (:func:`_concat`, shared with word-to-path).
+trusted ``_make`` constructors.  A reduced word is a reduced edge path in
+the rose, so words and edge paths share one free reduction, cyclic cut
+and inverse.  Substitution cancels only at the junctions of reduced
+pieces (:func:`_concat`, shared with word-to-path).
 
 Everything in this module is immutable and all operations are pure, so
 values can be shared freely between threads.
@@ -94,7 +96,7 @@ class Word:
         return reduce(self.letters + other.letters, self.rank)
 
     def inverse(self) -> "Word":
-        return Word._make(self.rank, tuple(-l for l in reversed(self.letters)))
+        return Word._make(self.rank, _inverse(self.letters))
 
     def __pow__(self, m: int) -> "Word":
         base = self if m >= 0 else self.inverse()
@@ -119,13 +121,32 @@ def reduce(letters: Sequence[int], rank: int) -> Word:
     (1, 1)
     """
     _check_letters(letters, rank)
+    return Word._make(rank, tuple(_free_reduce(letters)))
+
+
+def _free_reduce(seq: Iterable[int]) -> list[int]:
+    """Cancel adjacent ``x, -x`` pairs of signed letters or edges."""
     stack: list[int] = []
-    for l in letters:
-        if stack and stack[-1] == -l:
+    for x in seq:
+        if stack and stack[-1] == -x:
             stack.pop()
         else:
-            stack.append(l)
-    return Word._make(rank, tuple(stack))
+            stack.append(x)
+    return stack
+
+
+def _cyclic_cut(seq: Sequence[int]) -> int:
+    """How many first/last pairs of a reduced sequence cancel cyclically."""
+    i, j = 0, len(seq) - 1
+    while i < j and seq[i] == -seq[j]:
+        i += 1
+        j -= 1
+    return i
+
+
+def _inverse(seq: Sequence[int]) -> tuple[int, ...]:
+    """The inverse of a word or an edge path."""
+    return tuple(-x for x in reversed(seq))
 
 
 def _concat(table: Sequence[tuple[int, ...]], keys: Iterable[int]) -> list[int]:
@@ -208,7 +229,7 @@ class CyclicWord:
         return Word._make(self.rank, self.letters)
 
     def inverse(self) -> "CyclicWord":
-        return CyclicWord._make(self.rank, tuple(-l for l in reversed(self.letters)))
+        return CyclicWord._make(self.rank, _inverse(self.letters))
 
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
         return (len(self.letters), tuple(letter_sort_key(l) for l in self.letters))
@@ -233,16 +254,11 @@ def cyclic_reduce(w: Word) -> tuple[CyclicWord | None, Word]:
     >>> str(root), str(u)
     ('b', 'A')
     """
-    letters = list(w.letters)
-    lo, hi = 0, len(letters)
-    while hi - lo >= 2 and letters[lo] == -letters[hi - 1]:
-        lo += 1
-        hi -= 1
-    core = tuple(letters[lo:hi])
-    if not core:
-        return None, Word._make(w.rank, ())
-    conjugator = Word._make(w.rank, tuple(-l for l in reversed(letters[:lo])))
-    return CyclicWord._make(w.rank, core), conjugator
+    if not w.letters:
+        return None, w
+    cut = _cyclic_cut(w.letters)
+    conjugator = Word._make(w.rank, _inverse(w.letters[:cut]))
+    return CyclicWord._make(w.rank, w.letters[cut : len(w) - cut]), conjugator
 
 
 def primitive_root(cw: CyclicWord) -> tuple[CyclicWord, int]:
@@ -279,15 +295,13 @@ def word_length(w: Word) -> int:
 
 def cyclic_length(w: Word) -> int:
     """Number of letters of the cyclically reduced form."""
-    root, _ = cyclic_reduce(w)
-    return 0 if root is None else len(root)
+    return len(w) - 2 * _cyclic_cut(w.letters)
 
 
 def _letter_table(pieces: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     """``table[l]`` is the piece of letter ``l``; ``table[-l]``, counted
     from the end, is its inverse."""
-    inverses = (tuple(-l for l in reversed(p)) for p in reversed(pieces))
-    return ((), *pieces, *inverses)
+    return ((), *pieces, *map(_inverse, reversed(pieces)))
 
 
 @dataclass(frozen=True)
@@ -459,7 +473,7 @@ def enumerate_cyclic_words(
                 if _canonical_rotation(letters) != letters:
                     continue
                 if up_to_inversion:
-                    inverse = _canonical_rotation(tuple(-l for l in reversed(letters)))
+                    inverse = _canonical_rotation(_inverse(letters))
                     if list(map(letter_sort_key, inverse)) < list(map(letter_sort_key, letters)):
                         continue
                 out.append(CyclicWord(rank, letters))

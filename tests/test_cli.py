@@ -393,6 +393,7 @@ class TestUserErrors:
         infinite_weight["terms"][0]["weight"] = "1/0"
         float_rank_map = json.loads((FIXTURES / "fibonacci_map.json").read_text())
         float_rank_map["automorphism"]["rank"] = 2.7
+        identity3 = {"rank": 3, "images": [[1], [2], [3]], "inverse_images": [[1], [2], [3]]}
         files = {
             "list.json": [1, 2],
             "number.json": 5,
@@ -408,6 +409,8 @@ class TestUserErrors:
             "float_subset.json": {"kind": "sep", "rank": 3, "subset": [1.0], "twist": None},
             "float_rank_map.json": float_rank_map,
             "bool_letter.json": {"rank": 3, "class": [1, True]},
+            "twist_rank.json": {"kind": "sep", "rank": 5, "subset": [1], "twist": identity3},
+            "twist_float_rank.json": {"kind": "sep", "rank": 5.0, "subset": [1], "twist": identity3},
         }
         for name, obj in files.items():
             (directory / name).write_text(json.dumps(obj))
@@ -436,12 +439,15 @@ class TestUserErrors:
             (["graph", "--from", "float_subset.json"], "bad vertex file float_subset.json"),
             (["pf", "--map", "float_rank_map.json"], "bad graph map file float_rank_map.json"),
             (["graph", "--from", "bool_letter.json"], "bad vertex file bool_letter.json"),
+            (["graph", "--from", "twist_rank.json"], "bad vertex file twist_rank.json"),
+            (["graph", "--from", "twist_float_rank.json"],
+             "bad vertex file twist_float_rank.json"),
         ],
         ids=[
             "translen-list", "pf-list", "intersect-list", "graph-number-vertex", "graph-list-vertex",
             "graph-bad-subset", "graph-chart-as-moves", "length-1/0", "weight-1/0", "rank-1e400",
             "delta-1/0", "rank-2.9", "weight-0.1", "loop-rank-3.5", "stable-1.9", "subset-1.0",
-            "map-rank-2.7", "class-true",
+            "map-rank-2.7", "class-true", "twist-rank-5", "twist-rank-5.0",
         ],
     )
     def test_malformed_input(self, tmp_path, monkeypatch, args, message):

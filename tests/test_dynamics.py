@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -34,6 +36,7 @@ from outerint.words import Automorphism, Word, parse_word
 from oracles import char_poly_at, dominant_root_by_bisection
 
 GOLDEN = (1 + 5 ** 0.5) / 2
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def random_primitive_matrices(seed: int, per_size: int = 10):
@@ -97,6 +100,11 @@ class TestGraphMap:
         back = graph_map_from_json_obj(graph_map_to_json_obj(f))
         assert back.edge_images == f.edge_images
         assert back.automorphism.images == f.automorphism.images
+
+    @pytest.mark.parametrize("name", ["fibonacci_map", "fibonacci_inverse_map", "supergolden_map"])
+    def test_fixture_json_round_trip(self, name):
+        obj = json.loads((FIXTURES / f"{name}.json").read_text())
+        assert graph_map_to_json_obj(graph_map_from_json_obj(obj)) == obj
 
 
 class TestTransitionMatrix:
@@ -314,3 +322,27 @@ class TestIwipRows:
         assert rows[3].length_estimate is not None
         assert rows[3].pairing_estimate is None  # needs iterate 6
         assert rows[4].pairing_estimate is None
+
+    def test_each_iterate_measured_once(self, monkeypatch):
+        from outerint import dynamics
+
+        measured = []
+        real = dynamics.translation_length
+
+        def counting(M, w):
+            measured.append(w)
+            return real(M, w)
+
+        monkeypatch.setattr(dynamics, "translation_length", counting)
+        iwip_rows(fibonacci_automorphism(), unit_rose(2), GOLDEN, parse_word("a", 2), 4, 1)
+        # lengths read iterates 0..4, pairings the even iterates 0..8
+        assert len(measured) == len(set(measured)) == 7
+
+    def test_columns_match_pairing_estimate_and_oracle(self):
+        f = supergolden_rose_map()
+        lam = pf_eigenpair(transition_matrix(f)).eigenvalue
+        M, phi, g, n = metric_from_pf(f), f.automorphism, parse_word("aC", 3), 5
+        rows = iwip_rows(phi, M, lam, g, n, 1)
+        values = pairing_estimate(phi, M, lam, g, n).values
+        assert values == tuple(r.pairing_estimate for r in rows[1:])
+        assert stable_length_oracle(phi, M, lam, n).evaluate(g) == rows[n].length_estimate

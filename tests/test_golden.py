@@ -43,6 +43,12 @@ CASES = {
     "graph_F": (
         ["graph", "--flavor", "F", "--from", "fixtures/splitting_a_rank3.json",
          "--to", "fixtures/splitting_ab_rank3.json", "--radius", "2"], 0),
+    "graph_Z": (
+        ["graph", "--flavor", "Z", "--from", "fixtures/splitting_a_rank3.json",
+         "--to", "fixtures/splitting_ab_rank3.json", "--radius", "2"], 0),
+    "graph_Fstar": (
+        ["graph", "--flavor", "Fstar", "--from", "fixtures/splitting_a_rank3.json",
+         "--to", "fixtures/splitting_ab_rank3.json", "--radius", "2"], 0),
     "graph_I0": (
         ["graph", "--flavor", "I0", "--from", "fixtures/splitting_a_rank3.json",
          "--to", "fixtures/current_b_rank3.json", "--radius", "2"], 0),

@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -32,6 +34,8 @@ from _generators import (
     random_reduced_word,
 )
 from oracles import scan_reduce
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def theta_graph(lengths=(1, 1, 1)) -> MarkedMetricGraph:
@@ -82,6 +86,23 @@ class TestConstruction:
         )
         with pytest.raises(ValueError, match="marking inconsistent"):
             MarkedMetricGraph(graph, bad, (Fraction(1),) * 3)
+
+    def test_disconnected_graph_rejected(self):
+        with pytest.raises(ValueError, match="graph is not connected"):
+            SerreGraph(("x", "y"), ("a", "b"), ("A", "B"), ("x", "y"), ("x", "y"))
+
+    def test_tree_missing_a_vertex_rejected(self):
+        # a loop at x is one edge, the right size for two vertices, but never reaches y
+        graph = SerreGraph(("x", "y"), ("p", "q", "l"), ("P", "Q", "L"),
+                           ("x", "x", "x"), ("y", "y", "x"))
+        marking = Marking(
+            base="x",
+            generator_loops=((3,), (1, -2)),
+            edge_words=(Word(2), Word(2, (2,)), Word(2, (1,))),
+            spanning_tree=frozenset({3}),
+        )
+        with pytest.raises(ValueError, match="spanning tree does not span the graph"):
+            MarkedMetricGraph(graph, marking, (Fraction(1),) * 3)
 
     def test_valence_one_rejected(self):
         with pytest.raises(ValueError, match="valence-one"):
@@ -356,6 +377,11 @@ class TestJson:
             for _ in range(10):
                 w = random_reduced_word(rng, M.rank, rng.randint(0, 8))
                 assert translation_length(back, w) == translation_length(M, w)
+
+    @pytest.mark.parametrize("name", ["rose2", "rose2_lengths_2_3", "rose3"])
+    def test_fixture_round_trip(self, name):
+        obj = json.loads((FIXTURES / f"{name}.json").read_text())
+        assert marked_graph_to_json_obj(marked_graph_from_json_obj(obj)) == obj
 
     def test_round_trip_theta(self):
         M = theta_graph((2, 1, Fraction(5, 3)))
