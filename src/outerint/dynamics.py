@@ -443,18 +443,21 @@ def graph_map_from_json_obj(obj: dict) -> GraphMap:
     for k in g.positive_edges:
         signed[g.edge_names[k - 1]] = k
         signed[g.inverse_names[k - 1]] = -k
-    edge_map = obj["edge_map"]
-    images = []
-    for k in g.positive_edges:
-        name = g.edge_names[k - 1]
-        if name in edge_map:
-            images.append(tuple(signed[i] for i in edge_map[name]))
-        else:
-            inv = edge_map[g.inverse_names[k - 1]]
-            images.append(inverse_path(tuple(signed[i] for i in inv)))
+    images: dict[int, tuple[int, ...]] = {}
+    for name, image in obj["edge_map"].items():
+        if name not in signed:
+            raise ValueError(f"edge_map key {name!r} names no edge")
+        e = signed[name]
+        path = tuple(signed[i] for i in image)
+        path = path if e > 0 else inverse_path(path)
+        if abs(e) in images and images[abs(e)] != path:
+            raise ValueError(f"edge_map image of {name!r} contradicts its inverse")
+        images[abs(e)] = path
+    if set(images) != set(g.positive_edges):
+        raise ValueError("edge_map must cover every edge pair")
     return GraphMap(
         chart=chart,
         vertex_map=tuple(sorted(obj["vertex_map"].items())),
-        edge_images=tuple(images),
+        edge_images=tuple(images[k] for k in g.positive_edges),
         automorphism=Automorphism.from_json_obj(obj["automorphism"]),
     )

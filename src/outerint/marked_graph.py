@@ -264,16 +264,31 @@ class MarkedMetricGraph:
         return tuple(_concat(self._loops, w.letters))
 
     def path_to_word(self, path: Sequence[int]) -> Word:
+        self._check_edges(path)
         return reduce([l for e in path for l in self._edge_words[e]], self.rank)
+
+    def _check_edges(self, path: Sequence[int]) -> None:
+        """Reject edge numbers outside ±1..m, which the signed-edge tables
+        would otherwise read as other edges."""
+        m = self.graph.num_edges
+        for e in path:
+            if not 1 <= abs(e) <= m:
+                raise ValueError(f"edge number {e} is not in ±1..{m}")
 
     # -- lengths ----------------------------------------------------------
 
     def edge_length(self, e: int) -> Fraction:
+        self._check_edges((e,))
         return self.lengths[abs(e) - 1]
 
     def path_length(self, path: Sequence[int]) -> Fraction:
-        """Sum of the edge lengths along ``path``: an integer sum of the
-        cached numerators, made one ``Fraction``."""
+        """Sum of the edge lengths along ``path``."""
+        self._check_edges(path)
+        return self._path_length(path)
+
+    def _path_length(self, path: Sequence[int]) -> Fraction:
+        """:meth:`path_length` of a path the package built, unchecked: an
+        integer sum of the cached numerators, made one ``Fraction``."""
         return Fraction(sum(map(self._length_nums.__getitem__, path)), self._length_den)
 
     def point_displacement(self, w: Word) -> Fraction:
@@ -281,7 +296,7 @@ class MarkedMetricGraph:
         translate by ``w`` (length of the reduced, not cyclically reduced,
         edge path).
         """
-        return self.path_length(self.word_to_path(w))
+        return self._path_length(self.word_to_path(w))
 
     def axis_period(self, cw: CyclicWord) -> EdgePath:
         """One period of the bi-infinite edge path along the axis of ``cw``."""
@@ -297,7 +312,7 @@ def translation_length(M: MarkedMetricGraph, w: Word) -> Fraction:
     Zero exactly on the identity (the action is free), conjugacy
     invariant, and homogeneous under powers.
     """
-    return M.path_length(cyclic_reduce_path(M.word_to_path(w)))
+    return M._path_length(cyclic_reduce_path(M.word_to_path(w)))
 
 
 def edge_crossings(M: MarkedMetricGraph, cw: CyclicWord) -> dict[int, int]:

@@ -1,7 +1,8 @@
 """One-edge free splittings and the desk-scale splitting graphs.
 
 A splitting is either separating (the group splits as the subgroup on a
-proper subset of the basis against the subgroup on the rest) or of loop
+proper subset of the basis against the subgroup on the rest, an unordered
+partition stored as its side holding the first generator) or of loop
 type (one distinguished stable letter over the subgroup on the remaining
 letters), optionally twisted by an automorphism.  Its Bass-Serre tree is
 only ever touched through the integer translation length function:
@@ -17,8 +18,10 @@ Vertices of the splitting graphs are identified by their length functions
 sampled on a fixed finite test set (:class:`GraphVertexKey`).  Keys are
 memoised per (splitting, depth) in a bounded process-wide cache, and
 counted on the raw letters of the test words.  Distinct splittings may in
-principle share a key at a given depth; merges of structurally different
-data are re-checked at a deeper depth and raise
+principle share a key at a given depth.  A second presentation of a
+stored key is kept outright when the change of twist carries its vertex
+groups into those of the stored one (the trees are then equal); any
+other is re-checked at a deeper depth and raises
 :class:`KeyCollisionError` on disagreement instead of silently merging.
 
 The adjacency predicates are deliberately partial where no algorithm is
@@ -53,6 +56,8 @@ from .words import (
     _check_int,
     _concat,
     _cyclic_cut,
+    _free_reduce,
+    _inverse,
     compose,
     cyclic_reduce,
     enumerate_cyclic_words,
@@ -75,7 +80,15 @@ class KeyCollisionError(OuterintError):
 
 @dataclass(frozen=True)
 class FreeSplitting:
-    """A one-edge trivial-edge-group splitting, possibly twisted."""
+    """A one-edge trivial-edge-group splitting, possibly twisted.
+
+    A separating splitting is the partition {A, Aᶜ} of the basis, stored
+    as the side that holds generator 1, so a subset and its complement
+    build one value:
+
+    >>> separating_splitting(3, [2, 3]) == separating_splitting(3, [1])
+    True
+    """
 
     rank: int
     kind: Literal["sep", "loop"]
@@ -91,8 +104,11 @@ class FreeSplitting:
         if self.kind == "sep":
             if self.stable is not None or self.subset is None:
                 raise ValueError("separating splittings need a subset and no stable letter")
-            if not self.subset or not self.subset < set(range(1, self.rank + 1)):
+            full = frozenset(range(1, self.rank + 1))
+            if not self.subset or not self.subset < full:
                 raise ValueError("subset must be nonempty and proper in {1..N}")
+            if 1 not in self.subset:
+                object.__setattr__(self, "subset", full - self.subset)
         elif self.kind == "loop":
             if self.subset is not None or self.stable is None:
                 raise ValueError("loop splittings need a stable letter and no subset")
@@ -229,26 +245,31 @@ def fstar_adjacent(
         raise ValueError("rank mismatch")
     if vertex_key(s1) == vertex_key(s2):
         raise ValueError("identical vertices are not adjacency candidates")
-    return _common_elliptic(s1, s2, search_length)
+    return _common_elliptic(_elliptic_classes(s1, search_length), s2)
 
 
-def _common_elliptic(
-    s1: FreeSplitting, s2: FreeSplitting, search_length: int
-) -> Optional[CyclicWord]:
-    t1, t2 = _untwist_table(s1), _untwist_table(s2)
-    for cw in enumerate_cyclic_words(s1.rank, search_length, up_to_inversion=True):
-        if _length(s1, t1, cw.letters) == 0 and _length(s2, t2, cw.letters) == 0:
-            return cw
-    return None
+def _common_elliptic(classes: Sequence[CyclicWord], s: FreeSplitting) -> Optional[CyclicWord]:
+    """The first of ``classes`` elliptic in ``s``."""
+    untwist = _untwist_table(s)
+    return next((cw for cw in classes if _length(s, untwist, cw.letters) == 0), None)
+
+
+def _shares_elliptic(views: Sequence[FreeSplitting], search_length: int) -> Callable[[FreeSplitting], bool]:
+    """The Fstar test of a candidate, as in :func:`fstar_adjacent` against
+    the first presentation, whose elliptic classes are listed once: an
+    expansion costs one scan of the search set, whatever its candidates."""
+    classes = _elliptic_classes(views[0], search_length)
+    return lambda u: _common_elliptic(classes, u) is not None
 
 
 def refinement_adjacent(s1: FreeSplitting, s2: FreeSplitting) -> str:
     """Decidable refinement adjacency for separating splittings.
 
     Certifies "yes" for pairs in a compatible coordinate system: equal
-    twist and strictly nested subsets (the three-factor refinement is then
-    read off the basis).  Returns "no" for equal vertices and "unknown"
-    otherwise; no general refinement detection is attempted.
+    twist and nested partitions, some side of one inside some side of the
+    other (the three-factor refinement is then read off the basis).
+    Returns "no" for equal vertices and "unknown" otherwise; no general
+    refinement detection is attempted.
     """
     if s1.kind != "sep" or s2.kind != "sep":
         raise ValueError("refinement adjacency is defined here for separating splittings")
@@ -259,9 +280,11 @@ def cut_refinement_adjacent(s1: FreeSplitting, s2: FreeSplitting) -> str:
     """Coordinate-compatible refinement adjacency allowing loop types.
 
     Beyond nested separating pairs: a separating splitting and a loop
-    splitting refine to a common two-edge graph exactly when the stable
-    letter avoids the subset, and two loop splittings with distinct
-    stable letters always do (same twist required throughout).
+    splitting always refine to a common two-edge graph (the stable letter
+    avoids one side of the partition), and so do two loop splittings with
+    distinct stable letters (same twist required throughout).  Both
+    stored sides hold generator 1, so the partitions are nested exactly
+    when one side contains the other or the complements are disjoint.
     """
     if s1.rank != s2.rank:
         raise ValueError("rank mismatch")
@@ -270,11 +293,9 @@ def cut_refinement_adjacent(s1: FreeSplitting, s2: FreeSplitting) -> str:
     if s1.twist.images != s2.twist.images:
         return "unknown"
     if s1.kind == "sep" and s2.kind == "sep":
-        return "yes" if (s1.subset < s2.subset or s2.subset < s1.subset) else "unknown"
-    if s1.kind == "loop" and s2.kind == "loop":
-        return "yes" if s1.stable != s2.stable else "unknown"
-    sep, loop = (s1, s2) if s1.kind == "sep" else (s2, s1)
-    return "yes" if loop.stable not in sep.subset else "unknown"
+        a, b = s1.subset, s2.subset
+        return "yes" if a <= b or b <= a or len(a | b) == s1.rank else "unknown"
+    return "yes"  # under one twist, distinct loops differ in their stable letter
 
 
 TreeVertex = Union[FreeSplitting, MarkedMetricGraph]
@@ -291,10 +312,8 @@ def intersection_graph_adjacent(T: TreeVertex, mu: RationalCurrent) -> bool:
         raise ValueError("rank mismatch")
     if isinstance(T, MarkedMetricGraph):
         return False
-    total = 0
-    for cw, weight in mu.terms:
-        total += weight * splitting_length(T, cw.as_word())
-    return total == 0
+    # the weights are positive, so the pairing vanishes when every term does
+    return all(splitting_length(T, cw.as_word()) == 0 for cw, _ in mu.terms)
 
 
 def map_j(s: FreeSplitting) -> FreeSplitting:
@@ -337,9 +356,31 @@ _VERTEX_KINDS = {
 }
 
 
-def _splitting_data(s: FreeSplitting) -> tuple:
-    return (s.kind, None if s.subset is None else tuple(sorted(s.subset)), s.stable,
-            tuple(w.letters for w in s.twist.images))
+def _same_tree(s: FreeSplitting, t: FreeSplitting) -> bool:
+    """Sufficient for two presentations to be one splitting: the change of
+    twist sigma = (twist of t)^-1 (twist of s) carries each side of ``s``
+    into a conjugate of its own side of ``t`` (the two images generate the
+    group, so they sit at adjacent vertices of the tree of ``t``), or keeps
+    the other letters of a loop off the stable letter of ``t`` and crosses
+    it once with the stable letter of ``s``.  False means unproven."""
+    if s.kind != t.kind:
+        return False
+    sigma = [_concat(t.twist._inverses, w.letters) for w in s.twist.images]
+    gens = range(1, s.rank + 1)
+    if s.kind == "loop":
+        return all(sum(abs(l) == t.stable for l in sigma[i - 1]) == (i == s.stable) for i in gens)
+    inside = [sigma[i - 1] for i in gens if i in s.subset]
+    outside = [sigma[i - 1] for i in gens if i not in s.subset]
+    rest = frozenset(gens) - t.subset
+    return any(_conjugate_into(inside, a) and _conjugate_into(outside, b)
+               for a, b in ((t.subset, rest), (rest, t.subset)))
+
+
+def _conjugate_into(words: Sequence[Sequence[int]], letters: frozenset[int]) -> bool:
+    """Whether the conjugator of the first word takes every word into the
+    subgroup on ``letters``."""
+    g = words[0][: _cyclic_cut(words[0])]
+    return all(abs(l) in letters for w in words for l in _free_reduce((*_inverse(g), *w, *g)))
 
 
 class _Universe:
@@ -367,20 +408,20 @@ class _Universe:
             if len(self.vertices) >= self.cap:
                 raise StateCapExceeded(len(self.vertices))
             self.vertices[k] = [v]
-        elif type(v) is FreeSplitting:
-            if all(_splitting_data(v) != _splitting_data(u) for u in known):
-                deep = self.depth + 2
-                if vertex_key(v, deep) != vertex_key(known[0], deep):
-                    raise KeyCollisionError(
-                        f"splittings {_splitting_data(v)} and {_splitting_data(known[0])} "
-                        f"collide at key depth {self.depth} but differ at depth {deep}"
-                    )
-                known.append(v)
+        elif type(v) is FreeSplitting and v not in known:
+            deep = self.depth + 2
+            if not _same_tree(v, known[0]) and vertex_key(v, deep) != vertex_key(known[0], deep):
+                raise KeyCollisionError(
+                    f"splittings {v.to_json_obj()} and {known[0].to_json_obj()} "
+                    f"collide at key depth {self.depth} but differ at depth {deep}"
+                )
+            known.append(v)
         return k
 
-    def each(self, *kinds: type) -> list[GraphVertex]:
-        """Every stored presentation of the given kinds, in insertion order."""
-        return [p for ps in self.vertices.values() for p in ps if type(p) in kinds]
+    def each(self, *kinds: type) -> list[tuple[tuple, GraphVertex]]:
+        """Every stored presentation of the given kinds with its key, in
+        insertion order."""
+        return [(k, p) for k, ps in self.vertices.items() for p in ps if type(p) in kinds]
 
 
 def _move_closure(universe: _Universe, seeds: Sequence[GraphVertex],
@@ -403,15 +444,13 @@ def _move_closure(universe: _Universe, seeds: Sequence[GraphVertex],
 
 
 def _family(s: FreeSplitting, include_loops: bool) -> list[FreeSplitting]:
-    """Every one-edge splitting sharing the twist of ``s``."""
-    out: list[FreeSplitting] = []
+    """Every one-edge splitting sharing the twist of ``s``, each partition
+    listed once by its side holding generator 1."""
     gens = range(1, s.rank + 1)
-    for size in range(1, s.rank):
-        for sub in combinations(gens, size):
-            out.append(FreeSplitting(s.rank, "sep", frozenset(sub), None, s.twist))
+    out = [FreeSplitting(s.rank, "sep", frozenset((1, *rest)), None, s.twist)
+           for size in range(s.rank - 1) for rest in combinations(gens[1:], size)]
     if include_loops:
-        for t in gens:
-            out.append(FreeSplitting(s.rank, "loop", None, t, s.twist))
+        out += [FreeSplitting(s.rank, "loop", None, t, s.twist) for t in gens]
     return out
 
 
@@ -429,29 +468,22 @@ NeighbourRule = Callable[[_Universe, tuple, int], list]
 
 def _coordinate_rule(include_loops: bool, adjacent) -> NeighbourRule:
     """F, S and Fstar: the candidates are the coordinate families of the
-    vertex's presentations and every stored splitting; ``adjacent`` is
-    called with the presentations, a candidate and the search length."""
+    vertex's presentations and every stored splitting; ``adjacent(views,
+    search_length)`` is the test of a candidate against the vertex's
+    presentations."""
 
     def neighbours(universe: _Universe, key: tuple, search_length: int) -> list[tuple]:
-        presentations = universe.vertices[key]
-        # a separating splitting equals its complement presentation;
-        # fold any same-vertex family members into the view list first,
-        # since the coordinate certificates depend on the presentation
-        for p in list(presentations):
-            for u in _family(p, include_loops):
-                if universe.key(u) == key:
-                    universe.add(u)
-        views = list(presentations)
+        views = list(universe.vertices[key])
+        is_adjacent = adjacent(views, search_length)
         candidates = [u for p in views for u in _family(p, include_loops)]
         found: set[tuple] = set()
-        for u in candidates + universe.each(FreeSplitting):
-            uk = universe.key(u)
-            if uk == key:
+        for uk, u in [(universe.key(u), u) for u in candidates] + universe.each(FreeSplitting):
+            if uk == key or uk in found:
+                # another presentation of this vertex or of a known
+                # neighbour; storing it re-checks a key collision
+                universe.add(u)
                 continue
-            if uk in found:
-                universe.add(u)  # extra presentation of a known neighbour
-                continue
-            if adjacent(views, u, search_length):
+            if is_adjacent(u):
                 universe.add(u)
                 found.add(uk)
         return sorted(found)
@@ -467,12 +499,11 @@ def _bipartite_rule(witness: type, mint, adjacent) -> NeighbourRule:
     def neighbours(universe: _Universe, key: tuple, search_length: int) -> list[tuple]:
         v = universe.vertices[key][0]
         if type(v) is witness:
-            trees = universe.each(FreeSplitting, MarkedMetricGraph)
-            return sorted({universe.key(t) for t in trees if adjacent(t, v)})
+            return sorted({k for k, t in universe.each(FreeSplitting, MarkedMetricGraph) if adjacent(t, v)})
         if type(v) is FreeSplitting:  # a chart acts freely: nothing is elliptic
             for cw in _elliptic_classes(v, search_length):
                 universe.add(mint(cw))
-        return sorted({universe.key(w) for w in universe.each(witness) if adjacent(v, w)})
+        return sorted({k for k, w in universe.each(witness) if adjacent(v, w)})
 
     return neighbours
 
@@ -488,13 +519,13 @@ class _Flavor(NamedTuple):
 
 _FLAVORS: dict[Flavor, _Flavor] = {
     "F": _Flavor((FreeSplitting,), "separating splittings", True, _coordinate_rule(
-        False, lambda views, u, n: any(refinement_adjacent(p, u) == "yes" for p in views)
+        False, lambda views, n: lambda u: any(refinement_adjacent(p, u) == "yes" for p in views)
     )),
     "S": _Flavor((FreeSplitting,), "splittings", False, _coordinate_rule(
-        True, lambda views, u, n: any(cut_refinement_adjacent(p, u) == "yes" for p in views)
+        True, lambda views, n: lambda u: any(cut_refinement_adjacent(p, u) == "yes" for p in views)
     )),
     "Fstar": _Flavor((FreeSplitting,), "separating splittings", True, _coordinate_rule(
-        False, lambda views, u, n: _common_elliptic(views[0], u, n) is not None
+        False, _shares_elliptic
     )),
     "Z": _Flavor((FreeSplitting, CyclicWord), "splittings or conjugacy classes", False,
                  _bipartite_rule(CyclicWord, lambda cw: cw,

@@ -185,6 +185,31 @@ class TestGraphCmd:
         assert result.exit_code == 0
         assert json.loads(result.output)["distance"] == 1
 
+    def test_class_vertex(self, tmp_path):
+        cls = tmp_path / "class_b.json"
+        cls.write_text(json.dumps({"class": [2], "rank": 3}))
+        result = run(
+            "graph",
+            "--flavor", "Z",
+            "--from", FIXTURES / "splitting_a_rank3.json",
+            "--to", cls,
+            "--radius", "2",
+        )
+        assert result.exit_code == 0
+        assert json.loads(result.output)["distance"] == 1
+
+    def test_chart_vertex(self):
+        # a chart acts freely, so no current is adjacent to it
+        result = run(
+            "graph",
+            "--flavor", "I0",
+            "--from", FIXTURES / "rose3.json",
+            "--to", FIXTURES / "current_b_rank3.json",
+            "--radius", "2",
+        )
+        assert result.exit_code == 0
+        assert json.loads(result.output)["distance"] is None
+
     def test_loop_vertex_rejected_for_fstar(self):
         result = run(
             "graph",
@@ -393,6 +418,10 @@ class TestUserErrors:
         infinite_weight["terms"][0]["weight"] = "1/0"
         float_rank_map = json.loads((FIXTURES / "fibonacci_map.json").read_text())
         float_rank_map["automorphism"]["rank"] = 2.7
+        unknown_edge_map = json.loads((FIXTURES / "fibonacci_map.json").read_text())
+        unknown_edge_map["edge_map"]["zz"] = ["b"]
+        contradicting_map = json.loads((FIXTURES / "fibonacci_map.json").read_text())
+        contradicting_map["edge_map"]["A"] = ["A"]
         identity3 = {"rank": 3, "images": [[1], [2], [3]], "inverse_images": [[1], [2], [3]]}
         files = {
             "list.json": [1, 2],
@@ -408,6 +437,8 @@ class TestUserErrors:
             "float_stable.json": {"kind": "loop", "rank": 3, "stable": 1.9, "twist": None},
             "float_subset.json": {"kind": "sep", "rank": 3, "subset": [1.0], "twist": None},
             "float_rank_map.json": float_rank_map,
+            "unknown_edge_map.json": unknown_edge_map,
+            "contradicting_map.json": contradicting_map,
             "bool_letter.json": {"rank": 3, "class": [1, True]},
             "twist_rank.json": {"kind": "sep", "rank": 5, "subset": [1], "twist": identity3},
             "twist_float_rank.json": {"kind": "sep", "rank": 5.0, "subset": [1], "twist": identity3},
@@ -438,6 +469,10 @@ class TestUserErrors:
             (["graph", "--from", "float_stable.json"], "bad vertex file float_stable.json"),
             (["graph", "--from", "float_subset.json"], "bad vertex file float_subset.json"),
             (["pf", "--map", "float_rank_map.json"], "bad graph map file float_rank_map.json"),
+            (["pf", "--map", "unknown_edge_map.json"],
+             "bad graph map file unknown_edge_map.json: edge_map key 'zz' names no edge"),
+            (["pf", "--map", "contradicting_map.json"],
+             "bad graph map file contradicting_map.json: edge_map image of 'A' contradicts"),
             (["graph", "--from", "bool_letter.json"], "bad vertex file bool_letter.json"),
             (["graph", "--from", "twist_rank.json"], "bad vertex file twist_rank.json"),
             (["graph", "--from", "twist_float_rank.json"],
@@ -447,7 +482,8 @@ class TestUserErrors:
             "translen-list", "pf-list", "intersect-list", "graph-number-vertex", "graph-list-vertex",
             "graph-bad-subset", "graph-chart-as-moves", "length-1/0", "weight-1/0", "rank-1e400",
             "delta-1/0", "rank-2.9", "weight-0.1", "loop-rank-3.5", "stable-1.9", "subset-1.0",
-            "map-rank-2.7", "class-true", "twist-rank-5", "twist-rank-5.0",
+            "map-rank-2.7", "map-edge-zz", "map-contradiction", "class-true", "twist-rank-5",
+            "twist-rank-5.0",
         ],
     )
     def test_malformed_input(self, tmp_path, monkeypatch, args, message):

@@ -106,6 +106,31 @@ class TestGraphMap:
         obj = json.loads((FIXTURES / f"{name}.json").read_text())
         assert graph_map_to_json_obj(graph_map_from_json_obj(obj)) == obj
 
+    def test_image_read_under_the_inverse_name(self):
+        obj = json.loads((FIXTURES / "fibonacci_map.json").read_text())
+        f = graph_map_from_json_obj(obj)
+        obj["edge_map"] = {"A": ["B", "A"], "b": ["a"]}
+        assert graph_map_from_json_obj(obj) == f
+
+    @pytest.mark.parametrize(
+        "edge_map, message",
+        [
+            ({"a": ["a", "b"], "b": ["a"], "zz": ["b"]}, "'zz' names no edge"),
+            ({"a": ["a", "b"], "A": ["A"], "b": ["a"]}, "'A' contradicts its inverse"),
+            ({"a": ["a", "b"], "A": ["B", "A"], "b": ["a"], "B": ["A"]}, None),
+            ({"a": ["a", "b"]}, "cover every edge pair"),
+        ],
+        ids=["unknown-key", "contradiction", "both-names-agree", "missing-edge"],
+    )
+    def test_edge_map_checked(self, edge_map, message):
+        obj = json.loads((FIXTURES / "fibonacci_map.json").read_text())
+        obj["edge_map"] = edge_map
+        if message is None:
+            assert graph_map_from_json_obj(obj).edge_images == ((1, 2), (1,))
+        else:
+            with pytest.raises(ValueError, match=message):
+                graph_map_from_json_obj(obj)
+
 
 class TestTransitionMatrix:
     def test_fibonacci(self):

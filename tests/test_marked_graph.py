@@ -248,6 +248,22 @@ class TestPathLength:
                         (M.edge_length(e) for e in path), Fraction(0)
                     )
 
+    @pytest.mark.parametrize("path", [(0, 3), (3,), (-4,), (5,), (1, 0), (2, -3)])
+    def test_edge_numbers_outside_the_chart_rejected(self, path):
+        # the signed-edge tables of a rose with two petals hold indices
+        # -4..4, so each of these would read as some other edge
+        M = unit_rose(2)
+        for read in (M.path_to_word, M.path_length):
+            with pytest.raises(ValueError, match=r"edge number -?\d+ is not in ±1\.\.2"):
+                read(path)
+
+    @pytest.mark.parametrize("e", [0, 3, -3, 5])
+    def test_edge_length_outside_the_chart_rejected(self, e):
+        M = rose(2, [1, 5])
+        with pytest.raises(ValueError, match="is not in ±1..2"):
+            M.edge_length(e)
+        assert (M.edge_length(-2), M.edge_length(1)) == (5, 1)
+
 
 class TestBBT:
     def test_unit_rose(self):

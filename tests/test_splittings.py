@@ -24,10 +24,11 @@ from outerint.splittings import (
     splitting_length,
     vertex_key,
 )
-from outerint.splittings import _Universe, _vertex_key
-from outerint.words import Automorphism, Word, cyclic_reduce, enumerate_cyclic_words, parse_word
+from outerint import splittings
+from outerint.splittings import _Universe, _family, _same_tree, _shares_elliptic, _vertex_key
+from outerint.words import Automorphism, Word, compose, cyclic_reduce, enumerate_cyclic_words, parse_word
 
-from _generators import random_automorphism, random_reduced_word
+from _generators import elementary_automorphisms, random_automorphism, random_reduced_word
 from oracles import bass_serre_translation_length
 
 
@@ -245,6 +246,23 @@ class TestFstarAdjacency:
         s2 = loop_splitting(3, 3)
         assert (fstar_adjacent(s1, s2) is None) == (fstar_adjacent(s2, s1) is None)
 
+    def test_one_scan_answers_every_candidate(self):
+        # the Fstar rule lists the classes elliptic in the expanded vertex
+        # once; each verdict must be the plain search's, in whatever order
+        # the candidates ask, also for a candidate whose first common
+        # class comes late in that list
+        rng = random.Random(19)
+        s = separating_splitting(3, [1], nontrivial_automorphism(rng, 3))
+        family = _family(s, include_loops=True)
+        candidates = family + [act(nontrivial_automorphism(rng, 3), u) for u in family]
+        classes = [cw for cw in enumerate_cyclic_words(3, 4, up_to_inversion=True) if is_elliptic(s, cw.as_word())]
+        first = [next((i for i, cw in enumerate(classes) if is_elliptic(u, cw.as_word())), None)
+                 for u in candidates]
+        assert None in first and max(i for i in first if i is not None) > len(classes) // 2
+        shares = _shares_elliptic([s], 4)
+        for i in [*reversed(range(len(candidates))), *range(len(candidates))]:
+            assert shares(candidates[i]) == (first[i] is not None)
+
 
 class TestRefinementAdjacency:
     def test_nested_yes(self):
@@ -253,9 +271,11 @@ class TestRefinementAdjacency:
         ) == "yes"
 
     def test_disjoint_unknown(self):
+        # {1} and {2} are disjoint, but the partitions {1 | 2, 3} and
+        # {2 | 1, 3} are nested: {1} lies inside {1, 3}
         assert refinement_adjacent(
             separating_splitting(3, [1]), separating_splitting(3, [2])
-        ) == "unknown"
+        ) == "yes"
 
     def test_twist_mismatch_unknown(self):
         rng = random.Random(6)
@@ -279,10 +299,56 @@ class TestRefinementAdjacency:
         assert cut_refinement_adjacent(
             separating_splitting(3, [1]), loop_splitting(3, 2)
         ) == "yes"
+        # the stable letter a lies in {1, 2} but avoids the other side {3}
         assert cut_refinement_adjacent(
             separating_splitting(3, [1, 2]), loop_splitting(3, 1)
-        ) == "unknown"
+        ) == "yes"
         assert cut_refinement_adjacent(loop_splitting(3, 1), loop_splitting(3, 2)) == "yes"
+        assert refinement_adjacent(
+            separating_splitting(4, [1, 2]), separating_splitting(4, [1, 3])
+        ) == "unknown"
+
+    @pytest.mark.parametrize("rank", [3, 4, 5])
+    def test_partition_rule_is_the_subset_rule_over_both_sides(self, rank):
+        # the coordinate rule on ordered subsets (strictly nested subsets;
+        # a stable letter outside the subset; distinct stable letters),
+        # taken over both sides of each partition, on every pair of
+        # presentations over one twist
+        full = frozenset(range(1, rank + 1))
+
+        def sides(p):
+            return [p] if p[0] == "loop" else [p, ("sep", full - p[1])]
+
+        def subset_rule(p, q):
+            if p[0] == q[0] == "sep":
+                return p[1] < q[1] or q[1] < p[1]
+            if p[0] == q[0] == "loop":
+                return p[1] != q[1]
+            (_, sub), (_, stable) = (p, q) if p[0] == "sep" else (q, p)
+            return stable not in sub
+
+        twist = nontrivial_automorphism(random.Random(rank), rank)
+        presentations = [("sep", frozenset(c)) for k in range(1, rank)
+                         for c in combinations(full, k)]
+        presentations += [("loop", t) for t in full]
+
+        def build(p):
+            if p[0] == "sep":
+                return separating_splitting(rank, p[1], twist)
+            return loop_splitting(rank, p[1], twist)
+
+        for p, q in combinations(presentations, 2):
+            s1, s2 = build(p), build(q)
+            if q in sides(p):
+                want = "no"
+            elif any(subset_rule(x, y) for x in sides(p) for y in sides(q)):
+                want = "yes"
+            else:
+                want = "unknown"
+            assert cut_refinement_adjacent(s1, s2) == want, (p, q)
+            assert cut_refinement_adjacent(s2, s1) == want, (q, p)
+            if p[0] == q[0] == "sep":
+                assert refinement_adjacent(s1, s2) == want, (p, q)
 
 
 class TestIntersectionGraph:
@@ -509,6 +575,15 @@ class TestBFS:
         d = bfs_distance("Fstar", s, t, 4, move_generators=[phi])
         assert d == 1  # a common elliptic exists within the default bound
 
+    def test_collision_inside_the_family_of_a_vertex(self):
+        # sep{1} and sep{1, 2}, both twisted by phi, share their key at
+        # depth 2 and differ at depth 4; the second lies in the family of
+        # the first, so expanding the first must report the collision
+        phi = Automorphism.from_images(3, [[1, 3], [2], [3, 1, 3]], [[1, 1, -3], [2], [3, -1]])
+        with pytest.raises(KeyCollisionError, match="collide at key depth 2"):
+            bfs_distance("Fstar", separating_splitting(3, [1], phi),
+                         separating_splitting(3, [1, 3]), 1, search_length=3, key_depth=2)
+
     def test_key_collision_diagnostic(self):
         # at depth 1 every basis letter is elliptic for every untwisted
         # separating splitting, so the fingerprints collide; the deeper
@@ -521,6 +596,94 @@ class TestBFS:
                 1,
                 key_depth=1,
             )
+
+
+class TestPartition:
+    def test_subset_and_complement_are_one_value(self):
+        s, t = separating_splitting(3, [2, 3]), separating_splitting(3, [1])
+        assert s == t and hash(s) == hash(t)
+        assert s.subset == {1}
+        assert FreeSplitting(4, "sep", frozenset({2, 4}), None, Automorphism.identity(4)).subset == {1, 3}
+
+    def test_one_cache_entry_for_both_sides(self):
+        phi = nontrivial_automorphism(random.Random(42), 4)
+        vertex_key(separating_splitting(4, [2], phi), 3)
+        before = _vertex_key.cache_info()
+        vertex_key(separating_splitting(4, [1, 3, 4], phi), 3)
+        assert _vertex_key.cache_info().hits == before.hits + 1
+
+    def test_json_reads_a_partition_and_writes_the_side_of_generator_one(self):
+        s = FreeSplitting.from_json_obj({"kind": "sep", "rank": 3, "subset": [3, 2], "twist": None})
+        assert s == separating_splitting(3, [1])
+        assert s.to_json_obj()["subset"] == [1]
+
+    @pytest.mark.parametrize("rank", [3, 4, 5])
+    def test_family_lists_each_partition_once(self, rank):
+        family = _family(separating_splitting(rank, [1]), include_loops=False)
+        assert len(family) == len(set(family)) == 2 ** (rank - 1) - 1
+        assert len({vertex_key(s) for s in family}) == len(family)
+
+
+class TestSameTree:
+    """Two presentations whose change of twist carries the vertex groups
+    of one into those of the other are one splitting; the vertex store
+    keeps the second without the deeper key recheck."""
+
+    def test_factor_preserving_twist(self):
+        # c -> cb keeps <a> and <b, c>; a -> baB conjugates <a> by b, an
+        # element of the other side
+        for images, inverses in (([[1], [2], [3, 2]], [[1], [2], [3, -2]]),
+                                 ([[2, 1, -2], [2], [3]], [[-2, 1, 2], [2], [3]])):
+            rho = Automorphism.from_images(3, images, inverses)
+            s, t = separating_splitting(3, [1]), separating_splitting(3, [1], rho)
+            assert s != t and _same_tree(s, t) and _same_tree(t, s)
+            assert vertex_key(s, 6) == vertex_key(t, 6)
+
+    def test_stable_letter_crossing_once(self):
+        # a -> ab: the stable letter a still crosses once, b and c stay
+        rho = Automorphism.from_images(3, [[1, 2], [2], [3]], [[1, -2], [2], [3]])
+        s, t = loop_splitting(3, 1), loop_splitting(3, 1, rho)
+        assert _same_tree(s, t) and _same_tree(t, s)
+        assert vertex_key(s, 6) == vertex_key(t, 6)
+
+    def test_other_data_unproven(self):
+        assert not _same_tree(separating_splitting(3, [1]), separating_splitting(3, [2]))
+        assert not _same_tree(loop_splitting(3, 1), loop_splitting(3, 2))
+        assert not _same_tree(separating_splitting(3, [1]), loop_splitting(3, 1))
+
+    @pytest.mark.parametrize("rank,deep", [(3, 5), (4, 4)])
+    def test_proven_pairs_agree_deeper(self, rank, deep):
+        # twists built from a few elementary moves, so that one splitting
+        # often comes in several presentations; among the pairs that share
+        # a depth-2 key, every proven pair must agree at a deeper depth
+        pool = elementary_automorphisms(rank)
+        rng = random.Random(rank)
+        twists = [Automorphism.identity(rank)]
+        while len(twists) < (16 if rank == 3 else 6):
+            twists.append(compose(rng.choice(pool), rng.choice(twists)))
+        by_key: dict = {}
+        for twist in twists:
+            for u in _family(loop_splitting(rank, 1, twist), include_loops=True):
+                by_key.setdefault(vertex_key(u, 2), []).append(u)
+        verdicts = set()
+        for group in by_key.values():
+            for s, t in combinations(group, 2):
+                if s != t:
+                    proven = _same_tree(s, t)
+                    verdicts.add(proven)
+                    assert not proven or vertex_key(s, deep) == vertex_key(t, deep)
+        assert verdicts == {True, False}
+
+    def test_proven_presentation_skips_the_deeper_keys(self, monkeypatch):
+        rho = Automorphism.from_images(3, [[1], [2], [3, 2]], [[1], [2], [3, -2]])
+        s, t = separating_splitting(3, [1]), separating_splitting(3, [1], rho)
+        depths = []
+        keyed = splittings.vertex_key
+        monkeypatch.setattr(splittings, "vertex_key", lambda v, depth=4: depths.append(depth) or keyed(v, depth))
+        universe = _Universe(4, 10)
+        assert universe.add(s) == universe.add(t)
+        assert universe.vertices[universe.key(s)] == [s, t]
+        assert set(depths) == {4}
 
 
 class TestJson:
