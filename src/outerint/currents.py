@@ -17,15 +17,17 @@ pattern).  This is the convention under which length-weighted one-edge
 counts reproduce translation lengths exactly; the equality is enforced as
 a cross-module invariant rather than assumed.
 
-:func:`frequency_vector` computes the axis period of each term once and
-counts every depth-``k`` path on it, rather than recomputing the periods
-for each path as repeated :func:`cylinder_count` calls would.
+:func:`frequency_vector` counts every window of each term's axis period
+in one pass, so each enumerated path is one lookup; a standard-marked rose
+reads a word as its own edge path, and a reduced path is not re-reduced.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .marked_graph import (
@@ -154,23 +156,24 @@ def act(phi: Automorphism, mu: RationalCurrent) -> RationalCurrent:
 
 def occurrences_in_cycle(period: Sequence[int], pattern: Sequence[int]) -> int:
     """Occurrences of ``pattern`` in the bi-infinite repetition of
-    ``period``, one per starting position within a single period."""
-    p, k = len(period), len(pattern)
-    if p == 0 or k == 0:
+    ``period``, one per starting position within a single period.
+
+    >>> occurrences_in_cycle((2, 1, 1, 2, 1), (1, 2, 1))  # overlapping, one wraps
+    2
+    """
+    if not period or not pattern:
         raise ValueError("period and pattern must be nonempty")
-    pattern = tuple(pattern)
-    first = pattern[0]
-    # every window starting in the first period fits, wrap-around included
-    ext = tuple(period) * (1 + (k + p - 2) // p)
-    count = 0
-    i = -1
-    try:
-        while True:
-            i = ext.index(first, i + 1, p)
-            if ext[i : i + k] == pattern:
-                count += 1
-    except ValueError:  # no further start within the period
-        return count
+    return _windows(tuple(period), len(pattern))[tuple(pattern)]
+
+
+@lru_cache(maxsize=1)
+def _windows(period: tuple[int, ...], k: int) -> Counter:
+    """Every length-``k`` window starting in ``period``, wrap-around
+    included, counted in one pass.  Read it only through ``[]``: a missing
+    window counts 0 and is not inserted."""
+    p = len(period)
+    ext = period * (1 + (k + p - 2) // p)
+    return Counter(zip(*(ext[i : i + p] for i in range(k))))
 
 
 def cylinder_count(mu: RationalCurrent, M: MarkedMetricGraph, v: EdgePath) -> Fraction:
@@ -201,6 +204,7 @@ def _path_sort_key(path: EdgePath) -> tuple[int, ...]:
     return tuple(map(letter_sort_key, path))
 
 
+@lru_cache(maxsize=None)
 def enumerate_reduced_paths(
     graph, k: int, up_to_inversion: bool = True
 ) -> tuple[EdgePath, ...]:
@@ -262,11 +266,11 @@ def frequency_vector(mu: RationalCurrent, M: MarkedMetricGraph, k: int) -> Frequ
     if mu.rank != M.rank:
         raise ValueError("rank mismatch")
     mass = one_letter_mass(mu)
-    periods = [(M.axis_period(cw), weight) for cw, weight in mu.terms]
-    # the enumerated paths are reduced by construction, so unlike
-    # cylinder_count nothing is re-checked per path
-    entries = tuple(
-        (path, _weighted_count(periods, path) / mass)
-        for path in enumerate_reduced_paths(M.graph, k)
-    )
-    return FrequencyVector(k, entries, mass)
+    paths = enumerate_reduced_paths(M.graph, k)
+    # terms outer, so the one-entry window memo walks each axis period
+    # once; the enumerated paths are reduced, so none is re-checked
+    counts = [Fraction(0)] * len(paths)
+    for cw, weight in mu.terms:
+        term = ((M.axis_period(cw), weight),)
+        counts = [c + _weighted_count(term, v) for c, v in zip(counts, paths)]
+    return FrequencyVector(k, tuple((v, c / mass) for v, c in zip(paths, counts)), mass)

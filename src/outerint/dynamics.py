@@ -30,8 +30,11 @@ from .intersection import LengthFunctionOracle
 from .marked_graph import (
     EdgePath,
     MarkedMetricGraph,
+    _edge_numbers,
     inverse_path,
     is_reduced_path,
+    marked_graph_from_json_obj,
+    marked_graph_to_json_obj,
     translation_length,
 )
 from .words import Automorphism, OuterintError, Word, _concat, _letter_table
@@ -420,8 +423,6 @@ def iwip_rows(
 
 
 def graph_map_to_json_obj(f: GraphMap) -> dict:
-    from .marked_graph import marked_graph_to_json_obj
-
     g = f.chart.graph
     return {
         "graph": marked_graph_to_json_obj(f.chart),
@@ -435,20 +436,13 @@ def graph_map_to_json_obj(f: GraphMap) -> dict:
 
 
 def graph_map_from_json_obj(obj: dict) -> GraphMap:
-    from .marked_graph import marked_graph_from_json_obj
-
     chart = marked_graph_from_json_obj(obj["graph"])
     g = chart.graph
-    signed = {}
-    for k in g.positive_edges:
-        signed[g.edge_names[k - 1]] = k
-        signed[g.inverse_names[k - 1]] = -k
+    signed = {g.name(e): e for e in g.oriented_edges()}
     images: dict[int, tuple[int, ...]] = {}
     for name, image in obj["edge_map"].items():
-        if name not in signed:
-            raise ValueError(f"edge_map key {name!r} names no edge")
-        e = signed[name]
-        path = tuple(signed[i] for i in image)
+        (e,) = _edge_numbers(signed, [name], "edge_map key")
+        path = _edge_numbers(signed, image, f"edge_map image of {name!r}: entry")
         path = path if e > 0 else inverse_path(path)
         if abs(e) in images and images[abs(e)] != path:
             raise ValueError(f"edge_map image of {name!r} contradicts its inverse")

@@ -17,10 +17,11 @@ generator, and a word for each edge.  Construction of a
 (on generators and on the tree-loop basis), which certifies that the
 chart really is an isomorphism; inconsistent dictionaries are rejected.
 Construction also builds, once, the reduced loop of each letter (so
-word-to-path cancels only at junctions) and the lengths as integers over
-one denominator (so a path length is one ``Fraction``).  Paths are
-reduced, cut and inverted by the code of words (:mod:`.words`), and one
-breadth-first search checks connectivity and finds the tree paths.
+word-to-path cancels only at junctions; a standard rose, with loops
+``(1,), (2,), ...``, reads a word as its own path) and the lengths as
+integers over one denominator (so a path length is one ``Fraction``).
+Paths are reduced, cut and inverted by the code of words (:mod:`.words`),
+and one breadth-first search checks connectivity and finds the tree paths.
 
 All values are immutable, all operations pure.
 """
@@ -120,7 +121,11 @@ class SerreGraph:
 
 
 def reduce_path(path: Sequence[int]) -> EdgePath:
-    """Cancel adjacent ``e, -e`` pairs."""
+    """Cancel adjacent ``e, -e`` pairs; a reduced path comes back as it is.
+
+    >>> reduce_path((1, 2, -1))
+    (1, 2, -1)
+    """
     return tuple(_free_reduce(path))
 
 
@@ -220,7 +225,8 @@ class MarkedMetricGraph:
         den = lcm(*(x.denominator for x in self.lengths))
         nums = [x.numerator * (den // x.denominator) for x in self.lengths]
         loops = [reduce_path(loop) for loop in mk.generator_loops]
-        object.__setattr__(self, "_loops", _letter_table(loops))
+        standard = all(loop == (i,) for i, loop in enumerate(loops, 1))
+        object.__setattr__(self, "_loops", None if standard else _letter_table(loops))
         object.__setattr__(self, "_edge_words", _letter_table([w.letters for w in mk.edge_words]))
         object.__setattr__(self, "_length_nums", (0, *nums, *reversed(nums)))
         object.__setattr__(self, "_length_den", den)
@@ -261,6 +267,8 @@ class MarkedMetricGraph:
         """Reduced closed edge path at the base representing ``w``."""
         if w.rank != self.rank:
             raise ValueError("rank mismatch")
+        if self._loops is None:  # a standard rose: the reduced word is the path
+            return w.letters
         return tuple(_concat(self._loops, w.letters))
 
     def path_to_word(self, path: Sequence[int]) -> Word:
@@ -569,6 +577,14 @@ def marked_graph_to_json_obj(M: MarkedMetricGraph) -> dict:
     }
 
 
+def _edge_numbers(signed: Mapping[str, int], names, where: str) -> EdgePath:
+    """The signed edge numbers of the edge ``names`` read at ``where``."""
+    try:
+        return tuple(signed[name] for name in names)
+    except KeyError as exc:
+        raise ValueError(f"{where} {exc.args[0]!r} names no edge") from None
+
+
 def marked_graph_from_json_obj(obj: Mapping) -> MarkedMetricGraph:
     records = list(obj["edges"])
     by_id = {}
@@ -604,11 +620,11 @@ def marked_graph_from_json_obj(obj: Mapping) -> MarkedMetricGraph:
         termini=tuple(termini),
     )
     mk = obj["marking"]
-    loops = tuple(tuple(signed[i] for i in loop) for loop in mk["generator_loops"])
+    loops = tuple(_edge_numbers(signed, loop, "generator loop entry") for loop in mk["generator_loops"])
     rank = len(loops)
     words: dict[int, Word] = {}
     for edge_id, letters in mk["edge_words"].items():
-        e = signed[edge_id]
+        (e,) = _edge_numbers(signed, [edge_id], "edge_words key")
         w = reduce(letters, rank)
         w = w if e > 0 else w.inverse()
         if abs(e) in words and words[abs(e)] != w:
@@ -616,10 +632,11 @@ def marked_graph_from_json_obj(obj: Mapping) -> MarkedMetricGraph:
         words[abs(e)] = w
     if set(words) != set(graph.positive_edges):
         raise ValueError("edge_words must cover every edge pair")
+    tree = _edge_numbers(signed, mk.get("spanning_tree", []), "spanning_tree entry")
     marking = Marking(
         base=mk["base"],
         generator_loops=loops,
         edge_words=tuple(words[k] for k in graph.positive_edges),
-        spanning_tree=frozenset(abs(signed[i]) for i in mk.get("spanning_tree", [])),
+        spanning_tree=frozenset(map(abs, tree)),
     )
     return MarkedMetricGraph(graph, marking, tuple(lengths))

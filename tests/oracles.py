@@ -2,9 +2,9 @@
 
 These deliberately take different computational routes from the package:
 repeated-scan reduction instead of a stack, divisor scans instead of
-prefix functions, characteristic-polynomial bisection instead of power
-iteration, and orbit-displacement growth instead of cyclic syllable
-counts.
+prefix functions, modular indices instead of one-pass window tallies,
+characteristic-polynomial bisection instead of power iteration, and
+orbit-displacement growth instead of cyclic syllable counts.
 """
 
 from __future__ import annotations
@@ -40,6 +40,16 @@ def divisor_primitive_root(letters: Sequence[int]) -> tuple[tuple[int, ...], int
         if all(letters[i] == letters[i % d] for i in range(n)):
             return letters[:d], n // d
     raise AssertionError("unreachable")
+
+
+def modular_window_count(period: Sequence[int], pattern: Sequence[int]) -> int:
+    """Starts i within one period where the pattern reads off the period
+    with every index taken modulo its length, so windows wrap around as
+    often as they need to; no extended copy of the period is made."""
+    p, k = len(period), len(pattern)
+    return sum(
+        1 for i in range(p) if all(period[(i + j) % p] == pattern[j] for j in range(k))
+    )
 
 
 def fibonacci(n: int) -> int:

@@ -422,6 +422,14 @@ class TestUserErrors:
         unknown_edge_map["edge_map"]["zz"] = ["b"]
         contradicting_map = json.loads((FIXTURES / "fibonacci_map.json").read_text())
         contradicting_map["edge_map"]["A"] = ["A"]
+        unknown_image_map = json.loads((FIXTURES / "fibonacci_map.json").read_text())
+        unknown_image_map["edge_map"]["a"] = ["a", "zz"]
+        unknown_loop = json.loads((FIXTURES / "rose2.json").read_text())
+        unknown_loop["marking"]["generator_loops"][0] = ["zz"]
+        unknown_tree = json.loads((FIXTURES / "rose2.json").read_text())
+        unknown_tree["marking"]["spanning_tree"] = ["zz"]
+        unknown_word_key = json.loads((FIXTURES / "rose2.json").read_text())
+        unknown_word_key["marking"]["edge_words"]["zz"] = [1]
         identity3 = {"rank": 3, "images": [[1], [2], [3]], "inverse_images": [[1], [2], [3]]}
         files = {
             "list.json": [1, 2],
@@ -439,6 +447,10 @@ class TestUserErrors:
             "float_rank_map.json": float_rank_map,
             "unknown_edge_map.json": unknown_edge_map,
             "contradicting_map.json": contradicting_map,
+            "unknown_image_map.json": unknown_image_map,
+            "unknown_loop.json": unknown_loop,
+            "unknown_tree.json": unknown_tree,
+            "unknown_word_key.json": unknown_word_key,
             "bool_letter.json": {"rank": 3, "class": [1, True]},
             "twist_rank.json": {"kind": "sep", "rank": 5, "subset": [1], "twist": identity3},
             "twist_float_rank.json": {"kind": "sep", "rank": 5.0, "subset": [1], "twist": identity3},
@@ -477,13 +489,21 @@ class TestUserErrors:
             (["graph", "--from", "twist_rank.json"], "bad vertex file twist_rank.json"),
             (["graph", "--from", "twist_float_rank.json"],
              "bad vertex file twist_float_rank.json"),
+            (["pf", "--map", "unknown_image_map.json"],
+             "bad graph map file unknown_image_map.json: edge_map image of 'a': entry 'zz' names no edge"),
+            (["translen", "unknown_loop.json", "a"],
+             "bad graph file unknown_loop.json: generator loop entry 'zz' names no edge"),
+            (["translen", "unknown_tree.json", "a"],
+             "bad graph file unknown_tree.json: spanning_tree entry 'zz' names no edge"),
+            (["translen", "unknown_word_key.json", "a"],
+             "bad graph file unknown_word_key.json: edge_words key 'zz' names no edge"),
         ],
         ids=[
             "translen-list", "pf-list", "intersect-list", "graph-number-vertex", "graph-list-vertex",
             "graph-bad-subset", "graph-chart-as-moves", "length-1/0", "weight-1/0", "rank-1e400",
             "delta-1/0", "rank-2.9", "weight-0.1", "loop-rank-3.5", "stable-1.9", "subset-1.0",
             "map-rank-2.7", "map-edge-zz", "map-contradiction", "class-true", "twist-rank-5",
-            "twist-rank-5.0",
+            "twist-rank-5.0", "map-image-zz", "loop-zz", "tree-zz", "edge-words-zz",
         ],
     )
     def test_malformed_input(self, tmp_path, monkeypatch, args, message):

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import find, settings, strategies as st
 
+from outerint.catalog import catalog
 from outerint.currents import (
     RationalCurrent,
     act,
@@ -16,7 +18,7 @@ from outerint.currents import (
     scale,
     zero_current,
 )
-from outerint.marked_graph import translation_length, unit_rose
+from outerint.marked_graph import inverse_path, subdivide_edge, translation_length, unit_rose
 from outerint.words import Automorphism, Word, compose, parse_word, primitive_root
 
 from _generators import (
@@ -26,6 +28,38 @@ from _generators import (
     random_marked_graph,
     random_reduced_word,
 )
+from oracles import modular_window_count, scan_reduce
+
+# ``find`` raises when no generated input tells the planted version apart
+# from the oracle, so the oracle shows it can fail.
+PLANTED = settings(database=None, derandomize=True)
+
+
+def oracle_period(M, cw) -> list[int]:
+    """One axis period by another route than ``axis_period``: the
+    generator loops read letter by letter, cancelled by repeated scans,
+    then cancelling first/last pairs stripped one at a time."""
+    loops = M.marking.generator_loops
+    path = scan_reduce(
+        [e for l in cw.letters for e in (loops[l - 1] if l > 0 else inverse_path(loops[-l - 1]))]
+    )
+    while len(path) > 1 and path[0] == -path[-1]:
+        path = path[1:-1]
+    return path
+
+
+def oracle_entries(mu, M, k) -> tuple:
+    """``frequency_vector(mu, M, k).entries`` from modular window counts."""
+    periods = [(oracle_period(M, cw), weight) for cw, weight in mu.terms]
+    mass = sum(weight * len(cw) for cw, weight in mu.terms)
+
+    def count(v):
+        return sum(
+            w * (modular_window_count(p, v) + modular_window_count(p, inverse_path(v)))
+            for p, w in periods
+        )
+
+    return tuple((v, count(v) / mass) for v in enumerate_reduced_paths(M.graph, k))
 
 
 class TestCountingCurrent:
@@ -123,14 +157,6 @@ class TestCylinderCounts:
             occurrences_in_cycle((1,), ())
 
     def test_occurrences_in_cycle_matches_modular_definition(self):
-        def by_modular_index(period, pattern):
-            p, k = len(period), len(pattern)
-            return sum(
-                1
-                for i in range(p)
-                if all(period[(i + j) % p] == pattern[j] for j in range(k))
-            )
-
         rng = random.Random(18)
         alphabet = (1, -1, 2)  # few letters, so that windows often match and overlap
         wrapped = overlapping = 0
@@ -143,12 +169,40 @@ class TestCylinderCounts:
                 )
             else:
                 pattern = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 6)))
-            expected = by_modular_index(period, pattern)
+            expected = modular_window_count(period, pattern)
             assert occurrences_in_cycle(period, pattern) == expected
             assert occurrences_in_cycle(list(period), list(pattern)) == expected
             wrapped += len(period) < len(pattern) and expected > 0
             overlapping += expected * len(pattern) > len(period)
         assert wrapped > 100 and overlapping > 100
+
+    def test_modular_oracle_catches_missed_wraparound(self):
+        def no_modulus(period, pattern):  # indices past the period never match
+            p, k = len(period), len(pattern)
+            return sum(
+                1 for i in range(p) if all(i + j < p and period[i + j] == pattern[j] for j in range(k))
+            )
+
+        cycles = st.lists(st.sampled_from([1, -1, 2]), min_size=1, max_size=8)
+        find(
+            st.tuples(cycles, cycles),
+            lambda t: no_modulus(*t) != modular_window_count(*t),
+            settings=PLANTED,
+        )
+
+    def test_interleaved_calls_count_on_their_own_period(self):
+        # the window memo holds one (period, pattern length) pair, so a
+        # call on another period or length in between must not reuse it
+        rng = random.Random(20)
+        alphabet = (1, -1, 2)
+
+        def letters(n):
+            return tuple(rng.choice(alphabet) for _ in range(rng.randint(1, n)))
+
+        for _ in range(500):
+            p1, p2, v, u = letters(9), letters(9), letters(5), letters(5)
+            for period, pattern in ((p1, v), (p2, v), (p1, v), (p1, u), (p1, v), (p2, u)):
+                assert occurrences_in_cycle(period, pattern) == modular_window_count(period, pattern)
 
     def test_flip_invariance(self):
         rng = random.Random(7)
@@ -247,6 +301,34 @@ class TestFrequencyVector:
                         (v, cylinder_count(mu, M, v) / mass)
                         for v in enumerate_reduced_paths(M.graph, k)
                     )
+
+    @pytest.mark.parametrize("key", ["fibonacci", "fibonacci_inverse", "supergolden"])
+    def test_matches_window_oracle_on_long_catalog_iterates(self, key):
+        f = catalog()[key]
+        rng = random.Random(23)
+        w = Word(f.chart.rank)
+        while w.is_identity:
+            w = random_reduced_word(rng, f.chart.rank, rng.randint(1, 6))
+        charts = (f.chart, subdivide_edge(f.chart, rng.randint(1, f.chart.rank)))
+        for target, depths in ((1000, (1, 2, 3)), (6000, (2,))):
+            while len(w) < target:
+                w = f.automorphism.apply(w)
+            assert len(w) <= 10 ** 4
+            mu = counting_current(w)
+            for M in charts:
+                for k in depths:
+                    assert frequency_vector(mu, M, k).entries == oracle_entries(mu, M, k)
+
+    def test_matches_window_oracle_on_three_term_currents(self):
+        rng = random.Random(24)
+        for _ in range(6):
+            rank = rng.choice([2, 3])
+            mu = zero_current(rank)
+            while len(mu.terms) < 3:  # each summand is one class
+                mu = add(mu, random_current(rng, rank, max_terms=1, max_word_len=10))
+            for M in random_chart_of_each_kind(rng, rank):
+                for k in range(1, 5):
+                    assert frequency_vector(mu, M, k).entries == oracle_entries(mu, M, k)
 
     def test_zero_current_rejected(self):
         with pytest.raises(ValueError):

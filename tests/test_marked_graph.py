@@ -17,6 +17,7 @@ from outerint.marked_graph import (
     lemma_ll_check,
     marked_graph_from_json_obj,
     marked_graph_to_json_obj,
+    reduce_path,
     rose,
     scale_lengths,
     subdivide_edge,
@@ -145,6 +146,23 @@ class TestPaths:
         for _ in range(40):
             w = random_reduced_word(rng, 2, rng.randint(0, 12))
             assert M.path_to_word(M.word_to_path(w)) == w
+
+
+class TestReducePath:
+    @pytest.mark.parametrize(
+        "path, reduced",
+        [
+            ((), ()),
+            ((-2,), (-2,)),
+            ((1, 2, -1, -2), (1, 2, -1, -2)),  # reduced already
+            ((1, 2, -2, -1, 2), (2,)),
+            ((1, -1, 2, -2), ()),
+        ],
+        ids=["empty", "one-edge", "reduced", "unreduced", "cancels-to-empty"],
+    )
+    def test_examples(self, path, reduced):
+        assert reduce_path(path) == reduced
+        assert reduce_path(list(path)) == reduced
 
 
 class TestCyclicReducePath:
@@ -464,6 +482,46 @@ class TestTrustedTables:
                 assert M.path_to_word(path) == w
                 assert M.path_length(path) == edge_sum(M, path)
                 assert translation_length(M, w) == edge_sum(M, cyclic_reduce_path(path))
+
+    @pytest.mark.parametrize(
+        "loops, words, petals, ab_path",
+        [
+            (((2,), (1,)), ((2,), (1,)), (2, 1), (2, 1)),
+            (((-1,), (2,)), ((-1,), (2,)), (1, 2), (-1, 2)),
+        ],
+        ids=["permuted", "reversed"],
+    )
+    def test_rose_with_other_petal_order_maps_through_its_loops(self, loops, words, petals, ab_path):
+        # petals[i] is the edge that generator i + 1 runs along
+        graph = SerreGraph(("v",), ("a", "b"), ("A", "B"), ("v", "v"), ("v", "v"))
+        marking = Marking("v", loops, tuple(Word(2, w) for w in words), frozenset())
+        lengths = (Fraction(2, 3), Fraction(5, 7))
+        M = MarkedMetricGraph(graph, marking, lengths)
+        standard = rose(2, [lengths[e - 1] for e in petals])
+        assert M.word_to_path(parse_word("ab", 2)) == ab_path
+        rng = random.Random(76)
+        for _ in range(60):
+            w = random_reduced_word(rng, 2, rng.randint(0, 16))
+            path = M.word_to_path(w)
+            assert path == naive_path(M, w)
+            assert M.path_to_word(path) == w
+            assert translation_length(M, w) == edge_sum(M, cyclic_reduce_path(path))
+            assert translation_length(M, w) == translation_length(standard, w)
+
+    def test_standard_rose_reads_a_word_as_its_path(self):
+        # generator loops that reduce to the petals in order, back-tracking or not
+        graph = SerreGraph(("v",), ("a", "b"), ("A", "B"), ("v", "v"), ("v", "v"))
+        words = (Word(2, (1,)), Word(2, (2,)))
+        charts = [
+            unit_rose(2),
+            MarkedMetricGraph(graph, Marking("v", ((1, 2, -2), (2,)), words, frozenset()), (2, 3)),
+        ]
+        rng = random.Random(77)
+        for M in charts:
+            for _ in range(40):
+                w = random_reduced_word(rng, 2, rng.randint(0, 16))
+                assert M.word_to_path(w) == naive_path(M, w) == w.letters
+                assert M.path_to_word(w.letters) == w
 
     def test_lengths_with_awkward_denominators(self):
         rng = random.Random(73)

@@ -42,6 +42,23 @@ class TestReduce:
     def test_inner_cancellation(self):
         assert reduce([1, 2, -2, 1], 2).letters == (1, 1)
 
+    @pytest.mark.parametrize(
+        "letters, reduced",
+        [
+            ((), ()),
+            ((-2,), (-2,)),
+            ((1, 2, -1, -2), (1, 2, -1, -2)),  # reduced already
+            ((1, 2, -2, -1, 2), (2,)),
+            ((2, 1, -1, -2), ()),
+        ],
+        ids=["empty", "one-letter", "reduced", "unreduced", "cancels-to-identity"],
+    )
+    def test_examples(self, letters, reduced):
+        for given in (letters, list(letters)):
+            w = reduce(given, 2)
+            assert w.letters == reduced and type(w.letters) is tuple
+            assert w == Word(2, reduced)
+
     @given(letters_rank2)
     def test_matches_scan_oracle(self, letters):
         assert reduce(letters, 2).letters == tuple(scan_reduce(letters))
