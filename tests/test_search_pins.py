@@ -1,11 +1,13 @@
 """Pinned results of seeded splitting-graph searches.
 
-Each case runs ``bfs_distance`` on a seeded random pair of vertices of
-rank 3, over all five flavors, with and without the supergolden move,
-at radii 1-3, key depths 2-4, search lengths 3-5 and a state cap of 300,
-compares the result (the distance, ``None``, or the error class name)
-with ``tests/golden/bfs_search.json``.  The last case is a key collision
-that a search must report rather than merge.
+Each case runs ``bfs_distance`` on a seeded random pair of vertices,
+over all five flavors, with and without the supergolden move (rank 3
+only), at radii 1-3, key depths 2-4, search lengths 3-5 and a state cap
+of 300, and compares the result (the distance, ``None``, or the error
+class name) with ``tests/golden/bfs_search.json``.  The file lists 300
+rank-3 cases, then a key collision that a search must report rather than
+merge, then 25 rank-4 cases, whose coordinate families hold seven
+partitions per twist.
 
 Regenerate the file after an intended change of search results with
 ``PYTHONPATH=src python tests/test_search_pins.py`` and list every
@@ -27,60 +29,65 @@ from outerint.words import Automorphism, CyclicWord, OuterintError
 from _generators import random_automorphism, random_cyclically_reduced_word
 
 PINS = pathlib.Path(__file__).resolve().parent / "golden" / "bfs_search.json"
-RANK = 3
-CASES = 300
+# (rank, number of cases, seed) of each random series
+SERIES = ((3, 300, 20071), (4, 25, 20072))
 STATE_CAP = 300
 
 
-def _cases():
+def _random_cases(rank, count, seed):
     """Yield (flavor, v1, v2, radius, moves, search length, key depth)."""
-    rng = random.Random(20071)
-    g = supergolden_automorphism()
-    for i in range(CASES):
+    rng = random.Random(seed)
+    g = supergolden_automorphism() if rank == 3 else None
+    for i in range(count):
         flavor = FLAVORS[i % len(FLAVORS)]
-        moves = [g] if (i // len(FLAVORS)) % 2 else []
-        shared = random_automorphism(rng, RANK, max_factors=2)
+        moves = [g] if g is not None and (i // len(FLAVORS)) % 2 else []
+        shared = random_automorphism(rng, rank, max_factors=2)
 
         def twist():
             r = rng.random()
             if r < 0.5:
                 return shared
             if r < 0.75:
-                return Automorphism.identity(RANK)
-            return random_automorphism(rng, RANK, max_factors=2)
+                return Automorphism.identity(rank)
+            return random_automorphism(rng, rank, max_factors=2)
 
         def splitting(loops):
             t = twist()
             if loops and rng.random() < 0.4:
-                s = loop_splitting(RANK, rng.randint(1, RANK), t)
+                s = loop_splitting(rank, rng.randint(1, rank), t)
             else:
-                s = separating_splitting(RANK, rng.sample(range(1, RANK + 1), rng.randint(1, 2)), t)
+                s = separating_splitting(rank, rng.sample(range(1, rank + 1), rng.randint(1, rank - 1)), t)
             return act(g, s) if moves and rng.random() < 0.3 else s
 
         def word():
-            return random_cyclically_reduced_word(rng, RANK, rng.randint(1, 4))
+            return random_cyclically_reduced_word(rng, rank, rng.randint(1, 4))
 
         if flavor in ("F", "Fstar", "S"):
             pair = [splitting(flavor == "S"), splitting(flavor == "S")]
         elif flavor == "Z":
-            pair = [splitting(True), CyclicWord(RANK, word().letters)]
+            pair = [splitting(True), CyclicWord(rank, word().letters)]
         else:
             if rng.random() < 0.7:
                 tree = splitting(True)
             else:
-                tree = act_on_chart(twist(), scale_lengths(unit_rose(RANK), rng.randint(1, 2)))
+                tree = act_on_chart(twist(), scale_lengths(unit_rose(rank), rng.randint(1, 2)))
             mu = counting_current(word())
             if rng.random() < 0.3:
                 mu = add(mu, counting_current(word()))
             pair = [tree, mu]
         rng.shuffle(pair)
         yield (flavor, *pair, rng.randint(1, 3), moves, rng.randint(3, 5), rng.randint(2, 4))
+
+
+def _cases():
+    yield from _random_cases(*SERIES[0])
     # sep{1} and sep{1, 2}, both twisted by phi, share their key at depth 2
     # and differ at depth 4; the second lies in the family of the first,
     # so expanding the first must report the collision
-    phi = Automorphism.from_images(RANK, [[1, 3], [2], [3, 1, 3]], [[1, 1, -3], [2], [3, -1]])
-    yield ("Fstar", separating_splitting(RANK, [1], phi), separating_splitting(RANK, [1, 3]),
+    phi = Automorphism.from_images(3, [[1, 3], [2], [3, 1, 3]], [[1, 1, -3], [2], [3, -1]])
+    yield ("Fstar", separating_splitting(3, [1], phi), separating_splitting(3, [1, 3]),
            1, [], 3, 2)
+    yield from _random_cases(*SERIES[1])
 
 
 def _results():
@@ -95,17 +102,20 @@ def _results():
     return out
 
 
+COLLISION = SERIES[0][1]
+
+
 def test_search_results_pinned():
     want = json.loads(PINS.read_text())
     got = _results()
-    assert len(got) == len(want) == CASES + 1
-    assert got[-1] == "KeyCollisionError"
+    assert len(got) == len(want) == 1 + sum(count for _, count, _ in SERIES)
+    assert got[COLLISION] == "KeyCollisionError"
     diff = [(i, w, g) for i, (w, g) in enumerate(zip(want, got)) if w != g]
     assert not diff, f"{len(diff)} changed results (index, pinned, now): {diff[:10]}"
 
 
 if __name__ == "__main__":
     results = _results()
-    if results[-1] != "KeyCollisionError":
-        sys.exit(f"the collision case gave {results[-1]!r}")
+    if results[COLLISION] != "KeyCollisionError":
+        sys.exit(f"the collision case gave {results[COLLISION]!r}")
     PINS.write_text(json.dumps(results) + "\n")
