@@ -14,15 +14,20 @@ only ever touched through the integer translation length function:
   word;
 * twisted: the same after applying the inverse twist.
 
-Vertices of the splitting graphs are identified by their length functions
-sampled on a fixed finite test set (:class:`GraphVertexKey`).  Keys are
-memoised per (splitting, depth) in a bounded process-wide cache, and
-counted on the raw letters of the test words.  Distinct splittings may in
-principle share a key at a given depth.  A second presentation of a
-stored key is kept outright when the change of twist carries its vertex
-groups into those of the stored one (the trees are then equal); any
-other is re-checked at a deeper depth and raises
-:class:`KeyCollisionError` on disagreement instead of silently merging.
+Vertices of the splitting graphs are identified by their length
+functions sampled on a fixed finite test set (:class:`GraphVertexKey`).
+Keys are memoised per (splitting, depth) in a bounded process-wide
+cache.  They, the elliptic classes and the common-elliptic search read
+one table per (twist, length), also bounded and process-wide: the cyclic
+cores of the twist's preimages of the test words at a key depth, and
+only the set of generators each core uses at a search length.
+:func:`splitting_length` stays the direct per-word route they are
+checked against.  Distinct splittings may in principle share a key at a
+given depth.  A second presentation of a stored key is kept outright
+when the change of twist carries its vertex groups into those of the
+stored one (the trees are then equal); any other is re-checked at a
+deeper depth and raises :class:`KeyCollisionError` on disagreement
+instead of silently merging.
 
 The adjacency predicates are deliberately partial where no algorithm is
 available: refinement adjacency decides only coordinate-compatible pairs,
@@ -41,8 +46,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from typing import Callable, Iterable, Literal, NamedTuple, Optional, Sequence, Union
+from itertools import combinations, compress, repeat
+from operator import and_, ne
+from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Optional, Sequence, Union
 
 from .currents import RationalCurrent, counting_current, one_letter_mass
 from .currents import act as act_on_current
@@ -164,34 +170,26 @@ def act(phi: Automorphism, s: FreeSplitting) -> FreeSplitting:
 
 
 def splitting_length(s: FreeSplitting, g: Word) -> int:
-    """Translation length of ``g`` on the Bass-Serre tree of ``s``."""
+    """Translation length of ``g`` on the Bass-Serre tree of ``s``.
+
+    The direct per-word route: it shares no table with the keys and the
+    elliptic classes, which the tests check against it."""
     if g.rank != s.rank:
         raise ValueError("rank mismatch")
-    return _length(s, _untwist_table(s), g.letters)
-
-
-def _untwist_table(s: FreeSplitting) -> Optional[tuple[tuple[int, ...], ...]]:
-    """The twist's letter table of inverse images, or None untwisted."""
-    return None if s.twist.is_identity else s.twist._inverses
-
-
-def _length(
-    s: FreeSplitting, untwist: Optional[tuple[tuple[int, ...], ...]], letters: Sequence[int]
-) -> int:
-    """:func:`splitting_length` on the letters of a reduced word of rank
-    ``s.rank``, trusted unchecked; ``untwist`` is ``_untwist_table(s)``.
-    The count is the same on every rotation, so no canonical form is
-    taken."""
-    if untwist is not None:
-        letters = _concat(untwist, letters)
+    letters = _concat(s.twist._inverses, g.letters)
     cut = _cyclic_cut(letters)
-    core = letters[cut : len(letters) - cut]
+    return _core_length(s, list(map(abs, letters[cut : len(letters) - cut])))
+
+
+def _core_length(s: FreeSplitting, core: Sequence[int]) -> int:
+    """The length on the untwisted tree of ``s`` of a cyclically reduced
+    word, read from its absolute letters ``core``: stable-letter
+    occurrences, or syllable boundaries read cyclically (none when one
+    side is absent).  The count is the same on every rotation."""
     if s.kind == "loop":
-        return core.count(s.stable) + core.count(-s.stable)
-    # syllable boundaries, read cyclically; none when one side is absent
-    subset = s.subset
-    inside = [abs(l) in subset for l in core]
-    return sum(1 for i in range(len(inside)) if inside[i] != inside[i - 1])
+        return core.count(s.stable)
+    inside = list(map(s.subset.__contains__, core))
+    return sum(map(ne, inside, inside[1:] + inside[:1]))
 
 
 def is_elliptic(s: FreeSplitting, g: Word) -> bool:
@@ -213,6 +211,57 @@ class GraphVertexKey:
 # vertex keys are memoised per (splitting, depth) in one bounded
 # process-wide cache; equal splittings compare equal and share an entry
 _KEY_CACHE_SIZE = 4096
+# the untwisted test sets are memoised per (twist, length) in two bounded
+# process-wide caches: cores at key depths, generator bit sets at search
+# lengths and at the short length the common-elliptic search tries first
+_TABLE_SIZE = 16
+
+
+def _untwisted_cores(twist: Automorphism, classes: Iterable[CyclicWord]) -> Iterator[list[int]]:
+    """The cyclic cores, on absolute letters, of the preimages of
+    ``classes`` under ``twist``.  A splitting twisted by ``twist`` has
+    length :func:`_core_length` on each."""
+    untwist = twist._inverses
+    for cw in classes:
+        letters = _concat(untwist, cw.letters)
+        cut = _cyclic_cut(letters)
+        yield list(map(abs, letters[cut : len(letters) - cut]))
+
+
+@lru_cache(maxsize=_TABLE_SIZE)
+def _key_cores(twist: Automorphism, depth: int) -> tuple[tuple[int, ...], ...]:
+    """The untwisted cores of the test set up to ``depth``, in order."""
+    test_set = enumerate_cyclic_words(twist.rank, depth, up_to_inversion=True)
+    return tuple(map(tuple, _untwisted_cores(twist, test_set)))
+
+
+@lru_cache(maxsize=_TABLE_SIZE)
+def _class_masks(twist: Automorphism, length: int) -> tuple[int, ...]:
+    """Per class of the test set, the bit set of the generators its
+    untwisted core uses (bit ``i`` for generator ``i``)."""
+    test_set = enumerate_cyclic_words(twist.rank, length, up_to_inversion=True)
+    return tuple(sum(map((1).__lshift__, set(core))) for core in _untwisted_cores(twist, test_set))
+
+
+def _elliptic_masks(s: FreeSplitting) -> frozenset[int]:
+    """The generator bit sets of the cores elliptic in ``s``: those on one
+    side of a partition, or off the stable letter of a loop."""
+    masks = range(2, 2 << s.rank, 2)
+    if s.kind == "loop":
+        return frozenset(m for m in masks if not m & 1 << s.stable)
+    side = sum(1 << i for i in s.subset)
+    return frozenset(m for m in masks if m & side in (0, m))
+
+
+def _elliptic_flags(s: FreeSplitting, search_length: int) -> Iterator[bool]:
+    """Per class of the test set up to ``search_length``, in test-set
+    order, whether it is elliptic in ``s``."""
+    return map(_elliptic_masks(s).__contains__, _class_masks(s.twist, search_length))
+
+
+def _elliptic_classes(s: FreeSplitting, search_length: int) -> list[CyclicWord]:
+    test_set = enumerate_cyclic_words(s.rank, search_length, up_to_inversion=True)
+    return list(compress(test_set, _elliptic_flags(s, search_length)))
 
 
 def vertex_key(s: FreeSplitting, depth: int = 4) -> GraphVertexKey:
@@ -224,11 +273,8 @@ def vertex_key(s: FreeSplitting, depth: int = 4) -> GraphVertexKey:
 
 @lru_cache(maxsize=_KEY_CACHE_SIZE)
 def _vertex_key(s: FreeSplitting, depth: int) -> GraphVertexKey:
-    untwist = _untwist_table(s)
-    test_set = enumerate_cyclic_words(s.rank, depth, up_to_inversion=True)
-    return GraphVertexKey(
-        s.rank, depth, tuple(_length(s, untwist, cw.letters) for cw in test_set)
-    )
+    cores = _key_cores(s.twist, depth)
+    return GraphVertexKey(s.rank, depth, tuple(map(_core_length, repeat(s), cores)))
 
 
 def fstar_adjacent(
@@ -237,29 +283,44 @@ def fstar_adjacent(
     """Search for a common elliptic element among all cyclic words up to
     ``search_length``.
 
-    Returns a witness, or None when none exists within the bound; the
-    None verdict is sound but not a proof of non-adjacency.  Equal
-    vertices are rejected (the graph is simple).
+    Returns the first in test-set order, or None when none exists within
+    the bound; the None verdict is sound but not a proof of
+    non-adjacency.  Equal vertices are rejected (the graph is simple).
     """
     if s1.rank != s2.rank:
         raise ValueError("rank mismatch")
     if vertex_key(s1) == vertex_key(s2):
         raise ValueError("identical vertices are not adjacency candidates")
-    return _common_elliptic(_elliptic_classes(s1, search_length), s2)
+    return _first_common(s1, s2, search_length)
 
 
-def _common_elliptic(classes: Sequence[CyclicWord], s: FreeSplitting) -> Optional[CyclicWord]:
-    """The first of ``classes`` elliptic in ``s``."""
-    untwist = _untwist_table(s)
-    return next((cw for cw in classes if _length(s, untwist, cw.letters) == 0), None)
+# nearly every common elliptic class a search finds is this short: in
+# three rounds of the splitting-bfs benchmark (seed 1), 58 of 60 Fstar
+# candidates shared one of length at most 2 and the other 2 shared none
+_SHORT_LENGTH = 2
+
+
+def _first_common(s1: FreeSplitting, s2: FreeSplitting, search_length: int) -> Optional[CyclicWord]:
+    """The first class of the test set up to ``search_length`` elliptic in
+    both.  The test set lists classes by length, so its short classes are
+    a prefix of it: they are tried first, from the tables of both twists.
+    Beyond them only the classes elliptic in ``s1`` are untwisted for
+    ``s2``, so a candidate of a twist met once costs no table of its own."""
+    short = min(_SHORT_LENGTH, search_length)
+    test_set = enumerate_cyclic_words(s1.rank, search_length, up_to_inversion=True)
+    common = map(and_, _elliptic_flags(s1, short), _elliptic_flags(s2, short))
+    found = next(compress(test_set, common), None)
+    if found is not None or short == search_length:
+        return found
+    classes = _elliptic_classes(s1, search_length)
+    cores = _untwisted_cores(s2.twist, classes)
+    return next((cw for cw, core in zip(classes, cores) if _core_length(s2, core) == 0), None)
 
 
 def _shares_elliptic(views: Sequence[FreeSplitting], search_length: int) -> Callable[[FreeSplitting], bool]:
     """The Fstar test of a candidate, as in :func:`fstar_adjacent` against
-    the first presentation, whose elliptic classes are listed once: an
-    expansion costs one scan of the search set, whatever its candidates."""
-    classes = _elliptic_classes(views[0], search_length)
-    return lambda u: _common_elliptic(classes, u) is not None
+    the first presentation."""
+    return lambda u: _first_common(views[0], u, search_length) is not None
 
 
 def refinement_adjacent(s1: FreeSplitting, s2: FreeSplitting) -> str:
@@ -452,15 +513,6 @@ def _family(s: FreeSplitting, include_loops: bool) -> list[FreeSplitting]:
     if include_loops:
         out += [FreeSplitting(s.rank, "loop", None, t, s.twist) for t in gens]
     return out
-
-
-def _elliptic_classes(s: FreeSplitting, search_length: int) -> list[CyclicWord]:
-    untwist = _untwist_table(s)
-    return [
-        cw
-        for cw in enumerate_cyclic_words(s.rank, search_length, up_to_inversion=True)
-        if _length(s, untwist, cw.letters) == 0
-    ]
 
 
 NeighbourRule = Callable[[_Universe, tuple, int], list]

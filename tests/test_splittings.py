@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -25,8 +26,25 @@ from outerint.splittings import (
     vertex_key,
 )
 from outerint import splittings
-from outerint.splittings import _Universe, _family, _same_tree, _shares_elliptic, _vertex_key
-from outerint.words import Automorphism, Word, compose, cyclic_reduce, enumerate_cyclic_words, parse_word
+from outerint.splittings import (
+    _Universe,
+    _class_masks,
+    _elliptic_classes,
+    _family,
+    _key_cores,
+    _same_tree,
+    _shares_elliptic,
+    _vertex_key,
+)
+from outerint.words import (
+    Automorphism,
+    Word,
+    _concat,
+    compose,
+    cyclic_reduce,
+    enumerate_cyclic_words,
+    parse_word,
+)
 
 from _generators import elementary_automorphisms, random_automorphism, random_reduced_word
 from oracles import bass_serre_translation_length
@@ -247,10 +265,10 @@ class TestFstarAdjacency:
         assert (fstar_adjacent(s1, s2) is None) == (fstar_adjacent(s2, s1) is None)
 
     def test_one_scan_answers_every_candidate(self):
-        # the Fstar rule lists the classes elliptic in the expanded vertex
-        # once; each verdict must be the plain search's, in whatever order
-        # the candidates ask, also for a candidate whose first common
-        # class comes late in that list
+        # the Fstar rule reads the tables of the expanded vertex's twist
+        # and of each candidate's; each verdict must be the plain
+        # search's, in whatever order the candidates ask, also for a
+        # candidate whose first common class comes late
         rng = random.Random(19)
         s = separating_splitting(3, [1], nontrivial_automorphism(rng, 3))
         family = _family(s, include_loops=True)
@@ -262,6 +280,116 @@ class TestFstarAdjacency:
         shares = _shares_elliptic([s], 4)
         for i in [*reversed(range(len(candidates))), *range(len(candidates))]:
             assert shares(candidates[i]) == (first[i] is not None)
+
+
+@pytest.fixture()
+def cold_tables():
+    """Empty per-twist tables and keys before and after the test, so that
+    nothing it computes is served to another test."""
+    caches = (_key_cores, _class_masks, _vertex_key)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def table_disagreements(rank, twisted, depth, search_length, seed):
+    """Every answer of the per-twist tables that differs from the direct
+    per-word route (``splitting_length``), for the separating and loop
+    splittings of one coordinate family: keys at ``depth``, elliptic
+    classes, and Fstar verdicts and witnesses against the family and
+    some other twists."""
+    rng = random.Random(seed)
+    twist = nontrivial_automorphism(rng, rank) if twisted else None
+    family = _family(loop_splitting(rank, 1, twist), include_loops=True)
+    candidates = family + [act(nontrivial_automorphism(rng, rank), u) for u in family[::3]]
+    test_set = enumerate_cyclic_words(rank, search_length, up_to_inversion=True)
+    elliptic = {u: [cw for cw in test_set if is_elliptic(u, cw.as_word())] for u in candidates}
+    words = [cw.as_word() for cw in enumerate_cyclic_words(rank, depth, up_to_inversion=True)]
+    out = []
+    for s in family:
+        if vertex_key(s, depth).lengths != tuple(splitting_length(s, w) for w in words):
+            out.append(("key", s))
+        if _elliptic_classes(s, search_length) != elliptic[s]:
+            out.append(("classes", s))
+        shares = _shares_elliptic([s], search_length)
+        for u in candidates:
+            if vertex_key(u) == vertex_key(s):
+                continue
+            witness = next((cw for cw in elliptic[s] if cw in elliptic[u]), None)
+            if fstar_adjacent(s, u, search_length) != witness or shares(u) != (witness is not None):
+                out.append(("fstar", s, u))
+    return out
+
+
+class TestTwistTables:
+    """Keys, elliptic classes and Fstar verdicts come from one bounded
+    table per (twist, length); each must equal the direct per-word route."""
+
+    @pytest.mark.parametrize("rank, depth, search_length", [(3, 3, 6), (3, 4, 5), (4, 3, 5), (4, 4, 5)])
+    @pytest.mark.parametrize("twisted", [False, True])
+    def test_tables_agree_with_the_direct_route(self, rank, depth, search_length, twisted):
+        found = table_disagreements(rank, twisted, depth, search_length, seed=rank + 10 * depth)
+        assert not found
+
+    def test_a_table_without_the_cyclic_cut_disagrees(self, monkeypatch, cold_tables):
+        # the planted builder keeps the conjugator of each preimage, so a
+        # twisted class elliptic on one side looks hyperbolic in the tables
+        def uncut(twist, classes):
+            for cw in classes:
+                yield list(map(abs, _concat(twist._inverses, cw.letters)))
+
+        monkeypatch.setattr(splittings, "_untwisted_cores", uncut)
+        found = table_disagreements(3, True, 4, 6, seed=3 + 40)
+        assert {kind for kind, *_ in found} == {"key", "classes", "fstar"}
+
+    def test_tables_stay_within_their_bound(self, cold_tables):
+        rng = random.Random(7)
+        for _ in range(splittings._TABLE_SIZE + 4):
+            s = separating_splitting(3, [1], nontrivial_automorphism(rng, 3))
+            vertex_key(s, 2)
+            _elliptic_classes(s, 3)
+        for table in (_key_cores, _class_masks):
+            info = table.cache_info()
+            assert info.maxsize == splittings._TABLE_SIZE
+            assert info.misses > info.maxsize >= info.currsize
+
+    def test_one_search_cold_warm_and_cleared(self, cold_tables):
+        rng = random.Random(12)
+        twist = nontrivial_automorphism(rng, 3)
+        g = supergolden_automorphism()
+        searches = [
+            ("Fstar", separating_splitting(3, [1], twist), act(g, separating_splitting(3, [2], twist))),
+            ("Z", loop_splitting(3, 2, twist), enumerate_cyclic_words(3, 3, True)[7]),
+        ]
+
+        def run():
+            return [bfs_distance(f, v1, v2, 2, [g], search_length=5) for f, v1, v2 in searches]
+
+        cold, warm = run(), run()
+        for table in (_key_cores, _class_masks):
+            table.cache_clear()
+        assert cold == warm == run()
+
+    def test_sixteen_twists_hold_under_a_mebibyte(self, cold_tables):
+        # keys keep cores at the key depth; the search length keeps one
+        # generator bit set per class (cores there would take about 2 MiB)
+        rng = random.Random(16)
+        twists = set()
+        while len(twists) < splittings._TABLE_SIZE:
+            twists.add(nontrivial_automorphism(rng, 3))
+        enumerate_cyclic_words(3, 4, True), enumerate_cyclic_words(3, 6, True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for twist in twists:
+                _key_cores(twist, 4), _class_masks(twist, 6)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert _class_masks.cache_info().currsize == len(twists)
+        assert held < 2**20
 
 
 class TestRefinementAdjacency:
