@@ -20,10 +20,14 @@ a cross-module invariant rather than assumed.
 :func:`frequency_vector` counts every window of each term's axis period
 in one pass, so each enumerated path is one lookup; a standard-marked rose
 reads a word as its own edge path, and a reduced path is not re-reduced.
+Rows are summed as integers over the lcm of the weight denominators and
+become one ``Fraction`` per entry; :meth:`FrequencyVector.sup_distance`
+compares two vectors' integer numerators the same way and divides once.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -255,7 +259,16 @@ class FrequencyVector:
         a, b = self.as_dict(), other.as_dict()
         if set(a) != set(b):
             raise ValueError("frequency vectors live on different path sets")
-        return max(abs(a[p] - b[p]) for p in a)
+        da, na = _numerators(list(a.values()))
+        db, nb = _numerators([b[p] for p in a])
+        return Fraction(max(abs(x * db - y * da) for x, y in zip(na, nb)), da * db)
+
+
+def _numerators(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The lcm ``d`` of the denominators of ``values`` and their
+    numerators over ``d``, so that sums and differences are integers."""
+    d = math.lcm(*(x.denominator for x in values))
+    return d, [x.numerator * (d // x.denominator) for x in values]
 
 
 def frequency_vector(mu: RationalCurrent, M: MarkedMetricGraph, k: int) -> FrequencyVector:
@@ -267,10 +280,18 @@ def frequency_vector(mu: RationalCurrent, M: MarkedMetricGraph, k: int) -> Frequ
         raise ValueError("rank mismatch")
     mass = one_letter_mass(mu)
     paths = enumerate_reduced_paths(M.graph, k)
-    # terms outer, so the one-entry window memo walks each axis period
-    # once; the enumerated paths are reduced, so none is re-checked
-    counts = [Fraction(0)] * len(paths)
-    for cw, weight in mu.terms:
-        term = ((M.axis_period(cw), weight),)
-        counts = [c + _weighted_count(term, v) for c, v in zip(counts, paths)]
-    return FrequencyVector(k, tuple((v, c / mass) for v, c in zip(paths, counts)), mass)
+    pairs = [(v, inverse_path(v)) for v in paths]
+    # integer counts over D, the lcm of the weight denominators; terms
+    # outer, so the one-entry window memo walks each axis period once.
+    # The enumerated paths are reduced, so none is re-checked.
+    D, weights = _numerators([weight for _, weight in mu.terms])
+    counts = [0] * len(paths)
+    for (cw, _), p in zip(mu.terms, weights):
+        period = M.axis_period(cw)
+        counts = [
+            c + p * (occurrences_in_cycle(period, v) + occurrences_in_cycle(period, v_inv))
+            for c, (v, v_inv) in zip(counts, pairs)
+        ]
+    num, den = mass.denominator, D * mass.numerator
+    entries = tuple((v, Fraction(c * num, den)) for v, c in zip(paths, counts))
+    return FrequencyVector(k, entries, mass)

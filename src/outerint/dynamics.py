@@ -16,6 +16,13 @@ an exact representation: they are observed through normalised length
 oracles, frequency vectors and the pairing sequence, each reporting
 Cauchy-style diagnostics (successive differences, positive windows)
 rather than claiming convergence.
+
+The orbit ``phi^n(g)`` they read is stepped on the letters, as
+Bestvina-Handel read it through the edge images ``f^n(e)``: the images
+``phi^j(x)`` of the letters ``g`` reaches are kept, and each iterate joins
+a few of these long reduced pieces instead of substituting letter by
+letter (:func:`_iterates`).  :func:`iwip_rows` measures each iterate as
+it is made and keeps none.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .currents import FrequencyVector, counting_current, frequency_vector
 from .intersection import LengthFunctionOracle
@@ -260,16 +267,45 @@ def eigenmetric_defect(f: GraphMap, M: MarkedMetricGraph, lam: float) -> float:
     )
 
 
-def _iterates(phi: Automorphism, w: Word, n: int, cap: int) -> list[Word]:
-    """``[w, phi(w), ..., phi^n(w)]``, cut before the first iterate with
-    more than ``cap`` letters."""
-    out = [w]
-    for _ in range(n):
-        nxt = phi.apply(out[-1])
-        if len(nxt) > cap:
-            break
-        out.append(nxt)
-    return out
+def _iterates(phi: Automorphism, w: Word, n: int, cap: int) -> Iterator[Word]:
+    """``w, phi(w), ..., phi^n(w)``, stopping before the first iterate
+    with more than ``cap`` letters.
+
+    ``table[x]`` is ``phi^j(x)`` for the signed letters ``x`` the orbit of
+    ``w`` reaches, and ``phi^(j+1)(w)`` joins its pieces along ``phi(w)``;
+    the next table joins them along each ``phi(x)``, and is built only
+    when another iterate needs it.  So a step is a few junctions over long
+    reduced pieces.  Letter images may outgrow the iterates (a -> ab,
+    b -> bab fixes abAB): once the next table would hold more than 2N
+    letters per letter of the current iterate, the tables are dropped and
+    each iterate is substituted letter by letter."""
+    if w.rank != phi.rank:
+        raise ValueError("rank mismatch")
+    images = phi._images
+    reach, todo = set(), list(w.letters)
+    while todo:
+        x = todo.pop()
+        if x not in reach:
+            reach.add(x)
+            todo.extend(images[x])
+    table: Optional[dict] = {x: (x,) for x in reach}
+    phi_w = _concat(images, w.letters)
+    yield w
+    for j in range(n):
+        if j and table is not None:
+            # the next table holds at most the pieces it joins
+            bound = sum(len(table[y]) for x in reach for y in images[x])
+            if bound > 2 * phi.rank * len(w):
+                table = None
+            else:  # tuples hold no spare slots
+                table = {x: tuple(_concat(table, images[x])) for x in reach}
+        if table is None:
+            w = phi.apply(w)
+        else:
+            w = Word._make(phi.rank, tuple(_concat(table, phi_w)))
+        if len(w) > cap:
+            return
+        yield w
 
 
 def iterate_images(
@@ -280,15 +316,15 @@ def iterate_images(
     silently grinding."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    out = _iterates(phi, w, n, cap)
+    out = list(_iterates(phi, w, n, cap))
     if len(out) <= n:
         raise WordLengthCapError(f"iterate {len(out)} has more than {cap} letters; use a smaller n")
     return out
 
 
-def _deflated(M: MarkedMetricGraph, lam: float, iterates: Sequence[Word], j: int) -> float:
-    """Chart length of the j-th iterate, deflated by ``lam^j``."""
-    return float(translation_length(M, iterates[j])) / lam ** j
+def _deflated(M: MarkedMetricGraph, lam: float, w: Word, j: int) -> float:
+    """Chart length of ``w``, the j-th iterate, deflated by ``lam^j``."""
+    return float(translation_length(M, w)) / lam ** j
 
 
 def stable_length_oracle(
@@ -309,10 +345,10 @@ def stable_length_oracle(
 
     def error_bound(w: Word) -> float:
         images = iterate_images(phi, w, n, cap)
-        return abs(_deflated(M, lam, images, n) - _deflated(M, lam, images, n - 1))
+        return abs(_deflated(M, lam, images[n], n) - _deflated(M, lam, images[n - 1], n - 1))
 
     return LengthFunctionOracle(
-        evaluate=lambda w: _deflated(M, lam, iterate_images(phi, w, n, cap), n),
+        evaluate=lambda w: _deflated(M, lam, iterate_images(phi, w, n, cap)[n], n),
         exact=False,
         error_bound=error_bound,
     )
@@ -373,7 +409,7 @@ def pairing_estimate(
     if g.is_identity:
         raise ValueError("seed must be nontrivial")
     iterates = iterate_images(phi, g, 2 * n, cap)
-    values = tuple(_deflated(M, lam, iterates, 2 * m) for m in range(1, n + 1))
+    values = tuple(_deflated(M, lam, iterates[2 * m], 2 * m) for m in range(1, n + 1))
     return PairingReport(values, (min(values), max(values)))
 
 
@@ -400,23 +436,23 @@ def iwip_rows(
 ) -> list[IwipRow]:
     """Diagnostic table for one seed: deflated lengths, deflated even
     pairing sequence and successive frequency-vector gaps.  Each iterate
-    the table reads is measured once."""
+    the table reads is measured once, as it is made, and none is kept."""
     if g.is_identity:
         raise ValueError("seed must be nontrivial")
-    iterates = _iterates(phi, g, 2 * n_max, cap)
-    available = len(iterates) - 1
-    read = {j for n in range(n_max + 1) for j in (n, 2 * n) if j <= available}
-    deflated = {j: _deflated(M, lam, iterates, j) for j in read}
-    rows = []
+    deflated: dict[int, float] = {}
+    deltas: dict[int, Fraction] = {}
     prev_vec: Optional[FrequencyVector] = None
-    for n in range(n_max + 1):
-        delta = None
-        if n <= available:
-            vec = frequency_vector(counting_current(iterates[n]), M, depth)
-            delta = None if prev_vec is None else vec.sup_distance(prev_vec)
+    for j, w in enumerate(_iterates(phi, g, 2 * n_max, cap)):
+        if j <= n_max or j % 2 == 0:
+            deflated[j] = _deflated(M, lam, w, j)
+        if j <= n_max:
+            vec = frequency_vector(counting_current(w), M, depth)
+            if prev_vec is not None:
+                deltas[j] = vec.sup_distance(prev_vec)
             prev_vec = vec
-        rows.append(IwipRow(n, deflated.get(n), deflated.get(2 * n), delta))
-    return rows
+    return [
+        IwipRow(n, deflated.get(n), deflated.get(2 * n), deltas.get(n)) for n in range(n_max + 1)
+    ]
 
 
 # -- JSON ---------------------------------------------------------------------

@@ -13,11 +13,12 @@ realised by :func:`letter_sort_key`.
 
 Input is validated once, by the public constructors, :func:`reduce` and
 the parsers; values derived from validated ones (reductions, inverses,
-cyclic reductions, primitive roots, automorphic images) are built by the
-trusted ``_make`` constructors.  A reduced word is a reduced edge path in
-the rose, so words and edge paths share one free reduction, cyclic cut
-and inverse.  Substitution cancels only at the junctions of reduced
-pieces (:func:`_concat`, shared with word-to-path).
+cyclic reductions, primitive roots, automorphic images, composed and
+inverted automorphisms) are built by the trusted ``_make`` constructors.
+A reduced word is a reduced edge path in the rose, so words and edge
+paths share one free reduction, cyclic cut and inverse.  Substitution
+cancels only at the junctions of reduced pieces (:func:`_concat`, shared
+with word-to-path).
 
 Everything in this module is immutable and all operations are pure, so
 values can be shared freely between threads.
@@ -331,9 +332,7 @@ class Automorphism:
         for w in (*self.images, *self.inverse_images):
             if w.rank != self.rank:
                 raise ValueError("image rank mismatch")
-        # per-letter image tables, built once (and checked by the loop below)
-        for name, words in (("_images", self.images), ("_inverses", self.inverse_images)):
-            object.__setattr__(self, name, _letter_table([w.letters for w in words]))
+        self._tabulate()  # checked by the loop below
         for i in range(1, self.rank + 1):
             gen = Word(self.rank, (i,))
             fwd = self.apply(self.apply_inverse(gen))
@@ -342,6 +341,23 @@ class Automorphism:
                 raise ValueError(
                     f"images and inverse_images are not a two-sided inverse pair at a_{i}"
                 )
+
+    @classmethod
+    def _make(
+        cls, rank: int, images: tuple[Word, ...], inverse_images: tuple[Word, ...]
+    ) -> "Automorphism":
+        """Trusted: a two-sided inverse pair derived from validated ones."""
+        phi = object.__new__(cls)
+        object.__setattr__(phi, "rank", rank)
+        object.__setattr__(phi, "images", images)
+        object.__setattr__(phi, "inverse_images", inverse_images)
+        phi._tabulate()
+        return phi
+
+    def _tabulate(self) -> None:
+        """Per-letter image tables, built once."""
+        for name, words in (("_images", self.images), ("_inverses", self.inverse_images)):
+            object.__setattr__(self, name, _letter_table([w.letters for w in words]))
 
     @classmethod
     def identity(cls, rank: int) -> "Automorphism":
@@ -377,7 +393,7 @@ class Automorphism:
         return self.apply(w)
 
     def inverse(self) -> "Automorphism":
-        return Automorphism(self.rank, self.inverse_images, self.images)
+        return Automorphism._make(self.rank, self.inverse_images, self.images)
 
     def to_json_obj(self) -> dict:
         return {
@@ -396,7 +412,7 @@ def compose(phi: Automorphism, psi: Automorphism) -> Automorphism:
     """The automorphism ``phi after psi`` (first psi, then phi)."""
     if phi.rank != psi.rank:
         raise ValueError("rank mismatch")
-    return Automorphism(
+    return Automorphism._make(
         phi.rank,
         tuple(phi.apply(w) for w in psi.images),
         tuple(psi.apply_inverse(w) for w in phi.inverse_images),

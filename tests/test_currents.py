@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import find, settings, strategies as st
 
+from outerint import currents
 from outerint.catalog import catalog
 from outerint.currents import (
     RationalCurrent,
@@ -344,6 +346,50 @@ class TestFrequencyVector:
         vb = frequency_vector(counting_current(parse_word("b", 2)), M, 1)
         assert va.sup_distance(vb) == 1
         assert va.sup_distance(va) == 0
+
+    def test_integer_rows_match_fraction_definitions(self):
+        assert integer_row_mismatches() == (0, 0)
+
+    def test_integer_row_checks_catch_unscaled_numerators(self, monkeypatch):
+        def unscaled(values):  # each numerator kept over its own denominator
+            return math.lcm(*(x.denominator for x in values)), [x.numerator for x in values]
+
+        monkeypatch.setattr(currents, "_numerators", unscaled)
+        rows, distances = integer_row_mismatches()
+        assert rows > 0 and distances > 0
+
+
+def coprime_current(rng, rank):
+    """Three classes weighted 1/3, 2/7 and 5/11."""
+    mu = zero_current(rank)
+    for weight in (Fraction(1, 3), Fraction(2, 7), Fraction(5, 11)):
+        w = Word(rank)
+        while w.is_identity:
+            w = random_reduced_word(rng, rank, rng.randint(1, 8))
+        mu = add(mu, scale(weight, counting_current(w)))
+    return mu
+
+
+def integer_row_mismatches() -> tuple[int, int]:
+    """How many frequency vectors differ from ``oracle_entries`` and how
+    many ``sup_distance`` values differ from the entry-by-entry
+    ``Fraction`` maximum, over random currents of different masses and
+    currents weighted over coprime denominators."""
+    rng = random.Random(29)
+    rows = distances = 0
+    for _ in range(8):
+        rank = rng.choice([2, 3])
+        pairs = [(random_current(rng, rank), random_current(rng, rank)),
+                 (coprime_current(rng, rank), random_current(rng, rank)),
+                 (coprime_current(rng, rank), coprime_current(rng, rank))]
+        M = rng.choice(random_chart_of_each_kind(rng, rank))
+        k = rng.randint(1, 3)
+        for mu, nu in pairs:
+            va, vb = frequency_vector(mu, M, k), frequency_vector(nu, M, k)
+            rows += (va.entries != oracle_entries(mu, M, k)) + (vb.entries != oracle_entries(nu, M, k))
+            a, b = va.as_dict(), vb.as_dict()
+            distances += va.sup_distance(vb) != max(abs(a[p] - b[p]) for p in a)
+    return rows, distances
 
 
 class TestAction:

@@ -2,10 +2,12 @@ import json
 import math
 import pathlib
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from outerint import dynamics
 from outerint.catalog import (
     fibonacci_automorphism,
     fibonacci_inverse_rose_map,
@@ -13,6 +15,7 @@ from outerint.catalog import (
     supergolden_rose_map,
 )
 from outerint.dynamics import (
+    DEFAULT_WORD_CAP,
     GraphMap,
     NonPrimitiveMatrixError,
     TransitionMatrix,
@@ -33,6 +36,7 @@ from outerint.dynamics import (
 from outerint.marked_graph import unit_rose
 from outerint.words import Automorphism, Word, parse_word
 
+from _generators import random_automorphism, random_reduced_word
 from oracles import char_poly_at, dominant_root_by_bisection
 
 GOLDEN = (1 + 5 ** 0.5) / 2
@@ -101,7 +105,9 @@ class TestGraphMap:
         assert back.edge_images == f.edge_images
         assert back.automorphism.images == f.automorphism.images
 
-    @pytest.mark.parametrize("name", ["fibonacci_map", "fibonacci_inverse_map", "supergolden_map"])
+    @pytest.mark.parametrize(
+        "name", ["fibonacci_map", "fibonacci_inverse_map", "supergolden_map", "cat_map"]
+    )
     def test_fixture_json_round_trip(self, name):
         obj = json.loads((FIXTURES / f"{name}.json").read_text())
         assert graph_map_to_json_obj(graph_map_from_json_obj(obj)) == obj
@@ -222,6 +228,66 @@ class TestMetricFromPF:
         assert eigenmetric_defect(f, M, lam) < 1e-8
 
 
+def cat_automorphism() -> Automorphism:
+    """a -> ab, b -> bab, which fixes abAB: its letter images grow while
+    the iterates of abAB stay four letters long."""
+    return graph_map_from_json_obj(json.loads((FIXTURES / "cat_map.json").read_text())).automorphism
+
+
+def stepwise(phi, w, n, cap):
+    """``_iterates`` by repeated ``phi.apply``, with the same cap rule."""
+    out = [w]
+    for _ in range(n):
+        nxt = phi.apply(out[-1])
+        if len(nxt) > cap:
+            break
+        out.append(nxt)
+    return out
+
+
+ITERATION_CAP = 3000
+
+
+def iteration_cases(maps, seed: int):
+    """``(phi, w, n, cap)`` over seeds of 0-8 letters and n = 0..8; each
+    seed also runs with the cap at one of its iterates' lengths and one
+    below it."""
+    rng = random.Random(seed)
+    for phi in maps:
+        for length in range(9):
+            for positive in (False, True):  # under a positive map, half the alphabet
+                letters = random_reduced_word(rng, phi.rank, length).letters
+                w = Word(phi.rank, tuple(map(abs, letters)) if positive else letters)
+                n = 0 if length == 0 else rng.randint(0, 8)
+                yield phi, w, n, ITERATION_CAP
+                full = stepwise(phi, w, n, ITERATION_CAP)
+                if len(full) > 1:
+                    j = rng.randrange(1, len(full))
+                    yield phi, w, n, len(full[j])
+                    yield phi, w, n, len(full[j]) - 1
+
+
+def iteration_maps():
+    rng = random.Random(41)
+    return [
+        fibonacci_rose_map().automorphism,
+        fibonacci_inverse_rose_map().automorphism,
+        supergolden_rose_map().automorphism,
+        cat_automorphism(),
+        # fixes c, so seeds in a, b reach part of the alphabet
+        Automorphism.from_images(3, [[1, 2], [1], [3]], [[2], [-2, 1], [3]]),
+        *(random_automorphism(rng, rank) for rank in (2, 3, 4) for _ in range(8)),
+    ]
+
+
+def iteration_mismatches(maps, seed: int = 43) -> list:
+    return [
+        (phi.images, w, n, cap)
+        for phi, w, n, cap in iteration_cases(maps, seed)
+        if list(dynamics._iterates(phi, w, n, cap)) != stepwise(phi, w, n, cap)
+    ]
+
+
 class TestIteration:
     def test_cap_enforced(self):
         with pytest.raises(WordLengthCapError):
@@ -231,6 +297,37 @@ class TestIteration:
         phi = fibonacci_automorphism()
         seq = iterate_images(phi, parse_word("a", 2), 3)
         assert [str(w) for w in seq] == ["a", "ab", "aba", "abaab"]
+
+    def test_matches_letter_by_letter_substitution(self):
+        assert iteration_mismatches(iteration_maps()) == []
+
+    def test_cross_check_catches_joins_that_never_cancel(self, monkeypatch):
+        def joined(table, keys):
+            return [x for k in keys for x in table[k]]
+
+        monkeypatch.setattr(dynamics, "_concat", joined)
+        assert iteration_mismatches([fibonacci_inverse_rose_map().automorphism])
+
+    def test_cap_cuts_before_the_first_longer_iterate(self):
+        phi, w = fibonacci_automorphism(), parse_word("a", 2)
+        assert [len(x) for x in dynamics._iterates(phi, w, 10, 13)] == [1, 2, 3, 5, 8, 13]
+        assert [len(x) for x in dynamics._iterates(phi, w, 10, 12)] == [1, 2, 3, 5, 8]
+        assert list(dynamics._iterates(phi, w, 0, 0)) == [w]
+
+    def test_tables_dropped_when_letter_images_outgrow_the_iterates(self):
+        phi, w = cat_automorphism(), parse_word("abAB", 2)
+        tracemalloc.start()
+        try:
+            out = list(dynamics._iterates(phi, w, 60, DEFAULT_WORD_CAP))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 61 and all(len(x) == 4 for x in out)
+        assert peak < 2 ** 20  # phi^60(a) alone has about 10^25 letters
+
+    def test_rank_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            list(dynamics._iterates(fibonacci_automorphism(), parse_word("a", 3), 2, 100))
 
 
 class TestStableLengthOracle:

@@ -40,6 +40,9 @@ CASES = {
     "iwip_fibonacci_inverse": (
         ["iwip", "--map", "fixtures/fibonacci_inverse_map.json", "--seed", "a"], 0),
     "iwip_supergolden": (["iwip", "--map", "fixtures/supergolden_map.json", "--seed", "a"], 0),
+    # a -> ab, b -> bab fixes abAB: iterates stay short while letter images grow
+    "iwip_cat_commutator": (
+        ["iwip", "--map", "fixtures/cat_map.json", "--seed", "abAB", "--n", "15"], 0),
     "graph_F": (
         ["graph", "--flavor", "F", "--from", "fixtures/splitting_a_rank3.json",
          "--to", "fixtures/splitting_ab_rank3.json", "--radius", "2"], 0),

@@ -403,3 +403,15 @@ class TestBoundary:
         for got in [cw.inverse(), primitive_root(CyclicWord(2, (1, 2, 1, 2)))[0], root]:
             again = CyclicWord(got.rank, got.letters)
             assert got == again and got.letters == again.letters and vars(got) == vars(again)
+        psi = Automorphism.from_images(2, [[2], [1]], [[2], [1]])
+        for got in [phi.inverse(), compose(phi, psi), compose(psi, phi.inverse()),
+                    compose(phi, phi).inverse()]:
+            again = Automorphism(got.rank, got.images, got.inverse_images)
+            assert got == again and hash(got) == hash(again) and vars(got) == vars(again)
+
+    def test_public_constructor_still_checks_the_inverse_pair(self):
+        phi = fib_aut()
+        with pytest.raises(ValueError, match="two-sided inverse pair"):
+            Automorphism(2, phi.images, phi.images)
+        with pytest.raises(ValueError, match="two-sided inverse pair"):
+            Automorphism(2, compose(phi, phi).images, phi.inverse_images)
