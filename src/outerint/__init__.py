@@ -68,8 +68,6 @@ from .splittings import (
     intersection_graph_adjacent,
     is_elliptic,
     loop_splitting,
-    map_j,
-    map_q,
     refinement_adjacent,
     separating_splitting,
     splitting_length,

@@ -17,11 +17,12 @@ pattern).  This is the convention under which length-weighted one-edge
 counts reproduce translation lengths exactly; the equality is enforced as
 a cross-module invariant rather than assumed.
 
-:func:`frequency_vector` counts every window of each term's axis period
-in one pass, so each enumerated path is one lookup; a standard-marked rose
-reads a word as its own edge path, and a reduced path is not re-reduced.
-Rows are summed as integers over the lcm of the weight denominators and
-become one ``Fraction`` per entry; :meth:`FrequencyVector.sup_distance`
+:func:`cylinder_count` and :func:`frequency_vector` share one window
+counter, which counts every window of each term's axis period in one
+pass, so each path is one lookup; a standard-marked rose reads a word as
+its own edge path, and a reduced path is not re-reduced.  Counts are
+summed as integers over the lcm of the weight denominators and become
+one ``Fraction`` per entry; :meth:`FrequencyVector.sup_distance`
 compares two vectors' integer numerators the same way and divides once.
 """
 
@@ -189,19 +190,23 @@ def cylinder_count(mu: RationalCurrent, M: MarkedMetricGraph, v: EdgePath) -> Fr
         raise ValueError("cylinder path must be nontrivial")
     if not is_reduced_path(M.graph, v):
         raise ValueError("cylinder path must be reduced")
-    return _weighted_count([(M.axis_period(cw), weight) for cw, weight in mu.terms], v)
+    D, weights = _numerators([weight for _, weight in mu.terms])
+    periods = (M.axis_period(cw) for cw, _ in mu.terms)
+    return Fraction(_window_counts(zip(periods, weights), [v])[0], D)
 
 
-def _weighted_count(periods: Sequence[tuple[EdgePath, Fraction]], v: EdgePath) -> Fraction:
-    """Cylinder count of ``v`` against (axis period, weight) pairs."""
-    v_inv = inverse_path(v)
-    return sum(
-        (
-            weight * (occurrences_in_cycle(period, v) + occurrences_in_cycle(period, v_inv))
-            for period, weight in periods
-        ),
-        Fraction(0),
-    )
+def _window_counts(periods: Iterable[tuple[EdgePath, int]], paths: Sequence[EdgePath]) -> list[int]:
+    """Cylinder count of each of ``paths`` against (axis period, integer
+    weight) pairs.  Periods are outer, so the one-entry window memo walks
+    each period once."""
+    pairs = [(v, inverse_path(v)) for v in paths]
+    counts = [0] * len(pairs)
+    for period, w in periods:
+        counts = [
+            c + w * (occurrences_in_cycle(period, v) + occurrences_in_cycle(period, v_inv))
+            for c, (v, v_inv) in zip(counts, pairs)
+        ]
+    return counts
 
 
 def _path_sort_key(path: EdgePath) -> tuple[int, ...]:
@@ -231,11 +236,12 @@ def enumerate_reduced_paths(
                 extend(path)
                 path.pop()
 
+    # oriented_edges() is in sort-key order, so the walk lists paths sorted
     for e in graph.oriented_edges():
         extend([e])
     if up_to_inversion:
         paths = [p for p in paths if _path_sort_key(p) <= _path_sort_key(inverse_path(p))]
-    return tuple(sorted(paths, key=_path_sort_key))
+    return tuple(paths)
 
 
 @dataclass(frozen=True)
@@ -280,18 +286,11 @@ def frequency_vector(mu: RationalCurrent, M: MarkedMetricGraph, k: int) -> Frequ
         raise ValueError("rank mismatch")
     mass = one_letter_mass(mu)
     paths = enumerate_reduced_paths(M.graph, k)
-    pairs = [(v, inverse_path(v)) for v in paths]
-    # integer counts over D, the lcm of the weight denominators; terms
-    # outer, so the one-entry window memo walks each axis period once.
-    # The enumerated paths are reduced, so none is re-checked.
+    # integer counts over D, the lcm of the weight denominators; the
+    # enumerated paths are reduced, so none is re-checked
     D, weights = _numerators([weight for _, weight in mu.terms])
-    counts = [0] * len(paths)
-    for (cw, _), p in zip(mu.terms, weights):
-        period = M.axis_period(cw)
-        counts = [
-            c + p * (occurrences_in_cycle(period, v) + occurrences_in_cycle(period, v_inv))
-            for c, (v, v_inv) in zip(counts, pairs)
-        ]
+    periods = (M.axis_period(cw) for cw, _ in mu.terms)
+    counts = _window_counts(zip(periods, weights), paths)
     num, den = mass.denominator, D * mass.numerator
     entries = tuple((v, Fraction(c * num, den)) for v, c in zip(paths, counts))
     return FrequencyVector(k, entries, mass)

@@ -43,8 +43,9 @@ from .marked_graph import (
     marked_graph_from_json_obj,
     marked_graph_to_json_obj,
     translation_length,
+    with_lengths,
 )
-from .words import Automorphism, OuterintError, Word, _concat, _letter_table
+from .words import Automorphism, OuterintError, Word, _concat, _letter_table, compose
 
 DEFAULT_WORD_CAP = 10 ** 6
 
@@ -129,8 +130,6 @@ def compose_graph_maps(f: GraphMap, g: GraphMap) -> GraphMap:
     """The map ``f after g`` on a shared chart."""
     if f.chart is not g.chart and f.chart != g.chart:
         raise ValueError("graph maps live on different charts")
-    from .words import compose
-
     fmap, gmap = dict(f.vertex_map), dict(g.vertex_map)
     return GraphMap(
         chart=f.chart,
@@ -254,8 +253,6 @@ def metric_from_pf(f: GraphMap, tol: float = 1e-12) -> MarkedMetricGraph:
     :func:`pf_eigenpair`, normalised to total volume 1: the map stretches
     edge ``k`` by exactly the ``k``-th Collatz-Wielandt ratio, which lies
     in the eigenvalue enclosure."""
-    from .marked_graph import with_lengths
-
     return with_lengths(f.chart, pf_eigenpair(transition_matrix(f), tol=tol).eigenvector)
 
 

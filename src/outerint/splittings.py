@@ -324,28 +324,15 @@ def _shares_elliptic(views: Sequence[FreeSplitting], search_length: int) -> Call
 
 
 def refinement_adjacent(s1: FreeSplitting, s2: FreeSplitting) -> str:
-    """Decidable refinement adjacency for separating splittings.
+    """Decidable refinement adjacency for coordinate-compatible pairs.
 
-    Certifies "yes" for pairs in a compatible coordinate system: equal
-    twist and nested partitions, some side of one inside some side of the
-    other (the three-factor refinement is then read off the basis).
-    Returns "no" for equal vertices and "unknown" otherwise; no general
-    refinement detection is attempted.
-    """
-    if s1.kind != "sep" or s2.kind != "sep":
-        raise ValueError("refinement adjacency is defined here for separating splittings")
-    return cut_refinement_adjacent(s1, s2)
-
-
-def cut_refinement_adjacent(s1: FreeSplitting, s2: FreeSplitting) -> str:
-    """Coordinate-compatible refinement adjacency allowing loop types.
-
-    Beyond nested separating pairs: a separating splitting and a loop
-    splitting always refine to a common two-edge graph (the stable letter
-    avoids one side of the partition), and so do two loop splittings with
-    distinct stable letters (same twist required throughout).  Both
-    stored sides hold generator 1, so the partitions are nested exactly
-    when one side contains the other or the complements are disjoint.
+    Under one twist, certifies "yes" for nested separating pairs (the
+    three-factor refinement is read off the basis; both stored sides hold
+    generator 1, so they are nested when one contains the other or the
+    complements are disjoint), for a separating and a loop splitting (the
+    stable letter avoids one side, giving a common two-edge graph), and
+    for two distinct loop splittings.  Returns "no" for equal vertices and
+    "unknown" otherwise; no general refinement detection is attempted.
     """
     if s1.rank != s2.rank:
         raise ValueError("rank mismatch")
@@ -357,6 +344,11 @@ def cut_refinement_adjacent(s1: FreeSplitting, s2: FreeSplitting) -> str:
         a, b = s1.subset, s2.subset
         return "yes" if a <= b or b <= a or len(a | b) == s1.rank else "unknown"
     return "yes"  # under one twist, distinct loops differ in their stable letter
+
+
+def _refines(views: Sequence[FreeSplitting], search_length: int) -> Callable[[FreeSplitting], bool]:
+    """The F and S test of a candidate: it refines some presentation."""
+    return lambda u: any(refinement_adjacent(p, u) == "yes" for p in views)
 
 
 TreeVertex = Union[FreeSplitting, MarkedMetricGraph]
@@ -375,18 +367,6 @@ def intersection_graph_adjacent(T: TreeVertex, mu: RationalCurrent) -> bool:
         return False
     # the weights are positive, so the pairing vanishes when every term does
     return all(splitting_length(T, cw.as_word()) == 0 for cw, _ in mu.terms)
-
-
-def map_j(s: FreeSplitting) -> FreeSplitting:
-    """Vertex map from the refinement graph to the common-elliptic graph;
-    the vertex data is unchanged, only the ambient adjacency changes."""
-    return s
-
-
-def map_q(s: FreeSplitting) -> FreeSplitting:
-    """Vertex map into the intersection graph: the splitting stands for
-    the projective class of its Bass-Serre tree."""
-    return s
 
 
 # -- breadth-first exploration -------------------------------------------------
@@ -570,12 +550,8 @@ class _Flavor(NamedTuple):
 
 
 _FLAVORS: dict[Flavor, _Flavor] = {
-    "F": _Flavor((FreeSplitting,), "separating splittings", True, _coordinate_rule(
-        False, lambda views, n: lambda u: any(refinement_adjacent(p, u) == "yes" for p in views)
-    )),
-    "S": _Flavor((FreeSplitting,), "splittings", False, _coordinate_rule(
-        True, lambda views, n: lambda u: any(cut_refinement_adjacent(p, u) == "yes" for p in views)
-    )),
+    "F": _Flavor((FreeSplitting,), "separating splittings", True, _coordinate_rule(False, _refines)),
+    "S": _Flavor((FreeSplitting,), "splittings", False, _coordinate_rule(True, _refines)),
     "Fstar": _Flavor((FreeSplitting,), "separating splittings", True, _coordinate_rule(
         False, _shares_elliptic
     )),

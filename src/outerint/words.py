@@ -13,12 +13,12 @@ realised by :func:`letter_sort_key`.
 
 Input is validated once, by the public constructors, :func:`reduce` and
 the parsers; values derived from validated ones (reductions, inverses,
-cyclic reductions, primitive roots, automorphic images, composed and
-inverted automorphisms) are built by the trusted ``_make`` constructors.
-A reduced word is a reduced edge path in the rose, so words and edge
-paths share one free reduction, cyclic cut and inverse.  Substitution
-cancels only at the junctions of reduced pieces (:func:`_concat`, shared
-with word-to-path).
+cyclic reductions, primitive roots, enumerated classes, automorphic
+images, composed and inverted automorphisms) are built by the trusted
+``_make`` constructors.  A reduced word is a reduced edge path in the
+rose, so words and edge paths share one free reduction, cyclic cut and
+inverse.  Substitution cancels only at the junctions of reduced pieces
+(:func:`_concat`, shared with word-to-path).
 
 Everything in this module is immutable and all operations are pure, so
 values can be shared freely between threads.
@@ -30,7 +30,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class OuterintError(Exception):
@@ -222,10 +222,11 @@ class CyclicWord:
 
     @classmethod
     def _make(cls, rank: int, letters: tuple[int, ...]) -> "CyclicWord":
-        """Trusted: cyclically reduced letters derived from validated values."""
+        """Trusted: cyclically reduced letters in canonical rotation,
+        derived from validated values."""
         cw = object.__new__(cls)
         object.__setattr__(cw, "rank", rank)
-        object.__setattr__(cw, "letters", _canonical_rotation(letters))
+        object.__setattr__(cw, "letters", letters)
         return cw
 
     def __len__(self) -> int:
@@ -235,7 +236,7 @@ class CyclicWord:
         return Word._make(self.rank, self.letters)
 
     def inverse(self) -> "CyclicWord":
-        return CyclicWord._make(self.rank, _inverse(self.letters))
+        return CyclicWord._make(self.rank, _canonical_rotation(_inverse(self.letters)))
 
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
         return (len(self.letters), tuple(letter_sort_key(l) for l in self.letters))
@@ -263,8 +264,8 @@ def cyclic_reduce(w: Word) -> tuple[CyclicWord | None, Word]:
     if not w.letters:
         return None, w
     cut = _cyclic_cut(w.letters)
-    conjugator = Word._make(w.rank, _inverse(w.letters[:cut]))
-    return CyclicWord._make(w.rank, w.letters[cut : len(w) - cut]), conjugator
+    core = _canonical_rotation(w.letters[cut : len(w) - cut])
+    return CyclicWord._make(w.rank, core), Word._make(w.rank, _inverse(w.letters[:cut]))
 
 
 def primitive_root(cw: CyclicWord) -> tuple[CyclicWord, int]:
@@ -272,7 +273,7 @@ def primitive_root(cw: CyclicWord) -> tuple[CyclicWord, int]:
 
     The smallest period of the canonical rotation is found with the
     classic prefix-function; it divides the length exactly when the word
-    is a proper power.
+    is a proper power, and the root, a prefix, is then canonical too.
 
     >>> root, m = primitive_root(CyclicWord(2, (1, 2, 1, 2)))
     >>> str(root), m
@@ -467,35 +468,38 @@ def word_from_json_obj(obj: Iterable[int], rank: int) -> Word:
 def enumerate_cyclic_words(
     rank: int, max_length: int, up_to_inversion: bool = False
 ) -> tuple[CyclicWord, ...]:
-    """All conjugacy classes of cyclic length 1..max_length, sorted.
+    """All conjugacy classes of cyclic length 1..max_length, in
+    :meth:`CyclicWord.sort_key` order, as canonical rotations; with
+    ``up_to_inversion``, only the flip-normalised member of each pair.
 
-    Classes are represented by canonical rotations; with
-    ``up_to_inversion`` each {class, inverse class} pair is represented by
-    its flip-normalised member only.  The output order is deterministic.
-    Each class is tested on its raw letters and built once.
+    Each length's necklaces come out in increasing order from the
+    recursive Fredricksen-Kessler-Maiorana generator (Ruskey-Savage-Wang,
+    1992) on letter sort keys, where the inverse of key ``k`` is ``k ^ 1``:
+    a branch stops where a letter meets its inverse, and the wrap pair is
+    checked on output.
+
+    >>> [str(cw) for cw in enumerate_cyclic_words(2, 2, up_to_inversion=True)]
+    ['a', 'b', 'aa', 'ab', 'aB', 'bb']
     """
     out: list[CyclicWord] = []
-    alphabet = [l for i in range(1, rank + 1) for l in (i, -i)]
+    letter = [l for i in range(1, rank + 1) for l in (i, -i)]  # by sort key
 
-    def extend(prefix: list[int], remaining: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            if prefix[-1] != -prefix[0]:
-                yield tuple(prefix)
-            return
-        for l in alphabet:
-            if l != -prefix[-1]:
-                prefix.append(l)
-                yield from extend(prefix, remaining - 1)
-                prefix.pop()
+    def gen(t: int, p: int) -> None:
+        if t <= n:
+            for k in range(a[t - p], 2 * rank):
+                if t == 1 or k != a[t - 1] ^ 1:
+                    a[t] = k
+                    gen(t + 1, p if k == a[t - p] else t)
+        elif n % p == 0 and a[n] != a[1] ^ 1:  # a cyclically reduced necklace
+            keys = a[1:]
+            if up_to_inversion:
+                inv = [k ^ 1 for k in reversed(keys)]
+                start = _least_rotation(inv)
+                if inv[start:] + inv[:start] < keys:
+                    return
+            out.append(CyclicWord._make(rank, tuple(letter[k] for k in keys)))
 
-    for length in range(1, max_length + 1):
-        for first in alphabet:
-            for letters in extend([first], length - 1):
-                if _canonical_rotation(letters) != letters:
-                    continue
-                if up_to_inversion:
-                    inverse = _canonical_rotation(_inverse(letters))
-                    if list(map(letter_sort_key, inverse)) < list(map(letter_sort_key, letters)):
-                        continue
-                out.append(CyclicWord(rank, letters))
-    return tuple(sorted(out, key=CyclicWord.sort_key))
+    for n in range(1, max_length + 1):
+        a = [0] * (n + 1)
+        gen(1, 1)
+    return tuple(out)

@@ -38,8 +38,6 @@ from outerint.splittings import (
     fstar_adjacent,
     intersection_graph_adjacent,
     loop_splitting,
-    map_j,
-    map_q,
     refinement_adjacent,
     separating_splitting,
     splitting_length,
@@ -265,13 +263,12 @@ def test_criterion_10_lipschitz_structure():
     ok = True
 
     def midpoint_ok(s1, s2, search_length):
-        witness = fstar_adjacent(map_j(s1), map_j(s2), search_length)
+        # the comparison maps j and q carry vertex data unchanged
+        witness = fstar_adjacent(s1, s2, search_length)
         if witness is None:
             return False
         eta = counting_current(witness.as_word())
-        return intersection_graph_adjacent(map_q(s1), eta) and intersection_graph_adjacent(
-            map_q(s2), eta
-        )
+        return intersection_graph_adjacent(s1, eta) and intersection_graph_adjacent(s2, eta)
 
     for _ in range(100):  # certified refinement edges
         tw = random_automorphism(rng, 3, max_image_len=6)

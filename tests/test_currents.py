@@ -21,7 +21,7 @@ from outerint.currents import (
     zero_current,
 )
 from outerint.marked_graph import inverse_path, subdivide_edge, translation_length, unit_rose
-from outerint.words import Automorphism, Word, compose, parse_word, primitive_root
+from outerint.words import Automorphism, Word, compose, letter_sort_key, parse_word, primitive_root
 
 from _generators import (
     random_automorphism,
@@ -331,6 +331,16 @@ class TestFrequencyVector:
             for M in random_chart_of_each_kind(rng, rank):
                 for k in range(1, 5):
                     assert frequency_vector(mu, M, k).entries == oracle_entries(mu, M, k)
+
+    def test_paths_are_listed_in_sort_key_order(self):
+        # the depth-first walk alone orders them: nothing sorts afterwards
+        rng = random.Random(25)
+        for rank in (2, 3, 4):
+            for M in random_chart_of_each_kind(rng, rank):
+                for k in range(1, 5):
+                    for up_to_inversion in (False, True):
+                        paths = enumerate_reduced_paths(M.graph, k, up_to_inversion)
+                        assert list(paths) == sorted(paths, key=lambda p: list(map(letter_sort_key, p)))
 
     def test_zero_current_rejected(self):
         with pytest.raises(ValueError):

@@ -13,13 +13,10 @@ from outerint.splittings import (
     StateCapExceeded,
     act,
     bfs_distance,
-    cut_refinement_adjacent,
     fstar_adjacent,
     intersection_graph_adjacent,
     is_elliptic,
     loop_splitting,
-    map_j,
-    map_q,
     refinement_adjacent,
     separating_splitting,
     splitting_length,
@@ -419,19 +416,15 @@ class TestRefinementAdjacency:
             separating_splitting(3, [1]), separating_splitting(3, [2, 3])
         ) == "no"
 
-    def test_loop_kind_rejected(self):
-        with pytest.raises(ValueError):
-            refinement_adjacent(loop_splitting(3, 1), separating_splitting(3, [1]))
-
     def test_cut_graph_variants(self):
-        assert cut_refinement_adjacent(
+        assert refinement_adjacent(
             separating_splitting(3, [1]), loop_splitting(3, 2)
         ) == "yes"
         # the stable letter a lies in {1, 2} but avoids the other side {3}
-        assert cut_refinement_adjacent(
+        assert refinement_adjacent(
             separating_splitting(3, [1, 2]), loop_splitting(3, 1)
         ) == "yes"
-        assert cut_refinement_adjacent(loop_splitting(3, 1), loop_splitting(3, 2)) == "yes"
+        assert refinement_adjacent(loop_splitting(3, 1), loop_splitting(3, 2)) == "yes"
         assert refinement_adjacent(
             separating_splitting(4, [1, 2]), separating_splitting(4, [1, 3])
         ) == "unknown"
@@ -473,10 +466,8 @@ class TestRefinementAdjacency:
                 want = "yes"
             else:
                 want = "unknown"
-            assert cut_refinement_adjacent(s1, s2) == want, (p, q)
-            assert cut_refinement_adjacent(s2, s1) == want, (q, p)
-            if p[0] == q[0] == "sep":
-                assert refinement_adjacent(s1, s2) == want, (p, q)
+            assert refinement_adjacent(s1, s2) == want, (p, q)
+            assert refinement_adjacent(s2, s1) == want, (q, p)
 
 
 class TestIntersectionGraph:
@@ -510,6 +501,8 @@ class TestIntersectionGraph:
 
 
 class TestMaps:
+    # the comparison maps j and q carry vertex data unchanged, so each
+    # splitting stands for its own image
     def test_j_preserves_certified_edges(self):
         rng = random.Random(7)
         for _ in range(20):
@@ -517,7 +510,7 @@ class TestMaps:
             s1 = separating_splitting(3, [1], phi)
             s2 = separating_splitting(3, [1, 3], phi)
             assert refinement_adjacent(s1, s2) == "yes"
-            assert fstar_adjacent(map_j(s1), map_j(s2), search_length=6) is not None
+            assert fstar_adjacent(s1, s2, search_length=6) is not None
 
     def test_q_gives_length_two_paths(self):
         s1 = separating_splitting(3, [1])
@@ -525,16 +518,9 @@ class TestMaps:
         witness = fstar_adjacent(s1, s2)
         assert witness is not None
         eta = counting_current(witness.as_word())
-        assert intersection_graph_adjacent(map_q(s1), eta)
-        assert intersection_graph_adjacent(map_q(s2), eta)
-        assert bfs_distance("I0", map_q(s1), map_q(s2), 2) == 2
-
-    def test_maps_commute_with_action(self):
-        rng = random.Random(8)
-        phi = random_automorphism(rng, 3)
-        s = separating_splitting(3, [2])
-        assert vertex_key(map_j(act(phi, s))) == vertex_key(act(phi, map_j(s)))
-        assert vertex_key(map_q(act(phi, s))) == vertex_key(act(phi, map_q(s)))
+        assert intersection_graph_adjacent(s1, eta)
+        assert intersection_graph_adjacent(s2, eta)
+        assert bfs_distance("I0", s1, s2, 2) == 2
 
 
 VERTICES = {

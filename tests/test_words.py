@@ -310,6 +310,7 @@ class TestEnumeration:
         got = enumerate_cyclic_words(rank, 5, up_to_inversion)
         assert len(got) == len(expected)
         assert set(got) == expected
+        assert list(got) == sorted(expected, key=CyclicWord.sort_key)
 
     def test_deterministic_order(self):
         a = enumerate_cyclic_words(3, 3)
@@ -399,8 +400,13 @@ class TestBoundary:
                     cyclic_reduce(parse_word("abA", 2))[1]]:
             again = Word(got.rank, got.letters)
             assert got == again and hash(got) == hash(again) and vars(got) == vars(again)
-        root, _ = cyclic_reduce(parse_word("abbA", 2))
-        for got in [cw.inverse(), primitive_root(CyclicWord(2, (1, 2, 1, 2)))[0], root]:
+        # roots of powers given in other rotations, and cores of conjugates
+        # that are not in canonical rotation, with their inverses
+        roots = [primitive_root(CyclicWord(2, letters))[0]
+                 for letters in [(1, 2, 1, 2), (2, 1, 2, 1), (-1, 2, -1, 2, -1, 2), (2, -1) * 3]]
+        cores = [cyclic_reduce(parse_word(text, rank))[0]
+                 for text, rank in [("abbA", 2), ("abAA", 2), ("cbaC", 3), ("abaBAA", 2)]]
+        for got in [cw.inverse(), *roots, *cores, *(c.inverse() for c in roots + cores)]:
             again = CyclicWord(got.rank, got.letters)
             assert got == again and got.letters == again.letters and vars(got) == vars(again)
         psi = Automorphism.from_images(2, [[2], [1]], [[2], [1]])
