@@ -284,13 +284,19 @@ def frequency_vector(mu: RationalCurrent, M: MarkedMetricGraph, k: int) -> Frequ
         raise ValueError("cannot normalise the zero current")
     if mu.rank != M.rank:
         raise ValueError("rank mismatch")
-    mass = one_letter_mass(mu)
-    paths = enumerate_reduced_paths(M.graph, k)
-    # integer counts over D, the lcm of the weight denominators; the
-    # enumerated paths are reduced, so none is re-checked
     D, weights = _numerators([weight for _, weight in mu.terms])
     periods = (M.axis_period(cw) for cw, _ in mu.terms)
-    counts = _window_counts(zip(periods, weights), paths)
+    return _frequencies(M, k, zip(periods, weights), one_letter_mass(mu), D)
+
+
+def _frequencies(M: MarkedMetricGraph, k: int, periods: Iterable[tuple[EdgePath, int]],
+                 mass: Fraction, D: int = 1) -> FrequencyVector:
+    """Depth-``k`` frequency vector of (axis period, integer weight over
+    ``D``) pairs of one-letter mass ``mass``.  No period needs a normal
+    form: rotation and inversion change no count, and the windows of
+    ``f^m`` are ``m`` times those of ``f``, as is its mass."""
+    paths = enumerate_reduced_paths(M.graph, k)  # reduced, so none is re-checked
+    counts = _window_counts(periods, paths)
     num, den = mass.denominator, D * mass.numerator
     entries = tuple((v, Fraction(c * num, den)) for v, c in zip(paths, counts))
     return FrequencyVector(k, entries, mass)

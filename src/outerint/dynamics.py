@@ -21,8 +21,8 @@ The orbit ``phi^n(g)`` they read is stepped on the letters, as
 Bestvina-Handel read it through the edge images ``f^n(e)``: the images
 ``phi^j(x)`` of the letters ``g`` reaches are kept, and each iterate joins
 a few of these long reduced pieces instead of substituting letter by
-letter (:func:`_iterates`).  :func:`iwip_rows` measures each iterate as
-it is made and keeps none.
+letter (:func:`_iterates`).  :func:`iwip_rows` reads each iterate's length
+and frequency row off one axis period as it is made, and keeps none.
 """
 
 from __future__ import annotations
@@ -32,12 +32,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .currents import FrequencyVector, counting_current, frequency_vector
+from .currents import FrequencyVector, _frequencies
 from .intersection import LengthFunctionOracle
 from .marked_graph import (
     EdgePath,
     MarkedMetricGraph,
     _edge_numbers,
+    cyclic_reduce_path,
     inverse_path,
     is_reduced_path,
     marked_graph_from_json_obj,
@@ -45,9 +46,10 @@ from .marked_graph import (
     translation_length,
     with_lengths,
 )
-from .words import Automorphism, OuterintError, Word, _concat, _letter_table, compose
+from .words import Automorphism, OuterintError, Word, _concat, _letter_table, compose, cyclic_length
 
 DEFAULT_WORD_CAP = 10 ** 6
+MAX_PF_ITERATIONS = 100_000
 
 
 class NonPrimitiveMatrixError(OuterintError):
@@ -208,9 +210,7 @@ def _float_at_least(x: Fraction) -> float:
     return f if Fraction(f) >= x else math.nextafter(f, math.inf)
 
 
-def pf_eigenpair(
-    T: TransitionMatrix, tol: float = 1e-12, max_iterations: int = 100_000
-) -> PFResult:
+def pf_eigenpair(T: TransitionMatrix, tol: float = 1e-12) -> PFResult:
     """Left dominant eigenpair by exact integer power iteration.
 
     From ``v = 1`` the iteration sets ``v <- T^t v`` with Python integers
@@ -228,7 +228,7 @@ def pf_eigenpair(
     columns = tuple(zip(*T.entries))
     tol2 = 2 * Fraction(tol)
     v = [1] * T.size
-    for it in range(1, max_iterations + 1):
+    for it in range(1, MAX_PF_ITERATIONS + 1):
         w = [sum(a * x for a, x in zip(col, v)) for col in columns]
         ratios = [Fraction(y, x) for x, y in zip(v, w)]
         lo, hi = min(ratios), max(ratios)
@@ -236,7 +236,7 @@ def pf_eigenpair(
             break
         v = w
     else:
-        raise ConvergenceError(f"power iteration did not converge in {max_iterations} steps")
+        raise ConvergenceError(f"power iteration did not converge in {MAX_PF_ITERATIONS} steps")
     mid, total = (lo + hi) / 2, sum(v)
     lam = float(mid)
     return PFResult(
@@ -319,9 +319,9 @@ def iterate_images(
     return out
 
 
-def _deflated(M: MarkedMetricGraph, lam: float, w: Word, j: int) -> float:
-    """Chart length of ``w``, the j-th iterate, deflated by ``lam^j``."""
-    return float(translation_length(M, w)) / lam ** j
+def _deflated(length: Fraction, lam: float, j: int) -> float:
+    """Exact chart length of the j-th iterate, deflated by ``lam^j``."""
+    return float(length) / lam ** j
 
 
 def stable_length_oracle(
@@ -342,10 +342,11 @@ def stable_length_oracle(
 
     def error_bound(w: Word) -> float:
         images = iterate_images(phi, w, n, cap)
-        return abs(_deflated(M, lam, images[n], n) - _deflated(M, lam, images[n - 1], n - 1))
+        a, b = (_deflated(translation_length(M, images[j]), lam, j) for j in (n, n - 1))
+        return abs(a - b)
 
     return LengthFunctionOracle(
-        evaluate=lambda w: _deflated(M, lam, iterate_images(phi, w, n, cap)[n], n),
+        evaluate=lambda w: _deflated(translation_length(M, iterate_images(phi, w, n, cap)[n]), lam, n),
         exact=False,
         error_bound=error_bound,
     )
@@ -367,7 +368,8 @@ def eigencurrent_approx(
     if n < 0:
         raise ValueError("n must be >= 0")
     image = iterate_images(phi, g, n, cap)[-1]
-    return frequency_vector(counting_current(image), M, k)
+    period = cyclic_reduce_path(M.word_to_path(image))
+    return _frequencies(M, k, [(period, 1)], Fraction(cyclic_length(image)))
 
 
 @dataclass(frozen=True)
@@ -406,7 +408,7 @@ def pairing_estimate(
     if g.is_identity:
         raise ValueError("seed must be nontrivial")
     iterates = iterate_images(phi, g, 2 * n, cap)
-    values = tuple(_deflated(M, lam, iterates[2 * m], 2 * m) for m in range(1, n + 1))
+    values = tuple(_deflated(translation_length(M, iterates[j]), lam, j) for j in range(2, len(iterates), 2))
     return PairingReport(values, (min(values), max(values)))
 
 
@@ -440,13 +442,16 @@ def iwip_rows(
     deltas: dict[int, Fraction] = {}
     prev_vec: Optional[FrequencyVector] = None
     for j, w in enumerate(_iterates(phi, g, 2 * n_max, cap)):
-        if j <= n_max or j % 2 == 0:
-            deflated[j] = _deflated(M, lam, w, j)
+        if j > n_max and j % 2:
+            continue
+        period = cyclic_reduce_path(M.word_to_path(w))
+        deflated[j] = _deflated(M._path_length(period), lam, j)
         if j <= n_max:
-            vec = frequency_vector(counting_current(w), M, depth)
+            vec = _frequencies(M, depth, [(period, 1)], Fraction(cyclic_length(w)))
             if prev_vec is not None:
                 deltas[j] = vec.sup_distance(prev_vec)
             prev_vec = vec
+        del period  # before the next, longer iterate is built
     return [
         IwipRow(n, deflated.get(n), deflated.get(2 * n), deltas.get(n)) for n in range(n_max + 1)
     ]

@@ -596,7 +596,7 @@ def test_every_library_exception_is_an_outerint_error():
     import pkgutil
 
     import outerint
-    from outerint import OuterintError
+    from outerint.words import OuterintError
 
     defined = [
         obj
@@ -624,6 +624,22 @@ def test_cli_import_leaves_numpy_unloaded():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_package_import_loads_no_submodule():
+    import subprocess
+    import sys
+
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, outerint; print(sorted(m for m in sys.modules if m.startswith('outerint.')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestFixturesLoad:

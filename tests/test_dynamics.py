@@ -14,6 +14,7 @@ from outerint.catalog import (
     fibonacci_rose_map,
     supergolden_rose_map,
 )
+from outerint.currents import counting_current, frequency_vector
 from outerint.dynamics import (
     DEFAULT_WORD_CAP,
     GraphMap,
@@ -33,10 +34,10 @@ from outerint.dynamics import (
     stable_length_oracle,
     transition_matrix,
 )
-from outerint.marked_graph import unit_rose
-from outerint.words import Automorphism, Word, parse_word
+from outerint.marked_graph import MarkedMetricGraph, reduce_path, unit_rose
+from outerint.words import Automorphism, Word, parse_word, word_length
 
-from _generators import random_automorphism, random_reduced_word
+from _generators import random_automorphism, random_chart_of_each_kind, random_reduced_word
 from oracles import char_poly_at, dominant_root_by_bisection
 
 GOLDEN = (1 + 5 ** 0.5) / 2
@@ -363,10 +364,50 @@ class TestStableLengthOracle:
         assert oracle.error_bound(g) > 0
 
 
+def axis_route_cases(seed: int = 53):
+    """``(phi, M, g, n, depth)`` on every chart kind at ranks 2-4, with
+    seeds that are proper powers, conjugated by a random word."""
+    rng = random.Random(seed)
+    for rank in (2, 3, 4):
+        for _ in range(10):
+            phi = random_automorphism(rng, rank)
+            root = random_reduced_word(rng, rank, rng.randint(1, 4))
+            conjugator = random_reduced_word(rng, rank, rng.randint(0, 3))
+            g = (root ** rng.randint(1, 3)).conjugate_by(conjugator)
+            for M in random_chart_of_each_kind(rng, rank):
+                yield phi, M, g, rng.randint(1, 3), rng.randint(1, 3)
+
+
+def current_route_mismatches() -> list:
+    """Cases where the eigencurrent vector or the ``freq_delta`` column,
+    both read off axis periods, differ from the normalised counting
+    currents of the iterates."""
+    bad = []
+    for phi, M, g, n, depth in axis_route_cases():
+        vecs = [frequency_vector(counting_current(w), M, depth) for w in iterate_images(phi, g, n)]
+        deltas = [b.sup_distance(a) for a, b in zip(vecs, vecs[1:])]
+        rows = iwip_rows(phi, M, GOLDEN, g, n, depth)
+        if eigencurrent_approx(phi, g, n, M, depth) != vecs[-1] or [r.freq_delta for r in rows[1:]] != deltas:
+            bad.append((phi.images, M, g, n, depth))
+    return bad
+
+
+class TestAxisRoute:
+    def test_matches_counting_currents(self):
+        assert current_route_mismatches() == []
+
+    @pytest.mark.parametrize(
+        "name, planted",
+        [("cyclic_reduce_path", reduce_path), ("cyclic_length", word_length)],
+        ids=["period-without-cyclic-cut", "mass-without-cyclic-cut"],
+    )
+    def test_cross_check_catches_uncut_period_or_mass(self, monkeypatch, name, planted):
+        monkeypatch.setattr(dynamics, name, planted)
+        assert current_route_mismatches()
+
+
 class TestEigencurrent:
     def test_n_zero_is_seed_frequency(self):
-        from outerint.currents import counting_current, frequency_vector
-
         M = unit_rose(2)
         g = parse_word("ab", 2)
         vec = eigencurrent_approx(fibonacci_automorphism(), g, 0, M, 2)
@@ -446,19 +487,22 @@ class TestIwipRows:
         assert rows[4].pairing_estimate is None
 
     def test_each_iterate_measured_once(self, monkeypatch):
-        from outerint import dynamics
-
+        M, phi, g = unit_rose(2), fibonacci_automorphism(), parse_word("a", 2)
         measured = []
-        real = dynamics.translation_length
+        real = MarkedMetricGraph.word_to_path
 
-        def counting(M, w):
+        def counting(self, w):
             measured.append(w)
-            return real(M, w)
+            return real(self, w)
 
-        monkeypatch.setattr(dynamics, "translation_length", counting)
-        iwip_rows(fibonacci_automorphism(), unit_rose(2), GOLDEN, parse_word("a", 2), 4, 1)
-        # lengths read iterates 0..4, pairings the even iterates 0..8
+        # every route to a length or a frequency row passes through here
+        monkeypatch.setattr(MarkedMetricGraph, "word_to_path", counting)
+        iwip_rows(phi, M, GOLDEN, g, 4, 1)
+        # lengths and rows read iterates 0..4, pairings the even iterates 0..8
         assert len(measured) == len(set(measured)) == 7
+        measured.clear()
+        eigencurrent_approx(phi, g, 6, M, 2)
+        assert len(measured) == 1
 
     def test_columns_match_pairing_estimate_and_oracle(self):
         f = supergolden_rose_map()
