@@ -11,34 +11,29 @@ Every output is byte-identical across reruns with the same inputs.
 Errors are handled in one place, :class:`_Main`: a library error or a
 rejected argument becomes one ``Error:`` line on stderr and the exit code
 of its class (3 for a route disagreement, otherwise 1).
+
+Each command imports the library modules it runs in its own body, so a
+process loads only those; module attributes are read at call time.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 from decimal import ROUND_CEILING, Context, Decimal, localcontext
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import click
 
-from . import __version__
-from .currents import RationalCurrent, frequency_vector
-from .dynamics import (
-    DEFAULT_WORD_CAP, graph_map_from_json_obj, iwip_rows, pf_eigenpair, transition_matrix
-)
-from .intersection import intersect_report, scaling_modulus_experiment
-from .marked_graph import (
-    MarkedMetricGraph,
-    bbt_upper_bound,
-    marked_graph_from_json_obj,
-    translation_length,
-)
-from .splittings import FLAVORS, FreeSplitting, bfs_distance
+from . import DEFAULT_WORD_CAP, FLAVORS, __version__
 from .words import (
-    Automorphism, CyclicWord, OuterintError, Word, _check_int, parse_word, reduce, word_str
+    Automorphism, OuterintError, Word, _check_int, conjugacy_class, parse_word, reduce, word_str
 )
+
+if TYPE_CHECKING:
+    from .currents import RationalCurrent
+    from .marked_graph import MarkedMetricGraph
 
 
 def _load(path: str, parse, what: str):
@@ -56,6 +51,9 @@ def _load(path: str, parse, what: str):
 
 
 def _load_chart_and_current(graph: str, current: str) -> tuple[MarkedMetricGraph, RationalCurrent]:
+    from .currents import RationalCurrent
+    from .marked_graph import marked_graph_from_json_obj
+
     M = _load(graph, marked_graph_from_json_obj, "graph")
     mu = _load(current, RationalCurrent.from_json_obj, "current")
     if M.rank != mu.rank:
@@ -75,6 +73,8 @@ def _parse_word_arg(text: str, rank: int) -> Word:
 
 
 def _config_hash(payload) -> str:
+    import hashlib  # OpenSSL is loaded only by the commands that print a hash
+
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -148,6 +148,8 @@ def main() -> None:
 @click.argument("word")
 def translen(graph: str, word: str) -> None:
     """Translation length of WORD on the tree of GRAPH."""
+    from .marked_graph import marked_graph_from_json_obj, translation_length
+
     M = _load(graph, marked_graph_from_json_obj, "graph")
     w = _parse_word_arg(word, M.rank)
     click.echo(_fmt(translation_length(M, w)))
@@ -157,6 +159,8 @@ def translen(graph: str, word: str) -> None:
 @click.argument("graph", type=click.Path(exists=True, dir_okay=False))
 def bbt(graph: str) -> None:
     """Back-tracking bound of GRAPH: total generator displacement."""
+    from .marked_graph import bbt_upper_bound, marked_graph_from_json_obj
+
     M = _load(graph, marked_graph_from_json_obj, "graph")
     click.echo(_fmt(bbt_upper_bound(M)))
 
@@ -167,6 +171,8 @@ def bbt(graph: str) -> None:
 def intersect(graph: str, current: str) -> None:
     """Pairing of GRAPH with CURRENT; both evaluation routes are shown
     and any disagreement is a hard failure."""
+    from .intersection import intersect_report
+
     M, mu = _load_chart_and_current(graph, current)
     report = intersect_report(M, mu)
     _echo_json(
@@ -187,6 +193,8 @@ def intersect(graph: str, current: str) -> None:
 )
 def current_freq(current: str, graph: str, depth: int) -> None:
     """Frequency vector of CURRENT at the given depth on GRAPH."""
+    from .currents import frequency_vector
+
     M, mu = _load_chart_and_current(graph, current)
     vec = frequency_vector(mu, M, depth)
     rows = [
@@ -205,6 +213,9 @@ def current_freq(current: str, graph: str, depth: int) -> None:
 def scaling_exp(graph: str, delta: str, samples: int, max_len: int, seed: int) -> None:
     """Perturb GRAPH twice and compare the length change of sampled words
     against the a-priori scaling bound."""
+    from .intersection import scaling_modulus_experiment
+    from .marked_graph import marked_graph_from_json_obj
+
     M = _load(graph, marked_graph_from_json_obj, "graph")
     try:
         d = Fraction(delta)
@@ -244,6 +255,8 @@ _TOL = click.FloatRange(min=0, min_open=True)
 @click.option("--tol", default=1e-12, show_default=True, type=_TOL)
 def pf(map_path: str, tol: float) -> None:
     """Dominant eigenpair of the transition matrix of an expanding map."""
+    from .dynamics import graph_map_from_json_obj, pf_eigenpair, transition_matrix
+
     f = _load(map_path, graph_map_from_json_obj, "graph map")
     result = pf_eigenpair(transition_matrix(f), tol=tol)
     g = f.chart.graph
@@ -287,6 +300,8 @@ def iwip(
 ) -> None:
     """Deflated length, pairing and frequency diagnostics for an
     expanding map, one CSV row per iteration."""
+    from .dynamics import graph_map_from_json_obj, iwip_rows, pf_eigenpair, transition_matrix
+
     f = _load(map_path, graph_map_from_json_obj, "graph map")
     g = _parse_word_arg(seed, f.chart.rank)
     if n_max > n_cap:
@@ -318,13 +333,19 @@ def iwip(
 
 
 def _vertex(obj):
+    from .currents import RationalCurrent
+    from .marked_graph import marked_graph_from_json_obj
+    from .splittings import FreeSplitting
+
     if "kind" in obj:
         return FreeSplitting.from_json_obj(obj)
     if "terms" in obj:
         return RationalCurrent.from_json_obj(obj)
     if "class" in obj:
-        w = reduce(obj["class"], _check_int(obj["rank"], "rank"))
-        return CyclicWord(w.rank, w.letters)
+        cw = conjugacy_class(obj["class"], _check_int(obj["rank"], "rank"))
+        if cw is None:
+            raise ValueError("cyclic word must be nonempty (identity has no cyclic word)")
+        return cw
     if "edges" in obj:
         return marked_graph_from_json_obj(obj)
     raise ValueError("cannot tell its kind: no 'kind', 'terms', 'class' or 'edges' key")
@@ -350,6 +371,8 @@ def graph_cmd(
     state_cap: int,
 ) -> None:
     """Bounded-radius distance between two vertices of a splitting graph."""
+    from .splittings import bfs_distance
+
     v1, v2 = _load(from_path, _vertex, "vertex"), _load(to_path, _vertex, "vertex")
     moves = []
     if moves_path:

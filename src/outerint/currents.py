@@ -47,6 +47,7 @@ from .words import (
     CyclicWord,
     Word,
     _check_int,
+    conjugacy_class,
     cyclic_reduce,
     flip_normalize,
     letter_sort_key,
@@ -108,7 +109,7 @@ class RationalCurrent:
         rank = _check_int(obj["rank"], "rank")
         terms = []
         for t in obj["terms"]:
-            root, _ = cyclic_reduce(Word(rank, tuple(t["root"])))
+            root = conjugacy_class(t["root"], rank)
             if root is None:
                 raise ValueError("current term root is the identity")
             terms.append((root, _check_fraction(t["weight"])))

@@ -22,18 +22,20 @@ Bestvina-Handel read it through the edge images ``f^n(e)``: the images
 ``phi^j(x)`` of the letters ``g`` reaches are kept, and each iterate joins
 a few of these long reduced pieces instead of substituting letter by
 letter (:func:`_iterates`).  :func:`iwip_rows` reads each iterate's length
-and frequency row off one axis period as it is made, and keeps none.
+and frequency row off one axis period as it is made, and keeps none; the
+other diagnostics keep only the iterates they read (:func:`_orbit`).
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
+from . import DEFAULT_WORD_CAP
 from .currents import FrequencyVector, _frequencies
-from .intersection import LengthFunctionOracle
 from .marked_graph import (
     EdgePath,
     MarkedMetricGraph,
@@ -48,7 +50,9 @@ from .marked_graph import (
 )
 from .words import Automorphism, OuterintError, Word, _concat, _letter_table, compose, cyclic_length
 
-DEFAULT_WORD_CAP = 10 ** 6
+if TYPE_CHECKING:
+    from .intersection import LengthFunctionOracle
+
 MAX_PF_ITERATIONS = 100_000
 
 
@@ -311,12 +315,20 @@ def iterate_images(
     """``[w, phi(w), ..., phi^n(w)]`` with a letter budget: iterated
     images grow geometrically, so exceeding ``cap`` raises instead of
     silently grinding."""
+    return list(_orbit(phi, w, n, cap))
+
+
+def _orbit(phi: Automorphism, w: Word, n: int, cap: int) -> Iterator[Word]:
+    """``w, phi(w), ..., phi^n(w)``, one at a time, raising
+    :class:`WordLengthCapError` where :func:`_iterates` stops short; a
+    caller keeps only the iterates it reads."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    out = list(_iterates(phi, w, n, cap))
-    if len(out) <= n:
-        raise WordLengthCapError(f"iterate {len(out)} has more than {cap} letters; use a smaller n")
-    return out
+    j = -1
+    for j, image in enumerate(_iterates(phi, w, n, cap)):
+        yield image
+    if j < n:
+        raise WordLengthCapError(f"iterate {j + 1} has more than {cap} letters; use a smaller n")
 
 
 def _deflated(length: Fraction, lam: float, j: int) -> float:
@@ -337,19 +349,22 @@ def stable_length_oracle(
     The per-query error estimate is the gap to the (n-1)-st stage; it is a
     diagnostic, not a proven rate.
     """
+    from .intersection import LengthFunctionOracle  # its only use here
+
     if n < 1:
         raise ValueError("n must be >= 1")
 
+    def evaluate(w: Word) -> float:
+        (last,) = deque(_orbit(phi, w, n, cap), maxlen=1)
+        return _deflated(translation_length(M, last), lam, n)
+
     def error_bound(w: Word) -> float:
-        images = iterate_images(phi, w, n, cap)
-        a, b = (_deflated(translation_length(M, images[j]), lam, j) for j in (n, n - 1))
+        before, last = deque(_orbit(phi, w, n, cap), maxlen=2)
+        a = _deflated(translation_length(M, last), lam, n)
+        b = _deflated(translation_length(M, before), lam, n - 1)
         return abs(a - b)
 
-    return LengthFunctionOracle(
-        evaluate=lambda w: _deflated(translation_length(M, iterate_images(phi, w, n, cap)[n]), lam, n),
-        exact=False,
-        error_bound=error_bound,
-    )
+    return LengthFunctionOracle(evaluate=evaluate, exact=False, error_bound=error_bound)
 
 
 def eigencurrent_approx(
@@ -367,7 +382,7 @@ def eigencurrent_approx(
         raise ValueError("seed must be nontrivial")
     if n < 0:
         raise ValueError("n must be >= 0")
-    image = iterate_images(phi, g, n, cap)[-1]
+    (image,) = deque(_orbit(phi, g, n, cap), maxlen=1)
     period = cyclic_reduce_path(M.word_to_path(image))
     return _frequencies(M, k, [(period, 1)], Fraction(cyclic_length(image)))
 
@@ -407,8 +422,10 @@ def pairing_estimate(
         raise ValueError("n must be >= 1")
     if g.is_identity:
         raise ValueError("seed must be nontrivial")
-    iterates = iterate_images(phi, g, 2 * n, cap)
-    values = tuple(_deflated(translation_length(M, iterates[j]), lam, j) for j in range(2, len(iterates), 2))
+    values = tuple(
+        _deflated(translation_length(M, w), lam, j)
+        for j, w in enumerate(_orbit(phi, g, 2 * n, cap)) if j and j % 2 == 0
+    )
     return PairingReport(values, (min(values), max(values)))
 
 

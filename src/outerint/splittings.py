@@ -50,6 +50,7 @@ from itertools import combinations, compress, repeat
 from operator import and_, ne
 from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Optional, Sequence, Union
 
+from . import FLAVORS, Flavor
 from .currents import RationalCurrent, counting_current, one_letter_mass
 from .currents import act as act_on_current
 from .marked_graph import MarkedMetricGraph, translation_length
@@ -69,8 +70,6 @@ from .words import (
     enumerate_cyclic_words,
     flip_normalize,
 )
-
-Flavor = Literal["F", "S", "Fstar", "Z", "I0"]
 
 
 class StateCapExceeded(OuterintError):
@@ -438,6 +437,8 @@ class _Universe:
         self.depth = depth
         self.cap = cap
         self.vertices: dict[tuple, list[GraphVertex]] = {}
+        # vertex kind -> every stored (key, presentation) of it, in storing order
+        self._stored: dict[type, list[tuple[tuple, GraphVertex]]] = {kind: [] for kind in _VERTEX_KINDS}
 
     def key(self, v: GraphVertex) -> tuple:
         return _VERTEX_KINDS[type(v)][0](v, self.depth)
@@ -449,6 +450,7 @@ class _Universe:
             if len(self.vertices) >= self.cap:
                 raise StateCapExceeded(len(self.vertices))
             self.vertices[k] = [v]
+            self._stored[type(v)].append((k, v))
         elif type(v) is FreeSplitting and v not in known:
             deep = self.depth + 2
             if not _same_tree(v, known[0]) and vertex_key(v, deep) != vertex_key(known[0], deep):
@@ -457,12 +459,16 @@ class _Universe:
                     f"collide at key depth {self.depth} but differ at depth {deep}"
                 )
             known.append(v)
+            self._stored[FreeSplitting].append((k, v))
         return k
 
     def each(self, *kinds: type) -> list[tuple[tuple, GraphVertex]]:
-        """Every stored presentation of the given kinds with its key, in
-        insertion order."""
-        return [(k, p) for k, ps in self.vertices.items() for p in ps if type(p) in kinds]
+        """Every stored presentation of the given kinds with its key, kind
+        by kind, each in storing order (the rules read the pairs as a
+        set).  One kind's list is the store's own: read it, do not change it."""
+        if len(kinds) == 1:
+            return self._stored[kinds[0]]
+        return [pair for kind in kinds for pair in self._stored[kind]]
 
 
 def _move_closure(universe: _Universe, seeds: Sequence[GraphVertex],
@@ -549,20 +555,20 @@ class _Flavor(NamedTuple):
     neighbours: NeighbourRule
 
 
-_FLAVORS: dict[Flavor, _Flavor] = {
-    "F": _Flavor((FreeSplitting,), "separating splittings", True, _coordinate_rule(False, _refines)),
-    "S": _Flavor((FreeSplitting,), "splittings", False, _coordinate_rule(True, _refines)),
-    "Fstar": _Flavor((FreeSplitting,), "separating splittings", True, _coordinate_rule(
+# one row per name in FLAVORS, in its order
+_FLAVORS: dict[Flavor, _Flavor] = dict(zip(FLAVORS, (
+    _Flavor((FreeSplitting,), "separating splittings", True, _coordinate_rule(False, _refines)),  # F
+    _Flavor((FreeSplitting,), "splittings", False, _coordinate_rule(True, _refines)),  # S
+    _Flavor((FreeSplitting,), "separating splittings", True, _coordinate_rule(  # Fstar
         False, _shares_elliptic
     )),
-    "Z": _Flavor((FreeSplitting, CyclicWord), "splittings or conjugacy classes", False,
-                 _bipartite_rule(CyclicWord, lambda cw: cw,
-                                 lambda s, cw: splitting_length(s, cw.as_word()) == 0)),
-    "I0": _Flavor((FreeSplitting, MarkedMetricGraph, RationalCurrent), "trees or currents", False,
-                  _bipartite_rule(RationalCurrent, lambda cw: counting_current(cw.as_word()),
-                                  intersection_graph_adjacent)),
-}
-FLAVORS: tuple[Flavor, ...] = tuple(_FLAVORS)
+    _Flavor((FreeSplitting, CyclicWord), "splittings or conjugacy classes", False,  # Z
+            _bipartite_rule(CyclicWord, lambda cw: cw,
+                            lambda s, cw: splitting_length(s, cw.as_word()) == 0)),
+    _Flavor((FreeSplitting, MarkedMetricGraph, RationalCurrent), "trees or currents", False,  # I0
+            _bipartite_rule(RationalCurrent, lambda cw: counting_current(cw.as_word()),
+                            intersection_graph_adjacent)),
+), strict=True))
 
 
 def bfs_distance(

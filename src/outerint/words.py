@@ -268,6 +268,17 @@ def cyclic_reduce(w: Word) -> tuple[CyclicWord | None, Word]:
     return CyclicWord._make(w.rank, core), Word._make(w.rank, _inverse(w.letters[:cut]))
 
 
+def conjugacy_class(letters: Sequence[int], rank: int) -> CyclicWord | None:
+    """The conjugacy class a letter sequence names: the sequence freely,
+    then cyclically reduced; None for the identity.  The one input rule
+    of classes and current roots.
+
+    >>> str(conjugacy_class([1, 2, -2], 2)), str(conjugacy_class([1, 2, -1], 2))
+    ('a', 'b')
+    """
+    return cyclic_reduce(reduce(letters, rank))[0]
+
+
 def primitive_root(cw: CyclicWord) -> tuple[CyclicWord, int]:
     """Write the cyclic word as ``root^m`` with the root not a proper power.
 

@@ -221,6 +221,58 @@ class TestGraphCmd:
         assert result.exit_code != 0
 
 
+class TestClassInput:
+    """A conjugacy-class vertex and a current root follow one rule: the
+    word names its class, freely and then cyclically reduced."""
+
+    # word -> the class it names; a is the stable letter of the loop
+    # splitting, so only b is elliptic there
+    WORDS = [([1, 2, -2], [1]), ([1, 2, -1], [2])]
+
+    @staticmethod
+    def output(tmp_path, command, obj) -> dict:
+        path = tmp_path / "vertex.json"
+        path.write_text(json.dumps(obj))
+        if command == "intersect":
+            result = run("intersect", FIXTURES / "rose2_lengths_2_3.json", path)
+        else:
+            result = run("graph", "--flavor", command, "--from", FIXTURES / "splitting_loop_a_rank3.json",
+                         "--to", path, "--radius", "2")
+        assert result.exit_code == 0, result.output
+        data = json.loads(result.output)
+        del data["meta"]  # its hash covers the file path only
+        return data
+
+    @pytest.mark.parametrize("word, named", WORDS, ids=["free-cancellation", "cyclic-cancellation"])
+    @pytest.mark.parametrize("command", ["Z", "I0", "intersect"])
+    def test_word_names_its_class(self, tmp_path, command, word, named):
+        def vertex(letters):
+            if command == "Z":
+                return {"rank": 3, "class": letters}
+            return {"rank": 3 if command == "I0" else 2, "terms": [{"root": letters, "weight": "1"}]}
+
+        got = self.output(tmp_path, command, vertex(word))
+        assert got == self.output(tmp_path, command, vertex(named))
+        if command == "intersect":  # a has length 2, b length 3
+            assert got["value"] == {1: "2", 2: "3"}[named[0]]
+        else:
+            assert got["distance"] == {1: None, 2: 1}[named[0]]
+
+    @pytest.mark.parametrize("command, obj, message", [
+        ("Z", {"rank": 3, "class": [1, -1]},
+         "cyclic word must be nonempty (identity has no cyclic word)"),
+        ("I0", {"rank": 3, "terms": [{"root": [2, 1, -1, -2], "weight": "1"}]},
+         "current term root is the identity"),
+    ])
+    def test_identity_names_no_class(self, tmp_path, command, obj, message):
+        path = tmp_path / "vertex.json"
+        path.write_text(json.dumps(obj))
+        result = run("graph", "--flavor", command, "--from", FIXTURES / "splitting_a_rank3.json",
+                     "--to", path, "--radius", "2")
+        assert result.exit_code == 1
+        TestUserErrors.assert_one_line_error(result, f"bad vertex file {path}: {message}")
+
+
 class TestDeterminism:
     def test_iwip_byte_identical(self):
         args = ["iwip", "--map", FIXTURES / "fibonacci_map.json", "--seed", "a", "--n", "8"]
@@ -611,19 +663,45 @@ def test_every_library_exception_is_an_outerint_error():
 
 
 def test_cli_import_leaves_numpy_unloaded():
+    """``import outerint.cli`` loads no numpy and no library module beyond
+    ``words``; each command loads only the modules it runs, while the
+    option table still shows the constants those modules use."""
     import subprocess
     import sys
 
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    code = "import sys, outerint.cli; print('numpy' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={"PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        check=True,
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import outerint.cli\n"
+        "ours = lambda: sorted(m for m in sys.modules if m.startswith('outerint'))\n"
+        "before = ours()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    outerint.cli.main.main(sys.argv[1:], standalone_mode=False)\n"
+        "print(json.dumps([before, ours(), 'numpy' in sys.modules]))\n"
     )
-    assert out.stdout.strip() == "False"
+
+    def loaded(*args):
+        out = subprocess.run(
+            [sys.executable, "-c", code, *map(str, args)],
+            env={"PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        return json.loads(out.stdout)
+
+    on_import, _, numpy = loaded("bbt", FIXTURES / "rose2.json")
+    assert on_import == ["outerint", "outerint.cli", "outerint.words"]
+    assert not numpy
+    assert set(loaded("translen", FIXTURES / "rose2.json", "ab")[1]) - set(on_import) == {
+        "outerint.marked_graph"
+    }
+    _, after, numpy = loaded("iwip", "--map", FIXTURES / "fibonacci_map.json", "--seed", "a", "--n", "2")
+    assert "outerint.dynamics" in after and not numpy
+    assert {"outerint.intersection", "outerint.splittings"}.isdisjoint(after)
+
+    assert "[default: 1000000; x>=1]" in run("iwip", "--help").output
+    assert "--flavor [F|S|Fstar|Z|I0]" in run("graph", "--help").output
 
 
 def test_package_import_loads_no_submodule():

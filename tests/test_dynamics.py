@@ -291,8 +291,19 @@ def iteration_mismatches(maps, seed: int = 43) -> list:
 
 class TestIteration:
     def test_cap_enforced(self):
-        with pytest.raises(WordLengthCapError):
-            iterate_images(fibonacci_automorphism(), parse_word("a", 2), 40, cap=100)
+        # every walk that must reach phi^n(g) stops at phi^10(a), 144 letters
+        phi, g, M = fibonacci_automorphism(), parse_word("a", 2), unit_rose(2)
+        oracle = stable_length_oracle(phi, M, GOLDEN, 40, cap=100)
+        for walk in (
+            lambda: iterate_images(phi, g, 40, cap=100),
+            lambda: eigencurrent_approx(phi, g, 40, M, 2, cap=100),
+            lambda: oracle.evaluate(g),
+            lambda: oracle.error_bound(g),
+            lambda: pairing_estimate(phi, M, GOLDEN, g, 20, cap=100),
+        ):
+            message = "^iterate 10 has more than 100 letters; use a smaller n$"
+            with pytest.raises(WordLengthCapError, match=message):
+                walk()
 
     def test_sequence_prefix(self):
         phi = fibonacci_automorphism()
