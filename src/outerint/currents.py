@@ -8,6 +8,12 @@ canonical order is kept.  This bakes the flip symmetry into the
 representation, so ``counting_current(w) == counting_current(w^-1)``
 holds by construction.
 
+The public constructor and :meth:`RationalCurrent.from_json_obj`
+normalise and check every term; currents derived from normal ones
+(:func:`counting_current`, :func:`add`, :func:`scale`, :func:`act` and
+the splitting graphs' minted witnesses) are built by the trusted
+``RationalCurrent._make``, which takes its terms as they are.
+
 The pairing with a marked graph is through cylinder counts: the count of
 an edge path ``v`` against a term counts occurrences of ``v`` and of
 ``v^-1`` per period of the bi-infinite axis line of the term's class,
@@ -19,8 +25,9 @@ a cross-module invariant rather than assumed.
 
 :func:`cylinder_count` and :func:`frequency_vector` share one window
 counter, which counts every window of each term's axis period in one
-pass, so each path is one lookup; a standard-marked rose reads a word as
-its own edge path, and a reduced path is not re-reduced.  Counts are
+pass, so each path is one lookup, and releases the last tally when the
+count returns; a standard-marked rose reads a word as its own edge path,
+and a reduced path is not re-reduced.  Counts are
 summed as integers over the lcm of the weight denominators and become
 one ``Fraction`` per entry; :meth:`FrequencyVector.sup_distance`
 compares two vectors' integer numerators the same way and divides once.
@@ -55,6 +62,10 @@ from .words import (
 )
 
 
+def _term_key(term: tuple[CyclicWord, Fraction]) -> tuple[int, tuple[int, ...]]:
+    return term[0].sort_key()
+
+
 def _normalize_terms(
     rank: int, raw: Iterable[tuple[CyclicWord, Fraction]]
 ) -> tuple[tuple[CyclicWord, Fraction], ...]:
@@ -74,7 +85,7 @@ def _normalize_terms(
             acc[key] = (root, acc[key][1] + mult * weight)
         else:
             acc[key] = (root, mult * weight)
-    return tuple(sorted(acc.values(), key=lambda t: t[0].sort_key()))
+    return tuple(sorted(acc.values(), key=_term_key))
 
 
 @dataclass(frozen=True)
@@ -90,6 +101,15 @@ class RationalCurrent:
         normalized = _normalize_terms(self.rank, self.terms)
         if normalized != tuple(self.terms):
             object.__setattr__(self, "terms", normalized)
+
+    @classmethod
+    def _make(cls, rank: int, terms: tuple[tuple[CyclicWord, Fraction], ...]) -> "RationalCurrent":
+        """Trusted: positive weights on distinct primitive, flip-normalised
+        roots in sort-key order, derived from validated values."""
+        mu = object.__new__(cls)
+        object.__setattr__(mu, "rank", rank)
+        object.__setattr__(mu, "terms", terms)
+        return mu
 
     @property
     def is_zero(self) -> bool:
@@ -123,23 +143,39 @@ def zero_current(rank: int) -> RationalCurrent:
 def counting_current(w: Word) -> RationalCurrent:
     """The counting current of ``w``: weight m on the primitive root f
     when ``w`` is conjugate to ``f^m``."""
-    root, _ = cyclic_reduce(w)
-    if root is None:
+    cw, _ = cyclic_reduce(w)
+    if cw is None:
         raise ValueError("the identity has no counting current")
-    return RationalCurrent(w.rank, ((root, Fraction(1)),))
+    return _class_current(flip_normalize(cw))
+
+
+def _class_current(cw: CyclicWord) -> RationalCurrent:
+    """The counting current of a flip-normalised class, whose primitive
+    root, a prefix of it, is canonical and flip-normalised too."""
+    root, m = primitive_root(cw)
+    return RationalCurrent._make(cw.rank, ((root, Fraction(m)),))
 
 
 def add(mu: RationalCurrent, nu: RationalCurrent) -> RationalCurrent:
+    """The sum, merging the two sorted term lists (on two sorted runs,
+    ``sorted`` is one linear merge)."""
     if mu.rank != nu.rank:
         raise ValueError("rank mismatch")
-    return RationalCurrent(mu.rank, mu.terms + nu.terms)
+    terms: list[tuple[CyclicWord, Fraction]] = []
+    for cw, weight in sorted(mu.terms + nu.terms, key=_term_key):
+        if terms and terms[-1][0].letters == cw.letters:
+            weight += terms.pop()[1]
+        terms.append((cw, weight))
+    return RationalCurrent._make(mu.rank, tuple(terms))
 
 
 def scale(lam, mu: RationalCurrent) -> RationalCurrent:
     lam = Fraction(lam)
     if lam < 0:
         raise ValueError("scale factor must be nonnegative")
-    return RationalCurrent(mu.rank, tuple((cw, lam * w) for cw, w in mu.terms))
+    if lam == 0:
+        return RationalCurrent._make(mu.rank, ())
+    return RationalCurrent._make(mu.rank, tuple((cw, lam * w) for cw, w in mu.terms))
 
 
 def one_letter_mass(mu: RationalCurrent) -> Fraction:
@@ -152,12 +188,11 @@ def act(phi: Automorphism, mu: RationalCurrent) -> RationalCurrent:
     """Push a current forward: each class goes to the class of its image."""
     if phi.rank != mu.rank:
         raise ValueError("rank mismatch")
-    # an automorphism sends nontrivial classes to nontrivial ones, so
-    # every image has a root; the terms are normalised once, together
-    return RationalCurrent(
-        mu.rank,
-        tuple((cyclic_reduce(phi.apply(cw.as_word()))[0], weight) for cw, weight in mu.terms),
-    )
+    # an automorphism sends distinct primitive classes, up to inversion, to
+    # distinct primitive classes: each image is only flip-normalised
+    terms = [(flip_normalize(cyclic_reduce(phi.apply(cw.as_word()))[0]), weight)
+             for cw, weight in mu.terms]
+    return RationalCurrent._make(mu.rank, tuple(sorted(terms, key=_term_key)))
 
 
 def occurrences_in_cycle(period: Sequence[int], pattern: Sequence[int]) -> int:
@@ -207,6 +242,7 @@ def _window_counts(periods: Iterable[tuple[EdgePath, int]], paths: Sequence[Edge
             c + w * (occurrences_in_cycle(period, v) + occurrences_in_cycle(period, v_inv))
             for c, (v, v_inv) in zip(counts, pairs)
         ]
+    _windows.cache_clear()  # no later period is looked up: release the last one
     return counts
 
 

@@ -39,6 +39,11 @@ bounds in general.  The search dispatches on vertex kind from one table
 (key at a depth, image under an automorphism, per vertex type) and on
 flavor from another (admitted vertex kinds and neighbour rule: coordinate
 families for F, S and Fstar, trees against minted witnesses for Z and I0).
+Class vertices are stored flip-normalised (an endpoint on entry, an image
+under a move), so a class is keyed by its letters.  Z and I0 mint their
+witnesses from the test set, whose classes are flip-normalised already,
+without rotating them again; every minted witness is still tested for
+adjacency through :func:`splitting_length`.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from operator import and_, ne
 from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Optional, Sequence, Union
 
 from . import FLAVORS, Flavor
-from .currents import RationalCurrent, counting_current, one_letter_mass
+from .currents import RationalCurrent, _class_current, one_letter_mass
 from .currents import act as act_on_current
 from .marked_graph import MarkedMetricGraph, translation_length
 from .marked_graph import act as act_on_chart
@@ -389,9 +394,9 @@ _VERTEX_KINDS = {
     FreeSplitting: (lambda s, depth: ("tree", vertex_key(s, depth).lengths), act),
     MarkedMetricGraph: (_chart_key, act_on_chart),
     RationalCurrent: (_current_key, act_on_current),
-    CyclicWord: (
-        lambda cw, depth: ("class", flip_normalize(cw).letters),
-        lambda phi, cw: cyclic_reduce(phi.apply(cw.as_word()))[0],
+    CyclicWord: (  # stored flip-normalised, so a class is its letters
+        lambda cw, depth: ("class", cw.letters),
+        lambda phi, cw: flip_normalize(cyclic_reduce(phi.apply(cw.as_word()))[0]),
     ),
 }
 
@@ -531,8 +536,10 @@ def _coordinate_rule(include_loops: bool, adjacent) -> NeighbourRule:
 
 def _bipartite_rule(witness: type, mint, adjacent) -> NeighbourRule:
     """Z and I0: trees on one side, ``witness`` vertices on the other.  A
-    splitting mints ``mint(cw)`` for each of its elliptic classes, and
-    ``adjacent(tree, witness)`` decides every stored pair, minted or not."""
+    splitting mints ``mint(cw)`` for each of its elliptic classes; these
+    are test-set classes, flip-normalised already, as a stored class must
+    be.  ``adjacent(tree, witness)`` tests every stored pair, minted or
+    not, through :func:`splitting_length`."""
 
     def neighbours(universe: _Universe, key: tuple, search_length: int) -> list[tuple]:
         v = universe.vertices[key][0]
@@ -566,8 +573,7 @@ _FLAVORS: dict[Flavor, _Flavor] = dict(zip(FLAVORS, (
             _bipartite_rule(CyclicWord, lambda cw: cw,
                             lambda s, cw: splitting_length(s, cw.as_word()) == 0)),
     _Flavor((FreeSplitting, MarkedMetricGraph, RationalCurrent), "trees or currents", False,  # I0
-            _bipartite_rule(RationalCurrent, lambda cw: counting_current(cw.as_word()),
-                            intersection_graph_adjacent)),
+            _bipartite_rule(RationalCurrent, _class_current, intersection_graph_adjacent)),
 ), strict=True))
 
 
@@ -608,6 +614,7 @@ def bfs_distance(
         if type(v) not in graph.kinds or (graph.separating_only and v.kind != "sep"):
             raise ValueError(f"flavor {flavor} vertices are {graph.noun}")
 
+    v1, v2 = (flip_normalize(v) if type(v) is CyclicWord else v for v in (v1, v2))
     universe = _Universe(key_depth, state_cap)
     k1, k2 = universe.add(v1), universe.add(v2)
     _move_closure(universe, [v1, v2], list(move_generators), radius)

@@ -699,6 +699,12 @@ def test_cli_import_leaves_numpy_unloaded():
     _, after, numpy = loaded("iwip", "--map", FIXTURES / "fibonacci_map.json", "--seed", "a", "--n", "2")
     assert "outerint.dynamics" in after and not numpy
     assert {"outerint.intersection", "outerint.splittings"}.isdisjoint(after)
+    _, after, numpy = loaded(
+        "graph", "--flavor", "I0", "--from", FIXTURES / "splitting_a_rank3.json",
+        "--to", FIXTURES / "current_b_rank3.json", "--radius", "2",
+    )
+    assert "outerint.splittings" in after and not numpy
+    assert {"outerint.intersection", "outerint.dynamics"}.isdisjoint(after)
 
     assert "[default: 1000000; x>=1]" in run("iwip", "--help").output
     assert "--flavor [F|S|Fstar|Z|I0]" in run("graph", "--help").output

@@ -1,12 +1,13 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import find, settings, strategies as st
 
 from outerint import currents
-from outerint.catalog import catalog
+from outerint.catalog import catalog, fibonacci_automorphism
 from outerint.currents import (
     RationalCurrent,
     act,
@@ -21,12 +22,21 @@ from outerint.currents import (
     zero_current,
 )
 from outerint.marked_graph import inverse_path, subdivide_edge, translation_length, unit_rose
-from outerint.words import Automorphism, Word, compose, letter_sort_key, parse_word, primitive_root
+from outerint.words import (
+    Automorphism,
+    Word,
+    compose,
+    cyclic_reduce,
+    letter_sort_key,
+    parse_word,
+    primitive_root,
+)
 
 from _generators import (
     random_automorphism,
     random_chart_of_each_kind,
     random_current,
+    random_fraction,
     random_marked_graph,
     random_reduced_word,
 )
@@ -127,6 +137,70 @@ class TestLinearStructure:
             assert intersect(M, add(mu, nu)) == intersect(M, mu) + intersect(M, nu)
 
 
+class TestTrustedBuilders:
+    """``counting_current``, ``add``, ``scale`` and ``act`` build through
+    the trusted constructor; each must give what the public constructor
+    gives on the same raw terms."""
+
+    @staticmethod
+    def public(rank, raw):
+        return RationalCurrent(rank, tuple((cyclic_reduce(w)[0], x) for w, x in raw))
+
+    @staticmethod
+    def words(rng, rank):
+        """A word, its inverse and a proper power of it."""
+        w = random_reduced_word(rng, rank, rng.randint(1, 6))
+        while w.is_identity:
+            w = random_reduced_word(rng, rank, rng.randint(1, 6))
+        return [w, w.inverse(), w ** rng.randint(2, 3)]
+
+    def test_counting_current(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            for w in self.words(rng, rng.choice([2, 3])):
+                assert counting_current(w) == self.public(w.rank, [(w, 1)])
+
+    def test_add(self):
+        rng = random.Random(42)
+        for _ in range(60):
+            rank = rng.choice([2, 3])
+            w, w_inv, power = self.words(rng, rank)
+            v = self.words(rng, rank)[0]
+            x, y, z = (random_fraction(rng) for _ in range(3))
+            mu = add(scale(x, counting_current(w)), scale(y, counting_current(v)))
+            nu = add(scale(z, counting_current(w_inv)), counting_current(power))
+            assert mu == self.public(rank, [(w, x), (v, y)])
+            assert add(mu, nu) == self.public(rank, [(w, x), (v, y), (w_inv, z), (power, 1)])
+            assert add(nu, zero_current(rank)) == nu == add(zero_current(rank), nu)
+
+    def test_scale(self):
+        rng = random.Random(43)
+        for _ in range(60):
+            rank = rng.choice([2, 3])
+            raw = [(w, random_fraction(rng)) for w in self.words(rng, rank)]
+            mu = self.public(rank, raw)
+            for lam in (random_fraction(rng), 0, 1):
+                assert scale(lam, mu) == self.public(rank, [(w, lam * x) for w, x in raw])
+
+    def test_act(self):
+        rng = random.Random(44)
+        for _ in range(60):
+            rank = rng.choice([2, 3])
+            phi = random_automorphism(rng, rank)
+            w, w_inv, power = self.words(rng, rank)
+            v = self.words(rng, rank)[0]
+            raw = [(w, random_fraction(rng)), (w_inv, 1), (power, 2), (v, random_fraction(rng))]
+            mu = self.public(rank, raw)
+            assert act(phi, mu) == self.public(rank, [(phi.apply(u), x) for u, x in raw])
+
+    def test_weights_stay_fractions(self):
+        rng = random.Random(45)
+        phi = random_automorphism(rng, 3)
+        mu = random_current(rng, 3)
+        for nu in (counting_current(Word(3, (1, 1))), add(mu, mu), scale(3, mu), act(phi, mu)):
+            assert all(type(x) is Fraction for _, x in nu.terms)
+
+
 class TestCylinderCounts:
     def test_single_edge(self):
         M = unit_rose(2)
@@ -205,6 +279,24 @@ class TestCylinderCounts:
             p1, p2, v, u = letters(9), letters(9), letters(5), letters(5)
             for period, pattern in ((p1, v), (p2, v), (p1, v), (p1, u), (p1, v), (p2, u)):
                 assert occurrences_in_cycle(period, pattern) == modular_window_count(period, pattern)
+
+    def test_window_tally_released_after_count(self):
+        """The one-entry window memo keeps no period once a count returns:
+        the last iterate's tally (about 1 MiB for phi^24(a), 121,393
+        letters) is released with the rest of the iterate."""
+        from outerint.dynamics import eigencurrent_approx
+
+        phi, g, M = fibonacci_automorphism(), parse_word("a", 2), unit_rose(2)
+        eigencurrent_approx(phi, g, 2, M, 2)  # fills the process-wide path cache
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            eigencurrent_approx(phi, g, 24, M, 2)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 2 ** 17
+        assert occurrences_in_cycle((1, 2, 1), (2, 1, 1)) == 1  # the memo is still callable
 
     def test_flip_invariance(self):
         rng = random.Random(7)

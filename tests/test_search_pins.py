@@ -105,6 +105,23 @@ def _results():
 COLLISION = SERIES[0][1]
 
 
+def test_class_endpoint_normalised_on_entry():
+    """A Z search to a class and to its inverse class is one search: the
+    endpoint is stored flip-normalised, as every minted class is, so the
+    two are one vertex."""
+    seen = []
+    for flavor, v1, v2, radius, moves, search_length, key_depth in _random_cases(*SERIES[0]):
+        if flavor != "Z":
+            continue
+        s, cw = (v1, v2) if type(v2) is CyclicWord else (v2, v1)
+        got = [bfs_distance("Z", s, c, radius, moves, search_length=search_length,
+                            key_depth=key_depth, state_cap=STATE_CAP) for c in (cw, cw.inverse())]
+        assert got[0] == got[1], (s.to_json_obj(), cw.letters)
+        assert bfs_distance("Z", cw.inverse(), cw, 0, moves) == 0
+        seen.append((bool(moves), got[0]))
+    assert {moves for moves, d in seen if d is not None} == {False, True}
+
+
 def test_search_results_pinned():
     want = json.loads(PINS.read_text())
     got = _results()

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from outerint.catalog import supergolden_automorphism
-from outerint.currents import add, counting_current, scale, zero_current
+from outerint.currents import RationalCurrent, _class_current, add, counting_current, scale, zero_current
 from outerint.marked_graph import scale_lengths, unit_rose
 from outerint.splittings import (
     FreeSplitting,
@@ -35,11 +35,13 @@ from outerint.splittings import (
 )
 from outerint.words import (
     Automorphism,
+    CyclicWord,
     Word,
     _concat,
     compose,
     cyclic_reduce,
     enumerate_cyclic_words,
+    flip_normalize,
     parse_word,
 )
 
@@ -488,6 +490,15 @@ class TestIntersectionGraph:
         assert intersection_graph_adjacent(s, mu2)
         assert intersection_graph_adjacent(s, add(mu1, mu2))
 
+    def test_minted_witnesses_are_normal(self):
+        """Z and I0 mint their witnesses from the test set without
+        normalising: each class must be flip-normalised already, and its
+        minted current, proper powers included, what the public
+        constructor builds."""
+        for cw in enumerate_cyclic_words(3, 6, up_to_inversion=True):
+            assert flip_normalize(cw) == cw
+            assert _class_current(cw) == RationalCurrent(3, ((cw, 1),))
+
     def test_zero_current_rejected(self):
         with pytest.raises(ValueError):
             intersection_graph_adjacent(separating_splitting(3, [1]), zero_current(3))
@@ -688,6 +699,20 @@ class TestBFS:
         assert vertex_key(s) != vertex_key(t)
         d = bfs_distance("Fstar", s, t, 4, move_generators=[phi])
         assert d == 1  # a common elliptic exists within the default bound
+
+    def test_moved_classes_stored_flip_normalised(self):
+        """A class is keyed by its letters, so the move images of classes
+        must be stored flip-normalised, as the endpoints are."""
+        rng = random.Random(12)
+        moves = [supergolden_automorphism(), nontrivial_automorphism(rng, 3)]
+        seeds = [flip_normalize(cyclic_reduce(random_reduced_word(rng, 3, 3))[0]) for _ in range(5)]
+        universe = _Universe(4, 5000)
+        for cw in seeds:
+            universe.add(cw)
+        splittings._move_closure(universe, seeds, moves, 2)
+        stored = [v for _, v in universe.each(CyclicWord)]
+        assert len(stored) > len(seeds)
+        assert all(flip_normalize(v) == v for v in stored)
 
     def test_collision_inside_the_family_of_a_vertex(self):
         # sep{1} and sep{1, 2}, both twisted by phi, share their key at
