@@ -207,14 +207,24 @@ def occurrences_in_cycle(period: Sequence[int], pattern: Sequence[int]) -> int:
     return _windows(tuple(period), len(pattern))[tuple(pattern)]
 
 
-@lru_cache(maxsize=1)
+_last_windows: tuple = (None, 0, None)  # (period, k, tally) of the last lookup
+
+
 def _windows(period: tuple[int, ...], k: int) -> Counter:
     """Every length-``k`` window starting in ``period``, wrap-around
     included, counted in one pass.  Read it only through ``[]``: a missing
-    window counts 0 and is not inserted."""
-    p = len(period)
-    ext = period * (1 + (k + p - 2) // p)
-    return Counter(zip(*(ext[i : i + p] for i in range(k))))
+    window counts 0 and is not inserted.  The last tally is kept, keyed
+    on the identity of its period, which it holds so that the identity is
+    not reused: a lookup hashes no long period (a list comes copied, so it
+    never hits)."""
+    global _last_windows
+    last, last_k, tally = _last_windows
+    if period is not last or k != last_k:
+        p = len(period)
+        ext = period * (1 + (k + p - 2) // p)
+        tally = Counter(zip(*(ext[i : i + p] for i in range(k))))
+        _last_windows = (period, k, tally)
+    return tally
 
 
 def cylinder_count(mu: RationalCurrent, M: MarkedMetricGraph, v: EdgePath) -> Fraction:
@@ -228,21 +238,21 @@ def cylinder_count(mu: RationalCurrent, M: MarkedMetricGraph, v: EdgePath) -> Fr
         raise ValueError("cylinder path must be reduced")
     D, weights = _numerators([weight for _, weight in mu.terms])
     periods = (M.axis_period(cw) for cw, _ in mu.terms)
-    return Fraction(_window_counts(zip(periods, weights), [v])[0], D)
+    return Fraction(_window_counts(zip(periods, weights), [(v, inverse_path(v))])[0], D)
 
 
-def _window_counts(periods: Iterable[tuple[EdgePath, int]], paths: Sequence[EdgePath]) -> list[int]:
-    """Cylinder count of each of ``paths`` against (axis period, integer
-    weight) pairs.  Periods are outer, so the one-entry window memo walks
-    each period once."""
-    pairs = [(v, inverse_path(v)) for v in paths]
+def _window_counts(periods: Iterable[tuple[EdgePath, int]], pairs: Sequence[tuple]) -> list[int]:
+    """Cylinder count of each path of the (path, inverse) ``pairs``
+    against (axis period, integer weight) pairs.  Periods are outer, so
+    the one-entry window memo walks each period once."""
+    global _last_windows
     counts = [0] * len(pairs)
     for period, w in periods:
         counts = [
             c + w * (occurrences_in_cycle(period, v) + occurrences_in_cycle(period, v_inv))
             for c, (v, v_inv) in zip(counts, pairs)
         ]
-    _windows.cache_clear()  # no later period is looked up: release the last one
+    _last_windows = (None, 0, None)  # no later period is looked up: release the last one
     return counts
 
 
@@ -279,6 +289,12 @@ def enumerate_reduced_paths(
     if up_to_inversion:
         paths = [p for p in paths if _path_sort_key(p) <= _path_sort_key(inverse_path(p))]
     return tuple(paths)
+
+
+@lru_cache(maxsize=None)
+def _path_pairs(graph, k: int) -> tuple[tuple[EdgePath, EdgePath], ...]:
+    """Each path of :func:`enumerate_reduced_paths` with its inverse."""
+    return tuple((v, inverse_path(v)) for v in enumerate_reduced_paths(graph, k))
 
 
 @dataclass(frozen=True)
@@ -332,8 +348,8 @@ def _frequencies(M: MarkedMetricGraph, k: int, periods: Iterable[tuple[EdgePath,
     ``D``) pairs of one-letter mass ``mass``.  No period needs a normal
     form: rotation and inversion change no count, and the windows of
     ``f^m`` are ``m`` times those of ``f``, as is its mass."""
-    paths = enumerate_reduced_paths(M.graph, k)  # reduced, so none is re-checked
-    counts = _window_counts(periods, paths)
+    pairs = _path_pairs(M.graph, k)  # reduced, so none is re-checked
+    counts = _window_counts(periods, pairs)
     num, den = mass.denominator, D * mass.numerator
-    entries = tuple((v, Fraction(c * num, den)) for v, c in zip(paths, counts))
+    entries = tuple((v, Fraction(c * num, den)) for (v, _), c in zip(pairs, counts))
     return FrequencyVector(k, entries, mass)

@@ -40,15 +40,14 @@ from .marked_graph import (
     EdgePath,
     MarkedMetricGraph,
     _edge_numbers,
-    cyclic_reduce_path,
     inverse_path,
     is_reduced_path,
     marked_graph_from_json_obj,
     marked_graph_to_json_obj,
-    translation_length,
     with_lengths,
 )
-from .words import Automorphism, OuterintError, Word, _concat, _letter_table, compose, cyclic_length
+from .words import Automorphism, OuterintError, Word, _concat, _cyclic_cut, _letter_table
+from .words import compose, cyclic_length
 
 if TYPE_CHECKING:
     from .intersection import LengthFunctionOracle
@@ -276,10 +275,11 @@ def _iterates(phi: Automorphism, w: Word, n: int, cap: int) -> Iterator[Word]:
     ``w`` reaches, and ``phi^(j+1)(w)`` joins its pieces along ``phi(w)``;
     the next table joins them along each ``phi(x)``, and is built only
     when another iterate needs it.  So a step is a few junctions over long
-    reduced pieces.  Letter images may outgrow the iterates (a -> ab,
-    b -> bab fixes abAB): once the next table would hold more than 2N
-    letters per letter of the current iterate, the tables are dropped and
-    each iterate is substituted letter by letter."""
+    reduced pieces.  The tables start over from the current iterate,
+    substituted letter by letter once, when the next table would hold more
+    than 2N letters per letter of it, ``x`` and ``x^-1`` counted as one
+    piece: letter images may outgrow the iterates (a -> ab, b -> bab fixes
+    abAB), or iterates lag behind them (a -> b, b -> Ba sends BA to A)."""
     if w.rank != phi.rank:
         raise ValueError("rank mismatch")
     images = phi._images
@@ -289,21 +289,16 @@ def _iterates(phi: Automorphism, w: Word, n: int, cap: int) -> Iterator[Word]:
         if x not in reach:
             reach.add(x)
             todo.extend(images[x])
-    table: Optional[dict] = {x: (x,) for x in reach}
-    phi_w = _concat(images, w.letters)
+    counted = [x for x in reach if x > 0 or -x not in reach]  # the table of x^-1 is that of x inverted
+    table: dict = {}
     yield w
-    for j in range(n):
-        if j and table is not None:
-            # the next table holds at most the pieces it joins
-            bound = sum(len(table[y]) for x in reach for y in images[x])
-            if bound > 2 * phi.rank * len(w):
-                table = None
-            else:  # tuples hold no spare slots
-                table = {x: tuple(_concat(table, images[x])) for x in reach}
-        if table is None:
-            w = phi.apply(w)
+    for _ in range(n):
+        # the next table holds at most the pieces it joins
+        if table and sum(len(table[y]) for x in counted for y in images[x]) <= 2 * phi.rank * len(w):
+            table = {x: tuple(_concat(table, images[x])) for x in reach}  # tuples hold no spare slots
         else:
-            w = Word._make(phi.rank, tuple(_concat(table, phi_w)))
+            table, phi_w = {x: (x,) for x in reach}, _concat(images, w.letters)
+        w = Word._make(phi.rank, tuple(_concat(table, phi_w)))
         if len(w) > cap:
             return
         yield w
@@ -331,9 +326,17 @@ def _orbit(phi: Automorphism, w: Word, n: int, cap: int) -> Iterator[Word]:
         raise WordLengthCapError(f"iterate {j + 1} has more than {cap} letters; use a smaller n")
 
 
-def _deflated(length: Fraction, lam: float, j: int) -> float:
-    """Exact chart length of the j-th iterate, deflated by ``lam^j``."""
-    return float(length) / lam ** j
+def _axis_period(M: MarkedMetricGraph, w: Word) -> EdgePath:
+    """One period of the axis of ``w`` in the tree of ``M``: the path of
+    ``w`` comes back reduced, so only its cyclic cut is taken."""
+    path = M.word_to_path(w)
+    cut = _cyclic_cut(path)
+    return path[cut : len(path) - cut]
+
+
+def _deflated(M: MarkedMetricGraph, period: EdgePath, lam: float, j: int) -> float:
+    """Exact chart length of the j-th iterate's axis ``period``, deflated by ``lam^j``."""
+    return float(M._path_length(period)) / lam ** j
 
 
 def stable_length_oracle(
@@ -356,12 +359,12 @@ def stable_length_oracle(
 
     def evaluate(w: Word) -> float:
         (last,) = deque(_orbit(phi, w, n, cap), maxlen=1)
-        return _deflated(translation_length(M, last), lam, n)
+        return _deflated(M, _axis_period(M, last), lam, n)
 
     def error_bound(w: Word) -> float:
         before, last = deque(_orbit(phi, w, n, cap), maxlen=2)
-        a = _deflated(translation_length(M, last), lam, n)
-        b = _deflated(translation_length(M, before), lam, n - 1)
+        a = _deflated(M, _axis_period(M, last), lam, n)
+        b = _deflated(M, _axis_period(M, before), lam, n - 1)
         return abs(a - b)
 
     return LengthFunctionOracle(evaluate=evaluate, exact=False, error_bound=error_bound)
@@ -383,7 +386,7 @@ def eigencurrent_approx(
     if n < 0:
         raise ValueError("n must be >= 0")
     (image,) = deque(_orbit(phi, g, n, cap), maxlen=1)
-    period = cyclic_reduce_path(M.word_to_path(image))
+    period = _axis_period(M, image)
     return _frequencies(M, k, [(period, 1)], Fraction(cyclic_length(image)))
 
 
@@ -423,7 +426,7 @@ def pairing_estimate(
     if g.is_identity:
         raise ValueError("seed must be nontrivial")
     values = tuple(
-        _deflated(translation_length(M, w), lam, j)
+        _deflated(M, _axis_period(M, w), lam, j)
         for j, w in enumerate(_orbit(phi, g, 2 * n, cap)) if j and j % 2 == 0
     )
     return PairingReport(values, (min(values), max(values)))
@@ -461,8 +464,8 @@ def iwip_rows(
     for j, w in enumerate(_iterates(phi, g, 2 * n_max, cap)):
         if j > n_max and j % 2:
             continue
-        period = cyclic_reduce_path(M.word_to_path(w))
-        deflated[j] = _deflated(M._path_length(period), lam, j)
+        period = _axis_period(M, w)
+        deflated[j] = _deflated(M, period, lam, j)
         if j <= n_max:
             vec = _frequencies(M, depth, [(period, 1)], Fraction(cyclic_length(w)))
             if prev_vec is not None:

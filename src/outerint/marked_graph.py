@@ -228,7 +228,9 @@ class MarkedMetricGraph:
         standard = all(loop == (i,) for i, loop in enumerate(loops, 1))
         object.__setattr__(self, "_loops", None if standard else _letter_table(loops))
         object.__setattr__(self, "_edge_words", _letter_table([w.letters for w in mk.edge_words]))
-        object.__setattr__(self, "_length_nums", (0, *nums, *reversed(nums)))
+        # a list: ``map`` over a list's bound ``__getitem__`` costs about
+        # half what a tuple's slot wrapper does on a long path
+        object.__setattr__(self, "_length_nums", [0, *nums, *reversed(nums)])
         object.__setattr__(self, "_length_den", den)
         # Two-sided verification.  Direction 1: reading each generator loop
         # through the edge words must give back that generator.

@@ -280,6 +280,34 @@ class TestCylinderCounts:
             for period, pattern in ((p1, v), (p2, v), (p1, v), (p1, u), (p1, v), (p2, u)):
                 assert occurrences_in_cycle(period, pattern) == modular_window_count(period, pattern)
 
+    def test_identity_memo_counts_each_period_as_given(self):
+        # the window memo is keyed on the identity of its period: equal
+        # periods as distinct tuples, a list changed in place between two
+        # calls, interleaved periods and one period at two depths must
+        # each count on their own
+        rng = random.Random(21)
+        alphabet = (1, -1, 2)
+
+        def pattern(period, k):  # a window of the period half the time
+            if rng.random() < 0.5:
+                start = rng.randrange(len(period))
+                return tuple(period[(start + j) % len(period)] for j in range(k))
+            return tuple(rng.choice(alphabet) for _ in range(k))
+
+        for _ in range(300):
+            period = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 12)))
+            other = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 12)))
+            twin, as_list = tuple(list(period)), list(period)
+            assert twin is not period
+            short, deep, far = pattern(period, 2), pattern(period, 4), pattern(other, 3)
+            calls = [(period, short), (period, deep), (twin, deep), (twin, short), (other, far),
+                     (period, short), (other, short), (as_list, short)]
+            for p, v in calls:
+                assert occurrences_in_cycle(p, v) == modular_window_count(tuple(p), v)
+            as_list[rng.randrange(len(as_list))] *= -1
+            for v in (short, deep):
+                assert occurrences_in_cycle(as_list, v) == modular_window_count(tuple(as_list), v)
+
     def test_window_tally_released_after_count(self):
         """The one-entry window memo keeps no period once a count returns:
         the last iterate's tally (about 1 MiB for phi^24(a), 121,393

@@ -34,7 +34,7 @@ from outerint.dynamics import (
     stable_length_oracle,
     transition_matrix,
 )
-from outerint.marked_graph import MarkedMetricGraph, reduce_path, unit_rose
+from outerint.marked_graph import MarkedMetricGraph, unit_rose
 from outerint.words import Automorphism, Word, parse_word, word_length
 
 from _generators import random_automorphism, random_chart_of_each_kind, random_reduced_word
@@ -337,6 +337,35 @@ class TestIteration:
         assert len(out) == 61 and all(len(x) == 4 for x in out)
         assert peak < 2 ** 20  # phi^60(a) alone has about 10^25 letters
 
+    def test_one_letter_seeds_stay_on_tables(self, monkeypatch):
+        """The orbit of A under a -> b, b -> Ba reaches all four signed
+        letters; a letter and its inverse count once against the bound, so
+        only phi(A) is substituted letter by letter."""
+        phi, apply, concat = fibonacci_inverse_rose_map().automorphism, Automorphism.apply, dynamics._concat
+        calls, substituted = [], []
+        monkeypatch.setattr(Automorphism, "apply", lambda psi, w: calls.append(w) or apply(psi, w))
+        monkeypatch.setattr(dynamics, "_concat", lambda table, keys: (
+            substituted.append(keys) if table is phi._images else None) or concat(table, keys))
+        for seed in ("A", "B"):
+            out = list(dynamics._iterates(phi, parse_word(seed, 2), 16, DEFAULT_WORD_CAP))
+            assert len(out) == 17 and out == stepwise(phi, out[0], 16, DEFAULT_WORD_CAP)
+        assert len(calls) == 2 * 16  # all of them by stepwise
+        assert substituted == [(-1,), (-2,)]
+
+    def test_tables_restart_where_the_iterates_lag_behind(self, monkeypatch):
+        """BA goes to A, and abaab to abab, aa, b: the tables, started at
+        the seed, hold several letters per letter of the lagging iterate
+        until they start over from it, once."""
+        phi, concat = fibonacci_inverse_rose_map().automorphism, dynamics._concat
+        substituted = []
+        monkeypatch.setattr(dynamics, "_concat", lambda table, keys: (
+            substituted.append(len(keys)) if table is phi._images else None) or concat(table, keys))
+        for seed in ("BA", "abaab"):
+            substituted.clear()
+            out = list(dynamics._iterates(phi, parse_word(seed, 2), 16, DEFAULT_WORD_CAP))
+            assert out == stepwise(phi, out[0], 16, DEFAULT_WORD_CAP)
+            assert len(substituted) == 2 and substituted[1] <= 3  # the seed, then one short iterate
+
     def test_rank_mismatch_rejected(self):
         with pytest.raises(ValueError, match="rank mismatch"):
             list(dynamics._iterates(fibonacci_automorphism(), parse_word("a", 3), 2, 100))
@@ -403,13 +432,17 @@ def current_route_mismatches() -> list:
     return bad
 
 
+def uncut_period(M, w):
+    return M.word_to_path(w)
+
+
 class TestAxisRoute:
     def test_matches_counting_currents(self):
         assert current_route_mismatches() == []
 
     @pytest.mark.parametrize(
         "name, planted",
-        [("cyclic_reduce_path", reduce_path), ("cyclic_length", word_length)],
+        [("_axis_period", uncut_period), ("cyclic_length", word_length)],
         ids=["period-without-cyclic-cut", "mass-without-cyclic-cut"],
     )
     def test_cross_check_catches_uncut_period_or_mass(self, monkeypatch, name, planted):
