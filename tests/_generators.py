@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from outerint.currents import RationalCurrent, add, counting_current, scale, zero_current
+from outerint.currents import RationalCurrent, add, counting_current, scale
 from outerint.marked_graph import (
     MarkedMetricGraph,
     act,
@@ -109,7 +109,7 @@ def random_chart_of_each_kind(
 def random_current(
     rng: random.Random, rank: int, max_terms: int = 3, max_word_len: int = 6
 ) -> RationalCurrent:
-    mu = zero_current(rank)
+    mu = RationalCurrent(rank)
     for _ in range(rng.randint(1, max_terms)):
         length = rng.randint(1, max_word_len)
         w = random_reduced_word(rng, rank, length)

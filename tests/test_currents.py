@@ -19,7 +19,6 @@ from outerint.currents import (
     occurrences_in_cycle,
     one_letter_mass,
     scale,
-    zero_current,
 )
 from outerint.marked_graph import inverse_path, subdivide_edge, translation_length, unit_rose
 from outerint.words import (
@@ -171,7 +170,7 @@ class TestTrustedBuilders:
             nu = add(scale(z, counting_current(w_inv)), counting_current(power))
             assert mu == self.public(rank, [(w, x), (v, y)])
             assert add(mu, nu) == self.public(rank, [(w, x), (v, y), (w_inv, z), (power, 1)])
-            assert add(nu, zero_current(rank)) == nu == add(zero_current(rank), nu)
+            assert add(nu, RationalCurrent(rank)) == nu == add(RationalCurrent(rank), nu)
 
     def test_scale(self):
         rng = random.Random(43)
@@ -370,7 +369,7 @@ class TestCylinderCounts:
 class TestMass:
     def test_examples(self):
         assert one_letter_mass(counting_current(parse_word("ab", 2))) == 2
-        assert one_letter_mass(zero_current(2)) == 0
+        assert one_letter_mass(RationalCurrent(2)) == 0
 
     def test_matches_unit_rose_pairing(self):
         rng = random.Random(10)
@@ -445,7 +444,7 @@ class TestFrequencyVector:
         rng = random.Random(24)
         for _ in range(6):
             rank = rng.choice([2, 3])
-            mu = zero_current(rank)
+            mu = RationalCurrent(rank)
             while len(mu.terms) < 3:  # each summand is one class
                 mu = add(mu, random_current(rng, rank, max_terms=1, max_word_len=10))
             for M in random_chart_of_each_kind(rng, rank):
@@ -464,7 +463,7 @@ class TestFrequencyVector:
 
     def test_zero_current_rejected(self):
         with pytest.raises(ValueError):
-            frequency_vector(zero_current(2), unit_rose(2), 1)
+            frequency_vector(RationalCurrent(2), unit_rose(2), 1)
 
     def test_rank_mismatch_rejected(self):
         with pytest.raises(ValueError, match="rank mismatch"):
@@ -491,7 +490,7 @@ class TestFrequencyVector:
 
 def coprime_current(rng, rank):
     """Three classes weighted 1/3, 2/7 and 5/11."""
-    mu = zero_current(rank)
+    mu = RationalCurrent(rank)
     for weight in (Fraction(1, 3), Fraction(2, 7), Fraction(5, 11)):
         w = Word(rank)
         while w.is_identity:
@@ -560,4 +559,4 @@ class TestJson:
             assert RationalCurrent.from_json_obj(mu.to_json_obj()) == mu
 
     def test_zero_round_trip(self):
-        assert RationalCurrent.from_json_obj(zero_current(2).to_json_obj()).is_zero
+        assert RationalCurrent.from_json_obj(RationalCurrent(2).to_json_obj()).is_zero

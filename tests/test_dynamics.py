@@ -3,6 +3,7 @@ import math
 import pathlib
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,6 @@ from outerint.dynamics import (
     eigenmetric_defect,
     graph_map_from_json_obj,
     graph_map_to_json_obj,
-    iterate_images,
     iwip_rows,
     metric_from_pf,
     pairing_estimate,
@@ -35,7 +35,7 @@ from outerint.dynamics import (
     transition_matrix,
 )
 from outerint.marked_graph import MarkedMetricGraph, unit_rose
-from outerint.words import Automorphism, Word, parse_word, word_length
+from outerint.words import Automorphism, Word, parse_word
 
 from _generators import random_automorphism, random_chart_of_each_kind, random_reduced_word
 from oracles import char_poly_at, dominant_root_by_bisection
@@ -229,10 +229,14 @@ class TestMetricFromPF:
         assert eigenmetric_defect(f, M, lam) < 1e-8
 
 
+def cat_map() -> GraphMap:
+    return graph_map_from_json_obj(json.loads((FIXTURES / "cat_map.json").read_text()))
+
+
 def cat_automorphism() -> Automorphism:
     """a -> ab, b -> bab, which fixes abAB: its letter images grow while
     the iterates of abAB stay four letters long."""
-    return graph_map_from_json_obj(json.loads((FIXTURES / "cat_map.json").read_text())).automorphism
+    return cat_map().automorphism
 
 
 def stepwise(phi, w, n, cap):
@@ -295,7 +299,7 @@ class TestIteration:
         phi, g, M = fibonacci_automorphism(), parse_word("a", 2), unit_rose(2)
         oracle = stable_length_oracle(phi, M, GOLDEN, 40, cap=100)
         for walk in (
-            lambda: iterate_images(phi, g, 40, cap=100),
+            lambda: list(dynamics._orbit(phi, g, 40, cap=100)),
             lambda: eigencurrent_approx(phi, g, 40, M, 2, cap=100),
             lambda: oracle.evaluate(g),
             lambda: oracle.error_bound(g),
@@ -307,7 +311,7 @@ class TestIteration:
 
     def test_sequence_prefix(self):
         phi = fibonacci_automorphism()
-        seq = iterate_images(phi, parse_word("a", 2), 3)
+        seq = dynamics._orbit(phi, parse_word("a", 2), 3, DEFAULT_WORD_CAP)
         assert [str(w) for w in seq] == ["a", "ab", "aba", "abaab"]
 
     def test_matches_letter_by_letter_substitution(self):
@@ -424,7 +428,8 @@ def current_route_mismatches() -> list:
     currents of the iterates."""
     bad = []
     for phi, M, g, n, depth in axis_route_cases():
-        vecs = [frequency_vector(counting_current(w), M, depth) for w in iterate_images(phi, g, n)]
+        iterates = dynamics._orbit(phi, g, n, DEFAULT_WORD_CAP)
+        vecs = [frequency_vector(counting_current(w), M, depth) for w in iterates]
         deltas = [b.sup_distance(a) for a, b in zip(vecs, vecs[1:])]
         rows = iwip_rows(phi, M, GOLDEN, g, n, depth)
         if eigencurrent_approx(phi, g, n, M, depth) != vecs[-1] or [r.freq_delta for r in rows[1:]] != deltas:
@@ -442,7 +447,7 @@ class TestAxisRoute:
 
     @pytest.mark.parametrize(
         "name, planted",
-        [("_axis_period", uncut_period), ("cyclic_length", word_length)],
+        [("_axis_period", uncut_period), ("cyclic_length", len)],
         ids=["period-without-cyclic-cut", "mass-without-cyclic-cut"],
     )
     def test_cross_check_catches_uncut_period_or_mass(self, monkeypatch, name, planted):
@@ -531,7 +536,7 @@ class TestIwipRows:
         assert rows[4].pairing_estimate is None
 
     def test_each_iterate_measured_once(self, monkeypatch):
-        M, phi, g = unit_rose(2), fibonacci_automorphism(), parse_word("a", 2)
+        M, g, phi = unit_rose(2), parse_word("a", 2), fibonacci_inverse_rose_map().automorphism
         measured = []
         real = MarkedMetricGraph.word_to_path
 
@@ -539,14 +544,27 @@ class TestIwipRows:
             measured.append(w)
             return real(self, w)
 
-        # every route to a length or a frequency row passes through here
+        # every iterate's length and frequency row passes through here;
+        # the inverse map cancels, so its table is read off iterates
         monkeypatch.setattr(MarkedMetricGraph, "word_to_path", counting)
         iwip_rows(phi, M, GOLDEN, g, 4, 1)
         # lengths and rows read iterates 0..4, pairings the even iterates 0..8
         assert len(measured) == len(set(measured)) == 7
         measured.clear()
-        eigencurrent_approx(phi, g, 6, M, 2)
+        eigencurrent_approx(fibonacci_automorphism(), g, 6, M, 2)
         assert len(measured) == 1
+
+    @pytest.mark.parametrize("f", [fibonacci_rose_map(), supergolden_rose_map(), cat_map()],
+                             ids=["fibonacci", "supergolden", "cat"])
+    def test_positive_table_builds_no_iterate(self, monkeypatch, f):
+        lam, charts, calls = pf_eigenpair(transition_matrix(f)).eigenvalue, (f.chart, metric_from_pf(f)), []
+        real_iterates, real_path = dynamics._iterates, MarkedMetricGraph.word_to_path
+        monkeypatch.setattr(dynamics, "_iterates", lambda *a: calls.append(a) or real_iterates(*a))
+        monkeypatch.setattr(MarkedMetricGraph, "word_to_path", lambda M, w: calls.append(w) or real_path(M, w))
+        for M in charts:
+            rows = iwip_rows(f.automorphism, M, lam, Word(f.chart.rank, (1, 2)), 12, 3)
+            assert rows[12].length_estimate is not None
+        assert calls == []
 
     def test_columns_match_pairing_estimate_and_oracle(self):
         f = supergolden_rose_map()
@@ -556,3 +574,85 @@ class TestIwipRows:
         values = pairing_estimate(phi, M, lam, g, n).values
         assert values == tuple(r.pairing_estimate for r in rows[1:])
         assert stable_length_oracle(phi, M, lam, n).evaluate(g) == rows[n].length_estimate
+
+
+def positive_tables(seed: int = 61):
+    """``(phi, M, lam, g, n_max, depth, cap)`` of 120 tables the block
+    route takes: fibonacci, supergolden and the cat map, on the unit rose
+    and on the PF metric, with positive seeds of 1-8 letters, depth 1-4,
+    n_max 0-14 and caps from 10 to 10^5.  The first puts depth 4 past a
+    one-letter seed, the second a cap mid-table, and the third a cap
+    below the seed, which is read all the same."""
+    rng = random.Random(seed)
+    maps = []
+    for f in (fibonacci_rose_map(), supergolden_rose_map(), cat_map()):
+        lam = pf_eigenpair(transition_matrix(f)).eigenvalue
+        maps += [(f.automorphism, f.chart, lam), (f.automorphism, metric_from_pf(f), lam)]
+    yield *maps[1], Word(2, (1,)), 6, 4, 10 ** 5
+    yield *maps[3], Word(3, (2, 1)), 10, 2, 300
+    yield *maps[4], Word(2, (1, 2, 2, 1, 2)), 3, 2, 3
+    for _ in range(117):
+        phi, M, lam = rng.choice(maps)
+        g = Word(phi.rank, tuple(rng.randint(1, phi.rank) for _ in range(rng.randint(1, 8))))
+        yield phi, M, lam, g, rng.randint(0, 14), rng.randint(1, 4), rng.choice([10, 300, 10 ** 4, 10 ** 5])
+
+
+def block_route_mismatches(monkeypatch) -> list:
+    """Tables whose rows differ between the block route and the iterate
+    route, which is reached by standing in for the block route."""
+    tables = list(positive_tables())
+    block = [rows_or_error(table) for table in tables]
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "_block_readings", dynamics._iterate_readings)
+        iterated = [rows_or_error(table) for table in tables]
+    return [table for table, a, b in zip(tables, block, iterated) if a != b]
+
+
+def rows_or_error(table):
+    try:
+        return iwip_rows(*table)
+    except ZeroDivisionError as error:  # a seed whose windows go uncounted has no mass
+        return repr(error)
+
+
+def windows_without_wraparound(period, k):
+    return Counter(tuple(period[i : i + k]) for i in range(len(period) - k + 1))
+
+
+def blocks_anywhere(images, b):
+    image = [x for y in b for x in images[y]]
+    return Counter(tuple(image[i : i + len(b)]) for i in range(len(image) - len(b) + 1))
+
+
+class TestBlockRoute:
+    def test_grid_reaches_deep_windows_and_caps(self):
+        tables = list(positive_tables())
+        assert any(depth > len(g) for _, _, _, g, _, depth, _ in tables)
+        rows = iwip_rows(*tables[1])
+        assert rows[-2].length_estimate is not None and rows[-2].pairing_estimate is None
+        rows = iwip_rows(*tables[2])
+        assert rows[0].length_estimate is not None and rows[1].length_estimate is None
+
+    def test_matches_iterate_route(self, monkeypatch):
+        assert block_route_mismatches(monkeypatch) == []
+
+    @pytest.mark.parametrize(
+        "name, planted",
+        [("_cyclic_windows", windows_without_wraparound), ("_block_column", blocks_anywhere)],
+        ids=["seed-without-wraparound", "columns-from-anywhere-in-the-image"],
+    )
+    def test_cross_check_catches_planted_bug(self, monkeypatch, name, planted):
+        monkeypatch.setattr(dynamics, name, planted)
+        assert block_route_mismatches(monkeypatch)
+
+    def test_input_errors_kept(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("took the iterate route")
+
+        monkeypatch.setattr(dynamics, "_iterate_readings", unreachable)
+        phi = fibonacci_automorphism()
+        for M, g in ((unit_rose(2), parse_word("ab", 3)), (unit_rose(3), parse_word("ab", 2))):
+            with pytest.raises(ValueError, match="rank mismatch"):
+                iwip_rows(phi, M, GOLDEN, g, 3, 2)
+        with pytest.raises(ValueError, match="seed must be nontrivial"):
+            iwip_rows(phi, unit_rose(2), GOLDEN, Word(2), 3, 2)

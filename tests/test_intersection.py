@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from outerint.currents import add, counting_current, cylinder_count, scale, zero_current
+from outerint.currents import RationalCurrent, add, counting_current, cylinder_count, scale
 from outerint.intersection import (
     LengthFunctionOracle,
     equivariance_check,
@@ -18,7 +18,7 @@ from outerint.marked_graph import (
     translation_length,
     unit_rose,
 )
-from outerint.words import Automorphism, Word, parse_word, word_length
+from outerint.words import Automorphism, Word, parse_word
 
 from _generators import (
     awkward_current,
@@ -41,7 +41,7 @@ class TestIntersect:
         assert intersect(unit_rose(2), counting_current(parse_word("ab", 2))) == 2
 
     def test_zero_current(self):
-        assert intersect(unit_rose(2), zero_current(2)) == 0
+        assert intersect(unit_rose(2), RationalCurrent(2)) == 0
 
     def test_routes_agree_and_are_reported(self):
         rng = random.Random(1)
@@ -105,7 +105,7 @@ class TestIntersect:
 
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):
-            intersect(unit_rose(2), zero_current(3))
+            intersect(unit_rose(2), RationalCurrent(3))
 
 
 class TestEquivariance:
@@ -181,7 +181,7 @@ class TestOracle:
 
     def test_spot_check_rejects_word_length(self):
         # plain word length is not conjugacy invariant
-        bad = LengthFunctionOracle(evaluate=lambda w: word_length(w), exact=True)
+        bad = LengthFunctionOracle(evaluate=len, exact=True)
         with pytest.raises(ValueError):
             bad.spot_check([parse_word("ab", 2)])
 

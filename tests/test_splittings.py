@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from outerint.catalog import supergolden_automorphism
-from outerint.currents import RationalCurrent, _class_current, add, counting_current, scale, zero_current
+from outerint.currents import RationalCurrent, _class_current, add, counting_current, scale
 from outerint.marked_graph import scale_lengths, unit_rose
 from outerint.splittings import (
     FreeSplitting,
@@ -15,7 +15,6 @@ from outerint.splittings import (
     bfs_distance,
     fstar_adjacent,
     intersection_graph_adjacent,
-    is_elliptic,
     loop_splitting,
     refinement_adjacent,
     separating_splitting,
@@ -140,11 +139,11 @@ class TestEllipticity:
     def test_basis_letters_elliptic_in_separating(self):
         s = separating_splitting(3, [1, 2])
         for i in (1, 2, 3):
-            assert is_elliptic(s, Word(3, (i,)))
+            assert splitting_length(s, Word(3, (i,))) == 0
 
     def test_stable_letter_not_elliptic(self):
         s = loop_splitting(3, 2)
-        assert not is_elliptic(s, Word(3, (2,)))
+        assert splitting_length(s, Word(3, (2,))) != 0
 
     def test_elliptic_set_closed_under_conjugation_and_inversion(self):
         rng = random.Random(4)
@@ -154,12 +153,10 @@ class TestEllipticity:
             u = random_reduced_word(rng, 3, rng.randint(0, 4))
             if w.is_identity:
                 continue
-            assert is_elliptic(s, w) == is_elliptic(s, w.conjugate_by(u))
-            assert is_elliptic(s, w) == is_elliptic(s, w.inverse())
+            assert len({splitting_length(s, x) == 0 for x in (w, w.conjugate_by(u), w.inverse())}) == 1
 
-    def test_identity_rejected(self):
-        with pytest.raises(ValueError):
-            is_elliptic(separating_splitting(3, [1]), Word(3))
+    def test_identity_has_length_zero(self):
+        assert splitting_length(separating_splitting(3, [1]), Word(3)) == 0
 
 
 class TestVertexKey:
@@ -231,7 +228,7 @@ class TestFstarAdjacency:
         witness = fstar_adjacent(s1, s2)
         assert witness is not None
         w = witness.as_word()
-        assert is_elliptic(s1, w) and is_elliptic(s2, w)
+        assert splitting_length(s1, w) == 0 and splitting_length(s2, w) == 0
 
     def test_all_untwisted_separating_pairs_adjacent(self):
         subsets = [[1], [2], [3], [1, 2], [1, 3], [2, 3]]
@@ -250,8 +247,8 @@ class TestFstarAdjacency:
             pytest.skip("degenerate twist")
         witness = fstar_adjacent(s, t, search_length=6)
         assert witness is not None
-        assert is_elliptic(s, witness.as_word())
-        assert is_elliptic(t, witness.as_word())
+        assert splitting_length(s, witness.as_word()) == 0
+        assert splitting_length(t, witness.as_word()) == 0
 
     def test_equal_vertices_rejected(self):
         s = separating_splitting(3, [1])
@@ -272,8 +269,9 @@ class TestFstarAdjacency:
         s = separating_splitting(3, [1], nontrivial_automorphism(rng, 3))
         family = _family(s, include_loops=True)
         candidates = family + [act(nontrivial_automorphism(rng, 3), u) for u in family]
-        classes = [cw for cw in enumerate_cyclic_words(3, 4, up_to_inversion=True) if is_elliptic(s, cw.as_word())]
-        first = [next((i for i, cw in enumerate(classes) if is_elliptic(u, cw.as_word())), None)
+        classes = [cw for cw in enumerate_cyclic_words(3, 4, up_to_inversion=True)
+                   if splitting_length(s, cw.as_word()) == 0]
+        first = [next((i for i, cw in enumerate(classes) if splitting_length(u, cw.as_word()) == 0), None)
                  for u in candidates]
         assert None in first and max(i for i in first if i is not None) > len(classes) // 2
         shares = _shares_elliptic([s], 4)
@@ -304,7 +302,7 @@ def table_disagreements(rank, twisted, depth, search_length, seed):
     family = _family(loop_splitting(rank, 1, twist), include_loops=True)
     candidates = family + [act(nontrivial_automorphism(rng, rank), u) for u in family[::3]]
     test_set = enumerate_cyclic_words(rank, search_length, up_to_inversion=True)
-    elliptic = {u: [cw for cw in test_set if is_elliptic(u, cw.as_word())] for u in candidates}
+    elliptic = {u: [cw for cw in test_set if splitting_length(u, cw.as_word()) == 0] for u in candidates}
     words = [cw.as_word() for cw in enumerate_cyclic_words(rank, depth, up_to_inversion=True)]
     out = []
     for s in family:
@@ -501,7 +499,7 @@ class TestIntersectionGraph:
 
     def test_zero_current_rejected(self):
         with pytest.raises(ValueError):
-            intersection_graph_adjacent(separating_splitting(3, [1]), zero_current(3))
+            intersection_graph_adjacent(separating_splitting(3, [1]), RationalCurrent(3))
 
     @pytest.mark.parametrize(
         "tree", [unit_rose(2), separating_splitting(2, [1])], ids=["chart", "splitting"]
