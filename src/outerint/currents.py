@@ -27,11 +27,11 @@ a cross-module invariant rather than assumed.
 counter, which counts every window of each term's axis period in one
 pass, so each path is one lookup, and releases the last tally when the
 count returns; a standard-marked rose reads a word as its own edge path,
-and a reduced path is not re-reduced.  Counts are
-summed as integers over the lcm of the weight denominators and become
-one ``Fraction`` per entry, in the one vector builder that the k-block
-counts of ``dynamics.iwip_rows`` also go through; :meth:`FrequencyVector.sup_distance`
-compares two vectors' integer numerators the same way and divides once.
+and a reduced path is not re-reduced.  Counts are summed as integers
+over the lcm of the weight denominators.  One integer formula,
+:func:`_row_gap`, takes the sup distance of two rows of counts over their
+masses: :meth:`FrequencyVector.sup_distance` on the vectors' numerators,
+``dynamics.iwip_rows`` on its iterates' rows, which become no vector.
 """
 
 from __future__ import annotations
@@ -320,9 +320,13 @@ class FrequencyVector:
         a, b = self.as_dict(), other.as_dict()
         if set(a) != set(b):
             raise ValueError("frequency vectors live on different path sets")
-        da, na = _numerators(list(a.values()))
-        db, nb = _numerators([b[p] for p in a])
-        return Fraction(max(abs(x * db - y * da) for x, y in zip(na, nb)), da * db)
+        return _row_gap(_numerators(list(a.values())), _numerators([b[p] for p in a]))
+
+
+def _row_gap(a: tuple[int, Sequence[int]], b: tuple[int, Sequence[int]]) -> Fraction:
+    """Sup distance of the rows of integer counts ``na / da``, ``nb / db``."""
+    (da, na), (db, nb) = a, b
+    return Fraction(max(abs(x * db - y * da) for x, y in zip(na, nb)), da * db)
 
 
 def _numerators(values: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -351,13 +355,7 @@ def _frequencies(M: MarkedMetricGraph, k: int, periods: Iterable[tuple[EdgePath,
     form: rotation and inversion change no count, and the windows of
     ``f^m`` are ``m`` times those of ``f``, as is its mass."""
     pairs = _path_pairs(M.graph, k)  # reduced, so none is re-checked
-    return _frequency_row(k, pairs, _window_counts(periods, pairs), mass, D)
-
-
-def _frequency_row(k: int, pairs: Sequence[tuple], counts: Iterable[int],
-                   mass: Fraction, D: int = 1) -> FrequencyVector:
-    """Depth-``k`` frequency vector of the integer cylinder ``counts``,
-    over ``D``, of the (path, inverse) ``pairs``, divided by ``mass``."""
     num, den = mass.denominator, D * mass.numerator
+    counts = _window_counts(periods, pairs)
     entries = tuple((v, Fraction(c * num, den)) for (v, _), c in zip(pairs, counts))
     return FrequencyVector(k, entries, mass)

@@ -28,7 +28,9 @@ assembly.  A positive seed under a positive map on a standard-marked rose
 never cancels, so its table is read off k-block counts that evolve
 linearly (:func:`_block_readings`), and no iterate is built.  Any other
 table reads each iterate's length and frequency row off one axis period
-as it is made, and keeps none (:func:`_iterate_readings`).  The other
+as it is made, and keeps none (:func:`_iterate_readings`).  Either row is
+integer counts over the integer one-letter mass, compared by
+``currents._row_gap``, the sup distance of frequency vectors.  The other
 diagnostics stay on iterates and keep only those they read
 (:func:`_orbit`): a vector reads one iterate of a few hundred letters, and
 the benchmark's wrap-around self-test plants its bug in
@@ -44,7 +46,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from . import DEFAULT_WORD_CAP
-from .currents import FrequencyVector, _cyclic_windows, _frequencies, _frequency_row, _path_pairs
+from .currents import FrequencyVector, _cyclic_windows, _frequencies, _path_pairs
+from .currents import _row_gap, _window_counts
 from .marked_graph import (
     EdgePath,
     MarkedMetricGraph,
@@ -231,8 +234,8 @@ def pf_eigenpair(T: TransitionMatrix, tol: float = 1e-12) -> PFResult:
     returned vector satisfies ``sum_i T[i][j] v[i] ~ lambda v[j]``, i.e. it
     is the length vector stretched uniformly by the map.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if not T.is_primitive():
         raise NonPrimitiveMatrixError(
             "transition matrix is not primitive (no power is entrywise positive)"
@@ -335,8 +338,9 @@ def _axis_period(M: MarkedMetricGraph, w: Word) -> EdgePath:
 
 
 def _deflated(length: Fraction, lam: float, j: int) -> float:
-    """The j-th iterate's exact chart ``length``, deflated by ``lam^j``."""
-    return float(length) / lam ** j
+    """The j-th iterate's exact chart ``length`` over ``lam^j``, rounded
+    once: an orbit that does not grow reads 0 where ``lam^j`` overflows."""
+    return float(length / Fraction(lam) ** j)
 
 
 def stable_length_oracle(
@@ -454,7 +458,7 @@ def iwip_rows(
     cap: int = DEFAULT_WORD_CAP,
 ) -> list[IwipRow]:
     """Diagnostic table for one seed: deflated lengths, deflated even
-    pairing sequence and successive frequency-vector gaps.
+    pairing sequence and sup gaps of successive integer frequency rows.
 
     A positive seed under a positive map on a standard-marked rose is read
     off its k-block counts (:func:`_block_readings`), and builds no
@@ -467,13 +471,12 @@ def iwip_rows(
     readings = (_block_readings if positive else _iterate_readings)(phi, M, g, n_max, depth, cap)
     deflated: dict[int, float] = {}
     deltas: dict[int, Fraction] = {}
-    prev_vec: Optional[FrequencyVector] = None
-    for j, length, vec in readings:
+    prev = None
+    for j, length, row in readings:
         deflated[j] = _deflated(length, lam, j)
-        if vec is not None:
-            if prev_vec is not None:
-                deltas[j] = vec.sup_distance(prev_vec)
-            prev_vec = vec
+        if row is not None and prev is not None:
+            deltas[j] = _row_gap(row, prev)
+        prev = row
     return [
         IwipRow(n, deflated.get(n), deflated.get(2 * n), deltas.get(n)) for n in range(n_max + 1)
     ]
@@ -481,14 +484,15 @@ def iwip_rows(
 
 def _iterate_readings(phi: Automorphism, M: MarkedMetricGraph, g: Word, n_max: int, depth: int,
                       cap: int) -> Iterator[tuple]:
-    """``(j, exact length, frequency row)`` of each iterate a table reads,
+    """``(j, exact length, (mass, counts))`` of each iterate a table reads,
     the row only up to ``n_max``, off one axis period of the iterate."""
+    pairs = _path_pairs(M.graph, depth)
     for j, w in enumerate(_iterates(phi, g, 2 * n_max, cap)):
         if j > n_max and j % 2:
             continue
         period = _axis_period(M, w)
-        vec = _frequencies(M, depth, [(period, 1)], Fraction(cyclic_length(w))) if j <= n_max else None
-        yield j, M._path_length(period), vec
+        row = (cyclic_length(w), _window_counts([(period, 1)], pairs)) if j <= n_max else None
+        yield j, M._path_length(period), row
         del period  # before the next, longer iterate is built
 
 
@@ -503,7 +507,7 @@ def _block_readings(phi: Automorphism, M: MarkedMetricGraph, g: Word, n_max: int
     is the iterate's letters, and the windows' first letters its length."""
     if g.rank != phi.rank or M.rank != phi.rank:
         raise ValueError("rank mismatch")
-    images, nums = phi._images, M._length_nums
+    images, nums, pairs = phi._images, M._length_nums, _path_pairs(M.graph, depth)
     c, columns = _cyclic_windows(g.letters, depth), {}  # the columns of the blocks reached
     for j in range(2 * n_max + 1):
         if j:
@@ -519,12 +523,8 @@ def _block_readings(phi: Automorphism, M: MarkedMetricGraph, g: Word, n_max: int
             return
         if j > n_max and j % 2:
             continue
-        vec = None
-        if j <= n_max:
-            pairs = _path_pairs(M.graph, depth)
-            counts = [c.get(v, 0) + c.get(u, 0) for v, u in pairs]
-            vec = _frequency_row(depth, pairs, counts, Fraction(letters))
-        yield j, Fraction(sum(n * nums[b[0]] for b, n in c.items()), M._length_den), vec
+        row = (letters, [c.get(v, 0) + c.get(u, 0) for v, u in pairs]) if j <= n_max else None
+        yield j, Fraction(sum(n * nums[b[0]] for b, n in c.items()), M._length_den), row
 
 
 def _block_column(images: Sequence[tuple[int, ...]], b: tuple[int, ...]) -> Counter:

@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import re
 from fractions import Fraction
@@ -15,6 +16,14 @@ FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 def run(*args, env=None):
     return CliRunner().invoke(main, [str(a) for a in args], env=env, catch_exceptions=False)
+
+
+def child_env(src: pathlib.Path) -> dict:
+    """The environment of a child interpreter that imports ``src``: its
+    ``PYTHONPATH``, and ``PYTHONDONTWRITEBYTECODE`` when the tests run
+    under it, so that the child writes no bytecode into ``src`` either."""
+    keep = {k: v for k, v in os.environ.items() if k == "PYTHONDONTWRITEBYTECODE"}
+    return {**keep, "PYTHONPATH": str(src)}
 
 
 class TestTranslen:
@@ -140,6 +149,17 @@ class TestIwip:
     def test_drift_header_present(self):
         result = run("iwip", "--map", FIXTURES / "fibonacci_map.json", "--seed", "a", "--n", "4")
         assert any(l.startswith("# lambda=") for l in result.output.splitlines())
+
+    def test_orbit_that_does_not_grow_deflates_to_zero(self):
+        # a -> ab, b -> bab fixes abAB, so no iterate trips the letter cap, but lam^738 overflows a float
+        result = run(
+            "iwip", "--map", FIXTURES / "cat_map.json",
+            "--seed", "abAB", "--n", "400", "--n-cap", "400",
+        )
+        assert result.exit_code == 0
+        rows = [l.split(",") for l in result.output.splitlines() if not l.startswith(("#", "n,"))]
+        assert len(rows) == 401
+        assert rows[-1][2] == "0" and float(rows[-1][1]) > 0
 
     def test_cap_breach_marked_per_row(self):
         result = run(
@@ -403,6 +423,14 @@ class TestUserErrors:
         )
         assert result.exit_code == 2
         self.assert_one_line_error(result, "--tol")
+
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    @pytest.mark.parametrize("command", ["pf", "iwip"])
+    def test_non_finite_tol(self, command, tol):
+        seed = ("--seed", "a") if command == "iwip" else ()
+        result = run(command, "--map", FIXTURES / "fibonacci_map.json", *seed, "--tol", tol)
+        assert result.exit_code == 1
+        self.assert_one_line_error(result, "tol must be positive and finite")
 
     @pytest.mark.parametrize("option", ["--n", "--n-cap"])
     def test_iwip_negative_count(self, option):
@@ -683,7 +711,7 @@ def test_cli_import_leaves_numpy_unloaded():
     def loaded(*args):
         out = subprocess.run(
             [sys.executable, "-c", code, *map(str, args)],
-            env={"PYTHONPATH": str(src)},
+            env=child_env(src),
             capture_output=True,
             text=True,
             check=True,
@@ -718,7 +746,7 @@ def test_package_import_loads_no_submodule():
     code = "import sys, outerint; print(sorted(m for m in sys.modules if m.startswith('outerint.')))"
     out = subprocess.run(
         [sys.executable, "-c", code],
-        env={"PYTHONPATH": str(src)},
+        env=child_env(src),
         capture_output=True,
         text=True,
         check=True,

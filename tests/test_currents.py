@@ -381,6 +381,19 @@ class TestMass:
             assert one_letter_mass(mu) == intersect(unit_rose(rank), mu)
 
 
+def unscaled_numerators(values):
+    """``currents._numerators`` with each numerator kept over its own
+    denominator."""
+    return math.lcm(*(x.denominator for x in values)), [x.numerator for x in values]
+
+
+def uncrossed_gap(a, b):
+    """``currents._row_gap`` with the counts not scaled by the other
+    row's mass."""
+    (da, na), (db, nb) = a, b
+    return Fraction(max(abs(x - y) for x, y in zip(na, nb)), da * db)
+
+
 class TestFrequencyVector:
     def test_unit_mass_single_letter(self):
         M = unit_rose(2)
@@ -479,13 +492,15 @@ class TestFrequencyVector:
     def test_integer_rows_match_fraction_definitions(self):
         assert integer_row_mismatches() == (0, 0)
 
-    def test_integer_row_checks_catch_unscaled_numerators(self, monkeypatch):
-        def unscaled(values):  # each numerator kept over its own denominator
-            return math.lcm(*(x.denominator for x in values)), [x.numerator for x in values]
-
-        monkeypatch.setattr(currents, "_numerators", unscaled)
+    @pytest.mark.parametrize(
+        "name, planted, rows_differ",
+        [("_numerators", unscaled_numerators, True), ("_row_gap", uncrossed_gap, False)],
+        ids=["numerators-over-own-denominators", "gap-without-cross-multiplied-masses"],
+    )
+    def test_integer_row_checks_catch_unscaled_numerators(self, monkeypatch, name, planted, rows_differ):
+        monkeypatch.setattr(currents, name, planted)
         rows, distances = integer_row_mismatches()
-        assert rows > 0 and distances > 0
+        assert (rows > 0) == rows_differ and distances > 0
 
 
 def coprime_current(rng, rank):

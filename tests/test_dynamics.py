@@ -193,6 +193,11 @@ class TestPFEigenpair:
             for entries in random_primitive_matrices(20)
         )
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_non_finite_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            pf_eigenpair(transition_matrix(fibonacci_rose_map()), tol=tol)
+
     def test_eigenvector_positive_and_residual_small(self):
         result = pf_eigenpair(transition_matrix(supergolden_rose_map()), tol=1e-13)
         assert all(x > 0 for x in result.eigenvector)
@@ -441,14 +446,23 @@ def uncut_period(M, w):
     return M.word_to_path(w)
 
 
+def uncrossed_gap(a, b):
+    """``currents._row_gap`` with the counts not scaled by the other
+    row's mass."""
+    (da, na), (db, nb) = a, b
+    return Fraction(max(abs(x - y) for x, y in zip(na, nb)), da * db)
+
+
 class TestAxisRoute:
     def test_matches_counting_currents(self):
         assert current_route_mismatches() == []
 
     @pytest.mark.parametrize(
         "name, planted",
-        [("_axis_period", uncut_period), ("cyclic_length", len)],
-        ids=["period-without-cyclic-cut", "mass-without-cyclic-cut"],
+        [("_axis_period", uncut_period), ("cyclic_length", len), ("_row_gap", uncrossed_gap)],
+        ids=[
+            "period-without-cyclic-cut", "mass-without-cyclic-cut", "gap-without-cross-multiplied-masses"
+        ],
     )
     def test_cross_check_catches_uncut_period_or_mass(self, monkeypatch, name, planted):
         monkeypatch.setattr(dynamics, name, planted)
@@ -513,6 +527,16 @@ class TestPairingEstimate:
 
 
 class TestIwipRows:
+    def test_orbit_that_does_not_grow_deflates_to_zero(self):
+        # lam^800 overflows a float, while the iterates of abAB stay four letters long
+        f, g = cat_map(), parse_word("abAB", 2)
+        phi, M, lam = f.automorphism, f.chart, pf_eigenpair(transition_matrix(f)).eigenvalue
+        rows = iwip_rows(phi, M, lam, g, 400, 1)
+        assert rows[1].length_estimate == 4 / lam
+        assert rows[-1].pairing_estimate == 0 < rows[-1].length_estimate
+        assert pairing_estimate(phi, M, lam, g, 400).values[-1] == 0
+        assert stable_length_oracle(phi, M, lam, 800).evaluate(g) == 0
+
     def test_row_zero_is_raw(self):
         rows = iwip_rows(
             fibonacci_automorphism(), unit_rose(2), GOLDEN, parse_word("a", 2), 5, 2
