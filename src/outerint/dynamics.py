@@ -337,10 +337,10 @@ def _axis_period(M: MarkedMetricGraph, w: Word) -> EdgePath:
     return path[cut : len(path) - cut]
 
 
-def _deflated(length: Fraction, lam: float, j: int) -> float:
-    """The j-th iterate's exact chart ``length`` over ``lam^j``, rounded
-    once: an orbit that does not grow reads 0 where ``lam^j`` overflows."""
-    return float(length / Fraction(lam) ** j)
+def _deflated(length: Fraction, p_j: int, q_j: int) -> float:
+    """The j-th iterate's exact chart ``length`` over ``lam^j = p_j / q_j``,
+    rounded once: an orbit that does not grow reads 0 past a float's range."""
+    return length.numerator * q_j / (length.denominator * p_j)
 
 
 def stable_length_oracle(
@@ -360,15 +360,16 @@ def stable_length_oracle(
 
     if n < 1:
         raise ValueError("n must be >= 1")
+    p, q = lam.as_integer_ratio()
 
     def evaluate(w: Word) -> float:
         (last,) = deque(_orbit(phi, w, n, cap), maxlen=1)
-        return _deflated(M._path_length(_axis_period(M, last)), lam, n)
+        return _deflated(M._path_length(_axis_period(M, last)), p ** n, q ** n)
 
     def error_bound(w: Word) -> float:
         before, last = deque(_orbit(phi, w, n, cap), maxlen=2)
-        a = _deflated(M._path_length(_axis_period(M, last)), lam, n)
-        b = _deflated(M._path_length(_axis_period(M, before)), lam, n - 1)
+        a = _deflated(M._path_length(_axis_period(M, last)), p ** n, q ** n)
+        b = _deflated(M._path_length(_axis_period(M, before)), p ** (n - 1), q ** (n - 1))
         return abs(a - b)
 
     return LengthFunctionOracle(evaluate=evaluate, exact=False, error_bound=error_bound)
@@ -429,8 +430,9 @@ def pairing_estimate(
         raise ValueError("n must be >= 1")
     if g.is_identity:
         raise ValueError("seed must be nontrivial")
+    p, q = lam.as_integer_ratio()
     values = tuple(
-        _deflated(M._path_length(_axis_period(M, w)), lam, j)
+        _deflated(M._path_length(_axis_period(M, w)), p ** j, q ** j)
         for j, w in enumerate(_orbit(phi, g, 2 * n, cap)) if j and j % 2 == 0
     )
     return PairingReport(values, (min(values), max(values)))
@@ -471,9 +473,11 @@ def iwip_rows(
     readings = (_block_readings if positive else _iterate_readings)(phi, M, g, n_max, depth, cap)
     deflated: dict[int, float] = {}
     deltas: dict[int, Fraction] = {}
-    prev = None
+    p, q = lam.as_integer_ratio()
+    prev, p_j, q_j, at = None, 1, 1, 0  # lam^at = p_j / q_j, carried from row to row
     for j, length, row in readings:
-        deflated[j] = _deflated(length, lam, j)
+        p_j, q_j, at = p_j * p ** (j - at), q_j * q ** (j - at), j
+        deflated[j] = _deflated(length, p_j, q_j)
         if row is not None and prev is not None:
             deltas[j] = _row_gap(row, prev)
         prev = row

@@ -1,15 +1,15 @@
 """The intersection pairing between marked metric graphs and rational
 currents, computed by two independent routes that must agree exactly.
 
-Route A expands the current and evaluates translation lengths term by
-term; route B sums, over the positive edges of the chart, the edge length
-times the one-edge cylinder count, that is, times the weighted number of
-crossings of the edge by the axes of the current.  Route B counts the
-crossings of every edge in one pass over each axis period, adds them as
-integers over common denominators of the weights and of ``M.lengths``
-(not the chart's cached lengths of route A), and divides once.  Both
-routes are exact rational arithmetic, so any difference between them is a
-defect, not a rounding artefact: a mismatch raises
+Both routes read one axis period per term of the current, and nothing
+else in common.  Route A sums the chart's cached integer lengths along
+the period and folds each weight in by cross-multiplication; route B
+tallies the crossings of each positive edge by the period, weights them
+as integers over the lcm of the weight denominators, and sums edge length
+(from ``M.lengths``, over their own lcm) times crossings, that is, times
+the one-edge cylinder counts.  Each route makes one ``Fraction`` at the
+end.  Both are exact rational arithmetic, so any difference between them
+is a defect, not a rounding artefact: a mismatch raises
 :class:`RouteDisagreement` instead of being averaged away.
 
 Length functions that are not backed by a chart (for example limits
@@ -28,7 +28,7 @@ from math import lcm
 from typing import Callable, Optional, Sequence
 
 from .currents import RationalCurrent
-from .marked_graph import MarkedMetricGraph, edge_crossings, translation_length
+from .marked_graph import MarkedMetricGraph, translation_length
 from .words import Automorphism, OuterintError, Word, cyclic_length
 from . import currents as _currents
 from . import marked_graph as _marked_graph
@@ -47,21 +47,27 @@ class IntersectionReport:
     via_crossings: Fraction
 
 
+def _edge_tally(period) -> Counter:
+    """Route B's crossings of each positive edge by one axis period."""
+    return Counter(map(abs, period))
+
+
 def intersect_report(M: MarkedMetricGraph, mu: RationalCurrent) -> IntersectionReport:
     if M.rank != mu.rank:
         raise ValueError("rank mismatch")
-    via_lengths = sum(
-        (weight * translation_length(M, cw.as_word()) for cw, weight in mu.terms),
-        Fraction(0),
-    )
-    # weights over D and lengths over E: integer crossings, one division
+    # route A: num / den; route B: crossings over the lcm D, lengths over the lcm E
+    num, den, nums = 0, 1, M._length_nums
     D = lcm(*(weight.denominator for _, weight in mu.terms))
-    E = lcm(*(L.denominator for L in M.lengths))
     crossings = Counter()
     for cw, weight in mu.terms:
-        p = weight.numerator * (D // weight.denominator)
-        for k, n in edge_crossings(M, cw).items():
-            crossings[k] += p * n
+        period = M.axis_period(cw)  # read by both routes
+        n, d = weight.numerator, weight.denominator
+        num, den = num * d + n * den * sum(map(nums.__getitem__, period)), den * d
+        p = n * (D // d)
+        for k, c in _edge_tally(period).items():
+            crossings[k] += p * c
+    via_lengths = Fraction(num, den * M._length_den)
+    E = lcm(*(L.denominator for L in M.lengths))
     q = [L.numerator * (E // L.denominator) for L in M.lengths]
     via_crossings = Fraction(sum(q[k - 1] * c for k, c in crossings.items()), D * E)
     if via_lengths != via_crossings:

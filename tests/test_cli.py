@@ -637,10 +637,10 @@ class TestExitCodes:
     def test_intersect_route_disagreement_exits_3(self, monkeypatch):
         from outerint import intersection
 
-        real = intersection.edge_crossings
+        real = intersection._edge_tally
         monkeypatch.setattr(
-            intersection, "edge_crossings",
-            lambda M, cw: {k: 2 * n for k, n in real(M, cw).items()},
+            intersection, "_edge_tally",
+            lambda period: {k: 2 * n for k, n in real(period).items()},
         )
         result = run("intersect", FIXTURES / "rose2.json", FIXTURES / "current_ab.json")
         assert result.exit_code == 3
@@ -663,10 +663,10 @@ class TestExitCodes:
     def test_programming_error_keeps_its_traceback(self, monkeypatch):
         from outerint import intersection
 
-        def broken(M, cw):
+        def broken(period):
             raise TypeError("planted")
 
-        monkeypatch.setattr(intersection, "edge_crossings", broken)
+        monkeypatch.setattr(intersection, "_edge_tally", broken)
         with pytest.raises(TypeError, match="planted"):
             run("intersect", FIXTURES / "rose2.json", FIXTURES / "current_ab.json")
 

@@ -34,7 +34,7 @@ from outerint.dynamics import (
     stable_length_oracle,
     transition_matrix,
 )
-from outerint.marked_graph import MarkedMetricGraph, unit_rose
+from outerint.marked_graph import MarkedMetricGraph, translation_length, unit_rose
 from outerint.words import Automorphism, Word, parse_word
 
 from _generators import random_automorphism, random_chart_of_each_kind, random_reduced_word
@@ -536,6 +536,27 @@ class TestIwipRows:
         assert rows[-1].pairing_estimate == 0 < rows[-1].length_estimate
         assert pairing_estimate(phi, M, lam, g, 400).values[-1] == 0
         assert stable_length_oracle(phi, M, lam, 800).evaluate(g) == 0
+
+    @pytest.mark.parametrize(
+        "case, n",
+        [("cat_map", 400), ("fibonacci", 12)],
+        ids=["iterate-route-past-overflow", "block-route"],
+    )
+    def test_deep_rows_match_fresh_powers(self, case, n):
+        # the table carries lam^j from row to row; each cell must still be
+        # the exact length over a freshly raised exact lam^j, rounded once
+        if case == "cat_map":
+            f, g = cat_map(), parse_word("abAB", 2)
+            phi, M, lam = f.automorphism, f.chart, pf_eigenpair(transition_matrix(f)).eigenvalue
+        else:
+            phi, M, lam, g = fibonacci_automorphism(), unit_rose(2), GOLDEN, parse_word("a", 2)
+        rows = iwip_rows(phi, M, lam, g, n, 1)
+        fresh = [
+            float(translation_length(M, w) / Fraction(lam) ** j)
+            for j, w in enumerate(dynamics._orbit(phi, g, 2 * n, DEFAULT_WORD_CAP))
+        ]
+        assert [r.length_estimate for r in rows] == fresh[: n + 1]
+        assert [r.pairing_estimate for r in rows] == fresh[::2]
 
     def test_row_zero_is_raw(self):
         rows = iwip_rows(

@@ -1,11 +1,15 @@
+import copy
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
 
+from outerint import intersection, marked_graph
 from outerint.currents import RationalCurrent, add, counting_current, cylinder_count, scale
 from outerint.intersection import (
     LengthFunctionOracle,
+    RouteDisagreement,
     equivariance_check,
     intersect,
     intersect_oracle,
@@ -106,6 +110,94 @@ class TestIntersect:
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):
             intersect(unit_rose(2), RationalCurrent(3))
+
+
+def chart_current_pairs(seed: int = 5, draws: int = 200) -> list:
+    """600 (chart, current) pairs: a random current of rank 2-4 with each
+    of the three charts of :func:`random_chart_of_each_kind`."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(draws):
+        rank = rng.choice([2, 3, 4])
+        mu = random_current(rng, rank)
+        pairs.extend((M, mu) for M in random_chart_of_each_kind(rng, rank))
+    return pairs
+
+
+@pytest.fixture(scope="module")
+def pairs():
+    return chart_current_pairs()
+
+
+def mutant_report(old: str, new: str):
+    """``intersect_report`` with one piece of its source replaced, run in
+    a copy of the module's namespace: a bug planted inside one route."""
+    source = inspect.getsource(intersection.intersect_report)
+    assert source.count(old) == 1
+    namespace = dict(vars(intersection))
+    exec(compile(source.replace(old, new), intersection.__file__, "exec"), namespace)
+    return namespace["intersect_report"]
+
+
+def with_edge_1_cache_off_by_one(M):
+    """A copy of ``M`` whose cached integer length of edge 1, which only
+    route A reads, is one too large."""
+    nums = list(M._length_nums)
+    nums[1] += 1
+    bad = copy.copy(M)
+    object.__setattr__(bad, "_length_nums", nums)
+    return bad
+
+
+class TestSharedPeriod:
+    """Both routes read one axis period per term; everything after it is
+    each route's own, so a bug on either side alone still trips the check."""
+
+    def test_one_cyclic_reduction_per_term(self, pairs, monkeypatch):
+        real, calls = marked_graph.cyclic_reduce_path, []
+        monkeypatch.setattr(
+            marked_graph, "cyclic_reduce_path", lambda path: calls.append(1) or real(path)
+        )
+        for M, mu in pairs:
+            intersect_report(M, mu)
+        assert len(calls) == sum(len(mu.terms) for _, mu in pairs)
+
+    def test_length_route_is_the_term_by_term_sum(self, pairs):
+        for M, mu in pairs:
+            assert intersect_report(M, mu).via_lengths == sum(
+                (weight * translation_length(M, cw.as_word()) for cw, weight in mu.terms),
+                Fraction(0),
+            )
+
+    @pytest.mark.parametrize(
+        "plant",
+        ["length-cache-off-by-one", "route-a-denominator", "route-b-weight-scaling",
+         "edge-1-crossings-doubled"],
+    )
+    def test_check_fails_from_one_side_alone(self, pairs, monkeypatch, plant):
+        report, chart = intersect_report, lambda M: M
+        if plant == "length-cache-off-by-one":
+            chart = with_edge_1_cache_off_by_one
+        elif plant == "route-a-denominator":
+            report = mutant_report("den * d", "den")
+        elif plant == "route-b-weight-scaling":
+            report = mutant_report("D // d", "D")
+        else:
+            real = intersection._edge_tally
+
+            def doubled(period):
+                tally = real(period)
+                tally[1] *= 2
+                return tally
+
+            monkeypatch.setattr(intersection, "_edge_tally", doubled)
+        caught = 0
+        for M, mu in pairs:
+            try:
+                report(chart(M), mu)
+            except RouteDisagreement:
+                caught += 1
+        assert caught > len(pairs) // 2
 
 
 class TestEquivariance:
