@@ -35,10 +35,13 @@ and common-elliptic adjacency is a bounded search whose negative verdict
 ("none found within the bound") is not a proof of non-adjacency.
 Distances come from breadth-first search over an explicitly generated
 vertex universe, so they are exact within the explored ball and upper
-bounds in general.  The search dispatches on vertex kind from one table
-(key at a depth, image under an automorphism, per vertex type) and on
-flavor from another (admitted vertex kinds and neighbour rule: coordinate
-families for F, S and Fstar, trees against minted witnesses for Z and I0).
+bounds in general; for Z and I0 they are those of the full ball, but
+these searches store no vertex that cannot reach the target within the
+radius, so the state cap may bind later than on the full ball.  The
+search dispatches on vertex kind from one table (key at a depth, image
+under an automorphism, per vertex type) and on flavor from another
+(admitted vertex kinds and neighbour rule: coordinate families for F, S
+and Fstar, trees against minted witnesses for Z and I0).
 Class vertices are stored flip-normalised (an endpoint on entry, an image
 under a move), so a class is keyed by its letters.  Z and I0 mint their
 witnesses from the test set, whose classes are flip-normalised already,
@@ -500,7 +503,8 @@ def _family(s: FreeSplitting, include_loops: bool) -> list[FreeSplitting]:
     return out
 
 
-NeighbourRule = Callable[[_Universe, tuple, int], list]
+# (store, vertex key, search length, steps left within the radius, target key)
+NeighbourRule = Callable[[_Universe, tuple, int, int, tuple], list]
 
 
 def _coordinate_rule(include_loops: bool, adjacent) -> NeighbourRule:
@@ -509,7 +513,7 @@ def _coordinate_rule(include_loops: bool, adjacent) -> NeighbourRule:
     search_length)`` is the test of a candidate against the vertex's
     presentations."""
 
-    def neighbours(universe: _Universe, key: tuple, search_length: int) -> list[tuple]:
+    def neighbours(universe: _Universe, key: tuple, search_length: int, *_) -> list[tuple]:
         views = list(universe.vertices[key])
         is_adjacent = adjacent(views, search_length)
         candidates = [u for p in views for u in _family(p, include_loops)]
@@ -533,16 +537,31 @@ def _bipartite_rule(witness: type, mint, adjacent) -> NeighbourRule:
     splitting mints ``mint(cw)`` for each of its elliptic classes; these
     are test-set classes, flip-normalised already, as a stored class must
     be.  ``adjacent(tree, witness)`` tests every stored pair, minted or
-    not, through :func:`splitting_length`."""
+    not, through :func:`splitting_length`.  A vertex other than the
+    target is 1 step or more from a target on the other side, 2 or more
+    from one on its own side; with fewer ``steps`` left it gets no
+    neighbours, and a splitting mints only if its classes could still be
+    expanded, after it looked for the target among the stored witnesses.
+    No distance changes, as neighbours do not depend on what the search
+    stored: every tree is stored before it starts, and a class another
+    splitting minted is adjacent to this one only if this one mints it."""
 
-    def neighbours(universe: _Universe, key: tuple, search_length: int) -> list[tuple]:
+    def neighbours(universe: _Universe, key: tuple, search_length: int, steps: int, target: tuple) -> list[tuple]:
         v = universe.vertices[key][0]
+        to_witness = type(universe.vertices[target][0]) is witness
+        if steps < 1 + ((type(v) is witness) == to_witness):
+            return []
         if type(v) is witness:
             return sorted({k for k, t in universe.each(FreeSplitting, MarkedMetricGraph) if adjacent(t, v)})
-        if type(v) is FreeSplitting:  # a chart acts freely: nothing is elliptic
+        stored = universe.each(witness)  # the store's own list: minting extends it
+        seen = len(stored)
+        found = {k for k, w in stored if adjacent(v, w)}
+        # a chart acts freely, so nothing is elliptic in it
+        if target not in found and type(v) is FreeSplitting and steps >= 2 + to_witness:
             for cw in _elliptic_classes(v, search_length):
                 universe.add(mint(cw))
-        return sorted({k for k, w in universe.each(witness) if adjacent(v, w)})
+            found.update(k for k, w in stored[seen:] if adjacent(v, w))
+        return sorted(found)
 
     return neighbours
 
@@ -590,7 +609,9 @@ def bfs_distance(
     common-elliptic searches, minted witness currents or classes).  The
     returned value is the exact distance in the explored subgraph, hence
     an upper bound for the full graph; None means the target was not
-    reached within ``radius``.
+    reached within ``radius``.  Z and I0 return the distance of the full
+    ball but store no vertex that cannot reach the target within
+    ``radius``, so ``state_cap`` counts fewer vertices than that ball.
     """
     if flavor not in _FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
@@ -621,7 +642,7 @@ def bfs_distance(
         key = queue.popleft()
         if dist[key] >= radius:
             continue
-        for nk in graph.neighbours(universe, key, search_length):
+        for nk in graph.neighbours(universe, key, search_length, radius - dist[key], k2):
             if nk not in dist:
                 dist[nk] = dist[key] + 1
                 if nk == k2:

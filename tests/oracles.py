@@ -3,8 +3,9 @@
 These deliberately take different computational routes from the package:
 repeated-scan reduction instead of a stack, divisor scans instead of
 prefix functions, modular indices instead of one-pass window tallies,
-characteristic-polynomial bisection instead of power iteration, and
-orbit-displacement growth instead of cyclic syllable counts.
+characteristic-polynomial bisection instead of power iteration,
+orbit-displacement growth instead of cyclic syllable counts, and a
+whole-ball search instead of one pruned towards its target.
 """
 
 from __future__ import annotations
@@ -171,3 +172,58 @@ def bass_serre_translation_length(
     else:
         raise ValueError(kind)
     return round(d / power)
+
+
+# -- the Z and I0 searches over the whole ball ---------------------------------
+#
+# Z and I0 join a splitting to a witness (a conjugacy class, or a current)
+# when its length on the witness is zero.  The reference search explores
+# the whole ball, layer by layer: it expands every vertex below the
+# radius, every splitting it expands mints each test-set class of zero
+# length in it (read off splitting_length, not off the generator tables),
+# and no state cap applies.  Vertices are stored as the package stores
+# them, so that two presentations of one vertex are one vertex.
+
+
+def whole_ball_bipartite_distance(
+    flavor: str, v1, v2, radius: int, moves=(), *, search_length: int = 6, key_depth: int = 4
+):
+    """The Z or I0 distance within ``radius``, or None beyond it."""
+    from outerint import splittings
+    from outerint.currents import RationalCurrent, _class_current
+    from outerint.words import CyclicWord, enumerate_cyclic_words, flip_normalize
+
+    witness, mint = {"Z": (CyclicWord, lambda cw: cw), "I0": (RationalCurrent, _class_current)}[flavor]
+    tree = splittings.FreeSplitting
+
+    def elliptic(s, cw) -> bool:
+        return splittings.splitting_length(s, cw.as_word()) == 0
+
+    def adjacent(t, w) -> bool:
+        classes = [w] if witness is CyclicWord else [cw for cw, _ in w.terms]
+        return type(t) is tree and all(elliptic(t, cw) for cw in classes)
+
+    store = splittings._Universe(key_depth, float("inf"))
+    v1, v2 = (flip_normalize(v) if type(v) is CyclicWord else v for v in (v1, v2))
+    source, target = store.add(v1), store.add(v2)
+    splittings._move_closure(store, [v1, v2], list(moves), radius)
+    test_set = enumerate_cyclic_words(v1.rank, search_length, up_to_inversion=True)
+    dist, layer = {source: 0}, [source]
+    for d in range(1, radius + 1):
+        reached = []
+        for key in layer:
+            v = store.vertices[key][0]
+            if type(v) is witness:  # a chart is adjacent to no witness
+                hits = [k for k, t in store.each(tree) if adjacent(t, v)]
+            else:
+                if type(v) is tree:
+                    for cw in test_set:
+                        if elliptic(v, cw):
+                            store.add(mint(cw))
+                hits = [k for k, w in store.each(witness) if adjacent(v, w)]
+            for k in hits:
+                if k not in dist:
+                    dist[k] = d
+                    reached.append(k)
+        layer = reached
+    return dist.get(target)

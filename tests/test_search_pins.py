@@ -10,8 +10,13 @@ merge, then 25 rank-4 cases, whose coordinate families hold seven
 partitions per twist.
 
 Regenerate the file after an intended change of search results with
-``PYTHONPATH=src python tests/test_search_pins.py`` and list every
-changed entry in CHANGES.md.
+``PYTHONPATH=src python tests/test_search_pins.py``, which prints every
+changed entry as (index, pinned, now) before it writes the file, and
+list those entries in CHANGES.md.
+
+The Z and I0 searches prune the ball they explore, so the same generator
+also feeds a comparison with the whole-ball reference search of
+``tests/oracles.py``, which the pruning must not change.
 """
 
 import json
@@ -19,14 +24,16 @@ import pathlib
 import random
 import sys
 
+from outerint import splittings
 from outerint.catalog import supergolden_automorphism
-from outerint.currents import add, counting_current
+from outerint.currents import RationalCurrent, add, counting_current
 from outerint.marked_graph import act as act_on_chart
 from outerint.marked_graph import scale_lengths, unit_rose
 from outerint.splittings import FLAVORS, act, bfs_distance, loop_splitting, separating_splitting
 from outerint.words import Automorphism, CyclicWord, OuterintError
 
 from _generators import random_automorphism, random_cyclically_reduced_word
+from oracles import whole_ball_bipartite_distance
 
 PINS = pathlib.Path(__file__).resolve().parent / "golden" / "bfs_search.json"
 # (rank, number of cases, seed) of each random series
@@ -105,6 +112,11 @@ def _results():
 COLLISION = SERIES[0][1]
 
 
+def _changed(pinned, now):
+    """(index, pinned, now) of every result that differs from its pin."""
+    return [(i, p, n) for i, (p, n) in enumerate(zip(pinned, now)) if p != n]
+
+
 def test_class_endpoint_normalised_on_entry():
     """A Z search to a class and to its inverse class is one search: the
     endpoint is stored flip-normalised, as every minted class is, so the
@@ -127,12 +139,77 @@ def test_search_results_pinned():
     got = _results()
     assert len(got) == len(want) == 1 + sum(count for _, count, _ in SERIES)
     assert got[COLLISION] == "KeyCollisionError"
-    diff = [(i, w, g) for i, (w, g) in enumerate(zip(want, got)) if w != g]
+    diff = _changed(want, got)
     assert not diff, f"{len(diff)} changed results (index, pinned, now): {diff[:10]}"
+
+
+def _bipartite_searches():
+    """Z and I0 searches at radii 0-3: the Z and I0 pairs that
+    ``_random_cases`` draws at rank 3 for seeds 1-4 (75 cases each), a
+    splitting or a chart against a witness, and, from each pair and the
+    next one of its flavor, the two trees and the two witnesses."""
+    def side(v):
+        return type(v) in (CyclicWord, RationalCurrent)
+
+    for seed in (1, 2, 3, 4):
+        cases = [c for c in _random_cases(3, 75, seed) if c[0] in ("Z", "I0")]
+        for (flavor, v1, v2, _, moves, search_length, key_depth), other in zip(cases, cases[2:]):
+            (t, w), (t2, w2) = (sorted(pair, key=side) for pair in ((v1, v2), other[1:3]))
+            for pair in ((v1, v2), (t, t2), (w, w2)):
+                for radius in range(4):
+                    yield flavor, *pair, radius, moves, search_length, key_depth
+
+
+def _whole_ball_mismatches():
+    """(index, flavor, radius, whole ball, bfs_distance) of every search
+    whose result differs from that of the whole ball, and the whole-ball
+    result of every search."""
+    def result(search, *args, **kwargs):
+        try:
+            return search(*args, **kwargs)
+        except OuterintError as e:
+            return type(e).__name__
+
+    out, seen = [], []
+    for i, (flavor, v1, v2, radius, moves, search_length, key_depth) in enumerate(_bipartite_searches()):
+        lengths = {"search_length": search_length, "key_depth": key_depth}
+        want = result(whole_ball_bipartite_distance, flavor, v1, v2, radius, moves, **lengths)
+        got = result(bfs_distance, flavor, v1, v2, radius, moves, state_cap=10**6, **lengths)
+        seen.append(want)
+        if got != want:
+            out.append((i, flavor, radius, want, got))
+    return out, seen
+
+
+def test_z_and_i0_distances_are_those_of_the_whole_ball():
+    mismatches, seen = _whole_ball_mismatches()
+    assert not mismatches, f"{len(mismatches)} (index, flavor, radius, whole ball, now): {mismatches[:10]}"
+    assert {0, 1, 2, 3, None, "KeyCollisionError"} <= set(seen)
+
+
+def test_whole_ball_oracle_catches_a_mint_bound_one_step_too_strict(monkeypatch):
+    """A splitting that mints only at depth d with d + 4 <= radius, one
+    step late for a witness target, loses the distance-3 searches."""
+    for flavor, witness in (("Z", CyclicWord), ("I0", RationalCurrent)):
+        row = splittings._FLAVORS[flavor]
+
+        def late(universe, key, search_length, steps, target, rule=row.neighbours, witness=witness):
+            # one step fewer with exactly three left: the splitting is still
+            # expanded, but too close to the radius to mint
+            tree_to_witness = (type(universe.vertices[key][0]) is not witness
+                               and type(universe.vertices[target][0]) is witness)
+            return rule(universe, key, search_length, steps - (steps == 3 and tree_to_witness), target)
+
+        monkeypatch.setitem(splittings._FLAVORS, flavor, row._replace(neighbours=late))
+    mismatches, _ = _whole_ball_mismatches()
+    assert mismatches
+    assert {(want, got) for *_, want, got in mismatches} == {(3, None)}
 
 
 if __name__ == "__main__":
     results = _results()
     if results[COLLISION] != "KeyCollisionError":
         sys.exit(f"the collision case gave {results[COLLISION]!r}")
+    for change in _changed(json.loads(PINS.read_text()), results):
+        print(change)
     PINS.write_text(json.dumps(results) + "\n")

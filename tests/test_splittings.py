@@ -611,6 +611,36 @@ class TestBFS:
                 state_cap=1,
             )
 
+    @pytest.mark.parametrize("flavor", ["Z", "I0"])
+    def test_state_cap_binds_on_minted_witnesses(self, flavor):
+        # at radius 3 a splitting must mint at depth 0 for a hyperbolic
+        # target, and sep{1} has 123 elliptic classes up to length 6
+        s = separating_splitting(3, [1])
+        target = cyclic_reduce(parse_word("ab", 3))[0]
+        if flavor == "I0":
+            target = counting_current(target.as_word())
+        assert len(_elliptic_classes(s, 6)) > 100
+        with pytest.raises(StateCapExceeded):
+            bfs_distance(flavor, s, target, 3, state_cap=100)
+
+    @pytest.mark.parametrize("flavor, word, radius, distance", [
+        ("Z", "ab", 2, None),  # a hyperbolic class
+        ("I0", "ab", 2, None),
+        ("Z", "b", 3, 1),  # an elliptic class, found before minting
+        ("I0", "bc", 3, 1),
+    ])
+    def test_no_elliptic_table_for_a_target_within_reach(self, monkeypatch, flavor, word, radius, distance):
+        # a class minted at depth 0 could reach a witness target only at
+        # distance 3, through a second tree, so no search below radius 3
+        # mints, and one that finds the target adjacent mints nothing
+        calls = []
+        monkeypatch.setattr(splittings, "_elliptic_classes", lambda *a: calls.append(a) or _elliptic_classes(*a))
+        target = cyclic_reduce(parse_word(word, 3))[0]
+        if flavor == "I0":
+            target = counting_current(target.as_word())
+        assert bfs_distance(flavor, separating_splitting(3, [1]), target, radius) == distance
+        assert calls == []
+
     def test_rank_two_rejected(self):
         with pytest.raises(ValueError, match="rank >= 3"):
             bfs_distance(
