@@ -24,17 +24,18 @@ a few of these long reduced pieces instead of substituting letter by
 letter (:func:`_iterates`).
 
 :func:`iwip_rows` chooses one of two routes, and both feed the same row
-assembly.  A positive seed under a positive map on a standard-marked rose
-never cancels, so its table is read off k-block counts that evolve
-linearly (:func:`_block_readings`), and no iterate is built.  Any other
-table reads each iterate's length and frequency row off one axis period
-as it is made, and keeps none (:func:`_iterate_readings`).  Either row is
-integer counts over the integer one-letter mass, compared by
-``currents._row_gap``, the sup distance of frequency vectors.  The other
-diagnostics stay on iterates and keep only those they read
-(:func:`_orbit`): a vector reads one iterate of a few hundred letters, and
-the benchmark's wrap-around self-test plants its bug in
-``currents.occurrences_in_cycle``, which the vector must reach.
+assembly.  On a standard-marked rose, a seed whose turns stay legal under
+the map (:func:`_legal_orbit`) never cancels, so its table is read off
+k-block counts that evolve linearly (:func:`_block_readings`), and no
+iterate is built.  Any other table reads each iterate's length and
+frequency row off one axis period as it is made, and keeps none
+(:func:`_iterate_readings`).  Either row is integer counts over the
+integer one-letter mass, compared by ``currents._row_gap``, the sup
+distance of frequency vectors.  The other diagnostics stay on iterates
+and keep only those they read (:func:`_orbit`): a vector reads one
+iterate of a few hundred letters, and the benchmark's wrap-around
+self-test plants its bug in ``currents.occurrences_in_cycle``, which the
+vector must reach.
 """
 
 from __future__ import annotations
@@ -279,6 +280,49 @@ def eigenmetric_defect(f: GraphMap, M: MarkedMetricGraph, lam: float) -> float:
     )
 
 
+def _reach(phi: Automorphism, w: Word) -> set[int]:
+    """The signed letters the orbit of ``w`` reaches: those of ``w``, and
+    those of the image of each letter reached.  The rank is checked
+    before the image table is read."""
+    if w.rank != phi.rank:
+        raise ValueError("rank mismatch")
+    images = phi._images
+    reach, todo = set(), list(w.letters)
+    while todo:
+        x = todo.pop()
+        if x not in reach:
+            reach.add(x)
+            todo.extend(images[x])
+    return reach
+
+
+def _legal_orbit(phi: Automorphism, w: Word) -> bool:
+    """Whether no iterate of the cyclic word ``w`` cancels, at a junction
+    or across the wrap-around: the train-track condition of
+    Bestvina-Handel (Ann. of Math. 135, 1992) for the orbit of ``w``.
+
+    The turns ``(x, y)`` of ``phi^(j+1)(w)`` are those inside the images
+    of the letters of ``phi^j(w)`` and the images ``(last phi(x), first
+    phi(y))`` of the turns of ``phi^j(w)``.  So the closure of the cyclic
+    turns of ``w`` and the turns inside ``phi(x)``, for each letter ``x``
+    reached, under that map holds every turn of the orbit, and the orbit
+    cancels exactly when some turn in it is ``(x, x^-1)``."""
+    reach, images, g = _reach(phi, w), phi._images, w.letters
+    turns = set(zip(g[-1:] + g[:-1], g))  # the wrap-around (g_last, g_1) included
+    for x in reach:
+        turns.update(zip(images[x], images[x][1:]))
+    todo = list(turns)
+    while todo:
+        x, y = todo.pop()
+        if x == -y:
+            return False
+        turn = images[x][-1], images[y][0]
+        if turn not in turns:
+            turns.add(turn)
+            todo.append(turn)
+    return True
+
+
 def _iterates(phi: Automorphism, w: Word, n: int, cap: int) -> Iterator[Word]:
     """``w, phi(w), ..., phi^n(w)``, stopping before the first iterate
     with more than ``cap`` letters.
@@ -292,15 +336,7 @@ def _iterates(phi: Automorphism, w: Word, n: int, cap: int) -> Iterator[Word]:
     than 2N letters per letter of it, ``x`` and ``x^-1`` counted as one
     piece: letter images may outgrow the iterates (a -> ab, b -> bab fixes
     abAB), or iterates lag behind them (a -> b, b -> Ba sends BA to A)."""
-    if w.rank != phi.rank:
-        raise ValueError("rank mismatch")
-    images = phi._images
-    reach, todo = set(), list(w.letters)
-    while todo:
-        x = todo.pop()
-        if x not in reach:
-            reach.add(x)
-            todo.extend(images[x])
+    images, reach = phi._images, _reach(phi, w)
     counted = [x for x in reach if x > 0 or -x not in reach]  # the table of x^-1 is that of x inverted
     table: dict = {}
     yield w
@@ -462,15 +498,15 @@ def iwip_rows(
     """Diagnostic table for one seed: deflated lengths, deflated even
     pairing sequence and sup gaps of successive integer frequency rows.
 
-    A positive seed under a positive map on a standard-marked rose is read
-    off its k-block counts (:func:`_block_readings`), and builds no
-    iterate; any other table measures each iterate it reads once, as it
-    is made, and keeps none (:func:`_iterate_readings`)."""
+    On a standard-marked rose, a seed whose orbit never cancels
+    (:func:`_legal_orbit`) is read off its k-block counts
+    (:func:`_block_readings`), and builds no iterate; any other table
+    measures each iterate it reads once, as it is made, and keeps none
+    (:func:`_iterate_readings`)."""
     if g.is_identity:
         raise ValueError("seed must be nontrivial")
-    positive = M._loops is None and min(g.letters) > 0 and all(
-        x > 0 for w in phi.images for x in w.letters)
-    readings = (_block_readings if positive else _iterate_readings)(phi, M, g, n_max, depth, cap)
+    legal = M._loops is None and _legal_orbit(phi, g)
+    readings = (_block_readings if legal else _iterate_readings)(phi, M, g, n_max, depth, cap)
     deflated: dict[int, float] = {}
     deltas: dict[int, Fraction] = {}
     p, q = lam.as_integer_ratio()
@@ -502,14 +538,16 @@ def _iterate_readings(phi: Automorphism, M: MarkedMetricGraph, g: Word, n_max: i
 
 def _block_readings(phi: Automorphism, M: MarkedMetricGraph, g: Word, n_max: int, depth: int,
                     cap: int) -> Iterator[tuple]:
-    """:func:`_iterate_readings` of a positive seed under a positive map
-    on a standard-marked rose, from counts alone.  No iterate cancels, so
-    its cyclic ``depth``-windows evolve linearly, ``c_(j+1) = B c_j``,
-    where column ``b`` of ``B`` counts the blocks of ``phi(b)`` that start
-    inside ``phi(b_1)``: the k-block presentation of a substitution
-    (Queffelec, LNM 1294).  A window starts at each letter, so ``sum(c)``
-    is the iterate's letters, and the windows' first letters its length."""
-    if g.rank != phi.rank or M.rank != phi.rank:
+    """:func:`_iterate_readings` of a seed whose orbit never cancels, on
+    a standard-marked rose, from counts alone.  Each iterate is the
+    images of the letters of the one before, joined, and is its own
+    cyclic core, so its cyclic ``depth``-windows evolve linearly,
+    ``c_(j+1) = B c_j``, where column ``b`` of ``B`` counts the blocks of
+    ``phi(b)`` that start inside ``phi(b_1)``: the k-block presentation of
+    a substitution (Queffelec, LNM 1294).  A window starts at each letter,
+    so ``sum(c)`` is the iterate's letters, and the windows' first letters
+    its length."""
+    if M.rank != phi.rank:  # the seed's rank is checked by the route test
         raise ValueError("rank mismatch")
     images, nums, pairs = phi._images, M._length_nums, _path_pairs(M.graph, depth)
     c, columns = _cyclic_windows(g.letters, depth), {}  # the columns of the blocks reached
@@ -533,7 +571,8 @@ def _block_readings(phi: Automorphism, M: MarkedMetricGraph, g: Word, n_max: int
 
 def _block_column(images: Sequence[tuple[int, ...]], b: tuple[int, ...]) -> Counter:
     """The ``len(b)``-blocks of ``phi(b)`` starting inside ``phi(b_1)``
-    (``phi`` positive, so ``phi(b)`` is the images joined)."""
+    (``b`` is a window of an orbit that never cancels, so ``phi(b)`` is
+    the images joined)."""
     image = [x for y in b for x in images[y]]
     return Counter(zip(*(image[i : i + len(images[b[0]])] for i in range(len(b)))))
 

@@ -81,9 +81,13 @@ from .words import (
 
 
 class StateCapExceeded(OuterintError):
-    def __init__(self, explored: int):
-        super().__init__(f"state cap exceeded after exploring {explored} vertices")
-        self.explored = explored
+    """The search has stored as many vertices as its cap allows,
+    ``stored``: endpoints, move-closure images and minted witnesses, not
+    only the vertices it expanded."""
+
+    def __init__(self, stored: int):
+        super().__init__(f"state cap exceeded after storing {stored} vertices")
+        self.stored = stored
 
 
 class KeyCollisionError(OuterintError):

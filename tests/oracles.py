@@ -4,6 +4,7 @@ These deliberately take different computational routes from the package:
 repeated-scan reduction instead of a stack, divisor scans instead of
 prefix functions, modular indices instead of one-pass window tallies,
 characteristic-polynomial bisection instead of power iteration,
+substitution letter by letter instead of a closure over turns,
 orbit-displacement growth instead of cyclic syllable counts, and a
 whole-ball search instead of one pruned towards its target.
 """
@@ -125,6 +126,22 @@ def dominant_root_by_bisection(matrix: Sequence[Sequence[int]], tol: float) -> f
         x -= step
         assert x > -hi, "no sign change found"
     return bisect_root(p, x, x + step, tol)
+
+
+def orbit_cancels(images: Sequence[Sequence[int]], letters: Sequence[int], steps: int) -> bool:
+    """Whether the cyclic word ``letters``, or one of its first ``steps``
+    images under the substitution sending generator ``i`` to ``images[i-1]``,
+    cancels.  Each step substitutes letter by letter, inverting an image
+    where the letter is inverted, and reduces nothing; so the first
+    cancellation shows as a letter next to its inverse, at a junction or
+    across the wrap-around."""
+    w = list(letters)
+    for step in range(steps + 1):
+        if any(w[i - 1] == -w[i] for i in range(len(w))):
+            return True
+        if step < steps:
+            w = [z for y in w for z in (images[y - 1] if y > 0 else [-x for x in reversed(images[-y - 1])])]
+    return False
 
 
 # -- Bass-Serre displacement oracle ------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import pathlib
@@ -38,7 +39,7 @@ from outerint.marked_graph import MarkedMetricGraph, translation_length, unit_ro
 from outerint.words import Automorphism, Word, parse_word
 
 from _generators import random_automorphism, random_chart_of_each_kind, random_reduced_word
-from oracles import char_poly_at, dominant_root_by_bisection
+from oracles import char_poly_at, dominant_root_by_bisection, orbit_cancels
 
 GOLDEN = (1 + 5 ** 0.5) / 2
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -581,7 +582,7 @@ class TestIwipRows:
         assert rows[4].pairing_estimate is None
 
     def test_each_iterate_measured_once(self, monkeypatch):
-        M, g, phi = unit_rose(2), parse_word("a", 2), fibonacci_inverse_rose_map().automorphism
+        M, g, phi = unit_rose(2), parse_word("ab", 2), fibonacci_inverse_rose_map().automorphism
         measured = []
         real = MarkedMetricGraph.word_to_path
 
@@ -590,7 +591,8 @@ class TestIwipRows:
             return real(self, w)
 
         # every iterate's length and frequency row passes through here;
-        # the inverse map cancels, so its table is read off iterates
+        # ab goes to bBa, which cancels, so its table is read off iterates
+        assert not dynamics._legal_orbit(phi, g)
         monkeypatch.setattr(MarkedMetricGraph, "word_to_path", counting)
         iwip_rows(phi, M, GOLDEN, g, 4, 1)
         # lengths and rows read iterates 0..4, pairings the even iterates 0..8
@@ -599,15 +601,22 @@ class TestIwipRows:
         eigencurrent_approx(fibonacci_automorphism(), g, 6, M, 2)
         assert len(measured) == 1
 
-    @pytest.mark.parametrize("f", [fibonacci_rose_map(), supergolden_rose_map(), cat_map()],
-                             ids=["fibonacci", "supergolden", "cat"])
-    def test_positive_table_builds_no_iterate(self, monkeypatch, f):
+    @pytest.mark.parametrize(
+        "f, seed",
+        [(fibonacci_rose_map(), "ab"), (supergolden_rose_map(), "ab"), (cat_map(), "ab"),
+         (fibonacci_inverse_rose_map(), "aBBa"), (fibonacci_rose_map(), "BA")],
+        ids=["fibonacci", "supergolden", "cat", "fibonacci_inverse-signed-seed", "fibonacci-inverse-letters"],
+    )
+    def test_positive_table_builds_no_iterate(self, monkeypatch, f, seed):
+        # under fibonacci a seed with both signs cancels: its turn from an
+        # inverse letter to a positive one goes to (A, a), so the signed
+        # seeds it keeps legal are inverse words
         lam, charts, calls = pf_eigenpair(transition_matrix(f)).eigenvalue, (f.chart, metric_from_pf(f)), []
         real_iterates, real_path = dynamics._iterates, MarkedMetricGraph.word_to_path
         monkeypatch.setattr(dynamics, "_iterates", lambda *a: calls.append(a) or real_iterates(*a))
         monkeypatch.setattr(MarkedMetricGraph, "word_to_path", lambda M, w: calls.append(w) or real_path(M, w))
         for M in charts:
-            rows = iwip_rows(f.automorphism, M, lam, Word(f.chart.rank, (1, 2)), 12, 3)
+            rows = iwip_rows(f.automorphism, M, lam, parse_word(seed, f.chart.rank), 12, 3)
             assert rows[12].length_estimate is not None
         assert calls == []
 
@@ -621,31 +630,38 @@ class TestIwipRows:
         assert stable_length_oracle(phi, M, lam, n).evaluate(g) == rows[n].length_estimate
 
 
-def positive_tables(seed: int = 61):
-    """``(phi, M, lam, g, n_max, depth, cap)`` of 120 tables the block
-    route takes: fibonacci, supergolden and the cat map, on the unit rose
-    and on the PF metric, with positive seeds of 1-8 letters, depth 1-4,
-    n_max 0-14 and caps from 10 to 10^5.  The first puts depth 4 past a
-    one-letter seed, the second a cap mid-table, and the third a cap
-    below the seed, which is read all the same."""
+def route_tables(seed: int = 61):
+    """``(phi, M, lam, g, n_max, depth, cap)`` of 240 tables: fibonacci,
+    supergolden, the cat map and fibonacci_inverse, on the unit rose and
+    on the PF metric, with reduced seeds of 1-8 letters, depth 1-4, n_max
+    0-14 and caps from 10 to 10^5.  Every other seed is drawn until
+    :func:`oracles.orbit_cancels` sees its orbit never cancel; the others
+    are drawn freely, so most of them cancel, at a junction or across the
+    wrap-around, at once or a step later.  The first table puts depth 4
+    past a one-letter seed, the second and the fourth a cap mid-table,
+    and the third a cap below the seed, which is read all the same."""
     rng = random.Random(seed)
     maps = []
-    for f in (fibonacci_rose_map(), supergolden_rose_map(), cat_map()):
+    for f in (fibonacci_rose_map(), supergolden_rose_map(), cat_map(), fibonacci_inverse_rose_map()):
         lam = pf_eigenpair(transition_matrix(f)).eigenvalue
         maps += [(f.automorphism, f.chart, lam), (f.automorphism, metric_from_pf(f), lam)]
     yield *maps[1], Word(2, (1,)), 6, 4, 10 ** 5
     yield *maps[3], Word(3, (2, 1)), 10, 2, 300
     yield *maps[4], Word(2, (1, 2, 2, 1, 2)), 3, 2, 3
-    for _ in range(117):
+    yield *maps[7], parse_word("aBBa", 2), 10, 3, 300
+    for i in range(236):
         phi, M, lam = rng.choice(maps)
-        g = Word(phi.rank, tuple(rng.randint(1, phi.rank) for _ in range(rng.randint(1, 8))))
+        images = [w.letters for w in phi.images]
+        g = random_reduced_word(rng, phi.rank, rng.randint(1, 8))
+        while i % 2 == 0 and orbit_cancels(images, g.letters, 8):
+            g = random_reduced_word(rng, phi.rank, rng.randint(1, 8))
         yield phi, M, lam, g, rng.randint(0, 14), rng.randint(1, 4), rng.choice([10, 300, 10 ** 4, 10 ** 5])
 
 
 def block_route_mismatches(monkeypatch) -> list:
-    """Tables whose rows differ between the block route and the iterate
-    route, which is reached by standing in for the block route."""
-    tables = list(positive_tables())
+    """Tables whose rows differ between the route ``iwip_rows`` chooses and
+    the iterate route, which is reached by standing in for the block route."""
+    tables = list(route_tables())
     block = [rows_or_error(table) for table in tables]
     with monkeypatch.context() as m:
         m.setattr(dynamics, "_block_readings", dynamics._iterate_readings)
@@ -669,14 +685,52 @@ def blocks_anywhere(images, b):
     return Counter(tuple(image[i : i + len(b)]) for i in range(len(image) - len(b) + 1))
 
 
+def faulty_closure(wraparound: bool, step: bool):
+    """``dynamics._legal_orbit`` without the seed's wrap-around turn
+    ``(g_last, g_1)``, or without the step ``(x, y) -> (last phi(x),
+    first phi(y))``."""
+    def legal(phi, w):
+        images, g = phi._images, w.letters
+        turns = set(zip(g, g[1:])) | ({(g[-1], g[0])} if wraparound else set())
+        turns |= {turn for x in dynamics._reach(phi, w) for turn in zip(images[x], images[x][1:])}
+        todo = list(turns)
+        while todo:
+            x, y = todo.pop()
+            if x == -y:
+                return False
+            turn = images[x][-1], images[y][0]
+            if step and turn not in turns:
+                turns.add(turn)
+                todo.append(turn)
+        return True
+
+    return legal
+
+
+CLOSURE_BUGS = pytest.mark.parametrize(
+    "planted",
+    [faulty_closure(wraparound=False, step=True), faulty_closure(wraparound=True, step=False)],
+    ids=["closure-without-wraparound", "closure-without-step"],
+)
+
+
 class TestBlockRoute:
     def test_grid_reaches_deep_windows_and_caps(self):
-        tables = list(positive_tables())
+        tables = list(route_tables())
         assert any(depth > len(g) for _, _, _, g, _, depth, _ in tables)
-        rows = iwip_rows(*tables[1])
-        assert rows[-2].length_estimate is not None and rows[-2].pairing_estimate is None
+        for i in (1, 3):
+            rows = iwip_rows(*tables[i])
+            assert rows[-2].length_estimate is not None and rows[-2].pairing_estimate is None
         rows = iwip_rows(*tables[2])
         assert rows[0].length_estimate is not None and rows[1].length_estimate is None
+
+    def test_grid_holds_signed_legal_and_cancelling_seeds(self):
+        tables = list(route_tables())
+        legal = [dynamics._legal_orbit(phi, g) for phi, _, _, g, *_ in tables]
+        assert sum(legal) == 170
+        for images in {phi.images for phi, *_ in tables}:  # (legal, with inverse letters) per map
+            kinds = {(ok, min(g.letters) < 0) for (phi, _, _, g, *_), ok in zip(tables, legal) if phi.images == images}
+            assert kinds >= {(True, False), (True, True), (False, True)}
 
     def test_matches_iterate_route(self, monkeypatch):
         assert block_route_mismatches(monkeypatch) == []
@@ -690,6 +744,11 @@ class TestBlockRoute:
         monkeypatch.setattr(dynamics, name, planted)
         assert block_route_mismatches(monkeypatch)
 
+    @CLOSURE_BUGS
+    def test_cross_check_catches_planted_closure_bug(self, monkeypatch, planted):
+        monkeypatch.setattr(dynamics, "_legal_orbit", planted)
+        assert block_route_mismatches(monkeypatch)
+
     def test_input_errors_kept(self, monkeypatch):
         def unreachable(*args):
             raise AssertionError("took the iterate route")
@@ -701,3 +760,41 @@ class TestBlockRoute:
                 iwip_rows(phi, M, GOLDEN, g, 3, 2)
         with pytest.raises(ValueError, match="seed must be nontrivial"):
             iwip_rows(phi, unit_rose(2), GOLDEN, Word(2), 3, 2)
+
+
+def cyclically_reduced_seeds(rank: int, longest: int):
+    alphabet = [x for i in range(1, rank + 1) for x in (i, -i)]
+    for length in range(1, longest + 1):
+        for letters in itertools.product(alphabet, repeat=length):
+            if all(letters[i - 1] != -letters[i] for i in range(length)):
+                yield Word(rank, letters)
+
+
+def closure_mismatches() -> dict:
+    """Per map, the cyclically reduced seeds of 1-5 letters on which
+    ``dynamics._legal_orbit`` disagrees with substitution letter by
+    letter over 8 steps, and the counts of legal and cancelling seeds."""
+    out = {}
+    for f in (fibonacci_rose_map(), fibonacci_inverse_rose_map(), supergolden_rose_map(), cat_map()):
+        phi, images = f.automorphism, tuple(w.letters for w in f.automorphism.images)
+        verdicts = [(g, dynamics._legal_orbit(phi, g), not orbit_cancels(images, g.letters, 8))
+                    for g in cyclically_reduced_seeds(phi.rank, 5)]
+        out[images] = ([g for g, a, b in verdicts if a != b], sum(b for *_, b in verdicts), len(verdicts))
+    return out
+
+
+class TestLegalOrbit:
+    def test_matches_letter_by_letter_substitution(self):
+        assert list(closure_mismatches().values()) == [
+            ([], 124, 372), ([], 124, 372), ([], 726, 3918), ([], 124, 372)
+        ]
+
+    @CLOSURE_BUGS
+    def test_oracle_catches_planted_closure_bug(self, monkeypatch, planted):
+        monkeypatch.setattr(dynamics, "_legal_orbit", planted)
+        assert any(bad for bad, *_ in closure_mismatches().values())
+
+    def test_rank_checked_before_the_image_table_is_read(self):
+        # letter 5 lies past every index of a rank-2 image table
+        with pytest.raises(ValueError, match="rank mismatch"):
+            dynamics._legal_orbit(fibonacci_automorphism(), Word(5, (5, 1)))

@@ -623,6 +623,12 @@ class TestBFS:
         with pytest.raises(StateCapExceeded):
             bfs_distance(flavor, s, target, 3, state_cap=100)
 
+    def test_state_cap_counts_stored_vertices(self):
+        # sep{1} is the only splitting expanded: its minted classes fill the cap
+        with pytest.raises(StateCapExceeded, match="^state cap exceeded after storing 100 vertices$") as info:
+            bfs_distance("Z", separating_splitting(3, [1]), CyclicWord(3, (1, 2)), 3, state_cap=100)
+        assert info.value.stored == 100
+
     @pytest.mark.parametrize("flavor, word, radius, distance", [
         ("Z", "ab", 2, None),  # a hyperbolic class
         ("I0", "ab", 2, None),
