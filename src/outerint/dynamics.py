@@ -23,25 +23,27 @@ Bestvina-Handel read it through the edge images ``f^n(e)``: the images
 a few of these long reduced pieces instead of substituting letter by
 letter (:func:`_iterates`).
 
-:func:`iwip_rows` chooses one of two routes, and both feed the same row
-assembly.  On a standard-marked rose, a seed whose turns stay legal under
-the map (:func:`_legal_orbit`) never cancels, so its table is read off
-k-block counts that evolve linearly (:func:`_block_readings`), and no
-iterate is built.  Any other table reads each iterate's length and
-frequency row off one axis period as it is made, and keeps none
-(:func:`_iterate_readings`).  Either row is integer counts over the
-integer one-letter mass, compared by ``currents._row_gap``, the sup
-distance of frequency vectors.  The other diagnostics stay on iterates
-and keep only those they read (:func:`_orbit`): a vector reads one
-iterate of a few hundred letters, and the benchmark's wrap-around
-self-test plants its bug in ``currents.occurrences_in_cycle``, which the
-vector must reach.
+On a standard-marked rose, :func:`iwip_rows` reads a cyclically
+reduced seed's table off k-block counts that evolve linearly
+(:func:`_block_readings`), and builds no iterate.  The counts are right
+while no junction of the orbit cancels, so each step checks every
+junction it makes (:func:`_block_column`), and the first one that
+cancels sends the table back to row 0 on iterates.  That route reads each
+iterate's length and frequency row off one axis period as it is made,
+and keeps none (:func:`_iterate_readings`); every other table takes it.
+Either row is integer counts over the integer one-letter mass, compared
+by ``currents._row_gap``, the sup distance of frequency vectors.  The
+other diagnostics stay on iterates and keep only those they read
+(:func:`_orbit`): a vector reads one iterate of a few hundred letters,
+and the benchmark's wrap-around self-test plants its bug in
+``currents.occurrences_in_cycle``, which the vector must reach.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, deque
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
@@ -80,6 +82,11 @@ class ConvergenceError(OuterintError):
 class WordLengthCapError(OuterintError):
     """An iterated image outgrew the configured letter budget; retry with
     a smaller iteration count or a larger cap."""
+
+
+class _JunctionCancels(OuterintError):
+    """A junction of an orbit cancels, so its block counts no longer read
+    its iterates; :func:`iwip_rows` catches it."""
 
 
 @dataclass(frozen=True)
@@ -280,49 +287,6 @@ def eigenmetric_defect(f: GraphMap, M: MarkedMetricGraph, lam: float) -> float:
     )
 
 
-def _reach(phi: Automorphism, w: Word) -> set[int]:
-    """The signed letters the orbit of ``w`` reaches: those of ``w``, and
-    those of the image of each letter reached.  The rank is checked
-    before the image table is read."""
-    if w.rank != phi.rank:
-        raise ValueError("rank mismatch")
-    images = phi._images
-    reach, todo = set(), list(w.letters)
-    while todo:
-        x = todo.pop()
-        if x not in reach:
-            reach.add(x)
-            todo.extend(images[x])
-    return reach
-
-
-def _legal_orbit(phi: Automorphism, w: Word) -> bool:
-    """Whether no iterate of the cyclic word ``w`` cancels, at a junction
-    or across the wrap-around: the train-track condition of
-    Bestvina-Handel (Ann. of Math. 135, 1992) for the orbit of ``w``.
-
-    The turns ``(x, y)`` of ``phi^(j+1)(w)`` are those inside the images
-    of the letters of ``phi^j(w)`` and the images ``(last phi(x), first
-    phi(y))`` of the turns of ``phi^j(w)``.  So the closure of the cyclic
-    turns of ``w`` and the turns inside ``phi(x)``, for each letter ``x``
-    reached, under that map holds every turn of the orbit, and the orbit
-    cancels exactly when some turn in it is ``(x, x^-1)``."""
-    reach, images, g = _reach(phi, w), phi._images, w.letters
-    turns = set(zip(g[-1:] + g[:-1], g))  # the wrap-around (g_last, g_1) included
-    for x in reach:
-        turns.update(zip(images[x], images[x][1:]))
-    todo = list(turns)
-    while todo:
-        x, y = todo.pop()
-        if x == -y:
-            return False
-        turn = images[x][-1], images[y][0]
-        if turn not in turns:
-            turns.add(turn)
-            todo.append(turn)
-    return True
-
-
 def _iterates(phi: Automorphism, w: Word, n: int, cap: int) -> Iterator[Word]:
     """``w, phi(w), ..., phi^n(w)``, stopping before the first iterate
     with more than ``cap`` letters.
@@ -336,7 +300,14 @@ def _iterates(phi: Automorphism, w: Word, n: int, cap: int) -> Iterator[Word]:
     than 2N letters per letter of it, ``x`` and ``x^-1`` counted as one
     piece: letter images may outgrow the iterates (a -> ab, b -> bab fixes
     abAB), or iterates lag behind them (a -> b, b -> Ba sends BA to A)."""
-    images, reach = phi._images, _reach(phi, w)
+    if w.rank != phi.rank:
+        raise ValueError("rank mismatch")
+    images, reach, todo = phi._images, set(), list(w.letters)
+    while todo:  # the letters of w, and those of the image of each letter reached
+        x = todo.pop()
+        if x not in reach:
+            reach.add(x)
+            todo.extend(images[x])
     counted = [x for x in reach if x > 0 or -x not in reach]  # the table of x^-1 is that of x inverted
     table: dict = {}
     yield w
@@ -498,20 +469,24 @@ def iwip_rows(
     """Diagnostic table for one seed: deflated lengths, deflated even
     pairing sequence and sup gaps of successive integer frequency rows.
 
-    On a standard-marked rose, a seed whose orbit never cancels
-    (:func:`_legal_orbit`) is read off its k-block counts
-    (:func:`_block_readings`), and builds no iterate; any other table
-    measures each iterate it reads once, as it is made, and keeps none
-    (:func:`_iterate_readings`)."""
+    On a standard-marked rose, a cyclically reduced seed is read off its
+    k-block counts (:func:`_block_readings`), and builds no iterate,
+    unless a junction of its orbit cancels within the steps the table
+    reads.  That table, and any other, measures each iterate it reads
+    once, as it is made, and keeps none (:func:`_iterate_readings`)."""
     if g.is_identity:
         raise ValueError("seed must be nontrivial")
-    legal = M._loops is None and _legal_orbit(phi, g)
-    readings = (_block_readings if legal else _iterate_readings)(phi, M, g, n_max, depth, cap)
+    if n_max < 0:
+        raise ValueError("n must be >= 0")
+    readings = None  # the block route's, if no junction cancels: row 0 makes them nonempty
+    if M._loops is None and g.letters[0] != -g.letters[-1]:
+        with suppress(_JunctionCancels):  # then the table starts over on iterates
+            readings = list(_block_readings(phi, M, g, n_max, depth, cap))
     deflated: dict[int, float] = {}
     deltas: dict[int, Fraction] = {}
     p, q = lam.as_integer_ratio()
     prev, p_j, q_j, at = None, 1, 1, 0  # lam^at = p_j / q_j, carried from row to row
-    for j, length, row in readings:
+    for j, length, row in readings or _iterate_readings(phi, M, g, n_max, depth, cap):
         p_j, q_j, at = p_j * p ** (j - at), q_j * q ** (j - at), j
         deflated[j] = _deflated(length, p_j, q_j)
         if row is not None and prev is not None:
@@ -538,19 +513,22 @@ def _iterate_readings(phi: Automorphism, M: MarkedMetricGraph, g: Word, n_max: i
 
 def _block_readings(phi: Automorphism, M: MarkedMetricGraph, g: Word, n_max: int, depth: int,
                     cap: int) -> Iterator[tuple]:
-    """:func:`_iterate_readings` of a seed whose orbit never cancels, on
-    a standard-marked rose, from counts alone.  Each iterate is the
-    images of the letters of the one before, joined, and is its own
-    cyclic core, so its cyclic ``depth``-windows evolve linearly,
-    ``c_(j+1) = B c_j``, where column ``b`` of ``B`` counts the blocks of
-    ``phi(b)`` that start inside ``phi(b_1)``: the k-block presentation of
-    a substitution (Queffelec, LNM 1294).  A window starts at each letter,
-    so ``sum(c)`` is the iterate's letters, and the windows' first letters
-    its length."""
-    if M.rank != phi.rank:  # the seed's rank is checked by the route test
+    """:func:`_iterate_readings` of a cyclically reduced seed on a
+    standard-marked rose, from counts alone, while no junction cancels.
+    Each iterate is then the images of the letters of the one before,
+    joined, and its own cyclic core, so its cyclic ``K``-windows, ``K =
+    max(depth, 2)``, evolve linearly, ``c_(j+1) = B c_j``, where column
+    ``b`` of ``B`` counts the blocks of ``phi(b)`` that start inside
+    ``phi(b_1)``: the k-block presentation of a substitution (Queffelec,
+    LNM 1294).  Each turn, the wrap-around included, starts a window, so
+    :func:`_block_column` checks every junction.  A window starts at each
+    letter, so ``sum(c)`` is the iterate's letters, the windows' first
+    letters its length, and their first ``depth`` letters its
+    ``depth``-windows."""
+    if M.rank != phi.rank or g.rank != phi.rank:  # before the image table is read
         raise ValueError("rank mismatch")
     images, nums, pairs = phi._images, M._length_nums, _path_pairs(M.graph, depth)
-    c, columns = _cyclic_windows(g.letters, depth), {}  # the columns of the blocks reached
+    c, columns = _cyclic_windows(g.letters, max(depth, 2)), {}  # the columns of the blocks reached
     for j in range(2 * n_max + 1):
         if j:
             step: Counter = Counter()
@@ -565,14 +543,22 @@ def _block_readings(phi: Automorphism, M: MarkedMetricGraph, g: Word, n_max: int
             return
         if j > n_max and j % 2:
             continue
-        row = (letters, [c.get(v, 0) + c.get(u, 0) for v, u in pairs]) if j <= n_max else None
+        windows = c
+        if depth == 1 and j <= n_max:  # the 2-windows by their first letter
+            windows = Counter()
+            for b, n in c.items():
+                windows[b[:1]] += n
+        row = (letters, [windows.get(v, 0) + windows.get(u, 0) for v, u in pairs]) if j <= n_max else None
         yield j, Fraction(sum(n * nums[b[0]] for b, n in c.items()), M._length_den), row
 
 
 def _block_column(images: Sequence[tuple[int, ...]], b: tuple[int, ...]) -> Counter:
-    """The ``len(b)``-blocks of ``phi(b)`` starting inside ``phi(b_1)``
-    (``b`` is a window of an orbit that never cancels, so ``phi(b)`` is
-    the images joined)."""
+    """The ``len(b)``-blocks of ``phi(b)``, the images joined, starting
+    inside ``phi(b_1)``; raises :class:`_JunctionCancels` when the
+    junction of ``phi(b_1)`` and ``phi(b_2)`` cancels, so that the join
+    is not ``phi(b)``."""
+    if images[b[0]][-1] == -images[b[1]][0]:
+        raise _JunctionCancels
     image = [x for y in b for x in images[y]]
     return Counter(zip(*(image[i : i + len(images[b[0]])] for i in range(len(b)))))
 

@@ -159,7 +159,7 @@ class FreeSplitting:
         if obj["kind"] == "sep":
             subset = [_check_int(i, "subset member") for i in obj["subset"]]
             return separating_splitting(rank, subset, phi)
-        return loop_splitting(rank, _check_int(obj["stable"], "stable letter"), phi)
+        return FreeSplitting(rank, obj["kind"], None, _check_int(obj["stable"], "stable letter"), phi)
 
 
 def separating_splitting(

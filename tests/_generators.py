@@ -8,7 +8,10 @@ from fractions import Fraction
 from outerint.currents import RationalCurrent, add, counting_current, scale
 from outerint.marked_graph import (
     MarkedMetricGraph,
+    Marking,
+    SerreGraph,
     act,
+    inverse_path,
     marked_graph_from_json_obj,
     marked_graph_to_json_obj,
     rose,
@@ -104,6 +107,48 @@ def random_chart_of_each_kind(
     while phi == Automorphism.identity(rank):
         phi = random_automorphism(rng, rank)
     return M, sub, act(phi, sub)
+
+
+def random_blown_up_chart(rng: random.Random, rank: int) -> MarkedMetricGraph:
+    """A chart on the rose blown up at random vertices of valence >= 4,
+    from once up to trivalent (2N - 3 times).  Every graph of Outer space
+    arises this way (Culler-Vogtmann 1986), the theta and the barbell at
+    rank 2 among them.  The blow-up edges span a tree, and petal ``i``
+    reads ``a_i``.  Edges are numbered in random order, lengths are
+    random, and half the charts are re-marked by ``act``."""
+    ends = [[0, 0] for _ in range(rank)]  # [origin, terminus] of each edge, petals first
+    for new in range(1, rng.randint(1, 2 * rank - 3) + 1):
+        halves: dict[int, list] = {}
+        for e, pair in enumerate(ends):
+            for side, v in enumerate(pair):
+                halves.setdefault(v, []).append((e, side))
+        old = rng.choice([v for v, hs in halves.items() if len(hs) >= 4])
+        moved = rng.sample(halves[old], rng.randint(2, len(halves[old]) - 2))
+        for e, side in moved:
+            ends[e][side] = new
+        ends.append([old, new])
+    order = rng.sample(range(len(ends)), len(ends))  # order[k - 1] is the blow-up index of edge k
+    graph = SerreGraph(
+        vertices=tuple(f"v{i}" for i in range(len(ends) - rank + 1)),
+        edge_names=tuple(chr(ord("a") + k) for k in range(len(ends))),
+        inverse_names=tuple(chr(ord("A") + k) for k in range(len(ends))),
+        origins=tuple(f"v{ends[e][0]}" for e in order),
+        termini=tuple(f"v{ends[e][1]}" for e in order),
+    )
+    tree = frozenset(k for k, e in enumerate(order, 1) if e >= rank)
+    base = rng.choice(graph.vertices)
+    paths = graph._search(base, [s * k for k in tree for s in (1, -1)])
+    petals = sorted((e, k) for k, e in enumerate(order, 1) if e < rank)
+    marking = Marking(
+        base=base,
+        generator_loops=tuple(
+            paths[graph.initial(k)] + (k,) + inverse_path(paths[graph.terminal(k)]) for _, k in petals
+        ),
+        edge_words=tuple(Word(rank, (e + 1,) if e < rank else ()) for e in order),
+        spanning_tree=tree,
+    )
+    M = MarkedMetricGraph(graph, marking, tuple(random_fraction(rng) for _ in order))
+    return act(random_automorphism(rng, rank), M) if rng.random() < 0.5 else M
 
 
 def random_current(

@@ -4,13 +4,15 @@ These deliberately take different computational routes from the package:
 repeated-scan reduction instead of a stack, divisor scans instead of
 prefix functions, modular indices instead of one-pass window tallies,
 characteristic-polynomial bisection instead of power iteration,
-substitution letter by letter instead of a closure over turns,
+substitution letter by letter instead of block counts checked at each
+junction,
 orbit-displacement growth instead of cyclic syllable counts, and a
 whole-ball search instead of one pruned towards its target.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -128,20 +130,22 @@ def dominant_root_by_bisection(matrix: Sequence[Sequence[int]], tol: float) -> f
     return bisect_root(p, x, x + step, tol)
 
 
-def orbit_cancels(images: Sequence[Sequence[int]], letters: Sequence[int], steps: int) -> bool:
+def orbit_cancels(images: Sequence[Sequence[int]], letters: Sequence[int], steps: int,
+                  cap: float = math.inf) -> bool:
     """Whether the cyclic word ``letters``, or one of its first ``steps``
     images under the substitution sending generator ``i`` to ``images[i-1]``,
-    cancels.  Each step substitutes letter by letter, inverting an image
-    where the letter is inverted, and reduces nothing; so the first
-    cancellation shows as a letter next to its inverse, at a junction or
-    across the wrap-around."""
-    w = list(letters)
-    for step in range(steps + 1):
-        if any(w[i - 1] == -w[i] for i in range(len(w))):
-            return True
-        if step < steps:
-            w = [z for y in w for z in (images[y - 1] if y > 0 else [-x for x in reversed(images[-y - 1])])]
-    return False
+    cancels, looking no further than the first image past ``cap``
+    letters, which is the last one an ``iwip`` table builds.  Each step
+    substitutes letter by letter, inverting an image where the letter is
+    inverted, and reduces nothing; so the first cancellation shows as a
+    letter next to its inverse, at a junction or across the wrap-around."""
+    w, step = list(letters), 0
+    while not any(w[i - 1] == -w[i] for i in range(len(w))):
+        if step == steps or (step and len(w) > cap):
+            return False
+        w = [z for y in w for z in (images[y - 1] if y > 0 else [-x for x in reversed(images[-y - 1])])]
+        step += 1
+    return True
 
 
 # -- Bass-Serre displacement oracle ------------------------------------------

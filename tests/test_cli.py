@@ -534,6 +534,7 @@ class TestUserErrors:
             "bool_letter.json": {"rank": 3, "class": [1, True]},
             "twist_rank.json": {"kind": "sep", "rank": 5, "subset": [1], "twist": identity3},
             "twist_float_rank.json": {"kind": "sep", "rank": 5.0, "subset": [1], "twist": identity3},
+            "bogus_kind.json": {"kind": "bogus", "rank": 3, "stable": 1},
         }
         for name, obj in files.items():
             (directory / name).write_text(json.dumps(obj))
@@ -577,13 +578,15 @@ class TestUserErrors:
              "bad graph file unknown_tree.json: spanning_tree entry 'zz' names no edge"),
             (["translen", "unknown_word_key.json", "a"],
              "bad graph file unknown_word_key.json: edge_words key 'zz' names no edge"),
+            (["graph", "--from", "bogus_kind.json"],
+             "bad vertex file bogus_kind.json: unknown splitting kind 'bogus'"),
         ],
         ids=[
             "translen-list", "pf-list", "intersect-list", "graph-number-vertex", "graph-list-vertex",
             "graph-bad-subset", "graph-chart-as-moves", "length-1/0", "weight-1/0", "rank-1e400",
             "delta-1/0", "rank-2.9", "weight-0.1", "loop-rank-3.5", "stable-1.9", "subset-1.0",
             "map-rank-2.7", "map-edge-zz", "map-contradiction", "class-true", "twist-rank-5",
-            "twist-rank-5.0", "map-image-zz", "loop-zz", "tree-zz", "edge-words-zz",
+            "twist-rank-5.0", "map-image-zz", "loop-zz", "tree-zz", "edge-words-zz", "kind-bogus",
         ],
     )
     def test_malformed_input(self, tmp_path, monkeypatch, args, message):

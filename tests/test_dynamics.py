@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import math
@@ -38,7 +39,12 @@ from outerint.dynamics import (
 from outerint.marked_graph import MarkedMetricGraph, translation_length, unit_rose
 from outerint.words import Automorphism, Word, parse_word
 
-from _generators import random_automorphism, random_chart_of_each_kind, random_reduced_word
+from _generators import (
+    random_automorphism,
+    random_blown_up_chart,
+    random_chart_of_each_kind,
+    random_reduced_word,
+)
 from oracles import char_poly_at, dominant_root_by_bisection, orbit_cancels
 
 GOLDEN = (1 + 5 ** 0.5) / 2
@@ -415,9 +421,10 @@ class TestStableLengthOracle:
 
 
 def axis_route_cases(seed: int = 53):
-    """``(phi, M, g, n, depth)`` on every chart kind at ranks 2-4, with
-    seeds that are proper powers, conjugated by a random word."""
-    rng = random.Random(seed)
+    """``(phi, M, g, n, depth)`` on every chart kind at ranks 2-4, graphs
+    blown up from the rose among them, with seeds that are proper powers,
+    conjugated by a random word."""
+    rng, blown = random.Random(seed), random.Random(seed + 1)
     for rank in (2, 3, 4):
         for _ in range(10):
             phi = random_automorphism(rng, rank)
@@ -426,6 +433,7 @@ def axis_route_cases(seed: int = 53):
             g = (root ** rng.randint(1, 3)).conjugate_by(conjugator)
             for M in random_chart_of_each_kind(rng, rank):
                 yield phi, M, g, rng.randint(1, 3), rng.randint(1, 3)
+            yield phi, random_blown_up_chart(blown, rank), g, blown.randint(1, 3), blown.randint(1, 3)
 
 
 def current_route_mismatches() -> list:
@@ -559,6 +567,10 @@ class TestIwipRows:
         assert [r.length_estimate for r in rows] == fresh[: n + 1]
         assert [r.pairing_estimate for r in rows] == fresh[::2]
 
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            iwip_rows(fibonacci_automorphism(), unit_rose(2), GOLDEN, parse_word("a", 2), -1, 1)
+
     def test_row_zero_is_raw(self):
         rows = iwip_rows(
             fibonacci_automorphism(), unit_rose(2), GOLDEN, parse_word("a", 2), 5, 2
@@ -592,7 +604,7 @@ class TestIwipRows:
 
         # every iterate's length and frequency row passes through here;
         # ab goes to bBa, which cancels, so its table is read off iterates
-        assert not dynamics._legal_orbit(phi, g)
+        assert orbit_cancels([w.letters for w in phi.images], g.letters, 1)
         monkeypatch.setattr(MarkedMetricGraph, "word_to_path", counting)
         iwip_rows(phi, M, GOLDEN, g, 4, 1)
         # lengths and rows read iterates 0..4, pairings the even iterates 0..8
@@ -685,33 +697,39 @@ def blocks_anywhere(images, b):
     return Counter(tuple(image[i : i + len(b)]) for i in range(len(image) - len(b) + 1))
 
 
-def faulty_closure(wraparound: bool, step: bool):
-    """``dynamics._legal_orbit`` without the seed's wrap-around turn
-    ``(g_last, g_1)``, or without the step ``(x, y) -> (last phi(x),
-    first phi(y))``."""
-    def legal(phi, w):
-        images, g = phi._images, w.letters
-        turns = set(zip(g, g[1:])) | ({(g[-1], g[0])} if wraparound else set())
-        turns |= {turn for x in dynamics._reach(phi, w) for turn in zip(images[x], images[x][1:])}
-        todo = list(turns)
-        while todo:
-            x, y = todo.pop()
-            if x == -y:
-                return False
-            turn = images[x][-1], images[y][0]
-            if step and turn not in turns:
-                turns.add(turn)
-                todo.append(turn)
-        return True
-
-    return legal
-
-
-CLOSURE_BUGS = pytest.mark.parametrize(
-    "planted",
-    [faulty_closure(wraparound=False, step=True), faulty_closure(wraparound=True, step=False)],
-    ids=["closure-without-wraparound", "closure-without-step"],
+NEVER_FIRES = [("_block_column", "images[b[0]][-1] == -images[b[1]][0]", "False")]
+WRONG_ENDS = [("_block_column", "images[b[0]][-1] == -images[b[1]][0]", "images[b[0]][0] == -images[b[1]][-1]")]
+# a 1-letter window holds no turn, so nothing checks a depth-1 table
+DEPTH_WINDOWS = [("_block_readings", "g.letters, max(depth, 2)", "g.letters, depth"),
+                 ("_block_column", "if images", "if len(b) > 1 and images")]
+CHECK_BUGS = pytest.mark.parametrize(
+    "edits", [NEVER_FIRES, WRONG_ENDS, DEPTH_WINDOWS],
+    ids=["check-never-fires", "check-on-the-wrong-ends", "windows-of-depth-letters"],
 )
+
+
+def plant(monkeypatch, edits):
+    """Replace pieces of the source of ``dynamics`` functions, run in one
+    copy of the module's namespace: a bug planted in the junction check.
+    ``edits`` are ``(function name, old, new)``."""
+    namespace = dict(vars(dynamics))
+    for name, old, new in edits:
+        source = inspect.getsource(getattr(dynamics, name))
+        assert source.count(old) == 1
+        exec(compile(source.replace(old, new), dynamics.__file__, "exec"), namespace)
+        monkeypatch.setattr(dynamics, name, namespace[name])
+
+
+def iterate_free(monkeypatch, tables) -> list[bool]:
+    """Whether ``iwip_rows`` builds no iterate, per table."""
+    real, calls, free = dynamics._iterates, [], []
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "_iterates", lambda *a: calls.append(a) or real(*a))
+        for table in tables:
+            calls.clear()
+            rows_or_error(table)
+            free.append(not calls)
+    return free
 
 
 class TestBlockRoute:
@@ -724,10 +742,14 @@ class TestBlockRoute:
         rows = iwip_rows(*tables[2])
         assert rows[0].length_estimate is not None and rows[1].length_estimate is None
 
-    def test_grid_holds_signed_legal_and_cancelling_seeds(self):
+    def test_grid_holds_signed_legal_and_cancelling_seeds(self, monkeypatch):
+        # legal: no junction cancels in the iterates the table builds, up
+        # to the first past the cap; only those build no iterate
         tables = list(route_tables())
-        legal = [dynamics._legal_orbit(phi, g) for phi, _, _, g, *_ in tables]
-        assert sum(legal) == 170
+        legal = [not orbit_cancels([w.letters for w in phi.images], g.letters, 2 * n_max, cap)
+                 for phi, _, _, g, n_max, _, cap in tables]
+        assert sum(legal) == 174
+        assert iterate_free(monkeypatch, tables) == legal
         for images in {phi.images for phi, *_ in tables}:  # (legal, with inverse letters) per map
             kinds = {(ok, min(g.letters) < 0) for (phi, _, _, g, *_), ok in zip(tables, legal) if phi.images == images}
             assert kinds >= {(True, False), (True, True), (False, True)}
@@ -744,9 +766,9 @@ class TestBlockRoute:
         monkeypatch.setattr(dynamics, name, planted)
         assert block_route_mismatches(monkeypatch)
 
-    @CLOSURE_BUGS
-    def test_cross_check_catches_planted_closure_bug(self, monkeypatch, planted):
-        monkeypatch.setattr(dynamics, "_legal_orbit", planted)
+    @CHECK_BUGS
+    def test_cross_check_catches_planted_check_bug(self, monkeypatch, edits):
+        plant(monkeypatch, edits)
         assert block_route_mismatches(monkeypatch)
 
     def test_input_errors_kept(self, monkeypatch):
@@ -770,31 +792,43 @@ def cyclically_reduced_seeds(rank: int, longest: int):
                 yield Word(rank, letters)
 
 
-def closure_mismatches() -> dict:
-    """Per map, the cyclically reduced seeds of 1-5 letters on which
-    ``dynamics._legal_orbit`` disagrees with substitution letter by
-    letter over 8 steps, and the counts of legal and cancelling seeds."""
+def route_mismatches(monkeypatch, longest: int = 5) -> dict:
+    """Per map, the cyclically reduced seeds of 1-``longest`` letters on which
+    ``iwip_rows``, at n_max 4 and depth 1 or 3, builds iterates although
+    substitution letter by letter cancels in none of the first 8, or
+    builds none although it cancels; and the counts of tables that build
+    none and of all tables."""
     out = {}
     for f in (fibonacci_rose_map(), fibonacci_inverse_rose_map(), supergolden_rose_map(), cat_map()):
         phi, images = f.automorphism, tuple(w.letters for w in f.automorphism.images)
-        verdicts = [(g, dynamics._legal_orbit(phi, g), not orbit_cancels(images, g.letters, 8))
-                    for g in cyclically_reduced_seeds(phi.rank, 5)]
-        out[images] = ([g for g, a, b in verdicts if a != b], sum(b for *_, b in verdicts), len(verdicts))
+        seeds = list(cyclically_reduced_seeds(phi.rank, longest))
+        legal = [not orbit_cancels(images, g.letters, 8) for g in seeds]
+        for depth in (1, 3):
+            free = iterate_free(monkeypatch, [(phi, f.chart, 1.5, g, 4, depth) for g in seeds])
+            out[images, depth] = ([g for g, a, b in zip(seeds, free, legal) if a != b], sum(free), len(free))
     return out
 
 
 class TestLegalOrbit:
-    def test_matches_letter_by_letter_substitution(self):
-        assert list(closure_mismatches().values()) == [
-            ([], 124, 372), ([], 124, 372), ([], 726, 3918), ([], 124, 372)
+    """The block route is taken exactly when the orbit is legal over the
+    steps its table reads: no junction cancels."""
+
+    def test_matches_letter_by_letter_substitution(self, monkeypatch):
+        assert list(route_mismatches(monkeypatch).values()) == [
+            ([], 124, 372), ([], 124, 372), ([], 124, 372), ([], 124, 372),
+            ([], 726, 3918), ([], 726, 3918), ([], 124, 372), ([], 124, 372),
         ]
 
-    @CLOSURE_BUGS
-    def test_oracle_catches_planted_closure_bug(self, monkeypatch, planted):
-        monkeypatch.setattr(dynamics, "_legal_orbit", planted)
-        assert any(bad for bad, *_ in closure_mismatches().values())
+    # the wrong ends check the turn (x^-1, y^-1) for (x, y), which picks
+    # the same route on every seed of 1-5 letters here: the grid catches it
+    @pytest.mark.parametrize(
+        "edits", [NEVER_FIRES, DEPTH_WINDOWS], ids=["check-never-fires", "windows-of-depth-letters"]
+    )
+    def test_oracle_catches_planted_check_bug(self, monkeypatch, edits):
+        plant(monkeypatch, edits)
+        assert any(bad for bad, *_ in route_mismatches(monkeypatch, longest=3).values())
 
     def test_rank_checked_before_the_image_table_is_read(self):
         # letter 5 lies past every index of a rank-2 image table
         with pytest.raises(ValueError, match="rank mismatch"):
-            dynamics._legal_orbit(fibonacci_automorphism(), Word(5, (5, 1)))
+            iwip_rows(fibonacci_automorphism(), unit_rose(2), GOLDEN, Word(5, (5, 1)), 3, 2)

@@ -28,6 +28,7 @@ from _generators import (
     awkward_current,
     charts_with_awkward_lengths,
     random_automorphism,
+    random_blown_up_chart,
     random_chart_of_each_kind,
     random_current,
     random_fraction,
@@ -113,14 +114,16 @@ class TestIntersect:
 
 
 def chart_current_pairs(seed: int = 5, draws: int = 200) -> list:
-    """600 (chart, current) pairs: a random current of rank 2-4 with each
-    of the three charts of :func:`random_chart_of_each_kind`."""
-    rng = random.Random(seed)
+    """800 (chart, current) pairs: a random current of rank 2-4 with each
+    of the three charts of :func:`random_chart_of_each_kind`, and with
+    one chart of :func:`random_blown_up_chart`."""
+    rng, blown = random.Random(seed), random.Random(seed + 1)
     pairs = []
     for _ in range(draws):
         rank = rng.choice([2, 3, 4])
         mu = random_current(rng, rank)
-        pairs.extend((M, mu) for M in random_chart_of_each_kind(rng, rank))
+        charts = (*random_chart_of_each_kind(rng, rank), random_blown_up_chart(blown, rank))
+        pairs.extend((M, mu) for M in charts)
     return pairs
 
 
