@@ -46,7 +46,9 @@ def _load(path: str, parse, what: str):
         raise click.ClickException(f"cannot read JSON from {path}: {exc}")
     try:
         return parse(obj)
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except KeyError as exc:  # the parsers look keys up only in the JSON object
+        raise click.ClickException(f"bad {what} file {path}: missing key {exc.args[0]!r}")
+    except (AttributeError, OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise click.ClickException(f"bad {what} file {path}: {exc}")
 
 

@@ -4,7 +4,8 @@ exponentially growing automorphisms.
 A :class:`GraphMap` is user-supplied data: a self-map of a marked graph
 together with the automorphism it induces, checked for consistency at
 construction (endpoints, reduced images, agreement on the fundamental
-group).  Nothing here attempts to construct train track structures.
+group).  Nothing here searches for a train track representative; the
+count routes below only test whether the given rose map is one.
 
 From the transition matrix the dominant eigenpair is found by exact
 integer power iteration; the eigenvalue enclosure is the exact
@@ -25,18 +26,22 @@ letter (:func:`_iterates`).
 
 On a standard-marked rose, :func:`iwip_rows` reads a cyclically
 reduced seed's table off k-block counts that evolve linearly
-(:func:`_block_readings`), and builds no iterate.  The counts are right
-while no junction of the orbit cancels, so each step checks every
-junction it makes (:func:`_block_column`), and the first one that
-cancels sends the table back to row 0 on iterates.  That route reads each
-iterate's length and frequency row off one axis period as it is made,
-and keeps none (:func:`_iterate_readings`); every other table takes it.
-Either row is integer counts over the integer one-letter mass, compared
-by ``currents._row_gap``, the sup distance of frequency vectors.  The
-other diagnostics stay on iterates and keep only those they read
-(:func:`_orbit`): a vector reads one iterate of a few hundred letters,
-and the benchmark's wrap-around self-test plants its bug in
-``currents.occurrences_in_cycle``, which the vector must reach.
+(:func:`_block_readings`, :func:`_orbit_counts`), and builds no
+iterate.  An iterate is cut at its illegal turns into legal pieces
+(Bestvina-Handel): a piece is held as counts and its two end buffers,
+and each step cancels at the cuts from the buffers alone.  Only where
+a cancellation would reach past a buffer, or where the orbit cancels
+under a map that is not a train track, does the table go back to row 0
+on iterates.  That route reads each iterate's length and frequency row
+off one axis period as it is made, and keeps none
+(:func:`_iterate_readings`); tables on other charts, and seeds that are
+not cyclically reduced, take it too.  Either row is integer counts over
+the integer one-letter mass, compared by ``currents._row_gap``, the sup
+distance of frequency vectors.  The other diagnostics stay on iterates
+and keep only those they read (:func:`_orbit`): a vector reads one
+iterate of a few hundred letters, and the benchmark's wrap-around
+self-test plants its bug in ``currents.occurrences_in_cycle``, which the
+vector must reach.
 """
 
 from __future__ import annotations
@@ -46,6 +51,9 @@ from collections import Counter, deque
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
+from operator import mul
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from . import DEFAULT_WORD_CAP
@@ -68,6 +76,7 @@ if TYPE_CHECKING:
     from .intersection import LengthFunctionOracle
 
 MAX_PF_ITERATIONS = 100_000
+_SPARE = 4  # letters each end of a piece holds past a window's K, for the cancellation at its joint
 
 
 class NonPrimitiveMatrixError(OuterintError):
@@ -469,11 +478,12 @@ def iwip_rows(
     """Diagnostic table for one seed: deflated lengths, deflated even
     pairing sequence and sup gaps of successive integer frequency rows.
 
-    On a standard-marked rose, a cyclically reduced seed is read off its
+    On a standard-marked rose, a cyclically reduced seed is read off
     k-block counts (:func:`_block_readings`), and builds no iterate,
-    unless a junction of its orbit cancels within the steps the table
-    reads.  That table, and any other, measures each iterate it reads
-    once, as it is made, and keeps none (:func:`_iterate_readings`)."""
+    whether or not junctions of its orbit cancel.  Where the counts
+    cannot read the orbit, the table starts over on iterates, which it
+    measures once each, as they are made, keeping none
+    (:func:`_iterate_readings`); so does every other table."""
     if g.is_identity:
         raise ValueError("seed must be nontrivial")
     if n_max < 0:
@@ -514,49 +524,221 @@ def _iterate_readings(phi: Automorphism, M: MarkedMetricGraph, g: Word, n_max: i
 def _block_readings(phi: Automorphism, M: MarkedMetricGraph, g: Word, n_max: int, depth: int,
                     cap: int) -> Iterator[tuple]:
     """:func:`_iterate_readings` of a cyclically reduced seed on a
-    standard-marked rose, from counts alone, while no junction cancels.
-    Each iterate is then the images of the letters of the one before,
-    joined, and its own cyclic core, so its cyclic ``K``-windows, ``K =
-    max(depth, 2)``, evolve linearly, ``c_(j+1) = B c_j``, where column
-    ``b`` of ``B`` counts the blocks of ``phi(b)`` that start inside
-    ``phi(b_1)``: the k-block presentation of a substitution (Queffelec,
-    LNM 1294).  Each turn, the wrap-around included, starts a window, so
-    :func:`_block_column` checks every junction.  A window starts at each
-    letter, so ``sum(c)`` is the iterate's letters, the windows' first
-    letters its length, and their first ``depth`` letters its
-    ``depth``-windows."""
+    standard-marked rose, from counts alone.  The rows and lengths come
+    from the cyclic ``K``-windows of the iterates' cyclic cores, ``K =
+    max(depth, 2)`` (:func:`_orbit_counts`).  A window starts at each
+    letter, so ``sum(c)`` is the cyclic core's letters, the windows'
+    first letters its length, and their first ``depth`` letters its
+    ``depth``-windows.  The cap reads the letters of the reduced
+    iterates themselves, conjugators included.  While the seed has no
+    illegal turn, they are the cyclic cores, and the counts check each
+    junction as they step.  Else a second, linear track counts them.
+    :class:`_JunctionCancels` means the counts cannot read the orbit."""
     if M.rank != phi.rank or g.rank != phi.rank:  # before the image table is read
         raise ValueError("rank mismatch")
-    images, nums, pairs = phi._images, M._length_nums, _path_pairs(M.graph, depth)
-    c, columns = _cyclic_windows(g.letters, max(depth, 2)), {}  # the columns of the blocks reached
+    images, nums, pairs, K = phi._images, M._length_nums, _path_pairs(M.graph, depth), max(depth, 2)
+    core = _orbit_counts(images, g.letters, K, True)
+    c, rim = next(core)
+    line = None if rim is None else _orbit_counts(images, g.letters, K, False)
     for j in range(2 * n_max + 1):
         if j:
-            step: Counter = Counter()
-            for b, n in c.items():
-                if b not in columns:
-                    columns[b] = _block_column(images, b)
-                for a, m in columns[b].items():
-                    step[a] += m * n
-            c = step
-        letters = sum(c.values())
+            c, rim = next(core)
+        letters = next(line) if line else sum(c.values())
         if j and letters > cap:
             return
         if j > n_max and j % 2:
             continue
+        if rim:
+            c = c.copy()
+            c.update(rim)
         windows = c
         if depth == 1 and j <= n_max:  # the 2-windows by their first letter
             windows = Counter()
             for b, n in c.items():
                 windows[b[:1]] += n
-        row = (letters, [windows.get(v, 0) + windows.get(u, 0) for v, u in pairs]) if j <= n_max else None
+        row = (sum(c.values()), [windows.get(v, 0) + windows.get(u, 0) for v, u in pairs]) if j <= n_max else None
         yield j, Fraction(sum(n * nums[b[0]] for b, n in c.items()), M._length_den), row
+
+
+def _orbit_counts(images: Sequence[tuple[int, ...]], letters: tuple[int, ...], K: int,
+                  cyclic: bool) -> Iterator:
+    """The orbit of a reduced word under the letter images ``images``, as
+    counts: when ``cyclic``, ``(c, rim)`` for each iterate's cyclic core,
+    whose cyclic ``K``-windows are ``c + rim`` (``rim`` is None while the
+    core has no illegal turn); else the letters of each reduced iterate,
+    whose two ends a wall, the letter 0, keeps apart.
+
+    An iterate is cut at its illegal turns (:func:`_turns`) into legal
+    stretches.  A cyclic core with no cut steps by the block matrix
+    (:func:`_block_step`), which checks each junction.  Else the map
+    must be a train track, and the iterate is held as letters until one
+    stretch has ``2E`` letters, ``E = K + _SPARE``.  From then on each
+    stretch of ``2E`` letters is a piece, held as its first and last
+    ``E`` letters and its letter counts; the shorter stretches after it
+    are held as letters, its joint; and ``c`` sums the windows inside
+    all pieces.  On a train track the image of a piece cancels only at
+    its ends (Bestvina-Handel, Ann. of Math. 1992), and by a bounded
+    amount (Cooper, J. Algebra 1987).  So a step maps ``c`` by the block
+    matrix, adds the windows inside the image of each piece's last ``K -
+    1`` letters, maps each piece's ends and counts and each joint, and
+    reduces each joint between the ends around it (:func:`_joint_step`).
+    ``rim`` is the windows across the joints."""
+    rank, E, (illegal, train_track, growth) = len(images) // 2, K + _SPARE, _turns(images)
+    if not cyclic:
+        images = ((0,), *images[1:])
+
+    def cuts(w: Sequence[int], start: int, stop: int) -> list[int]:
+        """Each ``i`` in ``range(start, stop)`` where the turn into ``w[i]`` is illegal."""
+        return [i for i in range(start, stop) if (w[i - 1], w[i]) in illegal or not (w[i - 1] and w[i])]
+
+    w = tuple(letters) if cyclic else (*letters, 0)
+    while True:
+        at = cuts(w, 0, len(w))
+        if not at:  # a cyclic core with no illegal turn
+            c, columns = _cyclic_windows(w, K), {}
+            while True:
+                yield c, None
+                c = _block_step(images, c, columns)
+        if not train_track:  # a piece could cancel inside
+            raise _JunctionCancels
+        w = w[at[0] :] + w[: at[0]]
+        split = [w[i - at[0] : j - at[0]] for i, j in zip(at, [*at[1:], len(w) + at[0]])]
+        if max(map(len, split)) >= 2 * E:
+            break
+        yield (_cyclic_windows(w, K), ()) if cyclic else len(w) - 1
+        w = tuple(_concat(images, w))
+        i = _cyclic_cut(w)
+        w = w[i : len(w) - i]
+    first = next(i for i, s in enumerate(split) if len(s) >= 2 * E)
+    pieces: list[list] = []
+    c, columns = Counter(), {}
+    for s in split[first:] + split[:first]:
+        if len(s) < 2 * E:
+            pieces[-1][3] += s
+        else:
+            pieces.append([s[:E], s[-E:], _letter_counts(s, rank), ()])
+            c.update(_windows(s, K) if cyclic else ())
+    while True:
+        around = list(zip(pieces, pieces[1:] + pieces[:1]))  # each piece and the next
+        if cyclic:
+            yield c, Counter(chain.from_iterable(_windows(p[1][1 - K :] + p[3] + q[0][: K - 1], K) for p, q in around))
+            c = _block_step(images, c, columns)
+        else:
+            yield sum(sum(p[2]) + len(p[3]) for p in pieces) - 1
+        for p in pieces:
+            head, tail, counts, joint = p
+            p[:] = (tuple(chain.from_iterable(map(images.__getitem__, head))),
+                    tuple(chain.from_iterable(map(images.__getitem__, tail))),
+                    [sum(map(mul, row, counts)) for row in growth], tuple(_concat(images, joint)))
+            if cyclic:  # the windows inside the image of the last K - 1 letters
+                c.update(_windows(p[1][-sum(len(images[x]) for x in tail[1 - K :]) :], K))
+        pieces = [r for p, q in around for r in (p, *_joint_step(p, q, c if cyclic else None, K, E, cuts))]
+
+
+def _joint_step(p: list, q: list, c: Optional[Counter], K: int, E: int, cuts) -> list[list]:
+    """Reduce the image of the joint between pieces ``p`` and ``q`` with
+    their mapped ends, and cut the result at its illegal turns: the
+    legal stretches next to the pieces join them, and of those between,
+    each of ``2E`` letters becomes a new piece, returned.  The letters
+    and windows cancelled, or joined to a piece, leave or join the
+    pieces' counts and ``c``.  A cancellation that would reach past the
+    ``E`` letters held at an end, or leave a piece shorter than ``2E``,
+    raises :class:`_JunctionCancels`."""
+    tail, head = p[1], q[0]
+    s, low = list(tail), len(tail)
+    for x in p[3]:
+        if s and s[-1] == -x:
+            s.pop()
+            low = min(low, len(s))
+        else:
+            s.append(x)
+    m = 0
+    while m < len(head) and s and s[-1] == -head[m]:
+        s.pop()
+        m += 1
+    low = min(low, len(s))
+    if min(low, len(head) - m) < E:
+        raise _JunctionCancels
+    s += head[m:]
+    a, b = low, len(s) - len(head) + m  # the joint is s[a:b]
+    at = cuts(s, a, b + 1)
+    p0, p1 = (at[0], at[-1]) if at else (b, b)
+    for counts, taken, given in ((p[2], tail[low:], s[a:p0]), (q[2], head[:m], s[p1:b])):
+        for x in taken:
+            counts[abs(x) - 1] -= 1
+        for x in given:
+            counts[abs(x) - 1] += 1
+    if c is not None:
+        c.subtract(_windows(tail[low - K + 1 :], K) if low < len(tail) else ())
+        c.subtract(_windows(head[: m + K - 1], K) if m else ())
+        c.update(_windows(s[a - K + 1 : p0], K))
+        c.update(_windows(s[p1 : b + K - 1], K))
+    p[1], q[0], p[3] = tuple(s[:p0][-E:]), tuple(s[p1:][:E]), ()
+    new, last = [], p
+    for i, j in zip(at, at[1:]):
+        stretch = tuple(s[i:j])
+        if len(stretch) < 2 * E:
+            last[3] += stretch
+            continue
+        last = [stretch[:E], stretch[-E:], _letter_counts(stretch, len(p[2])), ()]
+        new.append(last)
+        if c is not None:
+            c.update(_windows(stretch, K))
+    if min(sum(p[2]), sum(q[2])) < 2 * E:
+        raise _JunctionCancels
+    return new
+
+
+def _block_step(images: Sequence[tuple[int, ...]], c: Counter, columns: dict) -> Counter:
+    """``B c``: the blocks of the images of the counted blocks, by their
+    columns (:func:`_block_column`), each built once into ``columns``."""
+    step: Counter = Counter()
+    for b, n in c.items():
+        if b not in columns:
+            columns[b] = _block_column(images, b)
+        for a, m in columns[b].items():
+            step[a] += m * n
+    return step
+
+
+@lru_cache(maxsize=64)  # one entry per map
+def _turns(images: tuple[tuple[int, ...], ...]) -> tuple[frozenset, bool, tuple[tuple[int, ...], ...]]:
+    """The illegal turns of the letter images ``images``: the turns ``(x,
+    y)`` some image of which, ``(x, y) -> (last images[x], first
+    images[y])``, cancels; whether no turn inside an image is illegal, so
+    that they form a train track; and their transition matrix, ``[i][j]``
+    the letters ``+-(i+1)`` in the image of ``j+1``."""
+    rank = len(images) // 2
+    letters = [x for i in range(1, rank + 1) for x in (i, -i)]
+    illegal = set()
+    for turn in ((x, y) for x in letters for y in letters if x != -y):
+        seen, (x, y) = set(), turn
+        while (x, y) not in seen and x != -y:
+            seen.add((x, y))
+            x, y = images[x][-1], images[y][0]
+        if x == -y:
+            illegal.add(turn)
+    return (frozenset(illegal), not any(turn in illegal for image in images for turn in zip(image, image[1:])),
+            tuple(zip(*(_letter_counts(images[j], rank) for j in range(1, rank + 1)))))
+
+
+def _letter_counts(letters: Sequence[int], rank: int) -> list[int]:
+    """How often each generator or its inverse occurs in ``letters``."""
+    return [sum(abs(x) == i for x in letters) for i in range(1, rank + 1)]
+
+
+def _windows(letters: Sequence[int], K: int) -> Iterator[tuple[int, ...]]:
+    """The ``K``-windows of a linear word, one by one."""
+    return zip(*(letters[i:] for i in range(K)))
 
 
 def _block_column(images: Sequence[tuple[int, ...]], b: tuple[int, ...]) -> Counter:
     """The ``len(b)``-blocks of ``phi(b)``, the images joined, starting
     inside ``phi(b_1)``; raises :class:`_JunctionCancels` when the
     junction of ``phi(b_1)`` and ``phi(b_2)`` cancels, so that the join
-    is not ``phi(b)``."""
+    is not ``phi(b)``.  Inside a piece no junction cancels on a train
+    track; the check guards the orbits with no illegal turn, which are
+    counted as a whole on any map."""
     if images[b[0]][-1] == -images[b[1]][0]:
         raise _JunctionCancels
     image = [x for y in b for x in images[y]]

@@ -5,9 +5,10 @@ repeated-scan reduction instead of a stack, divisor scans instead of
 prefix functions, modular indices instead of one-pass window tallies,
 characteristic-polynomial bisection instead of power iteration,
 substitution letter by letter instead of block counts checked at each
-junction,
-orbit-displacement growth instead of cyclic syllable counts, and a
-whole-ball search instead of one pruned towards its target.
+junction, powers of the direction map instead of images of turns,
+orbit-displacement growth instead of cyclic syllable counts, point
+displacements instead of cyclic reduction, and a whole-ball search
+instead of one pruned towards its target.
 """
 
 from __future__ import annotations
@@ -146,6 +147,57 @@ def orbit_cancels(images: Sequence[Sequence[int]], letters: Sequence[int], steps
         w = [z for y in w for z in (images[y - 1] if y > 0 else [-x for x in reversed(images[-y - 1])])]
         step += 1
     return True
+
+
+def illegal_turns(images: Sequence[Sequence[int]], letters: Sequence[int], cyclic: bool = True) -> int:
+    """How many turns of the word ``letters`` are illegal for the
+    substitution sending generator ``i`` to ``images[i-1]``, the turn
+    across the wrap-around included when ``cyclic``.  The turn from ``x``
+    into ``y`` leaves in the directions ``x^-1`` and ``y``; it is illegal
+    when some power of the direction map, a direction to the first letter
+    of its image, sends both to one direction (Bestvina-Handel, Ann. of
+    Math. 1992).  Two directions that ever meet do so before both reach
+    a cycle of the map, so within as many steps as there are directions,
+    and then stay together: that power decides."""
+    rank = len(images)
+
+    def first(d: int) -> int:
+        return images[d - 1][0] if d > 0 else -images[-d - 1][-1]
+
+    def far(d: int) -> int:
+        for _ in range(2 * rank):
+            d = first(d)
+        return d
+
+    letters = list(letters)
+    turns = zip(letters[-1:] + letters[:-1], letters) if cyclic else zip(letters, letters[1:])
+    return sum(far(-x) == far(y) for x, y in turns)
+
+
+def cyclic_core_orbit(images: Sequence[Sequence[int]], letters: Sequence[int], steps: int,
+                      longest: float = math.inf) -> list[list[int]]:
+    """The cyclic cores of ``letters`` and of its first ``steps`` images,
+    stopping after the first core past ``longest`` letters: each step
+    substitutes letter by letter, reduces by :func:`scan_reduce` and
+    strips cancelling first/last pairs."""
+    w = scan_reduce(letters)
+    out = []
+    for step in range(steps + 1):
+        while len(w) > 1 and w[0] == -w[-1]:
+            w = w[1:-1]
+        out.append(w)
+        if step == steps or len(w) > longest:
+            break
+        w = scan_reduce([z for y in w for z in (images[y - 1] if y > 0 else [-x for x in reversed(images[-y - 1])])])
+    return out
+
+
+def displacement_length(M, w) -> Fraction:
+    """Translation length of ``w`` on the tree of the chart ``M`` by the
+    displacement identity of Culler-Morgan (Proc. London Math. Soc. 1987),
+    l(g) = d(x, g^2 x) - d(x, g x) for the base lift x: the lengths of two
+    reduced paths read off ``M.word_to_path``, with no cyclic reduction."""
+    return M.path_length(M.word_to_path(w * w)) - M.path_length(M.word_to_path(w))
 
 
 # -- Bass-Serre displacement oracle ------------------------------------------

@@ -535,6 +535,10 @@ class TestUserErrors:
             "twist_rank.json": {"kind": "sep", "rank": 5, "subset": [1], "twist": identity3},
             "twist_float_rank.json": {"kind": "sep", "rank": 5.0, "subset": [1], "twist": identity3},
             "bogus_kind.json": {"kind": "bogus", "rank": 3, "stable": 1},
+            "loop_no_stable.json": {"kind": "loop", "rank": 3},
+            "sep_no_subset.json": {"kind": "sep", "rank": 3},
+            "twist_no_inverse.json": {"kind": "sep", "rank": 3, "subset": [1],
+                                      "twist": {"rank": 3, "images": [[1], [2], [3]]}},
         }
         for name, obj in files.items():
             (directory / name).write_text(json.dumps(obj))
@@ -580,6 +584,12 @@ class TestUserErrors:
              "bad graph file unknown_word_key.json: edge_words key 'zz' names no edge"),
             (["graph", "--from", "bogus_kind.json"],
              "bad vertex file bogus_kind.json: unknown splitting kind 'bogus'"),
+            (["graph", "--from", "loop_no_stable.json"],
+             "bad vertex file loop_no_stable.json: missing key 'stable'"),
+            (["graph", "--from", "sep_no_subset.json"],
+             "bad vertex file sep_no_subset.json: missing key 'subset'"),
+            (["graph", "--from", "twist_no_inverse.json"],
+             "bad vertex file twist_no_inverse.json: missing key 'inverse_images'"),
         ],
         ids=[
             "translen-list", "pf-list", "intersect-list", "graph-number-vertex", "graph-list-vertex",
@@ -587,6 +597,7 @@ class TestUserErrors:
             "delta-1/0", "rank-2.9", "weight-0.1", "loop-rank-3.5", "stable-1.9", "subset-1.0",
             "map-rank-2.7", "map-edge-zz", "map-contradiction", "class-true", "twist-rank-5",
             "twist-rank-5.0", "map-image-zz", "loop-zz", "tree-zz", "edge-words-zz", "kind-bogus",
+            "loop-without-stable", "sep-without-subset", "twist-without-inverse-images",
         ],
     )
     def test_malformed_input(self, tmp_path, monkeypatch, args, message):

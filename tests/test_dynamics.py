@@ -36,16 +36,17 @@ from outerint.dynamics import (
     stable_length_oracle,
     transition_matrix,
 )
-from outerint.marked_graph import MarkedMetricGraph, translation_length, unit_rose
+from outerint.marked_graph import MarkedMetricGraph, subdivide_edge, translation_length, unit_rose
 from outerint.words import Automorphism, Word, parse_word
 
 from _generators import (
     random_automorphism,
     random_blown_up_chart,
     random_chart_of_each_kind,
+    random_cyclically_reduced_word,
     random_reduced_word,
 )
-from oracles import char_poly_at, dominant_root_by_bisection, orbit_cancels
+from oracles import char_poly_at, cyclic_core_orbit, dominant_root_by_bisection, illegal_turns, orbit_cancels
 
 GOLDEN = (1 + 5 ** 0.5) / 2
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -594,7 +595,7 @@ class TestIwipRows:
         assert rows[4].pairing_estimate is None
 
     def test_each_iterate_measured_once(self, monkeypatch):
-        M, g, phi = unit_rose(2), parse_word("ab", 2), fibonacci_inverse_rose_map().automorphism
+        M, g, phi = subdivide_edge(unit_rose(2), 1), parse_word("ab", 2), fibonacci_inverse_rose_map().automorphism
         measured = []
         real = MarkedMetricGraph.word_to_path
 
@@ -602,8 +603,8 @@ class TestIwipRows:
             measured.append(w)
             return real(self, w)
 
-        # every iterate's length and frequency row passes through here;
-        # ab goes to bBa, which cancels, so its table is read off iterates
+        # every iterate's length and frequency row passes through here; the
+        # chart is not a standard rose, so the table is read off iterates
         assert orbit_cancels([w.letters for w in phi.images], g.letters, 1)
         monkeypatch.setattr(MarkedMetricGraph, "word_to_path", counting)
         iwip_rows(phi, M, GOLDEN, g, 4, 1)
@@ -642,16 +643,40 @@ class TestIwipRows:
         assert stable_length_oracle(phi, M, lam, n).evaluate(g) == rows[n].length_estimate
 
 
+def folded_map() -> GraphMap:
+    """a -> bA, b -> A on the unit rose: not a train track, as the turn
+    inside the image of a is illegal: its directions B and A both go to
+    a, and the image of bA is A.aB."""
+    return GraphMap.on_rose(unit_rose(2), Automorphism.from_images(2, [[2, -1], [-1]], [[-2], [1, -2]]))
+
+
+def self_cancelling_map() -> GraphMap:
+    """a -> ac, b -> Cb, c -> cab on the unit rose: not a train track, as
+    the turn ab inside the image of c cancels at the next step, ac.Cb."""
+    phi = Automorphism.from_images(3, [[1, 3], [-3, 2], [3, 1, 2]], [[1, 1, 2, -3], [3, -2, -1, 2], [3, -2, -1]])
+    return GraphMap.on_rose(unit_rose(3), phi)
+
+
 def route_tables(seed: int = 61):
-    """``(phi, M, lam, g, n_max, depth, cap)`` of 240 tables: fibonacci,
-    supergolden, the cat map and fibonacci_inverse, on the unit rose and
-    on the PF metric, with reduced seeds of 1-8 letters, depth 1-4, n_max
-    0-14 and caps from 10 to 10^5.  Every other seed is drawn until
-    :func:`oracles.orbit_cancels` sees its orbit never cancel; the others
-    are drawn freely, so most of them cancel, at a junction or across the
-    wrap-around, at once or a step later.  The first table puts depth 4
-    past a one-letter seed, the second and the fourth a cap mid-table,
-    and the third a cap below the seed, which is read all the same."""
+    """``(phi, M, lam, g, n_max, depth, cap)`` of 281 tables.  The first
+    240: fibonacci, supergolden, the cat map and fibonacci_inverse, on
+    the unit rose and on the PF metric, with reduced seeds of 1-8
+    letters, depth 1-4, n_max 0-14 and caps from 10 to 10^5.  Every
+    other seed is drawn until :func:`oracles.orbit_cancels` sees its
+    orbit never cancel; the others are drawn freely, so most of them
+    cancel, at a junction or across the wrap-around, at once or a step
+    later.  The first table puts depth 4 past a one-letter seed, the
+    second and the fourth a cap mid-table, and the third a cap below the
+    seed, which is read all the same.  Then three orbits that cancel for
+    good: AAbAB under fibonacci_inverse grows a conjugator, and its cap
+    of 120 stops the iterates a step before their cyclic cores; baaBBA
+    under fibonacci_inverse and aCB under supergolden keep illegal turns
+    at every step, Nielsen paths.  Then c under :func:`self_cancelling_map`,
+    whose orbit has no illegal turn but cancels inside the image of c at
+    the last step its table reads.  The last 37 are drawn likewise under
+    :func:`folded_map`, which is not a train track, with every
+    other seed drawn until it has no illegal turn; most of their orbits
+    cancel all the same, inside the image of a."""
     rng = random.Random(seed)
     maps = []
     for f in (fibonacci_rose_map(), supergolden_rose_map(), cat_map(), fibonacci_inverse_rose_map()):
@@ -661,11 +686,25 @@ def route_tables(seed: int = 61):
     yield *maps[3], Word(3, (2, 1)), 10, 2, 300
     yield *maps[4], Word(2, (1, 2, 2, 1, 2)), 3, 2, 3
     yield *maps[7], parse_word("aBBa", 2), 10, 3, 300
-    for i in range(236):
+    yield from drawn_tables(rng, maps, 236)
+    yield *maps[6], parse_word("AAbAB", 2), 5, 3, 120
+    yield *maps[7], parse_word("baaBBA", 2), 12, 3, 10 ** 5
+    yield *maps[2], parse_word("aCB", 3), 12, 2, 10 ** 5
+    f = self_cancelling_map()
+    yield f.automorphism, f.chart, pf_eigenpair(transition_matrix(f)).eigenvalue, parse_word("c", 3), 1, 2, 10 ** 5
+    f = folded_map()
+    lam = pf_eigenpair(transition_matrix(f)).eigenvalue
+    yield from drawn_tables(rng, [(f.automorphism, f.chart, lam), (f.automorphism, metric_from_pf(f), lam)], 37,
+                            lambda images, g: illegal_turns(images, g.letters) > 0)
+
+
+def drawn_tables(rng, maps, count: int, redraw=lambda images, g: orbit_cancels(images, g.letters, 8)):
+    """``count`` tables, every other seed drawn again while ``redraw``."""
+    for i in range(count):
         phi, M, lam = rng.choice(maps)
         images = [w.letters for w in phi.images]
         g = random_reduced_word(rng, phi.rank, rng.randint(1, 8))
-        while i % 2 == 0 and orbit_cancels(images, g.letters, 8):
+        while i % 2 == 0 and redraw(images, g):
             g = random_reduced_word(rng, phi.rank, rng.randint(1, 8))
         yield phi, M, lam, g, rng.randint(0, 14), rng.randint(1, 4), rng.choice([10, 300, 10 ** 4, 10 ** 5])
 
@@ -700,7 +739,7 @@ def blocks_anywhere(images, b):
 NEVER_FIRES = [("_block_column", "images[b[0]][-1] == -images[b[1]][0]", "False")]
 WRONG_ENDS = [("_block_column", "images[b[0]][-1] == -images[b[1]][0]", "images[b[0]][0] == -images[b[1]][-1]")]
 # a 1-letter window holds no turn, so nothing checks a depth-1 table
-DEPTH_WINDOWS = [("_block_readings", "g.letters, max(depth, 2)", "g.letters, depth"),
+DEPTH_WINDOWS = [("_block_readings", "_path_pairs(M.graph, depth), max(depth, 2)", "_path_pairs(M.graph, depth), depth"),
                  ("_block_column", "if images", "if len(b) > 1 and images")]
 CHECK_BUGS = pytest.mark.parametrize(
     "edits", [NEVER_FIRES, WRONG_ENDS, DEPTH_WINDOWS],
@@ -708,10 +747,24 @@ CHECK_BUGS = pytest.mark.parametrize(
 )
 
 
+# bugs in the pieces of an orbit that cancels: the windows across a joint
+# read the tail buffer one letter short; the cap reads the cyclic cores,
+# not the iterates with their conjugators; a piece's head never cancels
+# against the joint before it, so an illegal turn cancels only while the
+# orbit is held as letters, not at every step
+PIECE_BUGS = pytest.mark.parametrize(
+    "edits",
+    [[("_orbit_counts", "p[1][1 - K :] + p[3]", "p[1][2 - K :] + p[3]")],
+     [("_block_readings", "next(line) if line else sum(c.values())", "sum(c.values())")],
+     [("_joint_step", "while m < len(head) and s and s[-1] == -head[m]:", "while False:")]],
+    ids=["buffer-read-one-letter-short", "cap-on-the-cyclic-cores", "cancellation-only-while-held"],
+)
+
+
 def plant(monkeypatch, edits):
     """Replace pieces of the source of ``dynamics`` functions, run in one
-    copy of the module's namespace: a bug planted in the junction check.
-    ``edits`` are ``(function name, old, new)``."""
+    copy of the module's namespace: a bug planted in the counts route.
+    ``edits`` are ``(function name, old, new)``, one per function."""
     namespace = dict(vars(dynamics))
     for name, old, new in edits:
         source = inspect.getsource(getattr(dynamics, name))
@@ -744,15 +797,22 @@ class TestBlockRoute:
 
     def test_grid_holds_signed_legal_and_cancelling_seeds(self, monkeypatch):
         # legal: no junction cancels in the iterates the table builds, up
-        # to the first past the cap; only those build no iterate
+        # to the first past the cap; on a train track cancelling tables
+        # build no iterate either, and no cancellation in the grid reaches
+        # past a buffer (see counts_route)
         tables = list(route_tables())
         legal = [not orbit_cancels([w.letters for w in phi.images], g.letters, 2 * n_max, cap)
                  for phi, _, _, g, n_max, _, cap in tables]
-        assert sum(legal) == 174
-        assert iterate_free(monkeypatch, tables) == legal
-        for images in {phi.images for phi, *_ in tables}:  # (legal, with inverse letters) per map
+        assert sum(legal[:240]) == 174
+        route = [counts_route(phi, g, 2 * n_max, cap) for phi, _, _, g, n_max, _, cap in tables]
+        assert sum(route) == 226
+        assert iterate_free(monkeypatch, tables) == route
+        for images in {phi.images for phi, *_ in tables[:240]}:  # (legal, with inverse letters) per map
             kinds = {(ok, min(g.letters) < 0) for (phi, _, _, g, *_), ok in zip(tables, legal) if phi.images == images}
             assert kinds >= {(True, False), (True, True), (False, True)}
+            assert any(free and not ok for (phi, *_), ok, free in zip(tables, legal, route) if phi.images == images)
+        # under a map that is not a train track, cancelling tables stay on iterates
+        assert {free for (phi, *_), free in zip(tables[244:], route[244:])} == {False, True}
 
     def test_matches_iterate_route(self, monkeypatch):
         assert block_route_mismatches(monkeypatch) == []
@@ -771,6 +831,21 @@ class TestBlockRoute:
         plant(monkeypatch, edits)
         assert block_route_mismatches(monkeypatch)
 
+    @PIECE_BUGS
+    def test_cross_check_catches_planted_piece_bug(self, monkeypatch, edits):
+        plant(monkeypatch, edits)
+        assert block_route_mismatches(monkeypatch)
+
+    def test_grid_caps_a_conjugator_before_its_core(self):
+        # AAbAB under fibonacci_inverse: iterate 8 has 146 letters, past
+        # the cap of 120, and its cyclic core 102, within it
+        phi, M, lam, g, n_max, depth, cap = list(route_tables())[240]
+        assert (g, cap) == (parse_word("AAbAB", 2), 120)
+        assert [len(w) for w in cyclic_core_orbit([w.letters for w in phi.images], g.letters, 8)][7:] == [63, 102]
+        assert len(stepwise(phi, g, 8, math.inf)[-1]) == 146
+        rows = iwip_rows(phi, M, lam, g, n_max, depth, cap)
+        assert rows[3].pairing_estimate is not None and rows[4].pairing_estimate is None
+
     def test_input_errors_kept(self, monkeypatch):
         def unreachable(*args):
             raise AssertionError("took the iterate route")
@@ -784,6 +859,18 @@ class TestBlockRoute:
             iwip_rows(phi, unit_rose(2), GOLDEN, Word(2), 3, 2)
 
 
+def counts_route(phi, g, steps: int, cap: float = math.inf) -> bool:
+    """Whether a table should take the counts: a cyclically reduced seed,
+    under a train track (no turn inside a letter's image illegal, by
+    :func:`oracles.illegal_turns`), or with no illegal turn and no
+    cancellation within ``steps`` (:func:`oracles.orbit_cancels`).  No
+    cancellation in these tables reaches past a buffer."""
+    images = [w.letters for w in phi.images]
+    train_track = not any(illegal_turns(images, image, cyclic=False) for image in images)
+    return g.letters[0] != -g.letters[-1] and (
+        train_track or illegal_turns(images, g.letters) == 0 and not orbit_cancels(images, g.letters, steps, cap))
+
+
 def cyclically_reduced_seeds(rank: int, longest: int):
     alphabet = [x for i in range(1, rank + 1) for x in (i, -i)]
     for length in range(1, longest + 1):
@@ -795,32 +882,39 @@ def cyclically_reduced_seeds(rank: int, longest: int):
 def route_mismatches(monkeypatch, longest: int = 5) -> dict:
     """Per map, the cyclically reduced seeds of 1-``longest`` letters on which
     ``iwip_rows``, at n_max 4 and depth 1 or 3, builds iterates although
-    substitution letter by letter cancels in none of the first 8, or
-    builds none although it cancels; and the counts of tables that build
-    none and of all tables."""
+    :func:`counts_route` says it should not, or builds none although it
+    should; the counts of tables that build none, of seeds with no
+    illegal turn, and of all tables.  The maps are the three catalog
+    maps, the cat map and :func:`folded_map`, which is not a train track."""
     out = {}
-    for f in (fibonacci_rose_map(), fibonacci_inverse_rose_map(), supergolden_rose_map(), cat_map()):
+    for f in (fibonacci_rose_map(), fibonacci_inverse_rose_map(), supergolden_rose_map(), cat_map(), folded_map()):
         phi, images = f.automorphism, tuple(w.letters for w in f.automorphism.images)
         seeds = list(cyclically_reduced_seeds(phi.rank, longest))
-        legal = [not orbit_cancels(images, g.letters, 8) for g in seeds]
+        route = [counts_route(phi, g, 8) for g in seeds]
+        legal = sum(illegal_turns(images, g.letters) == 0 for g in seeds)
         for depth in (1, 3):
             free = iterate_free(monkeypatch, [(phi, f.chart, 1.5, g, 4, depth) for g in seeds])
-            out[images, depth] = ([g for g, a, b in zip(seeds, free, legal) if a != b], sum(free), len(free))
+            out[images, depth] = ([g for g, a, b in zip(seeds, free, route) if a != b], sum(free), legal, len(free))
     return out
 
 
 class TestLegalOrbit:
-    """The block route is taken exactly when the orbit is legal over the
-    steps its table reads: no junction cancels."""
+    """The counts route is taken exactly where :func:`counts_route` says:
+    on a train track whatever cancels, as no cancellation here reaches
+    past a buffer; else while the orbit has no illegal turn and no
+    junction cancels over the steps its table reads."""
 
     def test_matches_letter_by_letter_substitution(self, monkeypatch):
+        # (mismatches, tables that build no iterate, seeds with no illegal turn, tables)
         assert list(route_mismatches(monkeypatch).values()) == [
-            ([], 124, 372), ([], 124, 372), ([], 124, 372), ([], 124, 372),
-            ([], 726, 3918), ([], 726, 3918), ([], 124, 372), ([], 124, 372),
+            ([], 372, 124, 372), ([], 372, 124, 372), ([], 372, 124, 372), ([], 372, 124, 372),
+            ([], 3918, 726, 3918), ([], 3918, 726, 3918), ([], 372, 124, 372), ([], 372, 124, 372),
+            ([], 0, 124, 372), ([], 0, 124, 372),
         ]
 
     # the wrong ends check the turn (x^-1, y^-1) for (x, y), which picks
-    # the same route on every seed of 1-5 letters here: the grid catches it
+    # the same route on every seed of 1-5 letters here: the grid catches
+    # it, on c under self_cancelling_map
     @pytest.mark.parametrize(
         "edits", [NEVER_FIRES, DEPTH_WINDOWS], ids=["check-never-fires", "windows-of-depth-letters"]
     )
@@ -832,3 +926,51 @@ class TestLegalOrbit:
         # letter 5 lies past every index of a rank-2 image table
         with pytest.raises(ValueError, match="rank mismatch"):
             iwip_rows(fibonacci_automorphism(), unit_rose(2), GOLDEN, Word(5, (5, 1)), 3, 2)
+
+
+def turn_count_faults(count, per_map: int = 50) -> list:
+    """Seeds of 1-8 letters, ``per_map`` under each catalog map and the cat
+    map, whose illegal turns, counted by ``count`` on the cyclic cores of
+    the orbit over 14 steps (or until a core passes 2,000 letters), rise
+    at some step or differ between two rotations of one core.  Under a
+    train track the count never rises (Bestvina-Handel), and a cyclic
+    word has no first letter."""
+    rng, faults = random.Random(71), []
+    for f in (fibonacci_rose_map(), fibonacci_inverse_rose_map(), supergolden_rose_map(), cat_map()):
+        images = [w.letters for w in f.automorphism.images]
+        for _ in range(per_map):
+            g = random_cyclically_reduced_word(rng, len(images), rng.randint(1, 8)).letters
+            counts = []
+            for w in cyclic_core_orbit(images, g, 14, 2000):
+                k = rng.randrange(len(w))
+                counts.append(count(images, w))
+                if count(images, w[k:] + w[:k]) != counts[-1] or counts[-1] > counts[max(len(counts) - 2, 0)]:
+                    faults.append((images, g))
+                    break
+    return faults
+
+
+class TestIllegalTurns:
+    def test_count_never_rises_nor_depends_on_the_cut(self):
+        assert turn_count_faults(illegal_turns) == []
+
+    def test_catches_a_count_without_the_wraparound_turn(self):
+        assert turn_count_faults(lambda images, w: illegal_turns(images, w, cyclic=False))
+
+    def test_orbits_keep_or_lose_their_illegal_turns(self):
+        # fibonacci_inverse: ab turns legal at once, baaBBA keeps two illegal turns for good
+        images = [w.letters for w in fibonacci_inverse_rose_map().automorphism.images]
+        assert [illegal_turns(images, w) for w in cyclic_core_orbit(images, (1, 2), 14)][:2] == [2, 0]
+        assert {illegal_turns(images, w) for w in cyclic_core_orbit(images, (2, 1, 1, -2, -2, -1), 14)} == {2}
+
+    def test_matches_the_package_turns(self):
+        # the illegal turns and the train-track test of the counts route
+        for f in (fibonacci_rose_map(), fibonacci_inverse_rose_map(), supergolden_rose_map(), cat_map(),
+                  folded_map(), self_cancelling_map()):
+            phi = f.automorphism
+            images = [w.letters for w in phi.images]
+            letters = [x for i in range(1, phi.rank + 1) for x in (i, -i)]
+            illegal = {(x, y) for x in letters for y in letters if x != -y and illegal_turns(images, (x, y), cyclic=False)}
+            train_track = not any(illegal_turns(images, image, cyclic=False) for image in images)
+            assert dynamics._turns(phi._images)[:2] == (illegal, train_track)
+            assert train_track == (f not in (folded_map(), self_cancelling_map()))

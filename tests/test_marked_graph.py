@@ -29,12 +29,13 @@ from outerint.words import Word, cyclic_length, cyclic_reduce, parse_word
 from _generators import (
     charts_with_awkward_lengths,
     random_automorphism,
+    random_blown_up_chart,
     random_chart_of_each_kind,
     random_cyclically_reduced_word,
     random_marked_graph,
     random_reduced_word,
 )
-from oracles import scan_reduce
+from oracles import displacement_length, scan_reduce
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -223,6 +224,47 @@ class TestTranslationLength:
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):
             translation_length(unit_rose(2), Word(3, (3,)))
+
+
+def displacement_mismatches(seed: int = 9) -> list:
+    """Pairs (chart, word) on which ``translation_length`` differs from the
+    displacement identity: on 40 roses with random lengths and 40 charts
+    of :func:`random_blown_up_chart`, ranks 2-4, each with five words, of
+    which four are conjugated by a random word of 1-4 letters."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(80):
+        rank = 2 + i % 3
+        M = random_blown_up_chart(rng, rank) if i % 2 else rose(rank, [rng.randint(1, 5) for _ in range(rank)])
+        for j in range(5):
+            w = random_reduced_word(rng, rank, rng.randint(1, 6))
+            if j:
+                u = random_reduced_word(rng, rank, rng.randint(1, 4))
+                w = u * w * u.inverse()
+            if translation_length(M, w) != displacement_length(M, w):
+                out.append((M, w))
+    return out
+
+
+def one_layer_cyclic_reduction(path):
+    p = reduce_path(path)
+    return p[1:-1] if len(p) > 1 and p[0] == -p[-1] else p
+
+
+class TestDisplacementLength:
+    """The Culler-Morgan displacement identity reads translation length
+    off two reduced paths, with no cyclic reduction."""
+
+    def test_matches_translation_length(self):
+        assert displacement_mismatches() == []
+
+    def test_catches_one_layer_cyclic_reduction(self, monkeypatch):
+        monkeypatch.setattr("outerint.marked_graph.cyclic_reduce_path", one_layer_cyclic_reduction)
+        assert displacement_mismatches()
+
+    def test_identity_and_rose(self):
+        assert displacement_length(unit_rose(2), Word(2)) == 0
+        assert displacement_length(rose(2, [2, 3]), parse_word("AAbaa", 2)) == 3
 
 
 class TestEdgeCrossings:
