@@ -9,10 +9,7 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
-from click.testing import CliRunner
-
 from outerint.catalog import fibonacci_automorphism, fibonacci_rose_map
-from outerint.cli import main as cli_main
 from outerint.currents import add, counting_current, scale
 from outerint.dynamics import (
     eigencurrent_approx,
@@ -45,8 +42,10 @@ from outerint.splittings import (
 )
 from outerint.words import Word, cyclic_length, enumerate_cyclic_words, parse_word
 
+from _cli import run as run_cli
 from _generators import (
     random_automorphism,
+    random_blown_up_chart,
     random_current,
     random_fraction,
     random_marked_graph,
@@ -70,19 +69,22 @@ def _finish(num: int, description: str, start: float, limit: float, ok: bool, de
 
 def test_criterion_01_two_route_equality():
     start = time.perf_counter()
-    rng = random.Random(101)
+    rng, blown = random.Random(101), random.Random(201)
     checked = 0
     for _ in range(500):
         rank = rng.choice([2, 3, 4])
-        report = intersect_report(random_marked_graph(rng, rank), random_current(rng, rank))
-        assert report.via_lengths == report.via_crossings
-        checked += 1
-    _finish(1, "two-route intersection equality on 500 pairs, ranks 2-4", start, 30, checked == 500)
+        M, mu = random_marked_graph(rng, rank), random_current(rng, rank)
+        for chart in (M, random_blown_up_chart(blown, rank)):
+            report = intersect_report(chart, mu)
+            assert report.via_lengths == report.via_crossings
+            checked += 1
+    _finish(1, "two-route intersection equality on 500 currents, each on a rose and a blown-up chart, "
+            "ranks 2-4", start, 30, checked == 1000)
 
 
 def test_criterion_02_form_axioms():
     start = time.perf_counter()
-    rng = random.Random(102)
+    rng, blown = random.Random(102), random.Random(202)
     ok = True
     for _ in range(200):
         rank = rng.choice([2, 3])
@@ -91,18 +93,21 @@ def test_criterion_02_form_axioms():
         c = random_fraction(rng)
         l1, l2 = random_fraction(rng), random_fraction(rng)
         phi = random_automorphism(rng, rank, max_image_len=6)
-        ok &= intersect(scale_lengths(M, c), mu) == c * intersect(M, mu)
-        ok &= intersect(M, add(scale(l1, mu), scale(l2, nu))) == l1 * intersect(M, mu) + l2 * intersect(M, nu)
-        ok &= equivariance_check(phi, M, mu).equal
+        for chart in (M, random_blown_up_chart(blown, rank)):
+            ok &= intersect(scale_lengths(chart, c), mu) == c * intersect(chart, mu)
+            ok &= intersect(chart, add(scale(l1, mu), scale(l2, nu))) == (
+                l1 * intersect(chart, mu) + l2 * intersect(chart, nu))
+            ok &= equivariance_check(phi, chart, mu).equal
         if not ok:
             break
-    _finish(2, "homogeneity, linearity, equivariance on 200 instances", start, 30, ok)
+    _finish(2, "homogeneity, linearity, equivariance on 200 instances, each on a rose and a blown-up chart",
+            start, 30, ok)
 
 
 def test_criterion_03_length_function_laws():
     start = time.perf_counter()
-    rng = random.Random(103)
-    graphs2 = [unit_rose(2), random_marked_graph(rng, 2)]
+    rng, blown = random.Random(103), random.Random(203)
+    graphs2 = [unit_rose(2), random_marked_graph(rng, 2), random_blown_up_chart(blown, 2)]
     ok = True
     for cw in enumerate_cyclic_words(2, 5):
         w = cw.as_word()
@@ -118,24 +123,26 @@ def test_criterion_03_length_function_laws():
             break
     count3 = 0
     while ok and count3 < 10_000:
-        M = random_marked_graph(rng, 3)
+        charts3 = (random_marked_graph(rng, 3), random_blown_up_chart(blown, 3))
         for _ in range(100):
             w = random_reduced_word(rng, 3, rng.randint(1, 12))
             u = random_reduced_word(rng, 3, rng.randint(0, 5))
             m = rng.randint(0, 4)
-            tl = translation_length(M, w)
-            ok &= (tl > 0) == (not w.is_identity)
-            ok &= translation_length(M, w.conjugate_by(u)) == tl
-            ok &= translation_length(M, w ** m) == m * tl
+            for M in charts3:
+                tl = translation_length(M, w)
+                ok &= (tl > 0) == (not w.is_identity)
+                ok &= translation_length(M, w.conjugate_by(u)) == tl
+                ok &= translation_length(M, w ** m) == m * tl
             count3 += 1
             if not ok:
                 break
-    _finish(3, "length laws: exhaustive rank 2 (len<=5) + 10^4 random rank 3", start, 60, ok)
+    _finish(3, "length laws: exhaustive rank 2 (len<=5) + 10^4 random rank 3, on roses and blown-up charts",
+            start, 60, ok)
 
 
 def test_criterion_04_backtracking_inequalities():
     start = time.perf_counter()
-    rng = random.Random(104)
+    rng, blown = random.Random(104), random.Random(204)
     min_slack = None
     ok = True
     for _ in range(1000):
@@ -146,14 +153,15 @@ def test_criterion_04_backtracking_inequalities():
         cuts = sorted(rng.sample(range(1, len(w)), m - 1)) if m > 1 else []
         bounds = [0, *cuts, len(w)]
         parts = [Word(rank, w.letters[a:b]) for a, b in zip(bounds, bounds[1:])]
-        report = lemma_ll_check(M, parts, C=bbt_upper_bound(M))
-        ok &= report.all_hold
-        min_slack = report.min_slack if min_slack is None else min(min_slack, report.min_slack)
+        for chart in (M, random_blown_up_chart(blown, rank)):
+            report = lemma_ll_check(chart, parts, C=bbt_upper_bound(chart))
+            ok &= report.all_hold
+            min_slack = report.min_slack if min_slack is None else min(min_slack, report.min_slack)
         if not ok:
             break
     _finish(
         4,
-        "back-tracking inequalities on 10^3 decompositions",
+        "back-tracking inequalities on 10^3 decompositions, each on a rose and a blown-up chart",
         start,
         60,
         ok and min_slack >= 0,
@@ -295,11 +303,9 @@ def test_criterion_10_lipschitz_structure():
 
 def test_criterion_11_cli_determinism():
     start = time.perf_counter()
-    runner = CliRunner()
 
     def run_twice(args):
-        a = runner.invoke(cli_main, args, catch_exceptions=False).output
-        b = runner.invoke(cli_main, args, catch_exceptions=False).output
+        a, b = run_cli(*args).output, run_cli(*args).output
         return a == b and a
 
     ok = bool(

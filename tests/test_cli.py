@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -5,17 +7,13 @@ import re
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 
 from outerint.cli import main
 
+from _cli import run
 from oracles import char_poly_at
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
-
-
-def run(*args, env=None):
-    return CliRunner().invoke(main, [str(a) for a in args], env=env, catch_exceptions=False)
 
 
 def child_env(src: pathlib.Path) -> dict:
@@ -51,6 +49,18 @@ class TestTranslen:
         result = run("translen", bad, "a")
         assert result.exit_code != 0
         assert "cannot read JSON" in result.output
+
+    @pytest.mark.parametrize(
+        "word, message",
+        [("abz", "invalid letter 26 for rank 2"), ("[1, 2", "Expecting ',' delimiter"),
+         # used to end in a RecursionError traceback
+         ("[" * 5000 + "]" * 5000, "maximum recursion depth exceeded")],
+        ids=["letter", "json", "nested-json"],
+    )
+    def test_malformed_word_fails(self, word, message):
+        result = run("translen", FIXTURES / "rose2.json", word)
+        assert result.exit_code == 1
+        TestUserErrors.assert_one_line_error(result, "bad word", message)
 
 
 class TestIntersect:
@@ -543,6 +553,8 @@ class TestUserErrors:
         for name, obj in files.items():
             (directory / name).write_text(json.dumps(obj))
         (directory / "rank.json").write_text('{"rank": 1e400, "terms": []}')
+        (directory / "deep.json").write_text("[" * 3000 + "]" * 3000)
+        (directory / "deep_terms.json").write_text('{"rank": 2, "terms": ' + "[" * 3000 + "]" * 3000 + "}")
 
     @pytest.mark.parametrize(
         "args, message",
@@ -590,6 +602,10 @@ class TestUserErrors:
              "bad vertex file sep_no_subset.json: missing key 'subset'"),
             (["graph", "--from", "twist_no_inverse.json"],
              "bad vertex file twist_no_inverse.json: missing key 'inverse_images'"),
+            (["translen", "deep.json", "a"], "cannot read JSON from deep.json: maximum recursion depth"),
+            (["graph", "--from", "deep.json"], "cannot read JSON from deep.json: maximum recursion depth"),
+            (["intersect", FIXTURES / "rose2.json", "deep_terms.json"],
+             "cannot read JSON from deep_terms.json: maximum recursion depth"),
         ],
         ids=[
             "translen-list", "pf-list", "intersect-list", "graph-number-vertex", "graph-list-vertex",
@@ -598,11 +614,12 @@ class TestUserErrors:
             "map-rank-2.7", "map-edge-zz", "map-contradiction", "class-true", "twist-rank-5",
             "twist-rank-5.0", "map-image-zz", "loop-zz", "tree-zz", "edge-words-zz", "kind-bogus",
             "loop-without-stable", "sep-without-subset", "twist-without-inverse-images",
+            "translen-nested", "graph-nested", "intersect-nested-terms",
         ],
     )
     def test_malformed_input(self, tmp_path, monkeypatch, args, message):
         # each of these used to end in a traceback: TypeError, AttributeError,
-        # ZeroDivisionError or OverflowError
+        # ZeroDivisionError, OverflowError or RecursionError
         self.write_malformed(tmp_path)
         monkeypatch.chdir(tmp_path)
         if args[0] == "graph":  # a good search, but for the one bad file given
@@ -647,6 +664,50 @@ class TestExitCodes:
         result = run("bbt", FIXTURES / "rose2.json", "--no-such-option")
         assert result.exit_code == 2
         TestUserErrors.assert_one_line_error(result, "--no-such-option")
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["bbt", "missing.json"], "File 'missing.json' does not exist"),
+            (["bbt", "."], "File '.' is a directory"),
+            (["pf"], "the following arguments are required: --map"),
+            ([], "the following arguments are required: COMMAND"),
+            (["graph", "--flavor", "X", "--from", "x.json", "--to", "x.json"], "argument --flavor"),
+            # no abbreviations: a mistyped --rad is an error, not --radius
+            (["graph", "--flavor", "F", "--from", "x.json", "--to", "x.json", "--rad", "2"],
+             "unrecognized arguments: --rad 2"),
+            (["bbt", "x.json", "-h"], "unrecognized arguments: -h"),
+        ],
+        ids=["missing-file", "directory", "missing-option", "no-command", "bad-choice", "abbreviation",
+             "no-short-help"],
+    )
+    def test_each_usage_error_exits_2(self, tmp_path, monkeypatch, args, message):
+        (tmp_path / "x.json").write_text("{}")
+        monkeypatch.chdir(tmp_path)
+        result = run(*args)
+        assert result.exit_code == 2
+        assert result.output.startswith("usage: oi")
+        TestUserErrors.assert_one_line_error(result, message)
+
+    def test_negative_delta_is_a_value(self):
+        # a token like -1/10 would otherwise be taken for an option
+        result = run("scaling-exp", FIXTURES / "rose2.json", "--samples", "5", "--delta", "-1/10")
+        assert result.exit_code == 1
+        TestUserErrors.assert_one_line_error(result, "delta must be nonnegative")
+
+    def test_help_and_version_exit_0(self):
+        assert run("--version") == (0, "oi, version 0.1.0\n", b"oi, version 0.1.0\n")
+        result = run("iwip", "--help")
+        assert result.exit_code == 0 and result.output.startswith("usage: oi iwip")
+
+    def test_click_style_entry_point(self):
+        # the call the bench's in-process cli run makes: it returns on success
+        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()):
+            assert main.main(args=["bbt", str(FIXTURES / "rose2.json")], prog_name="oi",
+                             standalone_mode=False) is None
+            with pytest.raises(SystemExit) as exc:
+                main.main(args=["bbt", "--no-such-option"], prog_name="oi", standalone_mode=False)
+        assert out.getvalue() == "2\n" and exc.value.code == 2
 
     def test_intersect_route_disagreement_exits_3(self, monkeypatch):
         from outerint import intersection
@@ -705,21 +766,24 @@ def test_every_library_exception_is_an_outerint_error():
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    """``import outerint.cli`` loads no numpy and no library module beyond
-    ``words``; each command loads only the modules it runs, while the
-    option table still shows the constants those modules use."""
+    """``import outerint.cli`` loads no numpy, no click and no library
+    module beyond ``words``; each command loads only the modules it runs,
+    while the help still shows the constants those modules use."""
     import subprocess
     import sys
+
+    from outerint import DEFAULT_WORD_CAP, FLAVORS
 
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     code = (
         "import contextlib, io, json, sys\n"
         "import outerint.cli\n"
         "ours = lambda: sorted(m for m in sys.modules if m.startswith('outerint'))\n"
-        "before = ours()\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    outerint.cli.main.main(sys.argv[1:], standalone_mode=False)\n"
-        "print(json.dumps([before, ours(), 'numpy' in sys.modules]))\n"
+        "foreign = lambda: sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'click'))\n"
+        "before, foreign_before, out = ours(), foreign(), io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = outerint.cli.main(sys.argv[1:])\n"
+        "print(json.dumps([before, ours(), foreign_before + foreign(), code, out.getvalue()]))\n"
     )
 
     def loaded(*args):
@@ -730,26 +794,36 @@ def test_cli_import_leaves_numpy_unloaded():
             text=True,
             check=True,
         )
-        return json.loads(out.stdout)
+        on_import, after, foreign, exit_code, stdout = json.loads(out.stdout)
+        assert foreign == [] and exit_code == 0
+        return on_import, after, stdout
 
-    on_import, _, numpy = loaded("bbt", FIXTURES / "rose2.json")
+    on_import, _, _ = loaded("bbt", FIXTURES / "rose2.json")
     assert on_import == ["outerint", "outerint.cli", "outerint.words"]
-    assert not numpy
     assert set(loaded("translen", FIXTURES / "rose2.json", "ab")[1]) - set(on_import) == {
         "outerint.marked_graph"
     }
-    _, after, numpy = loaded("iwip", "--map", FIXTURES / "fibonacci_map.json", "--seed", "a", "--n", "2")
-    assert "outerint.dynamics" in after and not numpy
+    _, after, _ = loaded("iwip", "--map", FIXTURES / "fibonacci_map.json", "--seed", "a", "--n", "2")
+    assert "outerint.dynamics" in after
     assert {"outerint.intersection", "outerint.splittings"}.isdisjoint(after)
-    _, after, numpy = loaded(
+    _, after, _ = loaded(
         "graph", "--flavor", "I0", "--from", FIXTURES / "splitting_a_rank3.json",
         "--to", FIXTURES / "current_b_rank3.json", "--radius", "2",
     )
-    assert "outerint.splittings" in after and not numpy
+    assert "outerint.splittings" in after
     assert {"outerint.intersection", "outerint.dynamics"}.isdisjoint(after)
 
-    assert "[default: 1000000; x>=1]" in run("iwip", "--help").output
-    assert "--flavor [F|S|Fstar|Z|I0]" in run("graph", "--help").output
+    _, after, stdout = loaded("iwip", "--help")
+    assert after == on_import and f"Letter budget for iterates. (default: {DEFAULT_WORD_CAP})" in stdout
+    _, after, stdout = loaded("graph", "--help")
+    assert after == on_import and f"--flavor {{{','.join(FLAVORS)}}}" in stdout
+
+
+def test_no_runtime_dependency():
+    """``oi`` runs on the standard library alone."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+    assert tomllib.loads(pyproject.read_text())["project"]["dependencies"] == []
 
 
 def test_package_import_loads_no_submodule():

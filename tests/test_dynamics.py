@@ -764,13 +764,28 @@ PIECE_BUGS = pytest.mark.parametrize(
 def plant(monkeypatch, edits):
     """Replace pieces of the source of ``dynamics`` functions, run in one
     copy of the module's namespace: a bug planted in the counts route.
-    ``edits`` are ``(function name, old, new)``, one per function."""
+    ``edits`` are ``(function name, old, new)``; each ``old`` occurs once
+    in the original source of its function, and the edits of a function
+    are compiled together, at its line in ``dynamics.py``."""
     namespace = dict(vars(dynamics))
-    for name, old, new in edits:
-        source = inspect.getsource(getattr(dynamics, name))
-        assert source.count(old) == 1
-        exec(compile(source.replace(old, new), dynamics.__file__, "exec"), namespace)
+    for name in dict.fromkeys(name for name, _, _ in edits):
+        lines, first = inspect.getsourcelines(getattr(dynamics, name))
+        source = original = "".join(lines)
+        for old, new in ((old, new) for n, old, new in edits if n == name):
+            assert original.count(old) == 1
+            source = source.replace(old, new)
+        exec(compile("\n" * (first - 1) + source, dynamics.__file__, "exec"), namespace)
         monkeypatch.setattr(dynamics, name, namespace[name])
+
+
+def test_plant_applies_two_edits_to_one_function(monkeypatch):
+    # a second edit used to look for its text in the first lines of the module
+    line = dynamics._letter_counts.__code__.co_firstlineno
+    plant(monkeypatch, [("_letter_counts", "abs(x) == i", "x == i"),
+                        ("_letter_counts", "range(1, rank + 1)", "range(rank, 0, -1)")])
+    # unplanted [2, 3]; the first edit alone [1, 3], the second alone [3, 2]
+    assert dynamics._letter_counts((1, -1, 2, 2, 2), 2) == [3, 1]
+    assert dynamics._letter_counts.__code__.co_firstlineno == line
 
 
 def iterate_free(monkeypatch, tables) -> list[bool]:

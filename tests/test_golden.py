@@ -15,9 +15,8 @@ import pathlib
 import sys
 
 import pytest
-from click.testing import CliRunner
 
-from outerint.cli import main
+from _cli import run
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -66,7 +65,7 @@ def invoke(args):
     cwd = os.getcwd()
     os.chdir(ROOT)
     try:
-        return CliRunner().invoke(main, args, catch_exceptions=False)
+        return run(*args)
     finally:
         os.chdir(cwd)
 
