@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 
 from . import DEFAULT_WORD_CAP, FLAVORS, __version__
 from .words import (
-    Automorphism, OuterintError, Word, _check_int, conjugacy_class, parse_word, reduce, word_str
+    Automorphism, OuterintError, Word, _check_int, _clip, conjugacy_class, parse_word, reduce, word_str
 )
 
 if TYPE_CHECKING:
@@ -74,7 +74,7 @@ def _parse_word_arg(text: str, rank: int) -> Word:
             return reduce(json.loads(text), rank)
         return parse_word(text, rank)
     except (RecursionError, ValueError) as exc:  # RecursionError: JSON nested too deep
-        raise ValueError(f"bad word {text!r}: {exc}")
+        raise ValueError(f"bad word {_clip(text)}: {exc}")
 
 
 def _config_hash(payload) -> str:

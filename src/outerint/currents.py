@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -55,6 +54,7 @@ from .words import (
     CyclicWord,
     Word,
     _check_int,
+    _frozen,
     conjugacy_class,
     cyclic_reduce,
     flip_normalize,
@@ -89,7 +89,7 @@ def _normalize_terms(
     return tuple(sorted(acc.values(), key=_term_key))
 
 
-@dataclass(frozen=True)
+@_frozen
 class RationalCurrent:
     """Finite sum of weighted counting currents; the empty sum is zero."""
 
@@ -299,7 +299,7 @@ def _path_pairs(graph, k: int) -> tuple[tuple[EdgePath, EdgePath], ...]:
     return tuple((v, inverse_path(v)) for v in enumerate_reduced_paths(graph, k))
 
 
-@dataclass(frozen=True)
+@_frozen
 class FrequencyVector:
     """Normalised cylinder counts over all depth-``k`` paths of a chart.
 

@@ -69,7 +69,7 @@ from .marked_graph import (
     marked_graph_to_json_obj,
     with_lengths,
 )
-from .words import Automorphism, OuterintError, Word, _concat, _cyclic_cut, _letter_table
+from .words import Automorphism, OuterintError, Word, _concat, _cyclic_cut, _frozen, _letter_table
 from .words import compose, cyclic_length
 
 if TYPE_CHECKING:
@@ -98,7 +98,7 @@ class _JunctionCancels(OuterintError):
     its iterates; :func:`iwip_rows` catches it."""
 
 
-@dataclass(frozen=True)
+@_frozen
 class GraphMap:
     """A self-map of a chart inducing a known automorphism.
 
@@ -173,7 +173,7 @@ def compose_graph_maps(f: GraphMap, g: GraphMap) -> GraphMap:
     )
 
 
-@dataclass(frozen=True)
+@_frozen
 class TransitionMatrix:
     """Nonnegative integer matrix of edge-crossing counts: entry (i, j)
     counts how often edge ``i+1`` or its reverse appears in the image of
@@ -217,6 +217,7 @@ def transition_matrix(f: GraphMap) -> TransitionMatrix:
     return TransitionMatrix(tuple(tuple(cols[j][i] for j in range(m)) for i in range(m)))
 
 
+# a dataclass while the bench self-tests ``dataclasses.replace`` it (ROADMAP item 1(a))
 @dataclass(frozen=True)
 class PFResult:
     """Dominant eigenpair of a primitive transition matrix.
@@ -411,7 +412,7 @@ def eigencurrent_approx(
     return _frequencies(M, k, [(period, 1)], Fraction(cyclic_length(image)))
 
 
-@dataclass(frozen=True)
+@_frozen
 class PairingReport:
     """The deflated pairing sequence lam^{-2m} * length of the 2m-th
     iterate, m = 1..n, with its positive window."""
@@ -454,6 +455,7 @@ def pairing_estimate(
     return PairingReport(values, (min(values), max(values)))
 
 
+# a dataclass while the bench self-tests ``dataclasses.replace`` it (ROADMAP item 1(a))
 @dataclass(frozen=True)
 class IwipRow:
     """One diagnostic row; estimates are None when the iterate they need

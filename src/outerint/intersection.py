@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence
 
 from .currents import RationalCurrent
 from .marked_graph import MarkedMetricGraph, translation_length
-from .words import Automorphism, OuterintError, Word, cyclic_length
+from .words import Automorphism, OuterintError, Word, _frozen, cyclic_length
 from . import currents as _currents
 from . import marked_graph as _marked_graph
 
@@ -40,6 +40,7 @@ class RouteDisagreement(OuterintError):
     exit_code = 3
 
 
+# a dataclass while the bench self-tests ``dataclasses.replace`` it (ROADMAP item 1(a))
 @dataclass(frozen=True)
 class IntersectionReport:
     value: Fraction
@@ -87,7 +88,7 @@ def intersect(M: MarkedMetricGraph, mu: RationalCurrent) -> Fraction:
     return intersect_report(M, mu).value
 
 
-@dataclass(frozen=True)
+@_frozen
 class LengthFunctionOracle:
     """A translation length function given only as an evaluator.
 
@@ -138,7 +139,7 @@ def intersect_oracle(oracle: LengthFunctionOracle, mu: RationalCurrent):
     return sum((weight * oracle.evaluate(cw.as_word()) for cw, weight in mu.terms), Fraction(0))
 
 
-@dataclass(frozen=True)
+@_frozen
 class EquivarianceReport:
     moved: Fraction
     original: Fraction
@@ -159,7 +160,7 @@ def equivariance_check(
     return EquivarianceReport(moved, original)
 
 
-@dataclass(frozen=True)
+@_frozen
 class ScalingReport:
     delta: Fraction
     empirical_modulus: Fraction

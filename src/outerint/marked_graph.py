@@ -29,13 +29,12 @@ All values are immutable, all operations pure.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Mapping, Sequence
 
 from .words import Automorphism, CyclicWord, Word, _concat, _cyclic_cut, _free_reduce
-from .words import _inverse, _letter_table, reduce
+from .words import _frozen, _inverse, _letter_table, reduce
 
 EdgePath = tuple[int, ...]
 
@@ -46,7 +45,7 @@ def _check_fraction(x) -> Fraction:
     raise ValueError(f"expected exact rational, got {x!r}")
 
 
-@dataclass(frozen=True)
+@_frozen
 class SerreGraph:
     """Finite connected graph with oriented edges and no valence-one vertex."""
 
@@ -156,7 +155,7 @@ def is_reduced_path(graph: SerreGraph, path: Sequence[int]) -> bool:
     return all(f != -e for e, f in zip(path, path[1:]))
 
 
-@dataclass(frozen=True)
+@_frozen
 class Marking:
     """Two-sided dictionary between the abstract free group and the graph.
 
@@ -177,7 +176,7 @@ class Marking:
         return len(self.generator_loops)
 
 
-@dataclass(frozen=True)
+@_frozen
 class MarkedMetricGraph:
     """A point of unprojectivized Outer space: chart plus exact lengths."""
 
@@ -461,7 +460,7 @@ def subdivide_edge(M: MarkedMetricGraph, e: int, ratio=Fraction(1, 2)) -> Marked
 # -- back-tracking inequality checks ----------------------------------------
 
 
-@dataclass(frozen=True)
+@_frozen
 class BacktrackCheck:
     name: str
     deviation: Fraction
@@ -476,7 +475,7 @@ class BacktrackCheck:
         return self.slack >= 0
 
 
-@dataclass(frozen=True)
+@_frozen
 class BacktrackReport:
     constant: Fraction
     pieces: int

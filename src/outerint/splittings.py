@@ -52,7 +52,6 @@ adjacency through :func:`splitting_length`.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, compress, repeat
 from operator import and_, ne
@@ -72,6 +71,7 @@ from .words import (
     _concat,
     _cyclic_cut,
     _free_reduce,
+    _frozen,
     _inverse,
     compose,
     cyclic_reduce,
@@ -95,7 +95,7 @@ class KeyCollisionError(OuterintError):
     key depth is too coarse for this instance."""
 
 
-@dataclass(frozen=True)
+@_frozen
 class FreeSplitting:
     """A one-edge trivial-edge-group splitting, possibly twisted.
 
@@ -112,6 +112,15 @@ class FreeSplitting:
     subset: Optional[frozenset[int]]
     stable: Optional[int]
     twist: Automorphism
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.subset == other.subset and self.stable == other.stable and self.kind == other.kind
+                and self.rank == other.rank and self.twist == other.twist)
+
+    def __hash__(self):
+        return hash((self.rank, self.kind, self.subset, self.stable, self.twist))
 
     def __post_init__(self) -> None:
         if self.rank < 2:
@@ -203,7 +212,7 @@ def _core_length(s: FreeSplitting, core: Sequence[int]) -> int:
     return sum(map(ne, inside, inside[1:] + inside[:1]))
 
 
-@dataclass(frozen=True)
+@_frozen
 class GraphVertexKey:
     """Length-function fingerprint on the deterministic test set of all
     cyclic words up to the given depth (inverse pairs listed once)."""

@@ -27,9 +27,8 @@ values can be shared freely between threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
+from operator import add, attrgetter
 from typing import Iterable, Sequence
 
 
@@ -56,20 +55,69 @@ def _check_int(x, what: str) -> int:
     return x
 
 
+def _clip(x) -> str:
+    """``repr(x)`` for an error message, cut after 40 characters."""
+    text = repr(x)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
+
 def _check_letters(letters: Sequence[int], rank: int) -> None:
     if rank < 2:
         raise ValueError(f"rank must be >= 2, got {rank}")
     for l in letters:
         if type(l) is not int or l == 0 or abs(l) > rank:
-            raise ValueError(f"invalid letter {l!r} for rank {rank}")
+            raise ValueError(f"invalid letter {_clip(l)} for rank {rank}")
 
 
-@dataclass(frozen=True)
+def _frozen(cls):
+    """``@dataclass(frozen=True)`` over the annotated fields of ``cls``, from
+    closures, not generated code; ``__post_init__`` is read off the instance.
+    A class's own ``__eq__`` and ``__hash__``, as the hot classes write, stay."""
+    names = tuple(cls.__dict__["__annotations__"])
+    defaults = {k: cls.__dict__[k] for k in names if k in cls.__dict__}
+    post, set_field = hasattr(cls, "__post_init__"), object.__setattr__
+    key = attrgetter(*names) if len(names) > 1 else lambda self: (getattr(self, names[0]),)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            given = {**defaults, **dict(zip(names, args)), **kwargs}
+            if len(args) > len(names) or given.keys() != set(names) or kwargs.keys() & set(names[: len(args)]):
+                raise TypeError(f"{cls.__name__}() takes {names}, got {len(args)} and {sorted(kwargs)}")
+            args = [given[k] for k in names]
+        for k, value in zip(names, args):
+            set_field(self, k, value)
+        if post:
+            self.__post_init__()
+
+    def __eq__(self, other):
+        return key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}({', '.join(f'{k}={getattr(self, k)!r}' for k in names)})"
+
+    def __setattr__(self, name, value=None):  # and __delattr__
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    cls.__init__, cls.__repr__, cls.__setattr__, cls.__delattr__ = __init__, __repr__, __setattr__, __setattr__
+    if "__eq__" not in cls.__dict__:
+        cls.__eq__, cls.__hash__ = __eq__, lambda self: hash(key(self))
+    return cls
+
+
+@_frozen
 class Word:
     """A freely reduced word.  The empty word is the identity."""
 
     rank: int
     letters: tuple[int, ...] = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.letters == other.letters and self.rank == other.rank
+
+    def __hash__(self):
+        return hash((self.rank, self.letters))
 
     def __post_init__(self) -> None:
         _check_letters(self.letters, self.rank)
@@ -198,7 +246,7 @@ def _canonical_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
     return letters[start:] + letters[:start]
 
 
-@dataclass(frozen=True)
+@_frozen
 class CyclicWord:
     """A nonempty cyclically reduced word, stored in canonical rotation.
 
@@ -209,6 +257,8 @@ class CyclicWord:
 
     rank: int
     letters: tuple[int, ...]
+
+    __eq__, __hash__ = Word.__eq__, Word.__hash__
 
     def __post_init__(self) -> None:
         _check_letters(self.letters, self.rank)
@@ -317,7 +367,7 @@ def _letter_table(pieces: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], .
     return ((), *pieces, *map(_inverse, reversed(pieces)))
 
 
-@dataclass(frozen=True)
+@_frozen
 class Automorphism:
     """A free-group automorphism given by generator images and a verified
     two-sided inverse.
@@ -330,6 +380,15 @@ class Automorphism:
     rank: int
     images: tuple[Word, ...]
     inverse_images: tuple[Word, ...]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.images == other.images and self.inverse_images == other.inverse_images
+                and self.rank == other.rank)
+
+    def __hash__(self):
+        return hash((self.rank, self.images, self.inverse_images))
 
     def __post_init__(self) -> None:
         if self.rank < 2:
