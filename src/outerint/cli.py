@@ -100,8 +100,6 @@ def _render(name: str, params: dict, out) -> str:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, Fraction):
-        return str(x)
     if isinstance(x, float):
         return f"{x:.12g}"
     return str(x)

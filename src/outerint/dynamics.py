@@ -208,13 +208,7 @@ class TransitionMatrix:
 
 def transition_matrix(f: GraphMap) -> TransitionMatrix:
     m = f.chart.graph.num_edges
-    cols = []
-    for k in range(1, m + 1):
-        col = [0] * m
-        for e in f.edge_images[k - 1]:
-            col[abs(e) - 1] += 1
-        cols.append(col)
-    return TransitionMatrix(tuple(tuple(cols[j][i] for j in range(m)) for i in range(m)))
+    return TransitionMatrix(tuple(zip(*(_letter_counts(image, m) for image in f.edge_images))))
 
 
 # a dataclass while the bench self-tests ``dataclasses.replace`` it (ROADMAP item 1(a))

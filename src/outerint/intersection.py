@@ -102,9 +102,6 @@ class LengthFunctionOracle:
     exact: bool
     error_bound: Optional[Callable[[Word], float]] = None
 
-    def __call__(self, w: Word) -> Fraction | float:
-        return self.evaluate(w)
-
     @classmethod
     def from_marked_graph(cls, M: MarkedMetricGraph) -> "LengthFunctionOracle":
         return cls(evaluate=lambda w: translation_length(M, w), exact=True)

@@ -34,7 +34,7 @@ from math import lcm
 from typing import Mapping, Sequence
 
 from .words import Automorphism, CyclicWord, Word, _concat, _cyclic_cut, _free_reduce
-from .words import _frozen, _inverse, _letter_table, reduce
+from .words import _clip, _frozen, _inverse, _letter_table, reduce
 
 EdgePath = tuple[int, ...]
 
@@ -42,7 +42,7 @@ EdgePath = tuple[int, ...]
 def _check_fraction(x) -> Fraction:
     if isinstance(x, (Fraction, int, str)) and not isinstance(x, bool):
         return Fraction(x)
-    raise ValueError(f"expected exact rational, got {x!r}")
+    raise ValueError(f"expected exact rational, got {_clip(x)}")
 
 
 @_frozen
@@ -369,7 +369,7 @@ def rose(rank: int, lengths: Sequence) -> MarkedMetricGraph:
         edge_words=tuple(Word(rank, (i,)) for i in range(1, rank + 1)),
         spanning_tree=frozenset(),
     )
-    return MarkedMetricGraph(graph, marking, tuple(_check_fraction(x) for x in lengths))
+    return MarkedMetricGraph(graph, marking, tuple(lengths))
 
 
 def _default_edge_name(i: int) -> str:
@@ -380,11 +380,11 @@ def scale_lengths(M: MarkedMetricGraph, c) -> MarkedMetricGraph:
     c = _check_fraction(c)
     if c <= 0:
         raise ValueError("scale factor must be positive")
-    return MarkedMetricGraph(M.graph, M.marking, tuple(c * x for x in M.lengths))
+    return with_lengths(M, [c * x for x in M.lengths])
 
 
 def with_lengths(M: MarkedMetricGraph, lengths: Sequence) -> MarkedMetricGraph:
-    return MarkedMetricGraph(M.graph, M.marking, tuple(_check_fraction(x) for x in lengths))
+    return MarkedMetricGraph(M.graph, M.marking, tuple(lengths))
 
 
 def act(phi: Automorphism, M: MarkedMetricGraph) -> MarkedMetricGraph:

@@ -15,7 +15,7 @@ only ever touched through the integer translation length function:
 * twisted: the same after applying the inverse twist.
 
 Vertices of the splitting graphs are identified by their length
-functions sampled on a fixed finite test set (:class:`GraphVertexKey`).
+functions sampled on a fixed finite test set (:func:`vertex_key`).
 Keys are memoised per (splitting, depth) in a bounded process-wide
 cache.  They, the elliptic classes and the common-elliptic search read
 one table per (twist, length), also bounded and process-wide: the cyclic
@@ -212,16 +212,6 @@ def _core_length(s: FreeSplitting, core: Sequence[int]) -> int:
     return sum(map(ne, inside, inside[1:] + inside[:1]))
 
 
-@_frozen
-class GraphVertexKey:
-    """Length-function fingerprint on the deterministic test set of all
-    cyclic words up to the given depth (inverse pairs listed once)."""
-
-    rank: int
-    depth: int
-    lengths: tuple[int, ...]
-
-
 # vertex keys are memoised per (splitting, depth) in one bounded
 # process-wide cache; equal splittings compare equal and share an entry
 _KEY_CACHE_SIZE = 4096
@@ -278,7 +268,9 @@ def _elliptic_classes(s: FreeSplitting, search_length: int) -> list[CyclicWord]:
     return list(compress(test_set, _elliptic_flags(s, search_length)))
 
 
-def vertex_key(s: FreeSplitting, depth: int = 4) -> GraphVertexKey:
+def vertex_key(s: FreeSplitting, depth: int = 4) -> tuple[int, ...]:
+    """The lengths of ``s`` on the test set of all cyclic words up to
+    ``depth`` (inverse pairs listed once), in test-set order."""
     if depth < 1:
         raise ValueError("key depth must be >= 1")
     # one positional call, so that every way of passing depth hits one entry
@@ -286,9 +278,8 @@ def vertex_key(s: FreeSplitting, depth: int = 4) -> GraphVertexKey:
 
 
 @lru_cache(maxsize=_KEY_CACHE_SIZE)
-def _vertex_key(s: FreeSplitting, depth: int) -> GraphVertexKey:
-    cores = _key_cores(s.twist, depth)
-    return GraphVertexKey(s.rank, depth, tuple(map(_core_length, repeat(s), cores)))
+def _vertex_key(s: FreeSplitting, depth: int) -> tuple[int, ...]:
+    return tuple(map(_core_length, repeat(s), _key_cores(s.twist, depth)))
 
 
 def fstar_adjacent(
@@ -331,12 +322,6 @@ def _first_common(s1: FreeSplitting, s2: FreeSplitting, search_length: int) -> O
     return next((cw for cw, core in zip(classes, cores) if _core_length(s2, core) == 0), None)
 
 
-def _shares_elliptic(views: Sequence[FreeSplitting], search_length: int) -> Callable[[FreeSplitting], bool]:
-    """The Fstar test of a candidate, as in :func:`fstar_adjacent` against
-    the first presentation."""
-    return lambda u: _first_common(views[0], u, search_length) is not None
-
-
 def refinement_adjacent(s1: FreeSplitting, s2: FreeSplitting) -> str:
     """Decidable refinement adjacency for coordinate-compatible pairs.
 
@@ -360,9 +345,9 @@ def refinement_adjacent(s1: FreeSplitting, s2: FreeSplitting) -> str:
     return "yes"  # under one twist, distinct loops differ in their stable letter
 
 
-def _refines(views: Sequence[FreeSplitting], search_length: int) -> Callable[[FreeSplitting], bool]:
+def _refines(views: Sequence[FreeSplitting], u: FreeSplitting, search_length: int) -> bool:
     """The F and S test of a candidate: it refines some presentation."""
-    return lambda u: any(refinement_adjacent(p, u) == "yes" for p in views)
+    return any(refinement_adjacent(p, u) == "yes" for p in views)
 
 
 TreeVertex = Union[FreeSplitting, MarkedMetricGraph]
@@ -401,7 +386,7 @@ def _current_key(mu: RationalCurrent, depth: int) -> tuple:
 # vertex kind -> (key at a key depth, image under an automorphism); keys
 # are tagged by kind, so equal keys always belong to one kind
 _VERTEX_KINDS = {
-    FreeSplitting: (lambda s, depth: ("tree", vertex_key(s, depth).lengths), act),
+    FreeSplitting: (lambda s, depth: ("tree", vertex_key(s, depth)), act),
     MarkedMetricGraph: (_chart_key, act_on_chart),
     RationalCurrent: (_current_key, act_on_current),
     CyclicWord: (  # stored flip-normalised, so a class is its letters
@@ -523,12 +508,11 @@ NeighbourRule = Callable[[_Universe, tuple, int, int, tuple], list]
 def _coordinate_rule(include_loops: bool, adjacent) -> NeighbourRule:
     """F, S and Fstar: the candidates are the coordinate families of the
     vertex's presentations and every stored splitting; ``adjacent(views,
-    search_length)`` is the test of a candidate against the vertex's
+    u, search_length)`` tests a candidate ``u`` against the vertex's
     presentations."""
 
     def neighbours(universe: _Universe, key: tuple, search_length: int, *_) -> list[tuple]:
         views = list(universe.vertices[key])
-        is_adjacent = adjacent(views, search_length)
         candidates = [u for p in views for u in _family(p, include_loops)]
         found: set[tuple] = set()
         for uk, u in [(universe.key(u), u) for u in candidates] + universe.each(FreeSplitting):
@@ -537,7 +521,7 @@ def _coordinate_rule(include_loops: bool, adjacent) -> NeighbourRule:
                 # neighbour; storing it re-checks a key collision
                 universe.add(u)
                 continue
-            if is_adjacent(u):
+            if adjacent(views, u, search_length):
                 universe.add(u)
                 found.add(uk)
         return sorted(found)
@@ -593,7 +577,7 @@ _FLAVORS: dict[Flavor, _Flavor] = dict(zip(FLAVORS, (
     _Flavor((FreeSplitting,), "separating splittings", True, _coordinate_rule(False, _refines)),  # F
     _Flavor((FreeSplitting,), "splittings", False, _coordinate_rule(True, _refines)),  # S
     _Flavor((FreeSplitting,), "separating splittings", True, _coordinate_rule(  # Fstar
-        False, _shares_elliptic
+        False, lambda views, u, search_length: _first_common(views[0], u, search_length) is not None
     )),
     _Flavor((FreeSplitting, CyclicWord), "splittings or conjugacy classes", False,  # Z
             _bipartite_rule(CyclicWord, lambda cw: cw,

@@ -51,7 +51,7 @@ def _check_int(x, what: str) -> int:
     """``x``, which must be an integer and not a bool: a JSON number is
     never truncated into one."""
     if type(x) is not int:
-        raise ValueError(f"{what} must be an integer, got {x!r}")
+        raise ValueError(f"{what} must be an integer, got {_clip(x)}")
     return x
 
 
@@ -454,9 +454,6 @@ class Automorphism:
 
     def apply_inverse(self, w: Word) -> Word:
         return self._substitute(self._inverses, w)
-
-    def __call__(self, w: Word) -> Word:
-        return self.apply(w)
 
     def inverse(self) -> "Automorphism":
         return Automorphism._make(self.rank, self.inverse_images, self.images)

@@ -559,6 +559,12 @@ class TestUserErrors:
         (directory / "rank.json").write_text('{"rank": 1e400, "terms": []}')
         (directory / "deep.json").write_text("[" * 3000 + "]" * 3000)
         (directory / "deep_terms.json").write_text('{"rank": 2, "terms": ' + "[" * 3000 + "]" * 3000 + "}")
+        # deep enough to print a long value, shallow enough to parse
+        nested = "[" * 900 + "]" * 900
+        (directory / "deep_rank.json").write_text('{"kind": "sep", "rank": ' + nested + ', "subset": [1]}')
+        deep_length = json.loads((FIXTURES / "rose2.json").read_text())
+        deep_length["edges"][0]["length"] = "deep"
+        (directory / "deep_length.json").write_text(json.dumps(deep_length).replace('"deep"', nested))
 
     @pytest.mark.parametrize(
         "args, message",
@@ -610,6 +616,10 @@ class TestUserErrors:
             (["graph", "--from", "deep.json"], "cannot read JSON from deep.json: maximum recursion depth"),
             (["intersect", FIXTURES / "rose2.json", "deep_terms.json"],
              "cannot read JSON from deep_terms.json: maximum recursion depth"),
+            (["graph", "--from", "deep_rank.json"],
+             "bad vertex file deep_rank.json: rank must be an integer, got [[[["),
+            (["translen", "deep_length.json", "a"],
+             "bad graph file deep_length.json: expected exact rational, got [[[["),
         ],
         ids=[
             "translen-list", "pf-list", "intersect-list", "graph-number-vertex", "graph-list-vertex",
@@ -618,7 +628,7 @@ class TestUserErrors:
             "map-rank-2.7", "map-edge-zz", "map-contradiction", "class-true", "twist-rank-5",
             "twist-rank-5.0", "map-image-zz", "loop-zz", "tree-zz", "edge-words-zz", "kind-bogus",
             "loop-without-stable", "sep-without-subset", "twist-without-inverse-images",
-            "translen-nested", "graph-nested", "intersect-nested-terms",
+            "translen-nested", "graph-nested", "intersect-nested-terms", "rank-900-deep", "length-900-deep",
         ],
     )
     def test_malformed_input(self, tmp_path, monkeypatch, args, message):
@@ -636,6 +646,8 @@ class TestUserErrors:
         result = run(*args)
         assert result.exit_code == 1
         self.assert_one_line_error(result, message)
+        # the offending value is echoed clipped, however deep it nests
+        assert len(result.output.splitlines()[-1]) <= 200
 
 
 class TestExitCodes:

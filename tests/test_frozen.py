@@ -48,7 +48,6 @@ def samples() -> dict:
         "RationalCurrent": (mu2, mu3),
         "FrequencyVector": (currents.frequency_vector(mu2, r2, 1), currents.frequency_vector(mu3, r3, 2)),
         "FreeSplitting": (sep, loop),
-        "GraphVertexKey": (splittings.vertex_key(sep, 2), splittings.vertex_key(loop, 3)),
         "GraphMap": maps,
         "TransitionMatrix": tuple(map(dynamics.transition_matrix, maps)),
         "PairingReport": (dynamics.pairing_estimate(fib, r2, GOLDEN, a, 3),
@@ -124,7 +123,7 @@ def assert_like_dataclass(cls, s, t) -> None:
 
 
 def test_every_value_class_but_the_pinned_reports_is_frozen_by_closures():
-    assert set(NAMES) == set(samples()) and len(NAMES) == 18
+    assert set(NAMES) == set(samples()) and len(NAMES) == 17
     pinned = (intersection.IntersectionReport, dynamics.PFResult, dynamics.IwipRow)
     assert all(map(dataclasses.is_dataclass, pinned))
     assert not any(map(dataclasses.is_dataclass, frozen_classes().values()))

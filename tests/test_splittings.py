@@ -27,9 +27,9 @@ from outerint.splittings import (
     _class_masks,
     _elliptic_classes,
     _family,
+    _first_common,
     _key_cores,
     _same_tree,
-    _shares_elliptic,
     _vertex_key,
 )
 from outerint.words import (
@@ -167,7 +167,7 @@ class TestVertexKey:
 
     def test_distinct_splittings_distinct_keys(self):
         keys = {
-            vertex_key(separating_splitting(3, [i])).lengths for i in (1, 2, 3)
+            vertex_key(separating_splitting(3, [i])) for i in (1, 2, 3)
         }
         assert len(keys) == 3
 
@@ -189,11 +189,11 @@ class TestVertexKey:
             s = loop_splitting(rank, rng.randint(1, rank), twist)
         words = [cw.as_word() for cw in enumerate_cyclic_words(rank, depth, True)]
         want = tuple(splitting_length(s, w) for w in words)
-        assert vertex_key(s, depth).lengths == want
-        assert vertex_key(s, depth).lengths == want  # served from the cache
+        assert vertex_key(s, depth) == want
+        assert vertex_key(s, depth) == want  # served from the cache
         phi = nontrivial_automorphism(rng, rank)
         t = act(phi, s)
-        moved = vertex_key(t, depth).lengths
+        moved = vertex_key(t, depth)
         assert moved == tuple(splitting_length(t, w) for w in words)
         assert moved == tuple(splitting_length(s, phi.apply_inverse(w)) for w in words)
 
@@ -213,7 +213,7 @@ class TestVertexKey:
         for depth in (1, 3):
             vertex_key(s1, depth), vertex_key(s2, depth)
         assert vertex_key(s1, 1) == vertex_key(s2, 1)
-        assert vertex_key(s1, 1).lengths == (0, 0, 0)
+        assert vertex_key(s1, 1) == (0, 0, 0)
         assert vertex_key(s1, 3) != vertex_key(s2, 3)
         universe = _Universe(1, 100)
         universe.add(s1)
@@ -274,7 +274,7 @@ class TestFstarAdjacency:
         first = [next((i for i, cw in enumerate(classes) if splitting_length(u, cw.as_word()) == 0), None)
                  for u in candidates]
         assert None in first and max(i for i in first if i is not None) > len(classes) // 2
-        shares = _shares_elliptic([s], 4)
+        shares = lambda u: _first_common(s, u, 4) is not None
         for i in [*reversed(range(len(candidates))), *range(len(candidates))]:
             assert shares(candidates[i]) == (first[i] is not None)
 
@@ -306,11 +306,11 @@ def table_disagreements(rank, twisted, depth, search_length, seed):
     words = [cw.as_word() for cw in enumerate_cyclic_words(rank, depth, up_to_inversion=True)]
     out = []
     for s in family:
-        if vertex_key(s, depth).lengths != tuple(splitting_length(s, w) for w in words):
+        if vertex_key(s, depth) != tuple(splitting_length(s, w) for w in words):
             out.append(("key", s))
         if _elliptic_classes(s, search_length) != elliptic[s]:
             out.append(("classes", s))
-        shares = _shares_elliptic([s], search_length)
+        shares = lambda u: _first_common(s, u, search_length) is not None
         for u in candidates:
             if vertex_key(u) == vertex_key(s):
                 continue
