@@ -32,9 +32,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import DEFAULT_WORD_CAP, FLAVORS, __version__
-from .words import (
-    Automorphism, OuterintError, Word, _check_int, _clip, conjugacy_class, parse_word, reduce, word_str
-)
+from .words import Automorphism, OuterintError, Word, _clip, parse_word, reduce, word_str
 
 if TYPE_CHECKING:
     from .currents import RationalCurrent
@@ -247,7 +245,7 @@ def intersect(graph: str, current: str) -> dict:
     from .intersection import intersect_report
 
     report = intersect_report(*_load_chart_and_current(graph, current))
-    return {"value": _fmt(report.value), "route_a": _fmt(report.via_lengths),
+    return {"value": _fmt(report.via_lengths), "route_a": _fmt(report.via_lengths),
             "route_b": _fmt(report.via_crossings)}
 
 
@@ -340,25 +338,6 @@ def iwip(map_path: str, seed: str, n_max: int, depth: int, tol: float, cap: int,
     return ["n", "length_estimate", "pairing_estimate", "freq_delta"], rows, [header]
 
 
-def _vertex(obj):
-    from .currents import RationalCurrent
-    from .marked_graph import marked_graph_from_json_obj
-    from .splittings import FreeSplitting
-
-    if "kind" in obj:
-        return FreeSplitting.from_json_obj(obj)
-    if "terms" in obj:
-        return RationalCurrent.from_json_obj(obj)
-    if "class" in obj:
-        cw = conjugacy_class(obj["class"], _check_int(obj["rank"], "rank"))
-        if cw is None:
-            raise ValueError("cyclic word must be nonempty (identity has no cyclic word)")
-        return cw
-    if "edges" in obj:
-        return marked_graph_from_json_obj(obj)
-    raise ValueError("cannot tell its kind: no 'kind', 'terms', 'class' or 'edges' key")
-
-
 @_command("graph", _arg("--flavor", required=True, choices=FLAVORS),
           _arg("--from", dest="from_path", required=True, type=_file),
           _arg("--to", dest="to_path", required=True, type=_file),
@@ -369,9 +348,9 @@ def _vertex(obj):
 def graph_cmd(flavor: str, from_path: str, to_path: str, radius: int, moves_path: str | None,
               search_length: int, key_depth: int, state_cap: int) -> dict:
     """Bounded-radius distance between two vertices of a splitting graph."""
-    from .splittings import bfs_distance
+    from .splittings import bfs_distance, vertex_from_json_obj
 
-    v1, v2 = _load(from_path, _vertex, "vertex"), _load(to_path, _vertex, "vertex")
+    v1, v2 = _load(from_path, vertex_from_json_obj, "vertex"), _load(to_path, vertex_from_json_obj, "vertex")
     moves = []
     if moves_path:
         moves = _load(moves_path, lambda objs: list(map(Automorphism.from_json_obj, objs)), "moves")

@@ -40,7 +40,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .marked_graph import (
     EdgePath,
@@ -50,11 +50,13 @@ from .marked_graph import (
     is_reduced_path,
 )
 from .words import (
+    MAX_LISTED,
     Automorphism,
     CyclicWord,
     Word,
     _check_int,
     _frozen,
+    act_on_class,
     conjugacy_class,
     cyclic_reduce,
     flip_normalize,
@@ -187,8 +189,7 @@ def act(phi: Automorphism, mu: RationalCurrent) -> RationalCurrent:
         raise ValueError("rank mismatch")
     # an automorphism sends distinct primitive classes, up to inversion, to
     # distinct primitive classes: each image is only flip-normalised
-    terms = [(flip_normalize(cyclic_reduce(phi.apply(cw.as_word()))[0]), weight)
-             for cw, weight in mu.terms]
+    terms = [(act_on_class(phi, cw), weight) for cw, weight in mu.terms]
     return RationalCurrent._make(mu.rank, tuple(sorted(terms, key=_term_key)))
 
 
@@ -201,23 +202,23 @@ def occurrences_in_cycle(period: Sequence[int], pattern: Sequence[int]) -> int:
     """
     if not period or not pattern:
         raise ValueError("period and pattern must be nonempty")
-    return _windows(tuple(period), len(pattern))[tuple(pattern)]
+    return _cyclic_tally(tuple(period), len(pattern))[tuple(pattern)]
 
 
-_last_windows: tuple = (None, 0, None)  # (period, k, tally) of the last lookup
+_last_tally: tuple = (None, 0, None)  # (period, k, tally) of the last lookup
 
 
-def _windows(period: tuple[int, ...], k: int) -> Counter:
+def _cyclic_tally(period: tuple[int, ...], k: int) -> Counter:
     """:func:`_cyclic_windows` of ``period``.  Read it only through ``[]``:
     a missing window counts 0 and is not inserted.  The last tally is
     kept, keyed on the identity of its period, which it holds so that the
     identity is not reused: a lookup hashes no long period (a list comes
     copied, so it never hits)."""
-    global _last_windows
-    last, last_k, tally = _last_windows
+    global _last_tally
+    last, last_k, tally = _last_tally
     if period is not last or k != last_k:
         tally = _cyclic_windows(period, k)
-        _last_windows = (period, k, tally)
+        _last_tally = (period, k, tally)
     return tally
 
 
@@ -225,8 +226,12 @@ def _cyclic_windows(period: tuple[int, ...], k: int) -> Counter:
     """Every length-``k`` window starting in ``period``, wrap-around
     included (repeatedly when the period is shorter), counted in one pass."""
     p = len(period)
-    ext = period * (1 + (k + p - 2) // p)
-    return Counter(zip(*(ext[i : i + p] for i in range(k))))
+    return Counter(_linear_windows(period * (1 + (k - 1) // p) + period[: (k - 1) % p], k))  # p + k - 1 letters
+
+
+def _linear_windows(letters: Sequence[int], k: int) -> Iterator[tuple[int, ...]]:
+    """The length-``k`` windows of a linear word, one by one."""
+    return zip(*(letters[i:] for i in range(k)))
 
 
 def cylinder_count(mu: RationalCurrent, M: MarkedMetricGraph, v: EdgePath) -> Fraction:
@@ -247,14 +252,14 @@ def _window_counts(periods: Iterable[tuple[EdgePath, int]], pairs: Sequence[tupl
     """Cylinder count of each path of the (path, inverse) ``pairs``
     against (axis period, integer weight) pairs.  Periods are outer, so
     the one-entry window memo walks each period once."""
-    global _last_windows
+    global _last_tally
     counts = [0] * len(pairs)
     for period, w in periods:
         counts = [
             c + w * (occurrences_in_cycle(period, v) + occurrences_in_cycle(period, v_inv))
             for c, (v, v_inv) in zip(counts, pairs)
         ]
-    _last_windows = (None, 0, None)  # no later period is looked up: release the last one
+    _last_tally = (None, 0, None)  # no later period is looked up: release the last one
     return counts
 
 
@@ -269,10 +274,16 @@ def enumerate_reduced_paths(
     """All reduced edge paths of length ``k``, deterministically ordered.
 
     Since cylinder counts are inversion-invariant, each {path, inverse}
-    pair is listed once by default.
+    pair is listed once by default.  A depth with more than
+    ``MAX_LISTED`` paths is refused before any is listed.
     """
     if k < 1:
         raise ValueError("path length must be >= 1")
+    ends = dict.fromkeys(graph.oriented_edges(), 1)  # the paths of each length by their last edge
+    for _ in range(k - 1):
+        ends = {f: sum(n for e, n in ends.items() if e != -f and graph.terminal(e) == graph.initial(f)) for f in ends}
+        if sum(ends.values()) > MAX_LISTED:  # no valence-one vertex: the count never falls
+            raise ValueError(f"depth {k} has more than {MAX_LISTED} reduced paths")
     paths: list[EdgePath] = []
 
     def extend(path: list[int]) -> None:

@@ -37,7 +37,8 @@ off one axis period as it is made, and keeps none
 (:func:`_iterate_readings`); tables on other charts, and seeds that are
 not cyclically reduced, take it too.  Either row is integer counts over
 the integer one-letter mass, compared by ``currents._row_gap``, the sup
-distance of frequency vectors.  The other diagnostics stay on iterates
+distance of frequency vectors.  :func:`pairing_estimate` reads the
+pairing column of such a table.  The other diagnostics stay on iterates
 and keep only those they read (:func:`_orbit`): a vector reads one
 iterate of a few hundred letters, and the benchmark's wrap-around
 self-test plants its bug in ``currents.occurrences_in_cycle``, which the
@@ -57,7 +58,7 @@ from operator import mul
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from . import DEFAULT_WORD_CAP
-from .currents import FrequencyVector, _cyclic_windows, _frequencies, _path_pairs
+from .currents import FrequencyVector, _cyclic_windows, _frequencies, _linear_windows, _path_pairs
 from .currents import _row_gap, _window_counts
 from .marked_graph import (
     EdgePath,
@@ -439,13 +440,12 @@ def pairing_estimate(
     that the pairing does not vanish."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if g.is_identity:
-        raise ValueError("seed must be nontrivial")
-    p, q = lam.as_integer_ratio()
-    values = tuple(
-        _deflated(M._path_length(_axis_period(M, w)), p ** j, q ** j)
-        for j, w in enumerate(_orbit(phi, g, 2 * n, cap)) if j and j % 2 == 0
-    )
+    rows = iwip_rows(phi, M, lam, g, n, 1, cap)
+    values = tuple(row.pairing_estimate for row in rows[1:])
+    if None in values:  # name the first iterate over the cap; past n, only even ones are read
+        j = next((r.n for r in rows if r.length_estimate is None), 2 * values.index(None) + 2)
+        raise WordLengthCapError(f"iterate {f'{j - 1} or {j}' if j > n + 1 else j} has more than {cap} letters; "
+                                 "use a smaller n")
     return PairingReport(values, (min(values), max(values)))
 
 
@@ -613,11 +613,12 @@ def _orbit_counts(images: Sequence[tuple[int, ...]], letters: tuple[int, ...], K
             pieces[-1][3] += s
         else:
             pieces.append([s[:E], s[-E:], _letter_counts(s, rank), ()])
-            c.update(_windows(s, K) if cyclic else ())
+            c.update(_linear_windows(s, K) if cyclic else ())
     while True:
         around = list(zip(pieces, pieces[1:] + pieces[:1]))  # each piece and the next
         if cyclic:
-            yield c, Counter(chain.from_iterable(_windows(p[1][1 - K :] + p[3] + q[0][: K - 1], K) for p, q in around))
+            yield c, Counter(chain.from_iterable(_linear_windows(p[1][1 - K :] + p[3] + q[0][: K - 1], K)
+                                                 for p, q in around))
             c = _block_step(images, c, columns)
         else:
             yield sum(sum(p[2]) + len(p[3]) for p in pieces) - 1
@@ -627,7 +628,7 @@ def _orbit_counts(images: Sequence[tuple[int, ...]], letters: tuple[int, ...], K
                     tuple(chain.from_iterable(map(images.__getitem__, tail))),
                     [sum(map(mul, row, counts)) for row in growth], tuple(_concat(images, joint)))
             if cyclic:  # the windows inside the image of the last K - 1 letters
-                c.update(_windows(p[1][-sum(len(images[x]) for x in tail[1 - K :]) :], K))
+                c.update(_linear_windows(p[1][-sum(len(images[x]) for x in tail[1 - K :]) :], K))
         pieces = [r for p, q in around for r in (p, *_joint_step(p, q, c if cyclic else None, K, E, cuts))]
 
 
@@ -665,10 +666,10 @@ def _joint_step(p: list, q: list, c: Optional[Counter], K: int, E: int, cuts) ->
         for x in given:
             counts[abs(x) - 1] += 1
     if c is not None:
-        c.subtract(_windows(tail[low - K + 1 :], K) if low < len(tail) else ())
-        c.subtract(_windows(head[: m + K - 1], K) if m else ())
-        c.update(_windows(s[a - K + 1 : p0], K))
-        c.update(_windows(s[p1 : b + K - 1], K))
+        c.subtract(_linear_windows(tail[low - K + 1 :], K) if low < len(tail) else ())
+        c.subtract(_linear_windows(head[: m + K - 1], K) if m else ())
+        c.update(_linear_windows(s[a - K + 1 : p0], K))
+        c.update(_linear_windows(s[p1 : b + K - 1], K))
     p[1], q[0], p[3] = tuple(s[:p0][-E:]), tuple(s[p1:][:E]), ()
     new, last = [], p
     for i, j in zip(at, at[1:]):
@@ -679,7 +680,7 @@ def _joint_step(p: list, q: list, c: Optional[Counter], K: int, E: int, cuts) ->
         last = [stretch[:E], stretch[-E:], _letter_counts(stretch, len(p[2])), ()]
         new.append(last)
         if c is not None:
-            c.update(_windows(stretch, K))
+            c.update(_linear_windows(stretch, K))
     if min(sum(p[2]), sum(q[2])) < 2 * E:
         raise _JunctionCancels
     return new
@@ -723,11 +724,6 @@ def _letter_counts(letters: Sequence[int], rank: int) -> list[int]:
     return [sum(abs(x) == i for x in letters) for i in range(1, rank + 1)]
 
 
-def _windows(letters: Sequence[int], K: int) -> Iterator[tuple[int, ...]]:
-    """The ``K``-windows of a linear word, one by one."""
-    return zip(*(letters[i:] for i in range(K)))
-
-
 def _block_column(images: Sequence[tuple[int, ...]], b: tuple[int, ...]) -> Counter:
     """The ``len(b)``-blocks of ``phi(b)``, the images joined, starting
     inside ``phi(b_1)``; raises :class:`_JunctionCancels` when the
@@ -738,7 +734,7 @@ def _block_column(images: Sequence[tuple[int, ...]], b: tuple[int, ...]) -> Coun
     if images[b[0]][-1] == -images[b[1]][0]:
         raise _JunctionCancels
     image = [x for y in b for x in images[y]]
-    return Counter(zip(*(image[i : i + len(images[b[0]])] for i in range(len(b)))))
+    return Counter(_linear_windows(image[: len(images[b[0]]) + len(b) - 1], len(b)))
 
 
 # -- JSON ---------------------------------------------------------------------

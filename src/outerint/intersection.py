@@ -85,7 +85,7 @@ def intersect(M: MarkedMetricGraph, mu: RationalCurrent) -> Fraction:
     linear in the current, and invariant when both sides are moved by the
     same automorphism.
     """
-    return intersect_report(M, mu).value
+    return intersect_report(M, mu).via_lengths
 
 
 @_frozen

@@ -38,10 +38,11 @@ vertex universe, so they are exact within the explored ball and upper
 bounds in general; for Z and I0 they are those of the full ball, but
 these searches store no vertex that cannot reach the target within the
 radius, so the state cap may bind later than on the full ball.  The
-search dispatches on vertex kind from one table (key at a depth, image
-under an automorphism, per vertex type) and on flavor from another
-(admitted vertex kinds and neighbour rule: coordinate families for F, S
-and Fstar, trees against minted witnesses for Z and I0).
+search dispatches on vertex kind from one table (JSON key and reader,
+key at a depth, image under an automorphism, per vertex type) and on
+flavor from another (admitted vertex kinds and neighbour rule:
+coordinate families for F, S and Fstar, trees against minted witnesses
+for Z and I0).
 Class vertices are stored flip-normalised (an endpoint on entry, an image
 under a move), so a class is keyed by its letters.  Z and I0 mint their
 witnesses from the test set, whose classes are flip-normalised already,
@@ -60,7 +61,7 @@ from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Optional, 
 from . import FLAVORS, Flavor
 from .currents import RationalCurrent, _class_current, one_letter_mass
 from .currents import act as act_on_current
-from .marked_graph import MarkedMetricGraph, translation_length
+from .marked_graph import MarkedMetricGraph, marked_graph_from_json_obj, translation_length
 from .marked_graph import act as act_on_chart
 from .words import (
     Automorphism,
@@ -73,8 +74,9 @@ from .words import (
     _free_reduce,
     _frozen,
     _inverse,
+    act_on_class,
     compose,
-    cyclic_reduce,
+    conjugacy_class,
     enumerate_cyclic_words,
     flip_normalize,
 )
@@ -383,17 +385,30 @@ def _current_key(mu: RationalCurrent, depth: int) -> tuple:
     return ("curr", tuple((cw.letters, w / mass) for cw, w in mu.terms))
 
 
-# vertex kind -> (key at a key depth, image under an automorphism); keys
-# are tagged by kind, so equal keys always belong to one kind
+def _class_from_json_obj(obj: dict) -> CyclicWord:
+    cw = conjugacy_class(obj["class"], _check_int(obj["rank"], "rank"))
+    if cw is None:
+        raise ValueError("cyclic word must be nonempty (identity has no cyclic word)")
+    return cw
+
+
+# vertex kind -> (the JSON key that names it, its JSON reader, its key at a
+# key depth, its image under an automorphism); keys are tagged by kind, so
+# equal keys always belong to one kind
 _VERTEX_KINDS = {
-    FreeSplitting: (lambda s, depth: ("tree", vertex_key(s, depth)), act),
-    MarkedMetricGraph: (_chart_key, act_on_chart),
-    RationalCurrent: (_current_key, act_on_current),
-    CyclicWord: (  # stored flip-normalised, so a class is its letters
-        lambda cw, depth: ("class", cw.letters),
-        lambda phi, cw: flip_normalize(cyclic_reduce(phi.apply(cw.as_word()))[0]),
-    ),
+    FreeSplitting: ("kind", FreeSplitting.from_json_obj, lambda s, depth: ("tree", vertex_key(s, depth)), act),
+    RationalCurrent: ("terms", RationalCurrent.from_json_obj, _current_key, act_on_current),
+    CyclicWord: ("class", _class_from_json_obj, lambda cw, depth: ("class", cw.letters), act_on_class),
+    MarkedMetricGraph: ("edges", marked_graph_from_json_obj, _chart_key, act_on_chart),
 }
+
+
+def vertex_from_json_obj(obj: dict) -> GraphVertex:
+    """The graph vertex a JSON object names, read by the first kind whose key it holds."""
+    for name, read, _, _ in _VERTEX_KINDS.values():
+        if name in obj:
+            return read(obj)
+    raise ValueError("cannot tell its kind: no 'kind', 'terms', 'class' or 'edges' key")
 
 
 def _same_tree(s: FreeSplitting, t: FreeSplitting) -> bool:
@@ -441,7 +456,7 @@ class _Universe:
         self._stored: dict[type, list[tuple[tuple, GraphVertex]]] = {kind: [] for kind in _VERTEX_KINDS}
 
     def key(self, v: GraphVertex) -> tuple:
-        return _VERTEX_KINDS[type(v)][0](v, self.depth)
+        return _VERTEX_KINDS[type(v)][2](v, self.depth)
 
     def add(self, v: GraphVertex) -> tuple:
         k = self.key(v)
@@ -480,7 +495,7 @@ def _move_closure(universe: _Universe, seeds: Sequence[GraphVertex],
     for _ in range(depth):
         nxt = []
         for v in frontier:
-            image = _VERTEX_KINDS[type(v)][1]
+            image = _VERTEX_KINDS[type(v)][3]
             for psi in both_ways:
                 u = image(psi, v)
                 known = len(universe.vertices)

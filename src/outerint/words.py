@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
+from math import gcd
 from operator import add, attrgetter
 from typing import Iterable, Sequence
 
@@ -471,6 +472,11 @@ class Automorphism:
         return cls.from_images(rank, obj["images"], obj["inverse_images"])
 
 
+def act_on_class(phi: Automorphism, cw: CyclicWord) -> CyclicWord:
+    """The flip-normalised class of the image of ``cw`` under ``phi``."""
+    return flip_normalize(cyclic_reduce(phi.apply(cw.as_word()))[0])
+
+
 def compose(phi: Automorphism, psi: Automorphism) -> Automorphism:
     """The automorphism ``phi after psi`` (first psi, then phi)."""
     if phi.rank != psi.rank:
@@ -518,6 +524,11 @@ def word_str(w: Word) -> str:
     return "".join(out)
 
 
+#: The most classes or edge paths an enumerator lists: a larger depth is an
+#: error before anything is listed.
+MAX_LISTED = 10 ** 6
+
+
 @lru_cache(maxsize=None)
 def enumerate_cyclic_words(
     rank: int, max_length: int, up_to_inversion: bool = False
@@ -530,11 +541,18 @@ def enumerate_cyclic_words(
     recursive Fredricksen-Kessler-Maiorana generator (Ruskey-Savage-Wang,
     1992) on letter sort keys, where the inverse of key ``k`` is ``k ^ 1``:
     a branch stops where a letter meets its inverse, and the wrap pair is
-    checked on output.
+    checked on output.  A length with more than :data:`MAX_LISTED`
+    classes, counted by Burnside's lemma, is refused before any is built.
 
     >>> [str(cw) for cw in enumerate_cyclic_words(2, 2, up_to_inversion=True)]
     ['a', 'b', 'aa', 'ab', 'aB', 'bb']
     """
+    total = 0
+    for n in range(1, max_length + 1):  # rotation by j fixes the cyclically reduced words of period gcd(j, n)
+        fixed = ((2 * rank - 1) ** d + (rank - 1) * (-1) ** d + rank for d in map(gcd, range(n), [n] * n))
+        total += sum(fixed) // n
+        if total > MAX_LISTED:
+            raise ValueError(f"depth {max_length} has more than {MAX_LISTED} conjugacy classes")
     out: list[CyclicWord] = []
     letter = [l for i in range(1, rank + 1) for l in (i, -i)]  # by sort key
 

@@ -525,7 +525,28 @@ class TestUserErrors:
         unknown_word_key = json.loads((FIXTURES / "rose2.json").read_text())
         unknown_word_key["marking"]["edge_words"]["zz"] = [1]
         identity3 = {"rank": 3, "images": [[1], [2], [3]], "inverse_images": [[1], [2], [3]]}
-        files = {
+
+        def rose2(edit):
+            """rose2.json after ``edit`` changed it in place."""
+            obj = json.loads((FIXTURES / "rose2.json").read_text())
+            edit(obj)
+            return obj
+
+        charts = {  # edges a, A, b, B on the vertex v
+            "duplicate_edge": lambda c: c["edges"].append(c["edges"][0]),
+            "no_inverse_record": lambda c: c["edges"].pop(1),
+            "inconsistent_pair": lambda c: c["edges"][1].update(to="w"),
+            "differing_lengths": lambda c: c["edges"][1].update(length="2"),
+            "contradicting_words": lambda c: c["marking"]["edge_words"].update(A=[1]),
+            "uncovered_edge": lambda c: c["marking"]["edge_words"].pop("b"),
+            "duplicate_vertex": lambda c: c["vertices"].append("v"),
+            "no_edges": lambda c: c.update(edges=[]),
+            "base_outside": lambda c: c["marking"].update(base="w"),
+            "empty_loop": lambda c: c["marking"]["generator_loops"][0].clear(),
+            "zero_length": lambda c: [edge.update(length="0") for edge in c["edges"][:2]],
+        }
+        files = {f"{name}.json": rose2(edit) for name, edit in charts.items()}
+        files |= {
             "list.json": [1, 2],
             "number.json": 5,
             "kind_list.json": ["kind"],
@@ -553,6 +574,7 @@ class TestUserErrors:
             "sep_no_subset.json": {"kind": "sep", "rank": 3},
             "twist_no_inverse.json": {"kind": "sep", "rank": 3, "subset": [1],
                                       "twist": {"rank": 3, "images": [[1], [2], [3]]}},
+            "no_kind.json": {"rank": 3, "subset": [1]},
         }
         for name, obj in files.items():
             (directory / name).write_text(json.dumps(obj))
@@ -620,6 +642,30 @@ class TestUserErrors:
              "bad vertex file deep_rank.json: rank must be an integer, got [[[["),
             (["translen", "deep_length.json", "a"],
              "bad graph file deep_length.json: expected exact rational, got [[[["),
+            (["translen", "duplicate_edge.json", "a"], "duplicate_edge.json: duplicate edge id 'a'"),
+            (["translen", "no_inverse_record.json", "a"], "no_inverse_record.json: edge 'a' has no inverse record"),
+            (["translen", "inconsistent_pair.json", "a"],
+             "inconsistent_pair.json: edges 'a'/'A' are not a consistent pair"),
+            (["translen", "differing_lengths.json", "a"], "differing_lengths.json: lengths of 'a' and 'A' differ"),
+            (["translen", "contradicting_words.json", "a"],
+             "contradicting_words.json: edge_words for 'A' contradict its inverse"),
+            (["translen", "uncovered_edge.json", "a"], "uncovered_edge.json: edge_words must cover every edge pair"),
+            (["translen", "duplicate_vertex.json", "a"], "duplicate_vertex.json: duplicate vertex names"),
+            (["translen", "no_edges.json", "a"], "no_edges.json: graph must have at least one edge"),
+            (["translen", "base_outside.json", "a"], "base_outside.json: base vertex not in graph"),
+            (["translen", "empty_loop.json", "a"], "empty_loop.json: generator loop 0 is empty"),
+            (["translen", "zero_length.json", "a"], "zero_length.json: edge lengths must be positive"),
+            (["graph", "--from", "no_kind.json"],
+             "bad vertex file no_kind.json: cannot tell its kind: no 'kind', 'terms', 'class' or 'edges' key"),
+            # the enumerators refuse before they list anything: these used to exhaust memory
+            (["current-freq", FIXTURES / "current_ab.json", FIXTURES / "rose2.json", "-k", "40"],
+             "depth 40 has more than 1000000 reduced paths"),
+            (["iwip", "--map", FIXTURES / "fibonacci_map.json", "--seed", "a", "--depth", "40"],
+             "depth 40 has more than 1000000 reduced paths"),
+            (["graph", "--key-depth", "40"], "depth 40 has more than 1000000 conjugacy classes"),
+            # S finds these endpoints adjacent without a search; the later --flavor wins
+            (["graph", "--flavor", "Fstar", "--search-length", "40"],
+             "depth 40 has more than 1000000 conjugacy classes"),
         ],
         ids=[
             "translen-list", "pf-list", "intersect-list", "graph-number-vertex", "graph-list-vertex",
@@ -629,10 +675,14 @@ class TestUserErrors:
             "twist-rank-5.0", "map-image-zz", "loop-zz", "tree-zz", "edge-words-zz", "kind-bogus",
             "loop-without-stable", "sep-without-subset", "twist-without-inverse-images",
             "translen-nested", "graph-nested", "intersect-nested-terms", "rank-900-deep", "length-900-deep",
+            "duplicate-edge", "no-inverse-record", "inconsistent-pair", "differing-lengths", "contradicting-words",
+            "uncovered-edge", "duplicate-vertex", "no-edges", "base-outside", "empty-loop", "zero-length",
+            "vertex-without-kind", "current-freq-depth-40", "iwip-depth-40", "graph-key-depth-40",
+            "graph-search-length-40",
         ],
     )
     def test_malformed_input(self, tmp_path, monkeypatch, args, message):
-        # each of these used to end in a traceback: TypeError, AttributeError,
+        # most of these used to end in a traceback: TypeError, AttributeError,
         # ZeroDivisionError, OverflowError or RecursionError
         self.write_malformed(tmp_path)
         monkeypatch.chdir(tmp_path)

@@ -861,6 +861,22 @@ class TestBlockRoute:
         rows = iwip_rows(phi, M, lam, g, n_max, depth, cap)
         assert rows[3].pairing_estimate is not None and rows[4].pairing_estimate is None
 
+    def test_buffer_guard_sends_the_table_to_iterates(self, monkeypatch):
+        # CaBC under a -> abb, b -> b, c -> cb: a cancellation at a joint
+        # reaches past the E letters held at the end of a piece, so the
+        # counts cannot read the orbit; lam 1 leaves the cells undeflated
+        phi = Automorphism.from_images(3, [[1, 2, 2], [2], [3, 2]], [[1, -2, -2], [2], [3, -2]])
+        table = (phi, unit_rose(3), 1.0, parse_word("CaBC", 3), 9, 2, DEFAULT_WORD_CAP)
+        rows = iwip_rows(*table)
+        assert [r.length_estimate for r in rows] == [4, 4, 6, 8, 10, 12, 14, 16, 18, 20]
+        assert [r.pairing_estimate for r in rows] == [4, 6, 10, 14, 18, 22, 26, 30, 34, 38]
+        assert iterate_free(monkeypatch, [table]) == [False]
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "_block_readings", dynamics._iterate_readings)
+            assert iwip_rows(*table) == rows
+        plant(monkeypatch, [("_joint_step", "if min(low, len(head) - m) < E:", "if False:")])
+        assert iwip_rows(*table) != rows
+
     def test_input_errors_kept(self, monkeypatch):
         def unreachable(*args):
             raise AssertionError("took the iterate route")
