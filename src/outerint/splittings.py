@@ -19,15 +19,17 @@ functions sampled on a fixed finite test set (:func:`vertex_key`).
 Keys are memoised per (splitting, depth) in a bounded process-wide
 cache.  They, the elliptic classes and the common-elliptic search read
 one table per (twist, length), also bounded and process-wide: the cyclic
-cores of the twist's preimages of the test words at a key depth, and
-only the set of generators each core uses at a search length.
-:func:`splitting_length` stays the direct per-word route they are
-checked against.  Distinct splittings may in principle share a key at a
-given depth.  A second presentation of a stored key is kept outright
-when the change of twist carries its vertex groups into those of the
-stored one (the trees are then equal); any other is re-checked at a
-deeper depth and raises :class:`KeyCollisionError` on disagreement
-instead of silently merging.
+cores of the twist's preimages of the test words at a key depth, as
+closed-up strings that ``str.count`` reads, and only the set of
+generators each core uses at a search length.  :func:`splitting_length`
+stays the direct per-word route they are checked against.  Composed
+twists are memoised per (move, twist) in one more bounded process-wide
+cache, and a twist computes its hash once, for all these lookups.
+Distinct splittings may in principle share a key at a given depth.  A
+second presentation of a stored key is kept outright when the change of
+twist carries its vertex groups into those of the stored one (the trees
+are then equal); any other is re-checked at a deeper depth and raises
+:class:`KeyCollisionError` on disagreement instead of silently merging.
 
 The adjacency predicates are deliberately partial where no algorithm is
 available: refinement adjacency decides only coordinate-compatible pairs,
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
-from itertools import combinations, compress, repeat
+from itertools import combinations, compress
 from operator import and_, ne
 from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Optional, Sequence, Union
 
@@ -188,7 +190,7 @@ def loop_splitting(rank: int, stable: int, twist: Automorphism | None = None) ->
 def act(phi: Automorphism, s: FreeSplitting) -> FreeSplitting:
     if phi.rank != s.rank:
         raise ValueError("rank mismatch")
-    return FreeSplitting(s.rank, s.kind, s.subset, s.stable, compose(phi, s.twist))
+    return FreeSplitting(s.rank, s.kind, s.subset, s.stable, _compose(phi, s.twist))
 
 
 def splitting_length(s: FreeSplitting, g: Word) -> int:
@@ -221,6 +223,9 @@ _KEY_CACHE_SIZE = 4096
 # process-wide caches: cores at key depths, generator bit sets at search
 # lengths and at the short length the common-elliptic search tries first
 _TABLE_SIZE = 16
+# a move closure composes the same (move, twist) pairs again in every round
+_COMPOSE_SIZE = 32
+_compose = lru_cache(maxsize=_COMPOSE_SIZE)(compose)
 
 
 def _untwisted_cores(twist: Automorphism, classes: Iterable[CyclicWord]) -> Iterator[list[int]]:
@@ -235,10 +240,11 @@ def _untwisted_cores(twist: Automorphism, classes: Iterable[CyclicWord]) -> Iter
 
 
 @lru_cache(maxsize=_TABLE_SIZE)
-def _key_cores(twist: Automorphism, depth: int) -> tuple[tuple[int, ...], ...]:
-    """The untwisted cores of the test set up to ``depth``, in order."""
+def _key_cores(twist: Automorphism, depth: int) -> tuple[str, ...]:
+    """The untwisted cores of the test set up to ``depth``, in order, as
+    strings of absolute letters (``chr``) closed up by their first letter."""
     test_set = enumerate_cyclic_words(twist.rank, depth, up_to_inversion=True)
-    return tuple(map(tuple, _untwisted_cores(twist, test_set)))
+    return tuple("".join(map(chr, core + core[:1])) for core in _untwisted_cores(twist, test_set))
 
 
 @lru_cache(maxsize=_TABLE_SIZE)
@@ -281,7 +287,12 @@ def vertex_key(s: FreeSplitting, depth: int = 4) -> tuple[int, ...]:
 
 @lru_cache(maxsize=_KEY_CACHE_SIZE)
 def _vertex_key(s: FreeSplitting, depth: int) -> tuple[int, ...]:
-    return tuple(map(_core_length, repeat(s), _key_cores(s.twist, depth)))
+    cores = _key_cores(s.twist, depth)
+    if s.kind == "loop":  # the closing letter repeats the first
+        t = chr(s.stable)
+        return tuple(c.count(t) - (c[0] == t) for c in cores)
+    side = {i: "01"[i in s.subset] for i in range(1, s.rank + 1)}  # cyclically, 0-1 and 1-0 steps alternate
+    return tuple(2 * c.translate(side).count("01") for c in cores)
 
 
 def fstar_adjacent(

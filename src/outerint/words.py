@@ -388,8 +388,10 @@ class Automorphism:
         return (self.images == other.images and self.inverse_images == other.inverse_images
                 and self.rank == other.rank)
 
-    def __hash__(self):
-        return hash((self.rank, self.images, self.inverse_images))
+    def __hash__(self):  # computed once: the per-twist caches hash a twist on every lookup
+        if "_hash" not in self.__dict__:
+            object.__setattr__(self, "_hash", hash((self.rank, self.images, self.inverse_images)))
+        return self._hash
 
     def __post_init__(self) -> None:
         if self.rank < 2:

@@ -544,6 +544,9 @@ class TestUserErrors:
             "base_outside": lambda c: c["marking"].update(base="w"),
             "empty_loop": lambda c: c["marking"]["generator_loops"][0].clear(),
             "zero_length": lambda c: [edge.update(length="0") for edge in c["edges"][:2]],
+            "self_inverse": lambda c: (c["edges"].pop(1), c["edges"][0].update(inverse="a")),
+            "unknown_endpoint": lambda c: (c["edges"][0].update(to="w"), c["edges"][1].update({"from": "w"})),
+            "loop_in_tree": lambda c: c["marking"].update(spanning_tree=["a"]),
         }
         files = {f"{name}.json": rose2(edit) for name, edit in charts.items()}
         files |= {
@@ -655,6 +658,9 @@ class TestUserErrors:
             (["translen", "base_outside.json", "a"], "base_outside.json: base vertex not in graph"),
             (["translen", "empty_loop.json", "a"], "empty_loop.json: generator loop 0 is empty"),
             (["translen", "zero_length.json", "a"], "zero_length.json: edge lengths must be positive"),
+            (["translen", "self_inverse.json", "a"], "self_inverse.json: duplicate edge names"),
+            (["translen", "unknown_endpoint.json", "a"], "unknown_endpoint.json: unknown endpoint 'w'"),
+            (["translen", "loop_in_tree.json", "a"], "loop_in_tree.json: spanning tree has wrong edge count"),
             (["graph", "--from", "no_kind.json"],
              "bad vertex file no_kind.json: cannot tell its kind: no 'kind', 'terms', 'class' or 'edges' key"),
             # the enumerators refuse before they list anything: these used to exhaust memory
@@ -677,7 +683,7 @@ class TestUserErrors:
             "translen-nested", "graph-nested", "intersect-nested-terms", "rank-900-deep", "length-900-deep",
             "duplicate-edge", "no-inverse-record", "inconsistent-pair", "differing-lengths", "contradicting-words",
             "uncovered-edge", "duplicate-vertex", "no-edges", "base-outside", "empty-loop", "zero-length",
-            "vertex-without-kind", "current-freq-depth-40", "iwip-depth-40", "graph-key-depth-40",
+            "self-inverse-edge", "unknown-endpoint", "loop-in-tree", "vertex-without-kind", "current-freq-depth-40", "iwip-depth-40", "graph-key-depth-40",
             "graph-search-length-40",
         ],
     )

@@ -33,6 +33,7 @@ from outerint.words import (
 
 from _generators import (
     random_automorphism,
+    random_blown_up_chart,
     random_chart_of_each_kind,
     random_current,
     random_fraction,
@@ -424,12 +425,12 @@ class TestFrequencyVector:
             assert sum(val * vec.mass for _, val in vec.entries) == one_letter_mass(mu)
 
     def test_entries_are_normalised_cylinder_counts(self):
-        rng = random.Random(19)
+        rng, blown = random.Random(19), random.Random(20)
         for _ in range(3):
             rank = rng.choice([2, 3])
             mu = random_current(rng, rank, max_terms=4, max_word_len=8)
             mass = one_letter_mass(mu)
-            for M in random_chart_of_each_kind(rng, rank):
+            for M in (*random_chart_of_each_kind(rng, rank), random_blown_up_chart(blown, rank)):
                 for k in range(1, 5):
                     assert frequency_vector(mu, M, k).entries == tuple(
                         (v, cylinder_count(mu, M, v) / mass)
@@ -454,21 +455,21 @@ class TestFrequencyVector:
                     assert frequency_vector(mu, M, k).entries == oracle_entries(mu, M, k)
 
     def test_matches_window_oracle_on_three_term_currents(self):
-        rng = random.Random(24)
+        rng, blown = random.Random(24), random.Random(25)
         for _ in range(6):
             rank = rng.choice([2, 3])
             mu = RationalCurrent(rank)
             while len(mu.terms) < 3:  # each summand is one class
                 mu = add(mu, random_current(rng, rank, max_terms=1, max_word_len=10))
-            for M in random_chart_of_each_kind(rng, rank):
+            for M in (*random_chart_of_each_kind(rng, rank), random_blown_up_chart(blown, rank)):
                 for k in range(1, 5):
                     assert frequency_vector(mu, M, k).entries == oracle_entries(mu, M, k)
 
     def test_paths_are_listed_in_sort_key_order(self):
         # the depth-first walk alone orders them: nothing sorts afterwards
-        rng = random.Random(25)
+        rng, blown = random.Random(25), random.Random(26)
         for rank in (2, 3, 4):
-            for M in random_chart_of_each_kind(rng, rank):
+            for M in (*random_chart_of_each_kind(rng, rank), random_blown_up_chart(blown, rank)):
                 for k in range(1, 5):
                     for up_to_inversion in (False, True):
                         paths = enumerate_reduced_paths(M.graph, k, up_to_inversion)

@@ -294,10 +294,10 @@ class TestEdgeCrossings:
 
 class TestPathLength:
     def test_matches_edge_by_edge_sum(self):
-        rng = random.Random(19)
+        rng, blown = random.Random(19), random.Random(20)
         for _ in range(10):
             rank = rng.choice([2, 3])
-            for M in random_chart_of_each_kind(rng, rank):
+            for M in (*random_chart_of_each_kind(rng, rank), random_blown_up_chart(blown, rank)):
                 edges = M.graph.oriented_edges()
                 paths = [
                     M.word_to_path(random_reduced_word(rng, rank, rng.randint(0, 30))),
@@ -506,10 +506,11 @@ class TestTrustedTables:
     construction give the letter-by-letter and edge-by-edge results."""
 
     def test_word_to_path_matches_scan_of_loops(self):
-        rng = random.Random(71)
+        rng, blown = random.Random(71), random.Random(70)
         for _ in range(40):
             rank = rng.choice([2, 3, 4])
-            charts = random_chart_of_each_kind(rng, rank) + (random_marked_graph(rng, rank),)
+            charts = (*random_chart_of_each_kind(rng, rank), random_marked_graph(rng, rank),
+                      random_blown_up_chart(blown, rank))
             for M in charts:
                 w = random_reduced_word(rng, rank, rng.randint(0, 30))
                 assert M.word_to_path(w) == naive_path(M, w)

@@ -25,6 +25,7 @@ from outerint import splittings
 from outerint.splittings import (
     _Universe,
     _class_masks,
+    _compose,
     _elliptic_classes,
     _family,
     _first_common,
@@ -281,9 +282,9 @@ class TestFstarAdjacency:
 
 @pytest.fixture()
 def cold_tables():
-    """Empty per-twist tables and keys before and after the test, so that
-    nothing it computes is served to another test."""
-    caches = (_key_cores, _class_masks, _vertex_key)
+    """Empty per-twist tables, composed twists and keys before and after
+    the test, so that nothing it computes is served to another test."""
+    caches = (_key_cores, _class_masks, _compose, _vertex_key)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -324,7 +325,7 @@ class TestTwistTables:
     """Keys, elliptic classes and Fstar verdicts come from one bounded
     table per (twist, length); each must equal the direct per-word route."""
 
-    @pytest.mark.parametrize("rank, depth, search_length", [(3, 3, 6), (3, 4, 5), (4, 3, 5), (4, 4, 5)])
+    @pytest.mark.parametrize("rank, depth, search_length", [(3, 3, 6), (3, 4, 5), (4, 3, 5), (4, 4, 5), (5, 3, 4)])
     @pytest.mark.parametrize("twisted", [False, True])
     def test_tables_agree_with_the_direct_route(self, rank, depth, search_length, twisted):
         found = table_disagreements(rank, twisted, depth, search_length, seed=rank + 10 * depth)
@@ -340,6 +341,35 @@ class TestTwistTables:
         monkeypatch.setattr(splittings, "_untwisted_cores", uncut)
         found = table_disagreements(3, True, 4, 6, seed=3 + 40)
         assert {kind for kind, *_ in found} == {"key", "classes", "fstar"}
+
+    def test_keys_without_the_closing_letter_disagree(self, monkeypatch, cold_tables):
+        # the planted cores lose the pair that wraps round from the last
+        # letter to the first: a loop key misses a stable letter that
+        # opens a core, and a partition key misses a boundary there
+        closed = _key_cores
+
+        def unclosed(twist, depth):
+            return tuple(core[:-1] for core in closed(twist, depth))
+
+        monkeypatch.setattr(splittings, "_key_cores", unclosed)
+        found = table_disagreements(4, True, 4, 5, seed=4 + 40)
+        assert {kind for kind, *_ in found} == {"key"}
+        assert {s.kind for _, s in found} == {"sep", "loop"}
+
+    def test_act_reads_composed_twists_within_their_bound(self, cold_tables):
+        rng = random.Random(32)
+        moves = set()
+        while len(moves) < splittings._COMPOSE_SIZE + 4:
+            moves.add(nontrivial_automorphism(rng, 3))
+        family = _family(loop_splitting(3, 1, nontrivial_automorphism(rng, 3)), include_loops=True)
+        for _ in range(2):  # cold, then read back from the memo or composed again
+            for psi in moves:
+                for s in family:
+                    composed = FreeSplitting(s.rank, s.kind, s.subset, s.stable, compose(psi, s.twist))
+                    assert act(psi, s) == composed
+        info = _compose.cache_info()
+        assert info.maxsize == splittings._COMPOSE_SIZE
+        assert info.hits > 0 and info.misses > info.maxsize >= info.currsize
 
     def test_tables_stay_within_their_bound(self, cold_tables):
         rng = random.Random(7)
