@@ -17,12 +17,13 @@ only ever touched through the integer translation length function:
 Vertices of the splitting graphs are identified by their length
 functions sampled on a fixed finite test set (:func:`vertex_key`).
 Keys are memoised per (splitting, depth) in a bounded process-wide
-cache.  They, the elliptic classes and the common-elliptic search read
-one table per (twist, length), also bounded and process-wide: the cyclic
-cores of the twist's preimages of the test words at a key depth, as
-closed-up strings that ``str.count`` reads, and only the set of
-generators each core uses at a search length.  :func:`splitting_length`
-stays the direct per-word route they are checked against.  Composed
+cache.  They, the elliptic classes and the short step of the
+common-elliptic search read one table per (twist, length), also bounded
+and process-wide: the cyclic cores of the twist's preimages of the test
+words at a key depth, as closed-up strings that ``str.count`` reads, and
+only the set of generators each core uses at a search length or at the
+short length.  :func:`splitting_length` stays the direct per-word route
+they are checked against.  Composed
 twists are memoised per (move, twist) in one more bounded process-wide
 cache, and a twist computes its hash once, for all these lookups.
 Distinct splittings may in principle share a key at a given depth.  A
@@ -31,10 +32,16 @@ twist carries its vertex groups into those of the stored one (the trees
 are then equal); any other is re-checked at a deeper depth and raises
 :class:`KeyCollisionError` on disagreement instead of silently merging.
 
-The adjacency predicates are deliberately partial where no algorithm is
-available: refinement adjacency decides only coordinate-compatible pairs,
-and common-elliptic adjacency is a bounded search whose negative verdict
-("none found within the bound") is not a proof of non-adjacency.
+Refinement adjacency is deliberately partial: it decides only
+coordinate-compatible pairs, for want of an algorithm.  Common-elliptic
+(Fstar) adjacency is a bounded search for the first class of the test set
+elliptic in both splittings.  Classes of length at most 2 are read from
+the tables of both twists; longer ones from the cores of the pullbacks
+of the Stallings graphs of the twisted vertex groups (Stallings, Invent.
+Math. 1983; Kapovich-Myasnikov, J. Algebra 2002), so that no table at
+the search length is built.  Its negative verdict still means "none
+within the bound": a common class longer than the search length is not
+reported, so it is not a proof of non-adjacency.
 Distances come from breadth-first search over an explicitly generated
 vertex universe, so they are exact within the explored ball and upper
 bounds in general; for Z and I0 they are those of the full ball, but
@@ -81,6 +88,7 @@ from .words import (
     conjugacy_class,
     enumerate_cyclic_words,
     flip_normalize,
+    letter_sort_key,
 )
 
 
@@ -196,20 +204,16 @@ def act(phi: Automorphism, s: FreeSplitting) -> FreeSplitting:
 def splitting_length(s: FreeSplitting, g: Word) -> int:
     """Translation length of ``g`` on the Bass-Serre tree of ``s``.
 
-    The direct per-word route: it shares no table with the keys and the
-    elliptic classes, which the tests check against it."""
+    The direct per-word route: it shares no table with the keys, the
+    elliptic classes and the common-elliptic search, which the tests
+    check against it."""
     if g.rank != s.rank:
         raise ValueError("rank mismatch")
     letters = _concat(s.twist._inverses, g.letters)
     cut = _cyclic_cut(letters)
-    return _core_length(s, list(map(abs, letters[cut : len(letters) - cut])))
-
-
-def _core_length(s: FreeSplitting, core: Sequence[int]) -> int:
-    """The length on the untwisted tree of ``s`` of a cyclically reduced
-    word, read from its absolute letters ``core``: stable-letter
-    occurrences, or syllable boundaries read cyclically (none when one
-    side is absent).  The count is the same on every rotation."""
+    core = list(map(abs, letters[cut : len(letters) - cut]))
+    # on the untwisted tree: stable-letter occurrences, or syllable
+    # boundaries read cyclically (none when one side is absent)
     if s.kind == "loop":
         return core.count(s.stable)
     inside = list(map(s.subset.__contains__, core))
@@ -230,8 +234,8 @@ _compose = lru_cache(maxsize=_COMPOSE_SIZE)(compose)
 
 def _untwisted_cores(twist: Automorphism, classes: Iterable[CyclicWord]) -> Iterator[list[int]]:
     """The cyclic cores, on absolute letters, of the preimages of
-    ``classes`` under ``twist``.  A splitting twisted by ``twist`` has
-    length :func:`_core_length` on each."""
+    ``classes`` under ``twist``, which the untwisted tree of a splitting
+    twisted by ``twist`` reads as :func:`splitting_length` does."""
     untwist = twist._inverses
     for cw in classes:
         letters = _concat(untwist, cw.letters)
@@ -298,12 +302,14 @@ def _vertex_key(s: FreeSplitting, depth: int) -> tuple[int, ...]:
 def fstar_adjacent(
     s1: FreeSplitting, s2: FreeSplitting, search_length: int = 6
 ) -> Optional[CyclicWord]:
-    """Search for a common elliptic element among all cyclic words up to
-    ``search_length``.
+    """The first class of the test set of all cyclic words up to
+    ``search_length`` that is elliptic in both splittings.
 
-    Returns the first in test-set order, or None when none exists within
-    the bound; the None verdict is sound but not a proof of
-    non-adjacency.  Equal vertices are rejected (the graph is simple).
+    Short classes are read from the tables of both twists, longer ones
+    from Stallings pullbacks (see :func:`_first_common`); the witness is
+    the same either way.  None means that no common elliptic class exists
+    within the bound, which is not a proof of non-adjacency.  Equal
+    vertices are rejected (the graph is simple).
     """
     if s1.rank != s2.rank:
         raise ValueError("rank mismatch")
@@ -314,25 +320,125 @@ def fstar_adjacent(
 
 # nearly every common elliptic class a search finds is this short: in
 # three rounds of the splitting-bfs benchmark (seed 1), 58 of 60 Fstar
-# candidates shared one of length at most 2 and the other 2 shared none
+# candidates shared one of length at most 2 and the other 2 shared none.
+# The pullback answers these lengths too, but slower: with it in place of
+# this step, splitting-bfs (rounds 0-7 at seeds 1-3, timed in process)
+# took 160 ms of CPU against 139 ms with the step in a first prototype,
+# and 177 ms against 158 ms with this code, on one Xeon core
 _SHORT_LENGTH = 2
 
 
 def _first_common(s1: FreeSplitting, s2: FreeSplitting, search_length: int) -> Optional[CyclicWord]:
     """The first class of the test set up to ``search_length`` elliptic in
-    both.  The test set lists classes by length, so its short classes are
-    a prefix of it: they are tried first, from the tables of both twists.
-    Beyond them only the classes elliptic in ``s1`` are untwisted for
-    ``s2``, so a candidate of a twist met once costs no table of its own."""
+    both, or None.  The test set lists classes by length, so its short
+    classes are a prefix of it: they are tried first, from the tables of
+    both twists.  Beyond them a class is elliptic in both exactly when a
+    cyclically reduced closed path of a pullback core
+    (:func:`_pullback_cores`) reads it, so no table is built; with every
+    core empty no class of any length is, and no path is walked.
+    Otherwise the lengths are tried in turn.  The words the paths of one
+    length read are closed under rotation and inversion, so the least of
+    them is the flip-normalised canonical rotation of the first class of
+    that length in the test set."""
     short = min(_SHORT_LENGTH, search_length)
     test_set = enumerate_cyclic_words(s1.rank, search_length, up_to_inversion=True)
     common = map(and_, _elliptic_flags(s1, short), _elliptic_flags(s2, short))
     found = next(compress(test_set, common), None)
     if found is not None or short == search_length:
         return found
-    classes = _elliptic_classes(s1, search_length)
-    cores = _untwisted_cores(s2.twist, classes)
-    return next((cw for cw, core in zip(classes, cores) if _core_length(s2, core) == 0), None)
+    cores = _pullback_cores(s1, s2)
+    for n in range(short + 1, search_length + 1):
+        words = [w for core in cores for w in _closed_words(core, n)]
+        if words:
+            return CyclicWord._make(s1.rank, min(words, key=lambda w: [*map(letter_sort_key, w)]))
+    return None
+
+
+# -- Stallings graphs ----------------------------------------------------------
+#
+# A graph maps each vertex to its edges, as {letter: the vertex it reaches};
+# an edge is stored at both ends, at the far one under the inverse letter.
+# Its labels read words in the rose, so a folded graph reads each word along
+# at most one path from a vertex (Stallings, Invent. Math. 1983).
+
+
+def _fold(words: Iterable[Sequence[int]]) -> dict[int, dict[int, int]]:
+    """The Stallings graph of the subgroup generated by the reduced
+    ``words``: a loop at vertex 0 reading each word, folded until no
+    vertex has two edges of one letter."""
+    todo: list[tuple[int, int, int]] = []  # edge ends still to store
+    size = 1
+    for w in words:
+        path = [0, *range(size, size + len(w) - 1), 0]
+        size += len(w) - 1
+        for v, l, u in zip(path, w, path[1:]):
+            todo += ((v, l, u), (u, -l, v))
+    graph: dict[int, dict[int, int]] = {v: {} for v in range(size)}
+    into: dict[int, int] = {}  # a vertex folded away -> the one it was folded into
+
+    def find(v: int) -> int:
+        while v in into:
+            v = into[v]
+        return v
+
+    while todo:
+        v, l, u = todo.pop()
+        v, u = find(v), find(u)
+        t = graph[v].setdefault(l, u)
+        if find(t) != u:  # two edges of one letter leave v: fold their far ends
+            into[u] = t = find(t)
+            todo += [(t, k, x) for k, x in graph.pop(u).items()]
+    return {v: {l: find(u) for l, u in edges.items()} for v, edges in graph.items()}
+
+
+def _core(graph: dict) -> dict:
+    """``graph`` pruned in place to its core: vertices of valence at most 1
+    are dropped, with the far ends of their edges, until none is left.
+    Every cyclically reduced closed path lies in the core."""
+    leaves = [v for v, edges in graph.items() if len(edges) <= 1]
+    while leaves:
+        for l, u in graph.pop(leaves.pop()).items():
+            edges = graph[u]
+            del edges[-l]
+            if len(edges) == 1:
+                leaves.append(u)
+    return graph
+
+
+def _vertex_group_cores(s: FreeSplitting) -> list[dict[int, dict[int, int]]]:
+    """The cores of the Stallings graphs of the images under the twist of
+    the vertex groups of ``s``: the two sides of a partition, or the
+    letters off the stable one.  A class is elliptic in ``s`` exactly when
+    it is conjugate into one of these images."""
+    gens = range(1, s.rank + 1)
+    if s.kind == "loop":
+        sides = [[i for i in gens if i != s.stable]]
+    else:
+        sides = [[i for i in gens if i in s.subset], [i for i in gens if i not in s.subset]]
+    return [_core(_fold([s.twist._images[i] for i in side])) for side in sides]
+
+
+def _pullback_cores(s1: FreeSplitting, s2: FreeSplitting) -> list[dict]:
+    """The nonempty cores of the pullbacks over the rose of a vertex group
+    core of each splitting: pairs of vertices, joined by the letters that
+    join both.  Conjugates of the two groups meet exactly in the classes
+    their pullback's core reads (Kapovich-Myasnikov, J. Algebra 2002)."""
+    firsts, seconds = _vertex_group_cores(s1), _vertex_group_cores(s2)
+    products = ({(a, b): {l: (ea[l], eb[l]) for l in ea.keys() & eb.keys()}
+                 for a, ea in g.items() for b, eb in h.items()} for g in firsts for h in seconds)
+    return [core for core in map(_core, products) if core]
+
+
+def _closed_words(core: dict, n: int) -> list[tuple[int, ...]]:
+    """The words read by the cyclically reduced closed paths of length
+    ``n`` of ``core``, from every vertex."""
+    out = []
+    for start, edges in core.items():
+        paths = [((l,), u) for l, u in edges.items()]
+        for _ in range(n - 1):
+            paths = [(w + (l,), x) for w, u in paths for l, x in core[u].items() if l != -w[-1]]
+        out += [w for w, u in paths if u == start and w[-1] != -w[0]]
+    return out
 
 
 def refinement_adjacent(s1: FreeSplitting, s2: FreeSplitting) -> str:

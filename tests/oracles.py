@@ -7,8 +7,9 @@ characteristic-polynomial bisection instead of power iteration,
 substitution letter by letter instead of block counts checked at each
 junction, powers of the direction map instead of images of turns,
 orbit-displacement growth instead of cyclic syllable counts, point
-displacements instead of cyclic reduction, and a whole-ball search
-instead of one pruned towards its target.
+displacements instead of cyclic reduction, a whole-ball search instead
+of one pruned towards its target, and a scan of the test set instead of
+Stallings pullbacks.
 """
 
 from __future__ import annotations
@@ -245,6 +246,27 @@ def bass_serre_translation_length(
     else:
         raise ValueError(kind)
     return round(d / power)
+
+
+# -- the first common elliptic class by a scan of the test set ------------------
+#
+# Fstar joins two splittings when some class is elliptic in both.  The
+# reference reads every class of the test set in order, each through
+# splitting_length, so it shares neither the per-twist tables nor the
+# pullback cores with the package.
+
+
+def first_common_elliptic(s1, s2, search_length: int):
+    """The first class of the test set up to ``search_length`` of length 0
+    in both splittings, or None."""
+    from outerint.splittings import splitting_length
+    from outerint.words import enumerate_cyclic_words
+
+    for cw in enumerate_cyclic_words(s1.rank, search_length, up_to_inversion=True):
+        w = cw.as_word()
+        if splitting_length(s1, w) == 0 and splitting_length(s2, w) == 0:
+            return cw
+    return None
 
 
 # -- the Z and I0 searches over the whole ball ---------------------------------

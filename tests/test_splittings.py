@@ -30,6 +30,7 @@ from outerint.splittings import (
     _family,
     _first_common,
     _key_cores,
+    _pullback_cores,
     _same_tree,
     _vertex_key,
 )
@@ -46,7 +47,7 @@ from outerint.words import (
 )
 
 from _generators import elementary_automorphisms, random_automorphism, random_reduced_word
-from oracles import bass_serre_translation_length
+from oracles import bass_serre_translation_length, first_common_elliptic
 
 
 def nontrivial_automorphism(rng, rank):
@@ -417,6 +418,140 @@ class TestTwistTables:
             tracemalloc.stop()
         assert _class_masks.cache_info().currsize == len(twists)
         assert held < 2**20
+
+
+def fstar_pairs(seed, count):
+    """Seeded (s1, s2, search length, moved) at ranks 3-5: separating and
+    loop splittings, each untwisted or twisted by up to 10 elementary
+    factors, at rank 3 also moved by the supergolden automorphism (then
+    ``moved`` is true), at search lengths 1-6 (1-5 at rank 5, whose longest
+    test set holds 51,264 classes)."""
+    rng = random.Random(seed)
+    g = supergolden_automorphism()
+    out = []
+    for i in range(count):
+        rank = (3, 3, 4, 5)[i % 4]
+
+        def splitting():
+            twist = None if rng.random() < 0.2 else random_automorphism(rng, rank, max_factors=10, max_image_len=12)
+            if rng.random() < 0.5:
+                return separating_splitting(rank, rng.sample(range(1, rank + 1), rng.randint(1, rank - 1)), twist)
+            return loop_splitting(rank, rng.randint(1, rank), twist)
+
+        s1, s2 = splitting(), splitting()
+        moved = rank == 3 and rng.random() < 0.4
+        out.append((s1, act(g, s2) if moved else s2, 1 + i % (6 if rank < 5 else 5), moved))
+    return out
+
+
+@pytest.fixture(scope="module")
+def pairs():
+    """The seeded pairs, and those whose search reaches the pullback: no
+    common class of length at most 2, and a longer search length."""
+    every = fstar_pairs(33, 800)
+    return every, [pair for pair in every if pair[2] > 2 and first_common_elliptic(*pair[:2], 2) is None]
+
+
+def pullback_disagreements(pairs):
+    """(s1, s2, search length, answer, scan's answer) wherever the Fstar
+    search differs from the scan of the test set; a KeyError raised by the
+    search counts as its answer."""
+    out = []
+    for s1, s2, n, _ in pairs:
+        try:
+            got = _first_common(s1, s2, n)
+        except KeyError as error:
+            got = error
+        want = first_common_elliptic(s1, s2, n)
+        if got != want:
+            out.append((s1, s2, n, got, want))
+    return out
+
+
+class TestPullback:
+    """Past the short classes, the Fstar search reads the cores of Stallings
+    pullbacks; its witness must be the first common class of the test set."""
+
+    def test_pullback_agrees_with_the_scan(self, pairs):
+        every, _ = pairs
+        assert not pullback_disagreements(every)
+
+    def test_the_pairs_cover_every_case(self, pairs):
+        every, late = pairs
+        assert {s.rank for s1, s2, *_ in every for s in (s1, s2)} == {3, 4, 5}
+        assert {n for _, _, n, _ in every} == {1, 2, 3, 4, 5, 6}
+        sides = {(s.kind, s.twist.is_identity) for s1, s2, *_ in late for s in (s1, s2)}
+        assert sides == {(kind, untwisted) for kind in ("sep", "loop") for untwisted in (False, True)}
+        assert {moved for *_, moved in late} == {False, True}
+        answers = [(_first_common(s1, s2, n), bool(_pullback_cores(s1, s2))) for s1, s2, n, _ in late]
+        # a class of length 3 or more; none with an empty core; none within
+        # the bound although the core holds a class
+        assert {(found is None, core) for found, core in answers} == {(False, True), (True, False), (True, True)}
+
+    def test_a_fold_that_skips_one_merge_is_caught(self, monkeypatch, pairs):
+        # the planted fold leaves the first two edges of one letter at a
+        # vertex unfolded: it drops the later one, so its subgroup loses
+        # elements and the pullback loses classes
+        def fold_skipping_one_merge(words):
+            todo, size = [], 1
+            for w in words:
+                path = [0, *range(size, size + len(w) - 1), 0]
+                size += len(w) - 1
+                for v, l, u in zip(path, w, path[1:]):
+                    todo += ((v, l, u), (u, -l, v))
+            graph = {v: {} for v in range(size)}
+            into, skipped = {}, False
+
+            def find(v):
+                while v in into:
+                    v = into[v]
+                return v
+
+            while todo:
+                v, l, u = todo.pop()
+                v, u = find(v), find(u)
+                t = graph[v].setdefault(l, u)
+                if find(t) != u:
+                    if not skipped:  # drop the edge, at both ends
+                        skipped = True
+                        if find(graph[u].get(-l, u)) == v:
+                            del graph[u][-l]
+                        continue
+                    into[u] = t = find(t)
+                    todo += [(t, k, x) for k, x in graph.pop(u).items()]
+            return {v: {l: find(u) for l, u in edges.items()} for v, edges in graph.items()}
+
+        monkeypatch.setattr(splittings, "_fold", fold_skipping_one_merge)
+        _, late = pairs
+        found = pullback_disagreements(late)
+        assert any(not isinstance(got, KeyError) for *_, got, _ in found)
+
+    def test_a_prune_that_keeps_the_inverse_edge_is_caught(self, monkeypatch, pairs):
+        # the planted prune drops a leaf but not its edge's far end.  Every
+        # cyclically reduced closed path of a graph lies in its core, so
+        # pruning less moves no verdict; the walk follows a kept far end
+        # into a dropped vertex, and the search fails
+        def core_keeping_far_ends(graph):
+            leaves = [v for v, edges in graph.items() if len(edges) <= 1]
+            while leaves:
+                for l, u in graph.pop(leaves.pop()).items():
+                    if len(graph[u]) == 1:
+                        leaves.append(u)
+            return graph
+
+        monkeypatch.setattr(splittings, "_core", core_keeping_far_ends)
+        _, late = pairs
+        found = pullback_disagreements(late)
+        assert found and all(isinstance(got, KeyError) for *_, got, _ in found)
+
+    def test_a_pullback_of_one_vertex_group_is_caught(self, monkeypatch, pairs):
+        # the planted pullback reads only the side of a partition that holds
+        # generator 1, so a class conjugate into the other side is missed
+        cores = splittings._vertex_group_cores
+        monkeypatch.setattr(splittings, "_vertex_group_cores", lambda s: cores(s)[:1])
+        _, late = pairs
+        found = pullback_disagreements(late)
+        assert found and all(got is None for *_, got, _ in found)
 
 
 class TestRefinementAdjacency:
