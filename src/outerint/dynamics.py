@@ -18,31 +18,31 @@ oracles, frequency vectors and the pairing sequence, each reporting
 Cauchy-style diagnostics (successive differences, positive windows)
 rather than claiming convergence.
 
-The orbit ``phi^n(g)`` they read is stepped on the letters, as
+One generator walks the orbit ``phi^n(g)`` (:func:`_orbit`), as
 Bestvina-Handel read it through the edge images ``f^n(e)``: the images
-``phi^j(x)`` of the letters ``g`` reaches are kept, and each iterate joins
-a few of these long reduced pieces instead of substituting letter by
-letter (:func:`_iterates`).
+``phi^j(x)`` of the letters ``g`` reaches are kept, each iterate joins a
+few of these long reduced pieces, and the first iterate past the letter
+budget raises :class:`WordLengthCapError`.
 
-On a standard-marked rose, :func:`iwip_rows` reads a cyclically
-reduced seed's table off k-block counts that evolve linearly
-(:func:`_block_readings`, :func:`_orbit_counts`), and builds no
-iterate.  An iterate is cut at its illegal turns into legal pieces
+On a standard-marked rose, :func:`iwip_rows` reads every seed's table
+off k-block counts that evolve linearly (:func:`_block_readings`,
+:func:`_orbit_counts`), and builds no iterate.  Lengths and rows read
+only cyclic cores, so the counts start at the seed's cyclic core; a
+linear track from the seed itself counts the letters for the budget.
+An iterate is cut at its illegal turns into legal pieces
 (Bestvina-Handel): a piece is held as counts and its two end buffers,
-and each step cancels at the cuts from the buffers alone.  Only where
-a cancellation would reach past a buffer, or where the orbit cancels
+and each step cancels at the cuts from the buffers alone.  Only where a
+cancellation would reach past a buffer, or where the orbit cancels
 under a map that is not a train track, does the table go back to row 0
-on iterates.  That route reads each iterate's length and frequency row
-off one axis period as it is made, and keeps none
-(:func:`_iterate_readings`); tables on other charts, and seeds that are
-not cyclically reduced, take it too.  Either row is integer counts over
-the integer one-letter mass, compared by ``currents._row_gap``, the sup
-distance of frequency vectors.  :func:`pairing_estimate` reads the
-pairing column of such a table.  The other diagnostics stay on iterates
-and keep only those they read (:func:`_orbit`): a vector reads one
-iterate of a few hundred letters, and the benchmark's wrap-around
-self-test plants its bug in ``currents.occurrences_in_cycle``, which the
-vector must reach.
+on iterates, as tables on other charts do.  That route reads each
+iterate's length and frequency row off one axis period as it is made,
+and keeps none (:func:`_iterate_readings`).  Either row is integer
+counts over the integer one-letter mass, compared by
+``currents._row_gap``, the sup distance of frequency vectors.
+:func:`pairing_estimate` reads the pairing column of such a table.  The
+other diagnostics keep only the iterates they read: a vector reads one
+of a few hundred letters, and the benchmark's wrap-around self-test
+plants its bug in ``currents.occurrences_in_cycle``, which it must reach.
 """
 
 from __future__ import annotations
@@ -292,9 +292,10 @@ def eigenmetric_defect(f: GraphMap, M: MarkedMetricGraph, lam: float) -> float:
     )
 
 
-def _iterates(phi: Automorphism, w: Word, n: int, cap: int) -> Iterator[Word]:
-    """``w, phi(w), ..., phi^n(w)``, stopping before the first iterate
-    with more than ``cap`` letters.
+def _orbit(phi: Automorphism, w: Word, n: int, cap: int) -> Iterator[Word]:
+    """``w, phi(w), ..., phi^n(w)``, one at a time, raising
+    :class:`WordLengthCapError` at the first iterate with more than
+    ``cap`` letters; a caller keeps only the iterates it reads.
 
     ``table[x]`` is ``phi^j(x)`` for the signed letters ``x`` the orbit of
     ``w`` reaches, and ``phi^(j+1)(w)`` joins its pieces along ``phi(w)``;
@@ -305,6 +306,8 @@ def _iterates(phi: Automorphism, w: Word, n: int, cap: int) -> Iterator[Word]:
     than 2N letters per letter of it, ``x`` and ``x^-1`` counted as one
     piece: letter images may outgrow the iterates (a -> ab, b -> bab fixes
     abAB), or iterates lag behind them (a -> b, b -> Ba sends BA to A)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if w.rank != phi.rank:
         raise ValueError("rank mismatch")
     images, reach, todo = phi._images, set(), list(w.letters)
@@ -316,7 +319,7 @@ def _iterates(phi: Automorphism, w: Word, n: int, cap: int) -> Iterator[Word]:
     counted = [x for x in reach if x > 0 or -x not in reach]  # the table of x^-1 is that of x inverted
     table: dict = {}
     yield w
-    for _ in range(n):
+    for j in range(1, n + 1):
         # the next table holds at most the pieces it joins
         if table and sum(len(table[y]) for x in counted for y in images[x]) <= 2 * phi.rank * len(w):
             table = {x: tuple(_concat(table, images[x])) for x in reach}  # tuples hold no spare slots
@@ -324,21 +327,8 @@ def _iterates(phi: Automorphism, w: Word, n: int, cap: int) -> Iterator[Word]:
             table, phi_w = {x: (x,) for x in reach}, _concat(images, w.letters)
         w = Word._make(phi.rank, tuple(_concat(table, phi_w)))
         if len(w) > cap:
-            return
+            raise WordLengthCapError(f"iterate {j} has more than {cap} letters; use a smaller n")
         yield w
-
-
-def _orbit(phi: Automorphism, w: Word, n: int, cap: int) -> Iterator[Word]:
-    """``w, phi(w), ..., phi^n(w)``, one at a time, raising
-    :class:`WordLengthCapError` where :func:`_iterates` stops short; a
-    caller keeps only the iterates it reads."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    j = -1
-    for j, image in enumerate(_iterates(phi, w, n, cap)):
-        yield image
-    if j < n:
-        raise WordLengthCapError(f"iterate {j + 1} has more than {cap} letters; use a smaller n")
 
 
 def _axis_period(M: MarkedMetricGraph, w: Word) -> EdgePath:
@@ -400,8 +390,6 @@ def eigencurrent_approx(
     different seeds is the observable shadow of the attracting current."""
     if g.is_identity:
         raise ValueError("seed must be nontrivial")
-    if n < 0:
-        raise ValueError("n must be >= 0")
     (image,) = deque(_orbit(phi, g, n, cap), maxlen=1)
     period = _axis_period(M, image)
     return _frequencies(M, k, [(period, 1)], Fraction(cyclic_length(image)))
@@ -474,18 +462,20 @@ def iwip_rows(
     """Diagnostic table for one seed: deflated lengths, deflated even
     pairing sequence and sup gaps of successive integer frequency rows.
 
-    On a standard-marked rose, a cyclically reduced seed is read off
-    k-block counts (:func:`_block_readings`), and builds no iterate,
-    whether or not junctions of its orbit cancel.  Where the counts
-    cannot read the orbit, the table starts over on iterates, which it
-    measures once each, as they are made, keeping none
-    (:func:`_iterate_readings`); so does every other table."""
+    On a standard-marked rose, every seed is read off k-block counts
+    (:func:`_block_readings`), and builds no iterate, whether or not
+    junctions of its orbit cancel.  Where the counts cannot read the
+    orbit, the table starts over on iterates, which it measures once
+    each, as they are made, keeping none (:func:`_iterate_readings`); so
+    does every table on another chart."""
+    if M.rank != phi.rank or g.rank != phi.rank:  # before the image table is read
+        raise ValueError("rank mismatch")
     if g.is_identity:
         raise ValueError("seed must be nontrivial")
     if n_max < 0:
         raise ValueError("n must be >= 0")
     readings = None  # the block route's, if no junction cancels: row 0 makes them nonempty
-    if M._loops is None and g.letters[0] != -g.letters[-1]:
+    if M._loops is None:
         with suppress(_JunctionCancels):  # then the table starts over on iterates
             readings = list(_block_readings(phi, M, g, n_max, depth, cap))
     deflated: dict[int, float] = {}
@@ -505,37 +495,38 @@ def iwip_rows(
 
 def _iterate_readings(phi: Automorphism, M: MarkedMetricGraph, g: Word, n_max: int, depth: int,
                       cap: int) -> Iterator[tuple]:
-    """``(j, exact length, (mass, counts))`` of each iterate a table reads,
-    the row only up to ``n_max``, off one axis period of the iterate."""
+    """``(j, exact length, (mass, counts))`` of each iterate within ``cap``
+    that a table reads, the row only up to ``n_max``, off one axis period."""
     pairs = _path_pairs(M.graph, depth)
-    for j, w in enumerate(_iterates(phi, g, 2 * n_max, cap)):
-        if j > n_max and j % 2:
-            continue
-        period = _axis_period(M, w)
-        row = (cyclic_length(w), _window_counts([(period, 1)], pairs)) if j <= n_max else None
-        yield j, M._path_length(period), row
-        del period  # before the next, longer iterate is built
+    with suppress(WordLengthCapError):
+        for j, w in enumerate(_orbit(phi, g, 2 * n_max, cap)):
+            if j > n_max and j % 2:
+                continue
+            period = _axis_period(M, w)
+            row = (cyclic_length(w), _window_counts([(period, 1)], pairs)) if j <= n_max else None
+            yield j, M._path_length(period), row
+            del period  # before the next, longer iterate is built
 
 
 def _block_readings(phi: Automorphism, M: MarkedMetricGraph, g: Word, n_max: int, depth: int,
                     cap: int) -> Iterator[tuple]:
-    """:func:`_iterate_readings` of a cyclically reduced seed on a
-    standard-marked rose, from counts alone.  The rows and lengths come
-    from the cyclic ``K``-windows of the iterates' cyclic cores, ``K =
-    max(depth, 2)`` (:func:`_orbit_counts`).  A window starts at each
+    """:func:`_iterate_readings` on a standard-marked rose, from counts
+    alone.  The rows and lengths come from the cyclic ``K``-windows of
+    the iterates' cyclic cores, ``K = max(depth, 2)``, stepped from the
+    seed's cyclic core (:func:`_orbit_counts`).  A window starts at each
     letter, so ``sum(c)`` is the cyclic core's letters, the windows'
     first letters its length, and their first ``depth`` letters its
     ``depth``-windows.  The cap reads the letters of the reduced
-    iterates themselves, conjugators included.  While the seed has no
-    illegal turn, they are the cyclic cores, and the counts check each
-    junction as they step.  Else a second, linear track counts them.
+    iterates themselves, conjugators included.  While the seed is
+    cyclically reduced and its core has no illegal turn, they are the
+    cyclic cores, and the counts check each junction as they step.  Else
+    a second, linear track counts them from the seed itself.
     :class:`_JunctionCancels` means the counts cannot read the orbit."""
-    if M.rank != phi.rank or g.rank != phi.rank:  # before the image table is read
-        raise ValueError("rank mismatch")
     images, nums, pairs, K = phi._images, M._length_nums, _path_pairs(M.graph, depth), max(depth, 2)
-    core = _orbit_counts(images, g.letters, K, True)
+    cut = _cyclic_cut(g.letters)
+    core = _orbit_counts(images, g.letters[cut : len(g) - cut], K, True)
     c, rim = next(core)
-    line = None if rim is None else _orbit_counts(images, g.letters, K, False)
+    line = None if rim is None and not cut else _orbit_counts(images, g.letters, K, False)
     for j in range(2 * n_max + 1):
         if j:
             c, rim = next(core)

@@ -77,6 +77,7 @@ from .words import (
     CyclicWord,
     OuterintError,
     Word,
+    _check_class_count,
     _check_int,
     _concat,
     _cyclic_cut,
@@ -177,10 +178,10 @@ class FreeSplitting:
                 raise ValueError("untwisted splitting JSON needs an explicit rank")
             rank = _check_int(obj["rank"], "rank")
             phi = Automorphism.identity(rank)
-        if obj["kind"] == "sep":
-            subset = [_check_int(i, "subset member") for i in obj["subset"]]
-            return separating_splitting(rank, subset, phi)
-        return FreeSplitting(rank, obj["kind"], None, _check_int(obj["stable"], "stable letter"), phi)
+        kind = obj["kind"]  # both keys as the file holds them, so that the constructor checks them
+        subset = [_check_int(i, "subset member") for i in obj["subset"]] if "subset" in obj or kind == "sep" else None
+        stable = _check_int(obj["stable"], "stable letter") if "stable" in obj or kind == "loop" else None
+        return FreeSplitting(rank, kind, None if subset is None else frozenset(subset), stable, phi)
 
 
 def separating_splitting(
@@ -340,10 +341,10 @@ def _first_common(s1: FreeSplitting, s2: FreeSplitting, search_length: int) -> O
     length read are closed under rotation and inversion, so the least of
     them is the flip-normalised canonical rotation of the first class of
     that length in the test set."""
+    _check_class_count(s1.rank, search_length)
     short = min(_SHORT_LENGTH, search_length)
-    test_set = enumerate_cyclic_words(s1.rank, search_length, up_to_inversion=True)
     common = map(and_, _elliptic_flags(s1, short), _elliptic_flags(s2, short))
-    found = next(compress(test_set, common), None)
+    found = next(compress(enumerate_cyclic_words(s1.rank, short, up_to_inversion=True), common), None)
     if found is not None or short == search_length:
         return found
     cores = _pullback_cores(s1, s2)

@@ -531,6 +531,16 @@ def word_str(w: Word) -> str:
 MAX_LISTED = 10 ** 6
 
 
+def _check_class_count(rank: int, max_length: int) -> None:
+    """Refuse more than :data:`MAX_LISTED` classes up to ``max_length``, counted by Burnside's lemma."""
+    total = 0
+    for n in range(1, max_length + 1):  # rotation by j fixes the cyclically reduced words of period gcd(j, n)
+        fixed = ((2 * rank - 1) ** d + (rank - 1) * (-1) ** d + rank for d in map(gcd, range(n), [n] * n))
+        total += sum(fixed) // n
+        if total > MAX_LISTED:
+            raise ValueError(f"depth {max_length} has more than {MAX_LISTED} conjugacy classes")
+
+
 @lru_cache(maxsize=None)
 def enumerate_cyclic_words(
     rank: int, max_length: int, up_to_inversion: bool = False
@@ -549,12 +559,7 @@ def enumerate_cyclic_words(
     >>> [str(cw) for cw in enumerate_cyclic_words(2, 2, up_to_inversion=True)]
     ['a', 'b', 'aa', 'ab', 'aB', 'bb']
     """
-    total = 0
-    for n in range(1, max_length + 1):  # rotation by j fixes the cyclically reduced words of period gcd(j, n)
-        fixed = ((2 * rank - 1) ** d + (rank - 1) * (-1) ** d + rank for d in map(gcd, range(n), [n] * n))
-        total += sum(fixed) // n
-        if total > MAX_LISTED:
-            raise ValueError(f"depth {max_length} has more than {MAX_LISTED} conjugacy classes")
+    _check_class_count(rank, max_length)
     out: list[CyclicWord] = []
     letter = [l for i in range(1, rank + 1) for l in (i, -i)]  # by sort key
 

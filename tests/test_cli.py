@@ -505,6 +505,7 @@ class TestUserErrors:
     @staticmethod
     def write_malformed(directory):
         """Well-formed JSON of a shape the parsers cannot read."""
+        from outerint.marked_graph import marked_graph_to_json_obj, rose, subdivide_edge
         chart = json.loads((FIXTURES / "rose2.json").read_text())
         infinite_length = json.loads((FIXTURES / "rose2.json").read_text())
         infinite_length["edges"][0]["length"] = "1/0"
@@ -525,6 +526,17 @@ class TestUserErrors:
         unknown_word_key = json.loads((FIXTURES / "rose2.json").read_text())
         unknown_word_key["marking"]["edge_words"]["zz"] = [1]
         identity3 = {"rank": 3, "images": [[1], [2], [3]], "inverse_images": [[1], [2], [3]]}
+        outside_vertex_map = json.loads((FIXTURES / "fibonacci_map.json").read_text())
+        outside_vertex_map["vertex_map"] = {"v": "w"}
+        rank3_automorphism_map = json.loads((FIXTURES / "fibonacci_map.json").read_text())
+        rank3_automorphism_map["automorphism"] = identity3
+
+        def swapped_map(edge_map):
+            """A map of the rose with petal a subdivided (vertices v, w1;
+            edges a, b, a2) that swaps the two vertices."""
+            return {"graph": marked_graph_to_json_obj(subdivide_edge(rose(2, [1, 1]), 1)),
+                    "vertex_map": {"v": "w1", "w1": "v"}, "edge_map": edge_map,
+                    "automorphism": {"rank": 2, "images": [[1], [2]], "inverse_images": [[1], [2]]}}
 
         def rose2(edit):
             """rose2.json after ``edit`` changed it in place."""
@@ -578,6 +590,15 @@ class TestUserErrors:
             "twist_no_inverse.json": {"kind": "sep", "rank": 3, "subset": [1],
                                       "twist": {"rank": 3, "images": [[1], [2], [3]]}},
             "no_kind.json": {"rank": 3, "subset": [1]},
+            "outside_vertex_map.json": outside_vertex_map,
+            "rank3_automorphism_map.json": rank3_automorphism_map,
+            "swapped_endpoints_map.json": swapped_map({"a": ["a"], "b": ["b"], "a2": ["a2"]}),
+            "swapped_base_map.json": swapped_map({"a": ["a2"], "b": ["a2", "b", "a"], "a2": ["a"]}),
+            "full_subset.json": {"kind": "sep", "rank": 3, "subset": [1, 2, 3], "twist": None},
+            "empty_subset.json": {"kind": "sep", "rank": 3, "subset": [], "twist": None},
+            "stable_4.json": {"kind": "loop", "rank": 3, "stable": 4, "twist": None},
+            "loop_with_subset.json": {"kind": "loop", "rank": 3, "subset": [1], "stable": 1, "twist": None},
+            "sep_with_stable.json": {"kind": "sep", "rank": 3, "subset": [1], "stable": 1, "twist": None},
         }
         for name, obj in files.items():
             (directory / name).write_text(json.dumps(obj))
@@ -663,6 +684,23 @@ class TestUserErrors:
             (["translen", "loop_in_tree.json", "a"], "loop_in_tree.json: spanning tree has wrong edge count"),
             (["graph", "--from", "no_kind.json"],
              "bad vertex file no_kind.json: cannot tell its kind: no 'kind', 'terms', 'class' or 'edges' key"),
+            (["pf", "--map", "outside_vertex_map.json"],
+             "outside_vertex_map.json: vertex_map must map every vertex into the graph"),
+            (["pf", "--map", "rank3_automorphism_map.json"], "rank3_automorphism_map.json: automorphism rank mismatch"),
+            (["pf", "--map", "swapped_endpoints_map.json"],
+             "swapped_endpoints_map.json: image of edge a has wrong endpoints"),
+            (["pf", "--map", "swapped_base_map.json"],
+             "swapped_base_map.json: the base vertex must be fixed by the map"),
+            (["graph", "--from", "full_subset.json"],
+             "full_subset.json: subset must be nonempty and proper in {1..N}"),
+            (["graph", "--from", "empty_subset.json"],
+             "empty_subset.json: subset must be nonempty and proper in {1..N}"),
+            (["graph", "--from", "stable_4.json"], "stable_4.json: stable letter out of range"),
+            # either key used to be dropped when the kind did not read it
+            (["graph", "--from", "loop_with_subset.json"],
+             "loop_with_subset.json: loop splittings need a stable letter and no subset"),
+            (["graph", "--from", "sep_with_stable.json"],
+             "sep_with_stable.json: separating splittings need a subset and no stable letter"),
             # the enumerators refuse before they list anything: these used to exhaust memory
             (["current-freq", FIXTURES / "current_ab.json", FIXTURES / "rose2.json", "-k", "40"],
              "depth 40 has more than 1000000 reduced paths"),
@@ -683,7 +721,10 @@ class TestUserErrors:
             "translen-nested", "graph-nested", "intersect-nested-terms", "rank-900-deep", "length-900-deep",
             "duplicate-edge", "no-inverse-record", "inconsistent-pair", "differing-lengths", "contradicting-words",
             "uncovered-edge", "duplicate-vertex", "no-edges", "base-outside", "empty-loop", "zero-length",
-            "self-inverse-edge", "unknown-endpoint", "loop-in-tree", "vertex-without-kind", "current-freq-depth-40", "iwip-depth-40", "graph-key-depth-40",
+            "self-inverse-edge", "unknown-endpoint", "loop-in-tree", "vertex-without-kind",
+            "map-vertex-outside", "map-automorphism-rank-3", "map-wrong-endpoints", "map-base-moved",
+            "subset-full", "subset-empty", "stable-4", "loop-with-subset", "sep-with-stable",
+            "current-freq-depth-40", "iwip-depth-40", "graph-key-depth-40",
             "graph-search-length-40",
         ],
     )

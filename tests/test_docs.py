@@ -60,8 +60,8 @@ def test_every_docstring_reference_resolves():
 
 
 def test_a_deleted_or_misnamed_target_is_caught():
-    assert resolves("outerint.dynamics", "func", "_iterates")
+    assert resolves("outerint.dynamics", "func", "_orbit")
     assert not resolves("outerint.dynamics", "func", "_no_such_helper")
-    assert not resolves("outerint.dynamics", "class", "_iterates")
+    assert not resolves("outerint.dynamics", "class", "_orbit")
     assert not resolves("outerint.marked_graph", "meth", "path_lengths")
     assert not resolves("outerint.marked_graph", "mod", ".no_such_module")

@@ -252,8 +252,20 @@ def cat_automorphism() -> Automorphism:
     return cat_map().automorphism
 
 
+def iterates(phi, w, n, cap) -> list:
+    """The iterates ``dynamics._orbit`` yields before it raises
+    :class:`WordLengthCapError`, or all ``n + 1`` of them."""
+    out = []
+    try:
+        for image in dynamics._orbit(phi, w, n, cap):
+            out.append(image)
+    except WordLengthCapError:
+        pass
+    return out
+
+
 def stepwise(phi, w, n, cap):
-    """``_iterates`` by repeated ``phi.apply``, with the same cap rule."""
+    """:func:`iterates` by repeated ``phi.apply``, with the same cap rule."""
     out = [w]
     for _ in range(n):
         nxt = phi.apply(out[-1])
@@ -302,7 +314,7 @@ def iteration_mismatches(maps, seed: int = 43) -> list:
     return [
         (phi.images, w, n, cap)
         for phi, w, n, cap in iteration_cases(maps, seed)
-        if list(dynamics._iterates(phi, w, n, cap)) != stepwise(phi, w, n, cap)
+        if iterates(phi, w, n, cap) != stepwise(phi, w, n, cap)
     ]
 
 
@@ -339,15 +351,15 @@ class TestIteration:
 
     def test_cap_cuts_before_the_first_longer_iterate(self):
         phi, w = fibonacci_automorphism(), parse_word("a", 2)
-        assert [len(x) for x in dynamics._iterates(phi, w, 10, 13)] == [1, 2, 3, 5, 8, 13]
-        assert [len(x) for x in dynamics._iterates(phi, w, 10, 12)] == [1, 2, 3, 5, 8]
-        assert list(dynamics._iterates(phi, w, 0, 0)) == [w]
+        assert [len(x) for x in iterates(phi, w, 10, 13)] == [1, 2, 3, 5, 8, 13]
+        assert [len(x) for x in iterates(phi, w, 10, 12)] == [1, 2, 3, 5, 8]
+        assert iterates(phi, w, 0, 0) == [w]
 
     def test_tables_dropped_when_letter_images_outgrow_the_iterates(self):
         phi, w = cat_automorphism(), parse_word("abAB", 2)
         tracemalloc.start()
         try:
-            out = list(dynamics._iterates(phi, w, 60, DEFAULT_WORD_CAP))
+            out = iterates(phi, w, 60, DEFAULT_WORD_CAP)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -364,7 +376,7 @@ class TestIteration:
         monkeypatch.setattr(dynamics, "_concat", lambda table, keys: (
             substituted.append(keys) if table is phi._images else None) or concat(table, keys))
         for seed in ("A", "B"):
-            out = list(dynamics._iterates(phi, parse_word(seed, 2), 16, DEFAULT_WORD_CAP))
+            out = iterates(phi, parse_word(seed, 2), 16, DEFAULT_WORD_CAP)
             assert len(out) == 17 and out == stepwise(phi, out[0], 16, DEFAULT_WORD_CAP)
         assert len(calls) == 2 * 16  # all of them by stepwise
         assert substituted == [(-1,), (-2,)]
@@ -379,13 +391,13 @@ class TestIteration:
             substituted.append(len(keys)) if table is phi._images else None) or concat(table, keys))
         for seed in ("BA", "abaab"):
             substituted.clear()
-            out = list(dynamics._iterates(phi, parse_word(seed, 2), 16, DEFAULT_WORD_CAP))
+            out = iterates(phi, parse_word(seed, 2), 16, DEFAULT_WORD_CAP)
             assert out == stepwise(phi, out[0], 16, DEFAULT_WORD_CAP)
             assert len(substituted) == 2 and substituted[1] <= 3  # the seed, then one short iterate
 
     def test_rank_mismatch_rejected(self):
         with pytest.raises(ValueError, match="rank mismatch"):
-            list(dynamics._iterates(fibonacci_automorphism(), parse_word("a", 3), 2, 100))
+            iterates(fibonacci_automorphism(), parse_word("a", 3), 2, 100)
 
 
 class TestStableLengthOracle:
@@ -625,8 +637,8 @@ class TestIwipRows:
         # inverse letter to a positive one goes to (A, a), so the signed
         # seeds it keeps legal are inverse words
         lam, charts, calls = pf_eigenpair(transition_matrix(f)).eigenvalue, (f.chart, metric_from_pf(f)), []
-        real_iterates, real_path = dynamics._iterates, MarkedMetricGraph.word_to_path
-        monkeypatch.setattr(dynamics, "_iterates", lambda *a: calls.append(a) or real_iterates(*a))
+        real_orbit, real_path = dynamics._orbit, MarkedMetricGraph.word_to_path
+        monkeypatch.setattr(dynamics, "_orbit", lambda *a: calls.append(a) or real_orbit(*a))
         monkeypatch.setattr(MarkedMetricGraph, "word_to_path", lambda M, w: calls.append(w) or real_path(M, w))
         for M in charts:
             rows = iwip_rows(f.automorphism, M, lam, parse_word(seed, f.chart.rank), 12, 3)
@@ -709,10 +721,28 @@ def drawn_tables(rng, maps, count: int, redraw=lambda images, g: orbit_cancels(i
         yield phi, M, lam, g, rng.randint(0, 14), rng.randint(1, 4), rng.choice([10, 300, 10 ** 4, 10 ** 5])
 
 
-def block_route_mismatches(monkeypatch) -> list:
-    """Tables whose rows differ between the route ``iwip_rows`` chooses and
-    the iterate route, which is reached by standing in for the block route."""
-    tables = list(route_tables())
+def conjugated_tables(seed: int = 67, count: int = 600):
+    """``count`` tables whose seeds are not cyclically reduced: the three
+    catalog maps, on the unit rose and on the PF metric, with seeds of
+    3-12 letters, n_max 0-10, depth 1-3 and caps from 50 to 10^5."""
+    rng = random.Random(seed)
+    maps = []
+    for f in (fibonacci_rose_map(), fibonacci_inverse_rose_map(), supergolden_rose_map()):
+        lam = pf_eigenpair(transition_matrix(f)).eigenvalue
+        maps += [(f.automorphism, f.chart, lam), (f.automorphism, metric_from_pf(f), lam)]
+    for _ in range(count):
+        phi, M, lam = rng.choice(maps)
+        g = random_reduced_word(rng, phi.rank, rng.randint(3, 12))
+        while g.letters[0] != -g.letters[-1]:
+            g = random_reduced_word(rng, phi.rank, rng.randint(3, 12))
+        yield phi, M, lam, g, rng.randint(0, 10), rng.randint(1, 3), rng.choice([50, 300, 10 ** 4, 10 ** 5])
+
+
+def block_route_mismatches(monkeypatch, tables=None) -> list:
+    """Tables, by default :func:`route_tables`, whose rows differ between
+    the route ``iwip_rows`` chooses and the iterate route, which is
+    reached by standing in for the block route."""
+    tables = list(tables or route_tables())
     block = [rows_or_error(table) for table in tables]
     with monkeypatch.context() as m:
         m.setattr(dynamics, "_block_readings", dynamics._iterate_readings)
@@ -790,9 +820,9 @@ def test_plant_applies_two_edits_to_one_function(monkeypatch):
 
 def iterate_free(monkeypatch, tables) -> list[bool]:
     """Whether ``iwip_rows`` builds no iterate, per table."""
-    real, calls, free = dynamics._iterates, [], []
+    real, calls, free = dynamics._orbit, [], []
     with monkeypatch.context() as m:
-        m.setattr(dynamics, "_iterates", lambda *a: calls.append(a) or real(*a))
+        m.setattr(dynamics, "_orbit", lambda *a: calls.append(a) or real(*a))
         for table in tables:
             calls.clear()
             rows_or_error(table)
@@ -820,7 +850,7 @@ class TestBlockRoute:
                  for phi, _, _, g, n_max, _, cap in tables]
         assert sum(legal[:240]) == 174
         route = [counts_route(phi, g, 2 * n_max, cap) for phi, _, _, g, n_max, _, cap in tables]
-        assert sum(route) == 226
+        assert sum(route) == 244
         assert iterate_free(monkeypatch, tables) == route
         for images in {phi.images for phi, *_ in tables[:240]}:  # (legal, with inverse letters) per map
             kinds = {(ok, min(g.letters) < 0) for (phi, _, _, g, *_), ok in zip(tables, legal) if phi.images == images}
@@ -890,16 +920,34 @@ class TestBlockRoute:
             iwip_rows(phi, unit_rose(2), GOLDEN, Word(2), 3, 2)
 
 
+class TestConjugatedSeeds:
+    """A seed that is not cyclically reduced is read off counts: the
+    cyclic track starts at its cyclic core, and the linear track, which
+    counts the letters for the cap, at the seed itself."""
+
+    def test_counts_read_every_table_and_match_iterates(self, monkeypatch):
+        tables = list(conjugated_tables())
+        assert all(iterate_free(monkeypatch, tables))
+        assert block_route_mismatches(monkeypatch, tables) == []
+
+    def test_cross_check_catches_a_linear_track_started_at_the_core(self, monkeypatch):
+        # the cap then reads the cyclic cores, not the iterates with their conjugators
+        plant(monkeypatch, [("_block_readings", "_orbit_counts(images, g.letters, K, False)",
+                             "_orbit_counts(images, g.letters[cut : len(g) - cut], K, False)")])
+        assert block_route_mismatches(monkeypatch, conjugated_tables())
+
+
 def counts_route(phi, g, steps: int, cap: float = math.inf) -> bool:
-    """Whether a table should take the counts: a cyclically reduced seed,
-    under a train track (no turn inside a letter's image illegal, by
-    :func:`oracles.illegal_turns`), or with no illegal turn and no
-    cancellation within ``steps`` (:func:`oracles.orbit_cancels`).  No
-    cancellation in these tables reaches past a buffer."""
+    """Whether a table should take the counts: any seed under a train
+    track (no turn inside a letter's image illegal, by
+    :func:`oracles.illegal_turns`), else a cyclically reduced seed with
+    no illegal turn and no cancellation within ``steps``
+    (:func:`oracles.orbit_cancels`).  No cancellation in these tables
+    reaches past a buffer."""
     images = [w.letters for w in phi.images]
     train_track = not any(illegal_turns(images, image, cyclic=False) for image in images)
-    return g.letters[0] != -g.letters[-1] and (
-        train_track or illegal_turns(images, g.letters) == 0 and not orbit_cancels(images, g.letters, steps, cap))
+    return train_track or g.letters[0] != -g.letters[-1] and illegal_turns(images, g.letters) == 0 and not (
+        orbit_cancels(images, g.letters, steps, cap))
 
 
 def cyclically_reduced_seeds(rank: int, longest: int):

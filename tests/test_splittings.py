@@ -488,6 +488,19 @@ class TestPullback:
         # the bound although the core holds a class
         assert {(found is None, core) for found, core in answers} == {(False, True), (True, False), (True, True)}
 
+    def test_a_cold_search_lists_only_the_short_classes(self, monkeypatch):
+        # a search length with more than MAX_LISTED classes is refused by
+        # count, so the first search of a process lists no long class: at
+        # rank 5 and length 6 the whole test set is 51,264 classes
+        asked, listed = [], splittings.enumerate_cyclic_words
+        monkeypatch.setattr(splittings, "enumerate_cyclic_words",
+                            lambda rank, length, *a, **k: asked.append(length) or listed(rank, length, *a, **k))
+        _class_masks.cache_clear()
+        twist = Automorphism.from_images(5, [[1, 2], [2], [3], [4], [5]], [[1, -2], [2], [3], [4], [5]])
+        s1, s2 = separating_splitting(5, [1, 2], twist), loop_splitting(5, 1)
+        assert _first_common(s1, s2, 6) == first_common_elliptic(s1, s2, 6)
+        assert asked and max(asked) <= 2
+
     def test_a_fold_that_skips_one_merge_is_caught(self, monkeypatch, pairs):
         # the planted fold leaves the first two edges of one letter at a
         # vertex unfolded: it drops the later one, so its subgroup loses
