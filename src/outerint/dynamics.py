@@ -9,7 +9,7 @@ count routes below only test whether the given rose map is one.
 
 From the transition matrix the dominant eigenpair is found by exact
 integer power iteration; the eigenvalue enclosure is the exact
-Collatz-Wielandt bracket (min/max of the component ratios as fractions),
+Collatz-Wielandt bracket (min/max of the component ratios, exactly),
 which contains the dominant eigenvalue of a primitive nonnegative matrix.
 
 The limit objects themselves (stable trees and stable currents) never get
@@ -244,8 +244,11 @@ def pf_eigenpair(T: TransitionMatrix, tol: float = 1e-12) -> PFResult:
     From ``v = 1`` the iteration sets ``v <- T^t v`` with Python integers
     and stops once the Collatz-Wielandt bracket ``min_j (T^t v)_j / v_j <=
     lambda <= max_j (T^t v)_j / v_j`` has half-width at most ``tol``.  The
-    returned vector satisfies ``sum_i T[i][j] v[i] ~ lambda v[j]``, i.e. it
-    is the length vector stretched uniformly by the map.
+    ratios are compared by cross-multiplication (``v`` stays positive, as a
+    primitive matrix has no zero column), and the bracket is made into
+    ``Fraction``s once, after the last step.  The returned vector satisfies
+    ``sum_i T[i][j] v[i] ~ lambda v[j]``, i.e. it is the length vector
+    stretched uniformly by the map.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -254,24 +257,29 @@ def pf_eigenpair(T: TransitionMatrix, tol: float = 1e-12) -> PFResult:
             "transition matrix is not primitive (no power is entrywise positive)"
         )
     columns = tuple(zip(*T.entries))
-    tol2 = 2 * Fraction(tol)
+    p, q = (2 * Fraction(tol)).as_integer_ratio()
     v = [1] * T.size
     for it in range(1, MAX_PF_ITERATIONS + 1):
-        w = [sum(a * x for a, x in zip(col, v)) for col in columns]
-        ratios = [Fraction(y, x) for x, y in zip(v, w)]
-        lo, hi = min(ratios), max(ratios)
-        if hi - lo <= tol2:
+        w = [sum(map(mul, col, v)) for col in columns]
+        il = ih = 0
+        for j in range(1, len(v)):
+            if w[j] * v[il] < w[il] * v[j]:
+                il = j
+            elif w[j] * v[ih] > w[ih] * v[j]:
+                ih = j
+        if (w[ih] * v[il] - w[il] * v[ih]) * q <= p * v[ih] * v[il]:
             break
         v = w
     else:
         raise ConvergenceError(f"power iteration did not converge in {MAX_PF_ITERATIONS} steps")
-    mid, total = (lo + hi) / 2, sum(v)
-    lam = float(mid)
+    lo, hi, total = Fraction(w[il], v[il]), Fraction(w[ih], v[ih]), sum(v)
+    a, b = ((lo + hi) / 2).as_integer_ratio()
+    lam = a / b
     return PFResult(
         eigenvalue=lam,
         eigenvalue_bound=_float_at_least(max(hi - Fraction(lam), Fraction(lam) - lo)),
         eigenvector=tuple(Fraction(x, total) for x in v),
-        residual=float(max(abs(y - mid * x) for x, y in zip(v, w)) / total),
+        residual=max(abs(b * y - a * x) for x, y in zip(v, w)) / (b * total),
         iterations=it,
     )
 

@@ -79,6 +79,7 @@ from .words import (
     Word,
     _check_class_count,
     _check_int,
+    _clip,
     _concat,
     _cyclic_cut,
     _free_reduce,
@@ -179,9 +180,13 @@ class FreeSplitting:
             rank = _check_int(obj["rank"], "rank")
             phi = Automorphism.identity(rank)
         kind = obj["kind"]  # both keys as the file holds them, so that the constructor checks them
-        subset = [_check_int(i, "subset member") for i in obj["subset"]] if "subset" in obj or kind == "sep" else None
+        subset = None
+        if "subset" in obj or kind == "sep":
+            if type(subset := obj["subset"]) is not list:
+                raise ValueError(f"subset must be a list, got {_clip(subset)}")
+            subset = frozenset(_check_int(i, "subset member") for i in subset)
         stable = _check_int(obj["stable"], "stable letter") if "stable" in obj or kind == "loop" else None
-        return FreeSplitting(rank, kind, None if subset is None else frozenset(subset), stable, phi)
+        return FreeSplitting(rank, kind, subset, stable, phi)
 
 
 def separating_splitting(

@@ -531,6 +531,7 @@ def word_str(w: Word) -> str:
 MAX_LISTED = 10 ** 6
 
 
+@lru_cache(maxsize=None)
 def _check_class_count(rank: int, max_length: int) -> None:
     """Refuse more than :data:`MAX_LISTED` classes up to ``max_length``, counted by Burnside's lemma."""
     total = 0

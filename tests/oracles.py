@@ -4,6 +4,7 @@ These deliberately take different computational routes from the package:
 repeated-scan reduction instead of a stack, divisor scans instead of
 prefix functions, modular indices instead of one-pass window tallies,
 characteristic-polynomial bisection instead of power iteration,
+``Fraction`` ratios at every step instead of cross-multiplication,
 substitution letter by letter instead of block counts checked at each
 junction, powers of the direction map instead of images of turns,
 orbit-displacement growth instead of cyclic syllable counts, point
@@ -130,6 +131,41 @@ def dominant_root_by_bisection(matrix: Sequence[Sequence[int]], tol: float) -> f
         x -= step
         assert x > -hi, "no sign change found"
     return bisect_root(p, x, x + step, tol)
+
+
+def fraction_pf_eigenpair(T, tol: float):
+    """:func:`outerint.dynamics.pf_eigenpair` with its Collatz-Wielandt
+    ratios built as ``Fraction``s at every step and compared and
+    subtracted in ``Fraction`` arithmetic."""
+    from outerint import dynamics
+
+    if not T.is_primitive():
+        raise dynamics.NonPrimitiveMatrixError(
+            "transition matrix is not primitive (no power is entrywise positive)"
+        )
+    columns = tuple(zip(*T.entries))
+    tol2 = 2 * Fraction(tol)
+    v = [1] * T.size
+    for it in range(1, dynamics.MAX_PF_ITERATIONS + 1):
+        w = [sum(a * x for a, x in zip(col, v)) for col in columns]
+        ratios = [Fraction(y, x) for x, y in zip(v, w)]
+        lo, hi = min(ratios), max(ratios)
+        if hi - lo <= tol2:
+            break
+        v = w
+    else:
+        raise dynamics.ConvergenceError(
+            f"power iteration did not converge in {dynamics.MAX_PF_ITERATIONS} steps"
+        )
+    mid, total = (lo + hi) / 2, sum(v)
+    lam = float(mid)
+    return dynamics.PFResult(
+        eigenvalue=lam,
+        eigenvalue_bound=dynamics._float_at_least(max(hi - Fraction(lam), Fraction(lam) - lo)),
+        eigenvector=tuple(Fraction(x, total) for x in v),
+        residual=float(max(abs(y - mid * x) for x, y in zip(v, w)) / total),
+        iterations=it,
+    )
 
 
 def orbit_cancels(images: Sequence[Sequence[int]], letters: Sequence[int], steps: int,

@@ -599,6 +599,7 @@ class TestUserErrors:
             "stable_4.json": {"kind": "loop", "rank": 3, "stable": 4, "twist": None},
             "loop_with_subset.json": {"kind": "loop", "rank": 3, "subset": [1], "stable": 1, "twist": None},
             "sep_with_stable.json": {"kind": "sep", "rank": 3, "subset": [1], "stable": 1, "twist": None},
+            "null_subset.json": {"kind": "sep", "rank": 3, "subset": None, "twist": None},
         }
         for name, obj in files.items():
             (directory / name).write_text(json.dumps(obj))
@@ -620,7 +621,7 @@ class TestUserErrors:
             (["intersect", FIXTURES / "rose2.json", "list.json"], "bad current file list.json"),
             (["graph", "--from", "number.json"], "bad vertex file number.json"),
             (["graph", "--from", "kind_list.json"], "bad vertex file kind_list.json"),
-            (["graph", "--from", "subset.json"], "bad vertex file subset.json"),
+            (["graph", "--from", "subset.json"], "bad vertex file subset.json: subset must be a list, got 5"),
             (["graph", "--moves", "chart.json"], "bad moves file chart.json"),
             (["translen", "length.json", "a"], "bad graph file length.json"),
             (["intersect", FIXTURES / "rose2.json", "weight.json"], "bad current file weight.json"),
@@ -701,6 +702,7 @@ class TestUserErrors:
              "loop_with_subset.json: loop splittings need a stable letter and no subset"),
             (["graph", "--from", "sep_with_stable.json"],
              "sep_with_stable.json: separating splittings need a subset and no stable letter"),
+            (["graph", "--from", "null_subset.json"], "null_subset.json: subset must be a list, got None"),
             # the enumerators refuse before they list anything: these used to exhaust memory
             (["current-freq", FIXTURES / "current_ab.json", FIXTURES / "rose2.json", "-k", "40"],
              "depth 40 has more than 1000000 reduced paths"),
@@ -724,6 +726,7 @@ class TestUserErrors:
             "self-inverse-edge", "unknown-endpoint", "loop-in-tree", "vertex-without-kind",
             "map-vertex-outside", "map-automorphism-rank-3", "map-wrong-endpoints", "map-base-moved",
             "subset-full", "subset-empty", "stable-4", "loop-with-subset", "sep-with-stable",
+            "subset-null",
             "current-freq-depth-40", "iwip-depth-40", "graph-key-depth-40",
             "graph-search-length-40",
         ],
@@ -772,6 +775,13 @@ class TestExitCodes:
         result = run(*args)
         assert result.exit_code == 1
         TestUserErrors.assert_one_line_error(result, message)
+
+    def test_unconverged_power_iteration_exits_1(self, monkeypatch):
+        from outerint import dynamics
+
+        monkeypatch.setattr(dynamics, "MAX_PF_ITERATIONS", 3)
+        result = run("pf", "--map", FIXTURES / "fibonacci_map.json")
+        assert result == (1, "Error: power iteration did not converge in 3 steps\n", b"")
 
     def test_usage_error_exits_2(self):
         result = run("bbt", FIXTURES / "rose2.json", "--no-such-option")

@@ -20,6 +20,7 @@ from outerint.catalog import (
 from outerint.currents import counting_current, frequency_vector
 from outerint.dynamics import (
     DEFAULT_WORD_CAP,
+    ConvergenceError,
     GraphMap,
     NonPrimitiveMatrixError,
     TransitionMatrix,
@@ -46,7 +47,14 @@ from _generators import (
     random_cyclically_reduced_word,
     random_reduced_word,
 )
-from oracles import char_poly_at, cyclic_core_orbit, dominant_root_by_bisection, illegal_turns, orbit_cancels
+from oracles import (
+    char_poly_at,
+    cyclic_core_orbit,
+    dominant_root_by_bisection,
+    fraction_pf_eigenpair,
+    illegal_turns,
+    orbit_cancels,
+)
 
 GOLDEN = (1 + 5 ** 0.5) / 2
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -175,7 +183,72 @@ class TestTransitionMatrix:
         assert not TransitionMatrix(((0, 1), (1, 0))).is_primitive()
 
 
+def pf_cases():
+    """Seeded random 0..3 matrices of sizes 1-6, most with zero entries
+    and many not primitive, then the catalog maps and the map fixtures,
+    each with a tolerance between 1e-16 and 2."""
+    rng = random.Random(35)
+    matrices = [
+        tuple(tuple(rng.choice((0, 0, 1, 1, 2, 3)) for _ in range(n)) for _ in range(n))
+        for n in (rng.randint(1, 6) for _ in range(600))
+    ]
+    maps = [fibonacci_rose_map(), fibonacci_inverse_rose_map(), supergolden_rose_map()]
+    maps += [graph_map_from_json_obj(json.loads(path.read_text())) for path in sorted(FIXTURES.glob("*_map.json"))]
+    matrices += [transition_matrix(f).entries for f in maps for _ in range(4)]
+    return [(TransitionMatrix(entries), 2 * 10 ** rng.uniform(-16.3, 0)) for entries in matrices]
+
+
+def pf_or_error(pf, T, tol):
+    try:
+        return pf(T, tol)
+    except (ConvergenceError, NonPrimitiveMatrixError) as exc:
+        return type(exc), str(exc)
+
+
+def pf_mismatches(cases) -> list:
+    return [(T, tol) for T, tol in cases
+            if pf_or_error(dynamics.pf_eigenpair, T, tol) != pf_or_error(fraction_pf_eigenpair, T, tol)]
+
+
 class TestPFEigenpair:
+    def test_matches_fraction_oracle(self):
+        cases = pf_cases()
+        results = [pf_or_error(pf_eigenpair, T, tol) for T, tol in cases]
+        # the sample holds refusals, one-step brackets and long iterations
+        assert {type(r) for r in results} == {tuple, dynamics.PFResult}
+        assert {r.iterations for r in results if type(r) is not tuple} >= {1, 2, 3}
+        assert max(r.iterations for r in results if type(r) is not tuple) > 100
+        assert pf_mismatches(cases) == []
+
+    @pytest.mark.parametrize(
+        "edits",
+        [[("pf_eigenpair", "(2 * Fraction(tol))", "Fraction(tol)")],
+         [("pf_eigenpair", "v = [1] * T.size", "v, late = [1] * T.size, False"),
+          ("pf_eigenpair", "if (w[ih] * v[il] - w[il] * v[ih]) * q <= p * v[ih] * v[il]:\n            break",
+           "if late:\n            break\n        late = (w[ih] * v[il] - w[il] * v[ih]) * q <= p * v[ih] * v[il]")],
+         [("pf_eigenpair", "a, b = ", "b, a = ")]],
+        ids=["stop-at-tol", "stop-one-step-late", "residual-mid-inverted"],
+    )
+    def test_oracle_catches_planted_bug(self, monkeypatch, edits):
+        plant(monkeypatch, edits)
+        assert pf_mismatches(pf_cases()) != []
+
+    @pytest.mark.parametrize("f, steps", [(fibonacci_rose_map, 30), (supergolden_rose_map, 48)])
+    def test_fractions_made_do_not_grow_with_the_steps(self, monkeypatch, f, steps):
+        T, made = transition_matrix(f()), []
+        monkeypatch.setattr(dynamics, "Fraction", lambda *a: made.append(a) or Fraction(*a))
+        counts = []
+        for tol in (1.0, 1e-12):
+            made.clear()
+            counts.append((pf_eigenpair(T, tol).iterations, len(made)))
+        assert counts[1][0] == steps > counts[0][0]
+        assert counts[0][1] == counts[1][1] <= T.size + 8
+
+    def test_step_bound_reached(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "MAX_PF_ITERATIONS", 3)
+        with pytest.raises(ConvergenceError, match="^power iteration did not converge in 3 steps$"):
+            pf_eigenpair(transition_matrix(fibonacci_rose_map()))
+
     def test_golden_ratio_against_bisection(self):
         result = pf_eigenpair(transition_matrix(fibonacci_rose_map()), tol=1e-13)
         oracle = dominant_root_by_bisection(((1, 1), (1, 0)), 1e-12)

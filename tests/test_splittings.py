@@ -38,6 +38,7 @@ from outerint.words import (
     Automorphism,
     CyclicWord,
     Word,
+    _check_class_count,
     _concat,
     compose,
     cyclic_reduce,
@@ -500,6 +501,18 @@ class TestPullback:
         s1, s2 = separating_splitting(5, [1, 2], twist), loop_splitting(5, 1)
         assert _first_common(s1, s2, 6) == first_common_elliptic(s1, s2, 6)
         assert asked and max(asked) <= 2
+
+    def test_the_class_count_is_taken_once_and_refuses_every_time(self):
+        # the Burnside count depends only on the rank and the search length
+        s1, s2 = separating_splitting(5, [1, 2]), loop_splitting(5, 1)
+        _first_common(s1, s2, 6)
+        misses = _check_class_count.cache_info().misses
+        for _ in range(2):
+            _first_common(s1, s2, 6)
+        assert _check_class_count.cache_info().misses == misses
+        for _ in range(2):
+            with pytest.raises(ValueError, match="depth 40 has more than 1000000 conjugacy classes"):
+                _first_common(s1, s2, 40)
 
     def test_a_fold_that_skips_one_merge_is_caught(self, monkeypatch, pairs):
         # the planted fold leaves the first two edges of one letter at a
