@@ -343,7 +343,8 @@ def iwip(map_path: str, seed: str, n_max: int, depth: int, tol: float, cap: int,
           _arg("--to", dest="to_path", required=True, type=_file),
           _arg("--radius", default=3, type=_at_least(int, 0)), _arg("--moves", dest="moves_path", type=_file),
           _arg("--search-length", default=6, type=_at_least(int, 1)),
-          _arg("--key-depth", default=4, type=_at_least(int, 1)),
+          _arg("--key-depth", default=4, type=_at_least(int, 1),
+               help="Longest class of the test set that keys I0 charts; splittings are keyed exactly."),
           _arg("--state-cap", default=5000, type=_at_least(int, 1)))
 def graph_cmd(flavor: str, from_path: str, to_path: str, radius: int, moves_path: str | None,
               search_length: int, key_depth: int, state_cap: int) -> dict:

@@ -14,23 +14,30 @@ only ever touched through the integer translation length function:
   word;
 * twisted: the same after applying the inverse twist.
 
-Vertices of the splitting graphs are identified by their length
-functions sampled on a fixed finite test set (:func:`vertex_key`).
-Keys are memoised per (splitting, depth) in a bounded process-wide
-cache.  They, the elliptic classes and the short step of the
-common-elliptic search read one table per (twist, length), also bounded
-and process-wide: the cyclic cores of the twist's preimages of the test
-words at a key depth, as closed-up strings that ``str.count`` reads, and
-only the set of generators each core uses at a search length or at the
-short length.  :func:`splitting_length` stays the direct per-word route
-they are checked against.  Composed
-twists are memoised per (move, twist) in one more bounded process-wide
-cache, and a twist computes its hash once, for all these lookups.
-Distinct splittings may in principle share a key at a given depth.  A
-second presentation of a stored key is kept outright when the change of
-twist carries its vertex groups into those of the stored one (the trees
-are then equal); any other is re-checked at a deeper depth and raises
-:class:`KeyCollisionError` on disagreement instead of silently merging.
+A vertex of the splitting graphs is keyed exactly, by the conjugacy
+classes of its vertex groups, which determine a one-edge free splitting:
+{[A], [B]} for A * B, and [A] for A * <t>.  Trees with the same elliptic
+subgroups lie in one deformation space (Forester, Geom. Topol. 2002).
+The outer space of F relative to {[A], [B]} has free rank 0 and
+dimension 3*0 + 2*2 - 4 = 0, so it is one tree; relative to {[A]} it has
+free rank 1 and is a contractible 1-complex whose edges (A joined to a
+vertex with a loop) each have one vertex, the loop splitting, so it too
+holds one tree (Guirardel-Levitt, Proc. LMS 2007).  Finitely generated
+subgroups are conjugate exactly when the cores of their Stallings graphs
+are isomorphic as labelled graphs (Kapovich-Myasnikov, J. Algebra 2002),
+so the key is the kind and the sorted canonical codes of those cores
+(:func:`_tree_key`): two presentations share a key exactly when they are
+one splitting.  This argument is the one claim here that no test can
+prove.  Cores and keys are memoised per splitting in bounded
+process-wide caches, and the common-elliptic search reads the same
+cores.  :func:`vertex_key`, the lengths on a test set, is the
+length-function view the tests check keys against.  The elliptic classes
+and the short step of the common-elliptic search read one bounded
+process-wide table per (twist, length): the set of generators that the
+cyclic core of each of the twist's preimages of the test words uses.
+Composed twists are memoised per (move, twist) in one more bounded
+process-wide cache, and a twist computes its hash once, for all these
+lookups.
 
 Refinement adjacency is deliberately partial: it decides only
 coordinate-compatible pairs, for want of an algorithm.  Common-elliptic
@@ -82,9 +89,7 @@ from .words import (
     _clip,
     _concat,
     _cyclic_cut,
-    _free_reduce,
     _frozen,
-    _inverse,
     act_on_class,
     compose,
     conjugacy_class,
@@ -102,11 +107,6 @@ class StateCapExceeded(OuterintError):
     def __init__(self, stored: int):
         super().__init__(f"state cap exceeded after storing {stored} vertices")
         self.stored = stored
-
-
-class KeyCollisionError(OuterintError):
-    """Two splittings agree on the key test set but differ deeper: the
-    key depth is too coarse for this instance."""
 
 
 @_frozen
@@ -226,12 +226,12 @@ def splitting_length(s: FreeSplitting, g: Word) -> int:
     return sum(map(ne, inside, inside[1:] + inside[:1]))
 
 
-# vertex keys are memoised per (splitting, depth) in one bounded
-# process-wide cache; equal splittings compare equal and share an entry
+# cores and keys are memoised per splitting, lengths per (splitting,
+# depth); equal splittings compare equal and share an entry
 _KEY_CACHE_SIZE = 4096
-# the untwisted test sets are memoised per (twist, length) in two bounded
-# process-wide caches: cores at key depths, generator bit sets at search
-# lengths and at the short length the common-elliptic search tries first
+# the generator bit sets of the untwisted test sets are memoised per
+# (twist, length) in one bounded process-wide cache, at search lengths
+# and at the short length the common-elliptic search tries first
 _TABLE_SIZE = 16
 # a move closure composes the same (move, twist) pairs again in every round
 _COMPOSE_SIZE = 32
@@ -247,14 +247,6 @@ def _untwisted_cores(twist: Automorphism, classes: Iterable[CyclicWord]) -> Iter
         letters = _concat(untwist, cw.letters)
         cut = _cyclic_cut(letters)
         yield list(map(abs, letters[cut : len(letters) - cut]))
-
-
-@lru_cache(maxsize=_TABLE_SIZE)
-def _key_cores(twist: Automorphism, depth: int) -> tuple[str, ...]:
-    """The untwisted cores of the test set up to ``depth``, in order, as
-    strings of absolute letters (``chr``) closed up by their first letter."""
-    test_set = enumerate_cyclic_words(twist.rank, depth, up_to_inversion=True)
-    return tuple("".join(map(chr, core + core[:1])) for core in _untwisted_cores(twist, test_set))
 
 
 @lru_cache(maxsize=_TABLE_SIZE)
@@ -297,12 +289,8 @@ def vertex_key(s: FreeSplitting, depth: int = 4) -> tuple[int, ...]:
 
 @lru_cache(maxsize=_KEY_CACHE_SIZE)
 def _vertex_key(s: FreeSplitting, depth: int) -> tuple[int, ...]:
-    cores = _key_cores(s.twist, depth)
-    if s.kind == "loop":  # the closing letter repeats the first
-        t = chr(s.stable)
-        return tuple(c.count(t) - (c[0] == t) for c in cores)
-    side = {i: "01"[i in s.subset] for i in range(1, s.rank + 1)}  # cyclically, 0-1 and 1-0 steps alternate
-    return tuple(2 * c.translate(side).count("01") for c in cores)
+    test_set = enumerate_cyclic_words(s.rank, depth, up_to_inversion=True)
+    return tuple(splitting_length(s, cw.as_word()) for cw in test_set)
 
 
 def fstar_adjacent(
@@ -319,7 +307,7 @@ def fstar_adjacent(
     """
     if s1.rank != s2.rank:
         raise ValueError("rank mismatch")
-    if vertex_key(s1) == vertex_key(s2):
+    if _tree_key(s1) == _tree_key(s2):
         raise ValueError("identical vertices are not adjacency candidates")
     return _first_common(s1, s2, search_length)
 
@@ -411,17 +399,49 @@ def _core(graph: dict) -> dict:
     return graph
 
 
-def _vertex_group_cores(s: FreeSplitting) -> list[dict[int, dict[int, int]]]:
+@lru_cache(maxsize=_KEY_CACHE_SIZE)
+def _vertex_group_cores(s: FreeSplitting) -> tuple[dict[int, dict[int, int]], ...]:
     """The cores of the Stallings graphs of the images under the twist of
     the vertex groups of ``s``: the two sides of a partition, or the
     letters off the stable one.  A class is elliptic in ``s`` exactly when
-    it is conjugate into one of these images."""
+    it is conjugate into one of these images.  The cores are shared by
+    every reader: read them, do not change them."""
     gens = range(1, s.rank + 1)
     if s.kind == "loop":
         sides = [[i for i in gens if i != s.stable]]
     else:
         sides = [[i for i in gens if i in s.subset], [i for i in gens if i not in s.subset]]
-    return [_core(_fold([s.twist._images[i] for i in side])) for side in sides]
+    return tuple(_core(_fold([s.twist._images[i] for i in side])) for side in sides)
+
+
+def _canonical_code(core: dict[int, dict[int, int]]) -> tuple[int, ...]:
+    """The least breadth-first code of ``core`` over all roots.  From a
+    root the vertices are numbered as the search meets them, taking each
+    vertex's edges in :func:`letter_sort_key` order; the code lists per
+    vertex its valence, then each edge's letter and far end's number.  A
+    core is connected and folded, so the code from a root is the rooted
+    labelled graph up to isomorphism, and the least code the graph."""
+    edges = {v: sorted(out.items(), key=lambda e: letter_sort_key(e[0])) for v, out in core.items()}
+    codes = []
+    for root in core:
+        number, order, code = {root: 0}, [root], []
+        for v in order:  # grows as the search meets vertices
+            code.append(len(edges[v]))
+            for l, u in edges[v]:
+                if u not in number:
+                    number[u] = len(order)
+                    order.append(u)
+                code += (l, number[u])
+        codes.append(tuple(code))
+    return min(codes)
+
+
+@lru_cache(maxsize=_KEY_CACHE_SIZE)
+def _tree_key(s: FreeSplitting) -> tuple:
+    """The exact key of the tree of ``s``: its kind and the sorted
+    canonical codes of its vertex group cores, all ints past the tags, so
+    that keys sort against each other."""
+    return ("tree", s.kind, *sorted(map(_canonical_code, _vertex_group_cores(s))))
 
 
 def _pullback_cores(s1: FreeSplitting, s2: FreeSplitting) -> list[dict]:
@@ -460,7 +480,7 @@ def refinement_adjacent(s1: FreeSplitting, s2: FreeSplitting) -> str:
     """
     if s1.rank != s2.rank:
         raise ValueError("rank mismatch")
-    if vertex_key(s1) == vertex_key(s2):
+    if _tree_key(s1) == _tree_key(s2):
         return "no"
     if s1.twist.images != s2.twist.images:
         return "unknown"
@@ -519,7 +539,7 @@ def _class_from_json_obj(obj: dict) -> CyclicWord:
 # key depth, its image under an automorphism); keys are tagged by kind, so
 # equal keys always belong to one kind
 _VERTEX_KINDS = {
-    FreeSplitting: ("kind", FreeSplitting.from_json_obj, lambda s, depth: ("tree", vertex_key(s, depth)), act),
+    FreeSplitting: ("kind", FreeSplitting.from_json_obj, lambda s, depth: _tree_key(s), act),
     RationalCurrent: ("terms", RationalCurrent.from_json_obj, _current_key, act_on_current),
     CyclicWord: ("class", _class_from_json_obj, lambda cw, depth: ("class", cw.letters), act_on_class),
     MarkedMetricGraph: ("edges", marked_graph_from_json_obj, _chart_key, act_on_chart),
@@ -534,41 +554,16 @@ def vertex_from_json_obj(obj: dict) -> GraphVertex:
     raise ValueError("cannot tell its kind: no 'kind', 'terms', 'class' or 'edges' key")
 
 
-def _same_tree(s: FreeSplitting, t: FreeSplitting) -> bool:
-    """Sufficient for two presentations to be one splitting: the change of
-    twist sigma = (twist of t)^-1 (twist of s) carries each side of ``s``
-    into a conjugate of its own side of ``t`` (the two images generate the
-    group, so they sit at adjacent vertices of the tree of ``t``), or keeps
-    the other letters of a loop off the stable letter of ``t`` and crosses
-    it once with the stable letter of ``s``.  False means unproven."""
-    if s.kind != t.kind:
-        return False
-    sigma = [_concat(t.twist._inverses, w.letters) for w in s.twist.images]
-    gens = range(1, s.rank + 1)
-    if s.kind == "loop":
-        return all(sum(abs(l) == t.stable for l in sigma[i - 1]) == (i == s.stable) for i in gens)
-    inside = [sigma[i - 1] for i in gens if i in s.subset]
-    outside = [sigma[i - 1] for i in gens if i not in s.subset]
-    rest = frozenset(gens) - t.subset
-    return any(_conjugate_into(inside, a) and _conjugate_into(outside, b)
-               for a, b in ((t.subset, rest), (rest, t.subset)))
-
-
-def _conjugate_into(words: Sequence[Sequence[int]], letters: frozenset[int]) -> bool:
-    """Whether the conjugator of the first word takes every word into the
-    subgroup on ``letters``."""
-    g = words[0][: _cyclic_cut(words[0])]
-    return all(abs(l) in letters for w in words for l in _free_reduce((*_inverse(g), *w, *g)))
-
-
 class _Universe:
-    """Deterministic key-canonicalised vertex store with collision checks.
+    """Deterministic key-canonicalised vertex store.
 
     A vertex may be reached through several presentations (for example a
     twisted loop splitting can equal an untwisted one over a different
-    stable letter); every structurally distinct presentation is kept,
-    because the partial adjacency certificates depend on the coordinates
-    a presentation exposes.
+    stable letter); a splitting's key is exact, so a presentation that
+    meets a stored key is one more presentation of that vertex.  Every
+    structurally distinct presentation is kept, because the partial
+    adjacency certificates depend on the coordinates a presentation
+    exposes.  ``depth`` keys charts only.
     """
 
     def __init__(self, depth: int, cap: int):
@@ -590,12 +585,6 @@ class _Universe:
             self.vertices[k] = [v]
             self._stored[type(v)].append((k, v))
         elif type(v) is FreeSplitting and v not in known:
-            deep = self.depth + 2
-            if not _same_tree(v, known[0]) and vertex_key(v, deep) != vertex_key(known[0], deep):
-                raise KeyCollisionError(
-                    f"splittings {v.to_json_obj()} and {known[0].to_json_obj()} "
-                    f"collide at key depth {self.depth} but differ at depth {deep}"
-                )
             known.append(v)
             self._stored[FreeSplitting].append((k, v))
         return k
@@ -656,7 +645,7 @@ def _coordinate_rule(include_loops: bool, adjacent) -> NeighbourRule:
         for uk, u in [(universe.key(u), u) for u in candidates] + universe.each(FreeSplitting):
             if uk == key or uk in found:
                 # another presentation of this vertex or of a known
-                # neighbour; storing it re-checks a key collision
+                # neighbour; storing it keeps its coordinates
                 universe.add(u)
                 continue
             if adjacent(views, u, search_length):
@@ -759,6 +748,7 @@ def bfs_distance(
         raise ValueError("the splitting graphs are defined for rank >= 3")
     if v2.rank != rank:
         raise ValueError("rank mismatch")
+    _check_class_count(rank, key_depth)
     graph = _FLAVORS[flavor]
     for v in (v1, v2):
         if type(v) not in graph.kinds or (graph.separating_only and v.kind != "sep"):

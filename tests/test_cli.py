@@ -397,17 +397,6 @@ class TestUserErrors:
         )
         self.assert_one_line_error(result, "state cap exceeded")
 
-    def test_graph_key_collision(self):
-        result = run(
-            "graph",
-            "--flavor", "F",
-            "--from", FIXTURES / "splitting_a_rank3.json",
-            "--to", FIXTURES / "splitting_ab_rank3.json",
-            "--radius", "1",
-            "--key-depth", "1",
-        )
-        self.assert_one_line_error(result, "collide at key depth 1")
-
     def test_iwip_zero_cap(self):
         result = run(
             "iwip", "--map", FIXTURES / "fibonacci_map.json",

@@ -5,9 +5,10 @@ over all five flavors, with and without the supergolden move (rank 3
 only), at radii 1-3, key depths 2-4, search lengths 3-5 and a state cap
 of 300, and compares the result (the distance, ``None``, or the error
 class name) with ``tests/golden/bfs_search.json``.  The file lists 300
-rank-3 cases, then a key collision that a search must report rather than
-merge, then 25 rank-4 cases, whose coordinate families hold seven
-partitions per twist.
+rank-3 cases, then two splittings whose lengths agree up to the key
+depth inside the family of one of them, which the exact key keeps apart,
+then 25 rank-4 cases, whose coordinate families hold seven partitions
+per twist.
 
 Regenerate the file after an intended change of search results with
 ``PYTHONPATH=src python tests/test_search_pins.py``, which prints every
@@ -88,9 +89,9 @@ def _random_cases(rank, count, seed):
 
 def _cases():
     yield from _random_cases(*SERIES[0])
-    # sep{1} and sep{1, 2}, both twisted by phi, share their key at depth 2
-    # and differ at depth 4; the second lies in the family of the first,
-    # so expanding the first must report the collision
+    # sep{1} and sep{1, 2}, both twisted by phi, share their lengths up to
+    # depth 2 and differ at depth 4; the second lies in the family of the
+    # first, and expanding the first must not merge them
     phi = Automorphism.from_images(3, [[1, 3], [2], [3, 1, 3]], [[1, 1, -3], [2], [3, -1]])
     yield ("Fstar", separating_splitting(3, [1], phi), separating_splitting(3, [1, 3]),
            1, [], 3, 2)
@@ -138,7 +139,7 @@ def test_search_results_pinned():
     want = json.loads(PINS.read_text())
     got = _results()
     assert len(got) == len(want) == 1 + sum(count for _, count, _ in SERIES)
-    assert got[COLLISION] == "KeyCollisionError"
+    assert got[COLLISION] == 1
     diff = _changed(want, got)
     assert not diff, f"{len(diff)} changed results (index, pinned, now): {diff[:10]}"
 
@@ -184,7 +185,7 @@ def _whole_ball_mismatches():
 def test_z_and_i0_distances_are_those_of_the_whole_ball():
     mismatches, seen = _whole_ball_mismatches()
     assert not mismatches, f"{len(mismatches)} (index, flavor, radius, whole ball, now): {mismatches[:10]}"
-    assert {0, 1, 2, 3, None, "KeyCollisionError"} <= set(seen)
+    assert {0, 1, 2, 3, None} <= set(seen)
 
 
 def test_whole_ball_oracle_catches_a_mint_bound_one_step_too_strict(monkeypatch):
@@ -208,7 +209,7 @@ def test_whole_ball_oracle_catches_a_mint_bound_one_step_too_strict(monkeypatch)
 
 if __name__ == "__main__":
     results = _results()
-    if results[COLLISION] != "KeyCollisionError":
+    if results[COLLISION] != 1:
         sys.exit(f"the collision case gave {results[COLLISION]!r}")
     for change in _changed(json.loads(PINS.read_text()), results):
         print(change)

@@ -9,7 +9,6 @@ from outerint.currents import RationalCurrent, _class_current, add, counting_cur
 from outerint.marked_graph import scale_lengths, unit_rose
 from outerint.splittings import (
     FreeSplitting,
-    KeyCollisionError,
     StateCapExceeded,
     act,
     bfs_distance,
@@ -24,19 +23,21 @@ from outerint.splittings import (
 from outerint import splittings
 from outerint.splittings import (
     _Universe,
+    _canonical_code,
     _class_masks,
     _compose,
     _elliptic_classes,
     _family,
     _first_common,
-    _key_cores,
     _pullback_cores,
-    _same_tree,
+    _tree_key,
+    _vertex_group_cores,
     _vertex_key,
 )
 from outerint.words import (
     Automorphism,
     CyclicWord,
+    OuterintError,
     Word,
     _check_class_count,
     _concat,
@@ -44,10 +45,16 @@ from outerint.words import (
     cyclic_reduce,
     enumerate_cyclic_words,
     flip_normalize,
+    letter_sort_key,
     parse_word,
 )
 
-from _generators import elementary_automorphisms, random_automorphism, random_reduced_word
+from _generators import (
+    elementary_automorphisms,
+    random_automorphism,
+    random_cyclically_reduced_word,
+    random_reduced_word,
+)
 from oracles import bass_serre_translation_length, first_common_elliptic
 
 
@@ -209,20 +216,6 @@ class TestVertexKey:
         assert after.hits + after.misses - before.hits - before.misses == 3
         assert after.misses - before.misses <= 1
 
-    def test_collision_recheck_runs_with_a_warm_cache(self):
-        # both keys are (0, 0, 0) at depth 1 and differ at depth 3; cached
-        # keys must not let the merge skip the deeper comparison
-        s1, s2 = separating_splitting(3, {1}), separating_splitting(3, {2})
-        for depth in (1, 3):
-            vertex_key(s1, depth), vertex_key(s2, depth)
-        assert vertex_key(s1, 1) == vertex_key(s2, 1)
-        assert vertex_key(s1, 1) == (0, 0, 0)
-        assert vertex_key(s1, 3) != vertex_key(s2, 3)
-        universe = _Universe(1, 100)
-        universe.add(s1)
-        with pytest.raises(KeyCollisionError):
-            universe.add(s2)
-
 
 class TestFstarAdjacency:
     def test_untwisted_pairs_have_basis_witness(self):
@@ -284,9 +277,10 @@ class TestFstarAdjacency:
 
 @pytest.fixture()
 def cold_tables():
-    """Empty per-twist tables, composed twists and keys before and after
-    the test, so that nothing it computes is served to another test."""
-    caches = (_key_cores, _class_masks, _compose, _vertex_key)
+    """Empty per-twist tables, composed twists, vertex group cores and keys
+    before and after the test, so that nothing it computes is served to
+    another test."""
+    caches = (_class_masks, _compose, _vertex_key, _vertex_group_cores, _tree_key)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -297,25 +291,25 @@ def cold_tables():
 def table_disagreements(rank, twisted, depth, search_length, seed):
     """Every answer of the per-twist tables that differs from the direct
     per-word route (``splitting_length``), for the separating and loop
-    splittings of one coordinate family: keys at ``depth``, elliptic
-    classes, and Fstar verdicts and witnesses against the family and
-    some other twists."""
+    splittings of one coordinate family: elliptic classes, and Fstar
+    verdicts and witnesses against the family and some other twists; and
+    every candidate that shares its exact key with one of them but not
+    its lengths up to ``depth``."""
     rng = random.Random(seed)
     twist = nontrivial_automorphism(rng, rank) if twisted else None
     family = _family(loop_splitting(rank, 1, twist), include_loops=True)
     candidates = family + [act(nontrivial_automorphism(rng, rank), u) for u in family[::3]]
     test_set = enumerate_cyclic_words(rank, search_length, up_to_inversion=True)
     elliptic = {u: [cw for cw in test_set if splitting_length(u, cw.as_word()) == 0] for u in candidates}
-    words = [cw.as_word() for cw in enumerate_cyclic_words(rank, depth, up_to_inversion=True)]
     out = []
     for s in family:
-        if vertex_key(s, depth) != tuple(splitting_length(s, w) for w in words):
-            out.append(("key", s))
         if _elliptic_classes(s, search_length) != elliptic[s]:
             out.append(("classes", s))
         shares = lambda u: _first_common(s, u, search_length) is not None
         for u in candidates:
-            if vertex_key(u) == vertex_key(s):
+            if _tree_key(u) == _tree_key(s):
+                if vertex_key(u, depth) != vertex_key(s, depth):
+                    out.append(("key", s, u))
                 continue
             witness = next((cw for cw in elliptic[s] if cw in elliptic[u]), None)
             if fstar_adjacent(s, u, search_length) != witness or shares(u) != (witness is not None):
@@ -324,8 +318,8 @@ def table_disagreements(rank, twisted, depth, search_length, seed):
 
 
 class TestTwistTables:
-    """Keys, elliptic classes and Fstar verdicts come from one bounded
-    table per (twist, length); each must equal the direct per-word route."""
+    """Elliptic classes and Fstar verdicts come from one bounded table per
+    (twist, length); each must equal the direct per-word route."""
 
     @pytest.mark.parametrize("rank, depth, search_length", [(3, 3, 6), (3, 4, 5), (4, 3, 5), (4, 4, 5), (5, 3, 4)])
     @pytest.mark.parametrize("twisted", [False, True])
@@ -342,21 +336,7 @@ class TestTwistTables:
 
         monkeypatch.setattr(splittings, "_untwisted_cores", uncut)
         found = table_disagreements(3, True, 4, 6, seed=3 + 40)
-        assert {kind for kind, *_ in found} == {"key", "classes", "fstar"}
-
-    def test_keys_without_the_closing_letter_disagree(self, monkeypatch, cold_tables):
-        # the planted cores lose the pair that wraps round from the last
-        # letter to the first: a loop key misses a stable letter that
-        # opens a core, and a partition key misses a boundary there
-        closed = _key_cores
-
-        def unclosed(twist, depth):
-            return tuple(core[:-1] for core in closed(twist, depth))
-
-        monkeypatch.setattr(splittings, "_key_cores", unclosed)
-        found = table_disagreements(4, True, 4, 5, seed=4 + 40)
-        assert {kind for kind, *_ in found} == {"key"}
-        assert {s.kind for _, s in found} == {"sep", "loop"}
+        assert {kind for kind, *_ in found} == {"classes", "fstar"}
 
     def test_act_reads_composed_twists_within_their_bound(self, cold_tables):
         rng = random.Random(32)
@@ -377,12 +357,10 @@ class TestTwistTables:
         rng = random.Random(7)
         for _ in range(splittings._TABLE_SIZE + 4):
             s = separating_splitting(3, [1], nontrivial_automorphism(rng, 3))
-            vertex_key(s, 2)
             _elliptic_classes(s, 3)
-        for table in (_key_cores, _class_masks):
-            info = table.cache_info()
-            assert info.maxsize == splittings._TABLE_SIZE
-            assert info.misses > info.maxsize >= info.currsize
+        info = _class_masks.cache_info()
+        assert info.maxsize == splittings._TABLE_SIZE
+        assert info.misses > info.maxsize >= info.currsize
 
     def test_one_search_cold_warm_and_cleared(self, cold_tables):
         rng = random.Random(12)
@@ -397,23 +375,23 @@ class TestTwistTables:
             return [bfs_distance(f, v1, v2, 2, [g], search_length=5) for f, v1, v2 in searches]
 
         cold, warm = run(), run()
-        for table in (_key_cores, _class_masks):
+        for table in (_class_masks, _vertex_group_cores, _tree_key):
             table.cache_clear()
         assert cold == warm == run()
 
     def test_sixteen_twists_hold_under_a_mebibyte(self, cold_tables):
-        # keys keep cores at the key depth; the search length keeps one
-        # generator bit set per class (cores there would take about 2 MiB)
+        # the search length keeps one generator bit set per class (cores
+        # there would take about 2 MiB)
         rng = random.Random(16)
         twists = set()
         while len(twists) < splittings._TABLE_SIZE:
             twists.add(nontrivial_automorphism(rng, 3))
-        enumerate_cyclic_words(3, 4, True), enumerate_cyclic_words(3, 6, True)
+        enumerate_cyclic_words(3, 6, True)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             for twist in twists:
-                _key_cores(twist, 4), _class_masks(twist, 6)
+                _class_masks(twist, 6)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -514,10 +492,12 @@ class TestPullback:
             with pytest.raises(ValueError, match="depth 40 has more than 1000000 conjugacy classes"):
                 _first_common(s1, s2, 40)
 
-    def test_a_fold_that_skips_one_merge_is_caught(self, monkeypatch, pairs):
+    def test_a_fold_that_skips_one_merge_is_caught(self, monkeypatch, pairs, cold_tables):
         # the planted fold leaves the first two edges of one letter at a
         # vertex unfolded: it drops the later one, so its subgroup loses
-        # elements and the pullback loses classes
+        # elements and the pullback loses classes.  The cores are memoised
+        # per splitting, so cold_tables empties the memo before and after:
+        # warm, it would serve the cores that earlier tests folded right
         def fold_skipping_one_merge(words):
             todo, size = [], 1
             for w in words:
@@ -552,7 +532,7 @@ class TestPullback:
         found = pullback_disagreements(late)
         assert any(not isinstance(got, KeyError) for *_, got, _ in found)
 
-    def test_a_prune_that_keeps_the_inverse_edge_is_caught(self, monkeypatch, pairs):
+    def test_a_prune_that_keeps_the_inverse_edge_is_caught(self, monkeypatch, pairs, cold_tables):
         # the planted prune drops a leaf but not its edge's far end.  Every
         # cyclically reduced closed path of a graph lies in its core, so
         # pruning less moves no verdict; the walk follows a kept far end
@@ -570,7 +550,7 @@ class TestPullback:
         found = pullback_disagreements(late)
         assert found and all(isinstance(got, KeyError) for *_, got, _ in found)
 
-    def test_a_pullback_of_one_vertex_group_is_caught(self, monkeypatch, pairs):
+    def test_a_pullback_of_one_vertex_group_is_caught(self, monkeypatch, pairs, cold_tables):
         # the planted pullback reads only the side of a partition that holds
         # generator 1, so a class conjugate into the other side is missed
         cores = splittings._vertex_group_cores
@@ -940,26 +920,75 @@ class TestBFS:
         assert all(flip_normalize(v) == v for v in stored)
 
     def test_collision_inside_the_family_of_a_vertex(self):
-        # sep{1} and sep{1, 2}, both twisted by phi, share their key at
-        # depth 2 and differ at depth 4; the second lies in the family of
-        # the first, so expanding the first must report the collision
+        # sep{1} and sep{1, 2}, both twisted by phi, share their lengths up
+        # to depth 2 and differ at depth 4; the second lies in the family
+        # of the first.  Their exact keys differ, so no key depth merges
+        # them.  The target is the tree of sep{1, 3} twisted by phi, which
+        # lies in that family too, and shares a class elliptic in sep{1}
         phi = Automorphism.from_images(3, [[1, 3], [2], [3, 1, 3]], [[1, 1, -3], [2], [3, -1]])
-        with pytest.raises(KeyCollisionError, match="collide at key depth 2"):
-            bfs_distance("Fstar", separating_splitting(3, [1], phi),
-                         separating_splitting(3, [1, 3]), 1, search_length=3, key_depth=2)
+        s, t = separating_splitting(3, [1], phi), separating_splitting(3, [1, 3])
+        u = separating_splitting(3, [1, 2], phi)
+        assert vertex_key(s, 2) == vertex_key(u, 2) and vertex_key(s, 4) != vertex_key(u, 4)
+        assert _tree_key(s) != _tree_key(u)
+        assert _tree_key(t) == _tree_key(separating_splitting(3, [1, 3], phi))
+        witness = fstar_adjacent(s, t, 3)
+        assert splitting_length(s, witness.as_word()) == splitting_length(t, witness.as_word()) == 0
+        for key_depth in (1, 2, 4):
+            assert bfs_distance("Fstar", s, t, 1, search_length=3, key_depth=key_depth) == 1
 
-    def test_key_collision_diagnostic(self):
-        # at depth 1 every basis letter is elliptic for every untwisted
-        # separating splitting, so the fingerprints collide; the deeper
-        # recheck must catch the merge instead of silently accepting it
-        with pytest.raises(KeyCollisionError):
-            bfs_distance(
-                "F",
-                separating_splitting(3, [1]),
-                separating_splitting(3, [2]),
-                1,
-                key_depth=1,
-            )
+
+def equivariance_cases(seed, count):
+    """Seeded move-free F and S searches at ranks 3 and 4, as (flavor, s1,
+    s2, radius, psi): endpoints under a shared twist or one of their own,
+    each a product of up to two elementary moves, and a random
+    automorphism psi to apply to both."""
+    rng = random.Random(seed)
+    for i in range(count):
+        rank, flavor = (3, 4)[i % 2], ("F", "S")[i // 2 % 2]
+        shared = random_automorphism(rng, rank, max_factors=2)
+
+        def splitting():
+            twist = shared if rng.random() < 0.6 else random_automorphism(rng, rank, max_factors=2)
+            if flavor == "S" and rng.random() < 0.4:
+                return loop_splitting(rank, rng.randint(1, rank), twist)
+            return separating_splitting(rank, rng.sample(range(1, rank + 1), rng.randint(1, rank - 1)), twist)
+
+        yield flavor, splitting(), splitting(), rng.randint(1, 2), nontrivial_automorphism(rng, rank)
+
+
+def search_result(*args, **kwargs):
+    """The distance, or the name of the error the search raised."""
+    try:
+        return bfs_distance(*args, **kwargs)
+    except OuterintError as e:
+        return type(e).__name__
+
+
+class TestEquivariance:
+    """An automorphism psi is an isometry of every splitting graph, so a
+    move-free search between psi(s1) and psi(s2) gives the distance
+    between s1 and s2, whatever the presentations and the key depth."""
+
+    def test_searches_are_equivariant(self):
+        results, changed = [], []
+        for i, (flavor, s1, s2, radius, psi) in enumerate(equivariance_cases(1, 420)):
+            d = search_result(flavor, s1, s2, radius, key_depth=2)
+            moved = search_result(flavor, act(psi, s1), act(psi, s2), radius, key_depth=2)
+            results.append(d)
+            if moved != d:
+                changed.append((i, flavor, s1.rank, d, moved))
+        assert not changed, f"{len(changed)} of 420 changed (index, flavor, rank, result, moved): {changed[:10]}"
+        assert {0, 1, 2, None} <= set(results)
+
+    def test_the_oracle_catches_keys_read_off_the_test_set(self, monkeypatch, cold_tables):
+        # the planted key is a splitting's lengths up to depth 2, with no
+        # check when two splittings share them: the test set is fixed, not
+        # moved by psi, so which splittings merge depends on the
+        # presentation
+        monkeypatch.setattr(splittings, "_tree_key", lambda s: ("tree", vertex_key(s, 2)))
+        changed = [i for i, (flavor, s1, s2, radius, psi) in enumerate(equivariance_cases(1, 420))
+                   if search_result(flavor, s1, s2, radius) != search_result(flavor, act(psi, s1), act(psi, s2), radius)]
+        assert changed
 
 
 class TestPartition:
@@ -990,8 +1019,9 @@ class TestPartition:
 
 class TestSameTree:
     """Two presentations whose change of twist carries the vertex groups
-    of one into those of the other are one splitting; the vertex store
-    keeps the second without the deeper key recheck."""
+    of one onto those of the other are one splitting: they share the
+    exact key, and the vertex store keeps the second as one more
+    presentation of the first, with no deeper check."""
 
     def test_factor_preserving_twist(self):
         # c -> cb keeps <a> and <b, c>; a -> baB conjugates <a> by b, an
@@ -1000,40 +1030,32 @@ class TestSameTree:
                                  ([[2, 1, -2], [2], [3]], [[-2, 1, 2], [2], [3]])):
             rho = Automorphism.from_images(3, images, inverses)
             s, t = separating_splitting(3, [1]), separating_splitting(3, [1], rho)
-            assert s != t and _same_tree(s, t) and _same_tree(t, s)
+            assert s != t and _tree_key(s) == _tree_key(t)
             assert vertex_key(s, 6) == vertex_key(t, 6)
 
     def test_stable_letter_crossing_once(self):
         # a -> ab: the stable letter a still crosses once, b and c stay
         rho = Automorphism.from_images(3, [[1, 2], [2], [3]], [[1, -2], [2], [3]])
         s, t = loop_splitting(3, 1), loop_splitting(3, 1, rho)
-        assert _same_tree(s, t) and _same_tree(t, s)
+        assert _tree_key(s) == _tree_key(t)
         assert vertex_key(s, 6) == vertex_key(t, 6)
 
     def test_other_data_unproven(self):
-        assert not _same_tree(separating_splitting(3, [1]), separating_splitting(3, [2]))
-        assert not _same_tree(loop_splitting(3, 1), loop_splitting(3, 2))
-        assert not _same_tree(separating_splitting(3, [1]), loop_splitting(3, 1))
+        assert _tree_key(separating_splitting(3, [1])) != _tree_key(separating_splitting(3, [2]))
+        assert _tree_key(loop_splitting(3, 1)) != _tree_key(loop_splitting(3, 2))
+        assert _tree_key(separating_splitting(3, [1])) != _tree_key(loop_splitting(3, 1))
 
     @pytest.mark.parametrize("rank,deep", [(3, 5), (4, 4)])
     def test_proven_pairs_agree_deeper(self, rank, deep):
         # twists built from a few elementary moves, so that one splitting
         # often comes in several presentations; among the pairs that share
-        # a depth-2 key, every proven pair must agree at a deeper depth
-        pool = elementary_automorphisms(rank)
-        rng = random.Random(rank)
-        twists = [Automorphism.identity(rank)]
-        while len(twists) < (16 if rank == 3 else 6):
-            twists.append(compose(rng.choice(pool), rng.choice(twists)))
-        by_key: dict = {}
-        for twist in twists:
-            for u in _family(loop_splitting(rank, 1, twist), include_loops=True):
-                by_key.setdefault(vertex_key(u, 2), []).append(u)
+        # a depth-2 key, every pair with one exact key must agree at a
+        # deeper depth, and both kinds of pair occur
         verdicts = set()
-        for group in by_key.values():
+        for group in _by_lengths(_presentations(rank, 16 if rank == 3 else 6), 2):
             for s, t in combinations(group, 2):
                 if s != t:
-                    proven = _same_tree(s, t)
+                    proven = _tree_key(s) == _tree_key(t)
                     verdicts.add(proven)
                     assert not proven or vertex_key(s, deep) == vertex_key(t, deep)
         assert verdicts == {True, False}
@@ -1047,7 +1069,107 @@ class TestSameTree:
         universe = _Universe(4, 10)
         assert universe.add(s) == universe.add(t)
         assert universe.vertices[universe.key(s)] == [s, t]
-        assert set(depths) == {4}
+        assert depths == []
+
+
+def _presentations(rank, count):
+    """The splittings of the coordinate families of ``count`` twists, each
+    the identity or an elementary move composed with an earlier twist, so
+    that one splitting often comes in several presentations."""
+    pool = elementary_automorphisms(rank)
+    rng = random.Random(rank)
+    twists = [Automorphism.identity(rank)]
+    while len(twists) < count:
+        twists.append(compose(rng.choice(pool), rng.choice(twists)))
+    return [u for twist in twists for u in _family(loop_splitting(rank, 1, twist), include_loops=True)]
+
+
+def _by_lengths(presentations, depth):
+    """The presentations grouped by their lengths up to ``depth``."""
+    groups: dict = {}
+    for u in presentations:
+        groups.setdefault(vertex_key(u, depth), []).append(u)
+    return list(groups.values())
+
+
+def key_disagreements(presentations, rng, deepest):
+    """Where the exact key and the length functions disagree, with the
+    keys found: ("merged", s, t) for two presentations with one key that a
+    sampled class tells apart, by the displacement oracle on the
+    cyclically reduced untwisted class rather than ``splitting_length``;
+    ("split", s, t) for two keys that no class up to ``deepest`` tells
+    apart.  A key stands for its first presentation."""
+    rank = presentations[0].rank
+    words = [random_cyclically_reduced_word(rng, rank, rng.randint(1, 8)) for _ in range(30)]
+
+    def lengths(s):
+        data = s.subset if s.kind == "sep" else s.stable
+        return [bass_serre_translation_length(s.kind, data, cyclic_reduce(s.twist.apply_inverse(w))[0].letters)
+                for w in words]
+
+    out, first = [], {}
+    for s in presentations:
+        t = first.setdefault(splittings._tree_key(s), s)
+        if t != s and lengths(s) != lengths(t):
+            out.append(("merged", s, t))
+    for s, t in combinations(first.values(), 2):
+        if all(vertex_key(s, d) == vertex_key(t, d) for d in range(1, deepest + 1)):
+            out.append(("split", s, t))
+    return out, first
+
+
+def code_from(core, root):
+    """The breadth-first code of ``core`` from ``root`` alone, where
+    ``_canonical_code`` takes the least over all roots."""
+    number, order, code = {root: 0}, [root], []
+    for v in order:
+        edges = sorted(core[v].items(), key=lambda e: letter_sort_key(e[0]))
+        code.append(len(edges))
+        for l, u in edges:
+            if u not in number:
+                number[u] = len(order)
+                order.append(u)
+            code += (l, number[u])
+    return tuple(code)
+
+
+class TestExactKey:
+    """A splitting is keyed by the canonical codes of its vertex group
+    cores.  Presentations with one key have one length function; two keys
+    are two length functions, which a class of the test set tells apart."""
+
+    @pytest.mark.parametrize("rank, twists, deepest", [(3, 16, 6), (4, 6, 5)])
+    def test_keys_are_the_length_functions(self, rank, twists, deepest):
+        presentations = list(dict.fromkeys(_presentations(rank, twists)))
+        found, first = key_disagreements(presentations, random.Random(rank), deepest)
+        assert not found
+        assert len(first) < len(presentations)  # some key holds several presentations
+
+    def test_a_code_that_drops_letter_signs_is_caught(self, monkeypatch, cold_tables):
+        def unsigned(core):
+            return _canonical_code({v: {abs(l): u for l, u in out.items()} for v, out in core.items()})
+
+        monkeypatch.setattr(splittings, "_canonical_code", unsigned)
+        found, _ = key_disagreements(_presentations(3, 16), random.Random(3), 6)
+        assert found and {kind for kind, *_ in found} == {"merged"}
+
+    def test_a_separating_key_from_one_side_is_caught(self, monkeypatch, cold_tables):
+        def one_side(s):
+            return ("tree", s.kind, _canonical_code(_vertex_group_cores(s)[0]))
+
+        # it merges partitions that share one side, and splits the
+        # presentations of one partition whose twists swap its sides
+        monkeypatch.setattr(splittings, "_tree_key", one_side)
+        found, _ = key_disagreements(_presentations(3, 16), random.Random(3), 6)
+        merged = [s for kind, s, _ in found if kind == "merged"]
+        assert merged and {s.kind for s in merged} == {"sep"}
+
+    def test_a_code_from_one_root_is_caught(self, monkeypatch, cold_tables):
+        # which vertex of a core the fold numbers first depends on the
+        # presentation
+        monkeypatch.setattr(splittings, "_canonical_code", lambda core: code_from(core, next(iter(core))))
+        found, _ = key_disagreements(_presentations(4, 6), random.Random(4), 5)
+        assert found and {kind for kind, *_ in found} == {"split"}
 
 
 class TestJson:
