@@ -29,12 +29,12 @@ so the key is the kind and the sorted canonical codes of those cores
 (:func:`_tree_key`): two presentations share a key exactly when they are
 one splitting.  This argument is the one claim here that no test can
 prove.  Cores and keys are memoised per splitting in bounded
-process-wide caches, and the common-elliptic search reads the same
-cores.  :func:`vertex_key`, the lengths on a test set, is the
-length-function view the tests check keys against.  The elliptic classes
-and the short step of the common-elliptic search read one bounded
-process-wide table per (twist, length): the set of generators that the
-cyclic core of each of the twist's preimages of the test words uses.
+process-wide caches.  A class is elliptic exactly when it is conjugate
+into a vertex group, so ellipticity is read off the same cores, in one
+place (:func:`_elliptic`), for the Z and I0 witnesses and the short step
+of the common-elliptic search; :func:`splitting_length`, the independent
+route, tests adjacency to a stored witness, and :func:`vertex_key`, the
+lengths on a test set, is the view the tests check keys against.
 Composed twists are memoised per (move, twist) in one more bounded
 process-wide cache, and a twist computes its hash once, for all these
 lookups.
@@ -42,13 +42,13 @@ lookups.
 Refinement adjacency is deliberately partial: it decides only
 coordinate-compatible pairs, for want of an algorithm.  Common-elliptic
 (Fstar) adjacency is a bounded search for the first class of the test set
-elliptic in both splittings.  Classes of length at most 2 are read from
-the tables of both twists; longer ones from the cores of the pullbacks
-of the Stallings graphs of the twisted vertex groups (Stallings, Invent.
-Math. 1983; Kapovich-Myasnikov, J. Algebra 2002), so that no table at
-the search length is built.  Its negative verdict still means "none
-within the bound": a common class longer than the search length is not
-reported, so it is not a proof of non-adjacency.
+elliptic in both splittings.  Classes of length at most 2 are walked on
+the vertex group cores of both; longer ones are read from the cores of
+the pullbacks of those cores (Stallings, Invent. Math. 1983;
+Kapovich-Myasnikov, J. Algebra 2002), so that the long classes are never
+listed.  Its negative verdict still means "none within the bound": a
+common class longer than the search length is not reported, so it is
+not a proof of non-adjacency.
 Distances come from breadth-first search over an explicitly generated
 vertex universe, so they are exact within the explored ball and upper
 bounds in general; for Z and I0 they are those of the full ball, but
@@ -70,9 +70,9 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
-from itertools import combinations, compress
-from operator import and_, ne
-from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Optional, Sequence, Union
+from itertools import combinations
+from operator import ne
+from typing import Callable, Iterable, Literal, NamedTuple, Optional, Sequence, Union
 
 from . import FLAVORS, Flavor
 from .currents import RationalCurrent, _class_current, one_letter_mass
@@ -210,7 +210,7 @@ def act(phi: Automorphism, s: FreeSplitting) -> FreeSplitting:
 def splitting_length(s: FreeSplitting, g: Word) -> int:
     """Translation length of ``g`` on the Bass-Serre tree of ``s``.
 
-    The direct per-word route: it shares no table with the keys, the
+    The direct per-word route: it shares no core with the keys, the
     elliptic classes and the common-elliptic search, which the tests
     check against it."""
     if g.rank != s.rank:
@@ -226,56 +226,17 @@ def splitting_length(s: FreeSplitting, g: Word) -> int:
     return sum(map(ne, inside, inside[1:] + inside[:1]))
 
 
-# cores and keys are memoised per splitting, lengths per (splitting,
-# depth); equal splittings compare equal and share an entry
+# cores and keys are memoised per splitting; equal splittings compare
+# equal and share an entry
 _KEY_CACHE_SIZE = 4096
-# the generator bit sets of the untwisted test sets are memoised per
-# (twist, length) in one bounded process-wide cache, at search lengths
-# and at the short length the common-elliptic search tries first
-_TABLE_SIZE = 16
 # a move closure composes the same (move, twist) pairs again in every round
 _COMPOSE_SIZE = 32
 _compose = lru_cache(maxsize=_COMPOSE_SIZE)(compose)
 
 
-def _untwisted_cores(twist: Automorphism, classes: Iterable[CyclicWord]) -> Iterator[list[int]]:
-    """The cyclic cores, on absolute letters, of the preimages of
-    ``classes`` under ``twist``, which the untwisted tree of a splitting
-    twisted by ``twist`` reads as :func:`splitting_length` does."""
-    untwist = twist._inverses
-    for cw in classes:
-        letters = _concat(untwist, cw.letters)
-        cut = _cyclic_cut(letters)
-        yield list(map(abs, letters[cut : len(letters) - cut]))
-
-
-@lru_cache(maxsize=_TABLE_SIZE)
-def _class_masks(twist: Automorphism, length: int) -> tuple[int, ...]:
-    """Per class of the test set, the bit set of the generators its
-    untwisted core uses (bit ``i`` for generator ``i``)."""
-    test_set = enumerate_cyclic_words(twist.rank, length, up_to_inversion=True)
-    return tuple(sum(map((1).__lshift__, set(core))) for core in _untwisted_cores(twist, test_set))
-
-
-def _elliptic_masks(s: FreeSplitting) -> frozenset[int]:
-    """The generator bit sets of the cores elliptic in ``s``: those on one
-    side of a partition, or off the stable letter of a loop."""
-    masks = range(2, 2 << s.rank, 2)
-    if s.kind == "loop":
-        return frozenset(m for m in masks if not m & 1 << s.stable)
-    side = sum(1 << i for i in s.subset)
-    return frozenset(m for m in masks if m & side in (0, m))
-
-
-def _elliptic_flags(s: FreeSplitting, search_length: int) -> Iterator[bool]:
-    """Per class of the test set up to ``search_length``, in test-set
-    order, whether it is elliptic in ``s``."""
-    return map(_elliptic_masks(s).__contains__, _class_masks(s.twist, search_length))
-
-
 def _elliptic_classes(s: FreeSplitting, search_length: int) -> list[CyclicWord]:
     test_set = enumerate_cyclic_words(s.rank, search_length, up_to_inversion=True)
-    return list(compress(test_set, _elliptic_flags(s, search_length)))
+    return [cw for cw in test_set if _elliptic(s, cw.letters)]
 
 
 def vertex_key(s: FreeSplitting, depth: int = 4) -> tuple[int, ...]:
@@ -283,30 +244,24 @@ def vertex_key(s: FreeSplitting, depth: int = 4) -> tuple[int, ...]:
     ``depth`` (inverse pairs listed once), in test-set order."""
     if depth < 1:
         raise ValueError("key depth must be >= 1")
-    # one positional call, so that every way of passing depth hits one entry
-    return _vertex_key(s, depth)
-
-
-@lru_cache(maxsize=_KEY_CACHE_SIZE)
-def _vertex_key(s: FreeSplitting, depth: int) -> tuple[int, ...]:
     test_set = enumerate_cyclic_words(s.rank, depth, up_to_inversion=True)
     return tuple(splitting_length(s, cw.as_word()) for cw in test_set)
 
 
-def fstar_adjacent(
-    s1: FreeSplitting, s2: FreeSplitting, search_length: int = 6
-) -> Optional[CyclicWord]:
+def fstar_adjacent(s1: FreeSplitting, s2: FreeSplitting, search_length: int = 6) -> Optional[CyclicWord]:
     """The first class of the test set of all cyclic words up to
     ``search_length`` that is elliptic in both splittings.
 
-    Short classes are read from the tables of both twists, longer ones
-    from Stallings pullbacks (see :func:`_first_common`); the witness is
-    the same either way.  None means that no common elliptic class exists
-    within the bound, which is not a proof of non-adjacency.  Equal
-    vertices are rejected (the graph is simple).
+    Short classes are walked on the vertex group cores of both, longer
+    ones read off Stallings pullbacks (see :func:`_first_common`); the
+    witness is the same either way.  None means that no common elliptic
+    class exists within the bound, which is not a proof of non-adjacency.
+    Equal vertices are rejected (the graph is simple).
     """
     if s1.rank != s2.rank:
         raise ValueError("rank mismatch")
+    if search_length < 1:
+        raise ValueError("search length must be >= 1")
     if _tree_key(s1) == _tree_key(s2):
         raise ValueError("identical vertices are not adjacency candidates")
     return _first_common(s1, s2, search_length)
@@ -315,31 +270,31 @@ def fstar_adjacent(
 # nearly every common elliptic class a search finds is this short: in
 # three rounds of the splitting-bfs benchmark (seed 1), 58 of 60 Fstar
 # candidates shared one of length at most 2 and the other 2 shared none.
-# The pullback answers these lengths too, but slower: with it in place of
-# this step, splitting-bfs (rounds 0-7 at seeds 1-3, timed in process)
-# took 160 ms of CPU against 139 ms with the step in a first prototype,
-# and 177 ms against 158 ms with this code, on one Xeon core
+# The pullback answers these lengths too, but slower: the Fstar searches
+# of splitting-bfs (rounds 0-7 at seeds 1-3, timed in process) took 9.5 ms
+# of CPU with this step and 15.6 ms with the pullback alone, on one Xeon core
 _SHORT_LENGTH = 2
 
 
 def _first_common(s1: FreeSplitting, s2: FreeSplitting, search_length: int) -> Optional[CyclicWord]:
     """The first class of the test set up to ``search_length`` elliptic in
     both, or None.  The test set lists classes by length, so its short
-    classes are a prefix of it: they are tried first, from the tables of
-    both twists.  Beyond them a class is elliptic in both exactly when a
-    cyclically reduced closed path of a pullback core
-    (:func:`_pullback_cores`) reads it, so no table is built; with every
-    core empty no class of any length is, and no path is walked.
-    Otherwise the lengths are tried in turn.  The words the paths of one
-    length read are closed under rotation and inversion, so the least of
-    them is the flip-normalised canonical rotation of the first class of
-    that length in the test set."""
+    classes are a prefix of it: they are tried first, each walked on the
+    vertex group cores of both (:func:`_elliptic`).  Beyond them a class
+    is elliptic in both exactly when a cyclically reduced closed path of a
+    pullback core (:func:`_pullback_cores`) reads it, so the long classes
+    are never listed; with every core empty no class of any length is,
+    and no path is walked.  Otherwise the lengths are tried in turn.  The
+    words the paths of one length read are closed under rotation and
+    inversion, so the least of them is the flip-normalised canonical
+    rotation of the first class of that length in the test set."""
     _check_class_count(s1.rank, search_length)
     short = min(_SHORT_LENGTH, search_length)
-    common = map(and_, _elliptic_flags(s1, short), _elliptic_flags(s2, short))
-    found = next(compress(enumerate_cyclic_words(s1.rank, short, up_to_inversion=True), common), None)
-    if found is not None or short == search_length:
-        return found
+    for cw in enumerate_cyclic_words(s1.rank, short, up_to_inversion=True):
+        if _elliptic(s1, cw.letters) and _elliptic(s2, cw.letters):
+            return cw
+    if short == search_length:
+        return None
     cores = _pullback_cores(s1, s2)
     for n in range(short + 1, search_length + 1):
         words = [w for core in cores for w in _closed_words(core, n)]
@@ -412,6 +367,21 @@ def _vertex_group_cores(s: FreeSplitting) -> tuple[dict[int, dict[int, int]], ..
     else:
         sides = [[i for i in gens if i in s.subset], [i for i in gens if i not in s.subset]]
     return tuple(_core(_fold([s.twist._images[i] for i in side])) for side in sides)
+
+
+def _elliptic(s: FreeSplitting, letters: Sequence[int]) -> bool:
+    """Whether the class of the cyclically reduced ``letters`` is elliptic
+    in ``s``: some vertex group core reads it along a closed path.  The
+    cores are folded, so from each vertex there is at most one walk."""
+    for core in _vertex_group_cores(s):
+        for start in core:
+            v = start
+            for l in letters:
+                if (v := core[v].get(l)) is None:
+                    break
+            if v == start:  # None after a broken walk
+                return True
+    return False
 
 
 def _canonical_code(core: dict[int, dict[int, int]]) -> tuple[int, ...]:

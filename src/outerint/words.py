@@ -388,7 +388,7 @@ class Automorphism:
         return (self.images == other.images and self.inverse_images == other.inverse_images
                 and self.rank == other.rank)
 
-    def __hash__(self):  # computed once: the per-twist caches hash a twist on every lookup
+    def __hash__(self):  # computed once: the splitting caches hash a twist on every lookup
         if "_hash" not in self.__dict__:
             object.__setattr__(self, "_hash", hash((self.rank, self.images, self.inverse_images)))
         return self._hash

@@ -288,7 +288,7 @@ def bass_serre_translation_length(
 #
 # Fstar joins two splittings when some class is elliptic in both.  The
 # reference reads every class of the test set in order, each through
-# splitting_length, so it shares neither the per-twist tables nor the
+# splitting_length, so it shares neither the vertex group cores nor the
 # pullback cores with the package.
 
 
@@ -311,7 +311,7 @@ def first_common_elliptic(s1, s2, search_length: int):
 # when its length on the witness is zero.  The reference search explores
 # the whole ball, layer by layer: it expands every vertex below the
 # radius, every splitting it expands mints each test-set class of zero
-# length in it (read off splitting_length, not off the generator tables),
+# length in it (read off splitting_length, not off the vertex group cores),
 # and no state cap applies.  Vertices are stored as the package stores
 # them, so that two presentations of one vertex are one vertex.
 

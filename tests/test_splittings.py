@@ -1,6 +1,5 @@
 import random
-import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -24,15 +23,14 @@ from outerint import splittings
 from outerint.splittings import (
     _Universe,
     _canonical_code,
-    _class_masks,
     _compose,
+    _elliptic,
     _elliptic_classes,
     _family,
     _first_common,
     _pullback_cores,
     _tree_key,
     _vertex_group_cores,
-    _vertex_key,
 )
 from outerint.words import (
     Automorphism,
@@ -40,13 +38,13 @@ from outerint.words import (
     OuterintError,
     Word,
     _check_class_count,
-    _concat,
     compose,
     cyclic_reduce,
     enumerate_cyclic_words,
     flip_normalize,
     letter_sort_key,
     parse_word,
+    reduce,
 )
 
 from _generators import (
@@ -208,13 +206,11 @@ class TestVertexKey:
         assert moved == tuple(splitting_length(s, phi.apply_inverse(w)) for w in words)
 
     def test_every_call_form_shares_one_cache_entry(self):
+        # vertex_key keeps no memo (no search reads it); every way of
+        # passing the depth still gives one key
         s = loop_splitting(3, 2, nontrivial_automorphism(random.Random(41), 3))
-        before = _vertex_key.cache_info()
         keys = {vertex_key(s), vertex_key(s, 4), vertex_key(s, depth=4)}
-        after = _vertex_key.cache_info()
         assert len(keys) == 1
-        assert after.hits + after.misses - before.hits - before.misses == 3
-        assert after.misses - before.misses <= 1
 
 
 class TestFstarAdjacency:
@@ -251,14 +247,20 @@ class TestFstarAdjacency:
         with pytest.raises(ValueError):
             fstar_adjacent(s, separating_splitting(3, [2, 3]))
 
+    @pytest.mark.parametrize("search_length", [0, -1, -6])
+    def test_a_search_length_below_one_is_refused(self, search_length):
+        # not None, which would read "no common class within the bound"
+        with pytest.raises(ValueError, match="^search length must be >= 1$"):
+            fstar_adjacent(separating_splitting(3, [1]), separating_splitting(3, [2]), search_length)
+
     def test_symmetry(self):
         s1 = separating_splitting(3, [1, 2])
         s2 = loop_splitting(3, 3)
         assert (fstar_adjacent(s1, s2) is None) == (fstar_adjacent(s2, s1) is None)
 
     def test_one_scan_answers_every_candidate(self):
-        # the Fstar rule reads the tables of the expanded vertex's twist
-        # and of each candidate's; each verdict must be the plain
+        # the Fstar rule walks the cores of the expanded vertex and of
+        # each candidate; each verdict must be the plain
         # search's, in whatever order the candidates ask, also for a
         # candidate whose first common class comes late
         rng = random.Random(19)
@@ -277,10 +279,9 @@ class TestFstarAdjacency:
 
 @pytest.fixture()
 def cold_tables():
-    """Empty per-twist tables, composed twists, vertex group cores and keys
-    before and after the test, so that nothing it computes is served to
-    another test."""
-    caches = (_class_masks, _compose, _vertex_key, _vertex_group_cores, _tree_key)
+    """Empty composed twists, vertex group cores and keys before and after
+    the test, so that nothing it computes is served to another test."""
+    caches = (_compose, _vertex_group_cores, _tree_key)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -289,12 +290,12 @@ def cold_tables():
 
 
 def table_disagreements(rank, twisted, depth, search_length, seed):
-    """Every answer of the per-twist tables that differs from the direct
-    per-word route (``splitting_length``), for the separating and loop
-    splittings of one coordinate family: elliptic classes, and Fstar
-    verdicts and witnesses against the family and some other twists; and
-    every candidate that shares its exact key with one of them but not
-    its lengths up to ``depth``."""
+    """Every answer of the walks on the vertex group cores that differs
+    from the direct per-word route (``splitting_length``), for the
+    separating and loop splittings of one coordinate family: elliptic
+    classes, and Fstar verdicts and witnesses against the family and some
+    other twists; and every candidate that shares its exact key with one
+    of them but not its lengths up to ``depth``."""
     rng = random.Random(seed)
     twist = nontrivial_automorphism(rng, rank) if twisted else None
     family = _family(loop_splitting(rank, 1, twist), include_loops=True)
@@ -317,9 +318,47 @@ def table_disagreements(rank, twisted, depth, search_length, seed):
     return out
 
 
+def walk_reading(core, start, letters):
+    """The vertex a walk from ``start`` reading ``letters`` ends at, or
+    None where ``core`` has no edge to take."""
+    v = start
+    for l in letters:
+        if (v := core[v].get(l)) is None:
+            return None
+    return v
+
+
+def long_words(rng, s, side, count):
+    """``count`` cyclically reduced words of 7-20 letters, drawn in turn at
+    random (nearly all hyperbolic in ``s``), off the vertex group of
+    ``side`` (the twist's image of a word in its letters, conjugated, then
+    cyclically reduced: all elliptic), and along a walk on a vertex group
+    core of ``s`` that need not close."""
+    words = []
+    while len(words) < count:
+        if len(words) % 3 == 0:
+            w = random_cyclically_reduced_word(rng, s.rank, rng.randint(7, 20))
+        elif len(words) % 3 == 1:
+            inner = reduce([rng.choice(side) * rng.choice((1, -1)) for _ in range(12)], s.rank)
+            cw = cyclic_reduce(s.twist.apply(inner).conjugate_by(random_reduced_word(rng, s.rank, 3)))[0]
+            w = cw.as_word() if cw else Word(s.rank)
+        else:
+            core = rng.choice(_vertex_group_cores(s))
+            v, letters = rng.choice(list(core)), [0]
+            for _ in range(rng.randint(7, 20)):  # a core vertex has two edges or more
+                l, v = rng.choice([(l, u) for l, u in core[v].items() if l != -letters[-1]])
+                letters.append(l)
+            w = Word(s.rank, tuple(letters[1:])) if letters[1] != -letters[-1] else Word(s.rank)
+        if 7 <= len(w) <= 20:
+            words.append(w)
+    return words
+
+
 class TestTwistTables:
-    """Elliptic classes and Fstar verdicts come from one bounded table per
-    (twist, length); each must equal the direct per-word route."""
+    """Elliptic classes and the short Fstar step are walked on the
+    memoised vertex group cores of each splitting (``_elliptic``); each
+    answer must equal the direct per-word route, for twisted splittings
+    as for untwisted ones."""
 
     @pytest.mark.parametrize("rank, depth, search_length", [(3, 3, 6), (3, 4, 5), (4, 3, 5), (4, 4, 5), (5, 3, 4)])
     @pytest.mark.parametrize("twisted", [False, True])
@@ -327,14 +366,49 @@ class TestTwistTables:
         found = table_disagreements(rank, twisted, depth, search_length, seed=rank + 10 * depth)
         assert not found
 
-    def test_a_table_without_the_cyclic_cut_disagrees(self, monkeypatch, cold_tables):
-        # the planted builder keeps the conjugator of each preimage, so a
-        # twisted class elliptic on one side looks hyperbolic in the tables
-        def uncut(twist, classes):
-            for cw in classes:
-                yield list(map(abs, _concat(twist._inverses, cw.letters)))
+    @pytest.mark.parametrize("rank", [3, 4, 5])
+    def test_a_walk_is_elliptic_exactly_at_length_zero(self, rank):
+        # long classes, which no test set up to the search length holds
+        rng = random.Random(70 + rank)
+        gens = range(1, rank + 1)
+        seen = set()
+        for kind, twisted in product(("sep", "loop"), (False, True)):
+            for _ in range(12):
+                twist = nontrivial_automorphism(rng, rank) if twisted else Automorphism.identity(rank)
+                if kind == "sep":
+                    s = separating_splitting(rank, rng.sample(gens, rng.randint(1, rank - 1)), twist)
+                    inside = rng.random() < 0.5
+                    side = [i for i in gens if (i in s.subset) == inside]
+                else:
+                    s = loop_splitting(rank, rng.randint(1, rank), twist)
+                    side = [i for i in gens if i != s.stable]
+                for w in long_words(rng, s, side, 9):
+                    elliptic = _elliptic(s, w.letters)
+                    assert elliptic == (splitting_length(s, w) == 0), (s, w.letters)
+                    seen.add((kind, twisted, elliptic))
+        assert seen == set(product(("sep", "loop"), (False, True), (False, True)))
 
-        monkeypatch.setattr(splittings, "_untwisted_cores", uncut)
+    def test_a_walk_that_need_not_close_disagrees(self, monkeypatch, cold_tables):
+        # the planted walk accepts any path that reads the letters, so a
+        # class that a core reads only along an open path, such as a proper
+        # subword of the generator of a cyclic vertex group, counts as elliptic
+        def open_walk(s, letters):
+            return any(walk_reading(core, v, letters) is not None
+                       for core in _vertex_group_cores(s) for v in core)
+
+        monkeypatch.setattr(splittings, "_elliptic", open_walk)
+        found = table_disagreements(3, True, 4, 6, seed=3 + 40)
+        assert {kind for kind, *_ in found} == {"classes", "fstar"}
+
+    def test_a_walk_from_each_first_vertex_only_disagrees(self, monkeypatch, cold_tables):
+        # the planted walk starts at the first vertex of each core only, so
+        # a class that closes up at another vertex, a rotation of one read
+        # from the first, is missed
+        def first_vertex_walk(s, letters):
+            return any(walk_reading(core, v, letters) == v
+                       for core in _vertex_group_cores(s) for v in list(core)[:1])
+
+        monkeypatch.setattr(splittings, "_elliptic", first_vertex_walk)
         found = table_disagreements(3, True, 4, 6, seed=3 + 40)
         assert {kind for kind, *_ in found} == {"classes", "fstar"}
 
@@ -353,15 +427,6 @@ class TestTwistTables:
         assert info.maxsize == splittings._COMPOSE_SIZE
         assert info.hits > 0 and info.misses > info.maxsize >= info.currsize
 
-    def test_tables_stay_within_their_bound(self, cold_tables):
-        rng = random.Random(7)
-        for _ in range(splittings._TABLE_SIZE + 4):
-            s = separating_splitting(3, [1], nontrivial_automorphism(rng, 3))
-            _elliptic_classes(s, 3)
-        info = _class_masks.cache_info()
-        assert info.maxsize == splittings._TABLE_SIZE
-        assert info.misses > info.maxsize >= info.currsize
-
     def test_one_search_cold_warm_and_cleared(self, cold_tables):
         rng = random.Random(12)
         twist = nontrivial_automorphism(rng, 3)
@@ -375,28 +440,9 @@ class TestTwistTables:
             return [bfs_distance(f, v1, v2, 2, [g], search_length=5) for f, v1, v2 in searches]
 
         cold, warm = run(), run()
-        for table in (_class_masks, _vertex_group_cores, _tree_key):
+        for table in (_vertex_group_cores, _tree_key):
             table.cache_clear()
         assert cold == warm == run()
-
-    def test_sixteen_twists_hold_under_a_mebibyte(self, cold_tables):
-        # the search length keeps one generator bit set per class (cores
-        # there would take about 2 MiB)
-        rng = random.Random(16)
-        twists = set()
-        while len(twists) < splittings._TABLE_SIZE:
-            twists.add(nontrivial_automorphism(rng, 3))
-        enumerate_cyclic_words(3, 6, True)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            for twist in twists:
-                _class_masks(twist, 6)
-            held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert _class_masks.cache_info().currsize == len(twists)
-        assert held < 2**20
 
 
 def fstar_pairs(seed, count):
@@ -474,7 +520,6 @@ class TestPullback:
         asked, listed = [], splittings.enumerate_cyclic_words
         monkeypatch.setattr(splittings, "enumerate_cyclic_words",
                             lambda rank, length, *a, **k: asked.append(length) or listed(rank, length, *a, **k))
-        _class_masks.cache_clear()
         twist = Automorphism.from_images(5, [[1, 2], [2], [3], [4], [5]], [[1, -2], [2], [3], [4], [5]])
         s1, s2 = separating_splitting(5, [1, 2], twist), loop_splitting(5, 1)
         assert _first_common(s1, s2, 6) == first_common_elliptic(s1, s2, 6)
@@ -1000,10 +1045,10 @@ class TestPartition:
 
     def test_one_cache_entry_for_both_sides(self):
         phi = nontrivial_automorphism(random.Random(42), 4)
-        vertex_key(separating_splitting(4, [2], phi), 3)
-        before = _vertex_key.cache_info()
-        vertex_key(separating_splitting(4, [1, 3, 4], phi), 3)
-        assert _vertex_key.cache_info().hits == before.hits + 1
+        _tree_key(separating_splitting(4, [2], phi))
+        before = _tree_key.cache_info()
+        _tree_key(separating_splitting(4, [1, 3, 4], phi))
+        assert _tree_key.cache_info().hits == before.hits + 1
 
     def test_json_reads_a_partition_and_writes_the_side_of_generator_one(self):
         s = FreeSplitting.from_json_obj({"kind": "sep", "rank": 3, "subset": [3, 2], "twist": None})
