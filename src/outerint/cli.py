@@ -343,11 +343,9 @@ def iwip(map_path: str, seed: str, n_max: int, depth: int, tol: float, cap: int,
           _arg("--to", dest="to_path", required=True, type=_file),
           _arg("--radius", default=3, type=_at_least(int, 0)), _arg("--moves", dest="moves_path", type=_file),
           _arg("--search-length", default=6, type=_at_least(int, 1)),
-          _arg("--key-depth", default=4, type=_at_least(int, 1),
-               help="Longest class of the test set that keys I0 charts; splittings are keyed exactly."),
           _arg("--state-cap", default=5000, type=_at_least(int, 1)))
 def graph_cmd(flavor: str, from_path: str, to_path: str, radius: int, moves_path: str | None,
-              search_length: int, key_depth: int, state_cap: int) -> dict:
+              search_length: int, state_cap: int) -> dict:
     """Bounded-radius distance between two vertices of a splitting graph."""
     from .splittings import bfs_distance, vertex_from_json_obj
 
@@ -356,7 +354,7 @@ def graph_cmd(flavor: str, from_path: str, to_path: str, radius: int, moves_path
     if moves_path:
         moves = _load(moves_path, lambda objs: list(map(Automorphism.from_json_obj, objs)), "moves")
     dist = bfs_distance(flavor, v1, v2, radius, moves,  # type: ignore[arg-type]
-                        search_length=search_length, key_depth=key_depth, state_cap=state_cap)
+                        search_length=search_length, state_cap=state_cap)
     return {"flavor": flavor, "distance": dist, "radius": radius}
 
 

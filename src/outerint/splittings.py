@@ -55,10 +55,10 @@ bounds in general; for Z and I0 they are those of the full ball, but
 these searches store no vertex that cannot reach the target within the
 radius, so the state cap may bind later than on the full ball.  The
 search dispatches on vertex kind from one table (JSON key and reader,
-key at a depth, image under an automorphism, per vertex type) and on
-flavor from another (admitted vertex kinds and neighbour rule:
-coordinate families for F, S and Fstar, trees against minted witnesses
-for Z and I0).
+key, image under an automorphism; an I0 chart is decided without a
+search) and on flavor from another (admitted vertex kinds and neighbour
+rule: coordinate families for F, S and Fstar, trees against minted
+witnesses for Z and I0).
 Class vertices are stored flip-normalised (an endpoint on entry, an image
 under a move), so a class is keyed by its letters.  Z and I0 mint their
 witnesses from the test set, whose classes are flip-normalised already,
@@ -78,7 +78,6 @@ from . import FLAVORS, Flavor
 from .currents import RationalCurrent, _class_current, one_letter_mass
 from .currents import act as act_on_current
 from .marked_graph import MarkedMetricGraph, marked_graph_from_json_obj, translation_length
-from .marked_graph import act as act_on_chart
 from .words import (
     Automorphism,
     CyclicWord,
@@ -477,23 +476,38 @@ def intersection_graph_adjacent(T: TreeVertex, mu: RationalCurrent) -> bool:
         raise ValueError("the zero current has no projective class")
     if T.rank != mu.rank:
         raise ValueError("rank mismatch")
-    if isinstance(T, MarkedMetricGraph):
-        return False
     # the weights are positive, so the pairing vanishes when every term does
-    return all(splitting_length(T, cw.as_word()) == 0 for cw, _ in mu.terms)
+    return not isinstance(T, MarkedMetricGraph) and all(splitting_length(T, cw.as_word()) == 0 for cw, _ in mu.terms)
 
 
 # -- breadth-first exploration -------------------------------------------------
 
 
-def _chart_key(M: MarkedMetricGraph, depth: int) -> tuple:
-    test_set = enumerate_cyclic_words(M.rank, depth, up_to_inversion=True)
-    values = [translation_length(M, cw.as_word()) for cw in test_set]
-    first = next(v for v in values if v > 0)
-    return ("cvtree", tuple(v / first for v in values))
+def _one_point(M1: MarkedMetricGraph, M2: MarkedMetricGraph) -> bool:
+    """Whether two charts are one point of projectivised Outer space: the
+    ratio l_2 / l_1 of their lengths takes one value on the cyclically
+    reduced loops of both graphs that pass each vertex at most twice.  A
+    free action is its length function (Culler-Morgan, Proc. LMS 1987),
+    and the largest ratio is taken on an embedded circle, figure-eight or
+    barbell of the first graph (White; Francaviglia-Martino, Illinois J.
+    Math. 2011, Prop. 3.15), each passing each vertex at most twice: one
+    ratio c gives l_2 <= c l_1, and the second graph's loops l_1 <= l_2 / c."""
+    ratios = set()
+    for M in (M1, M2):
+        g = M.graph
+        leaving = {v: [(e, g.terminal(e)) for e in g.oriented_edges() if g.initial(e) == v] for v in g.vertices}
+        paths = [((e,), (u,)) for out in leaving.values() for e, u in out]  # (edges, the vertex each reaches)
+        while paths:  # each loop from a crossing of its least edge
+            path, ends = paths.pop()
+            if ends[-1] == g.initial(path[0]) and path[0] != -path[-1]:
+                w = M.path_to_word(path)
+                ratios.add(translation_length(M2, w) / translation_length(M1, w))
+            paths += [(path + (e,), ends + (u,)) for e, u in leaving[ends[-1]]
+                      if abs(e) >= abs(path[0]) and e != -path[-1] and ends.count(u) < 2]
+    return len(ratios) == 1
 
 
-def _current_key(mu: RationalCurrent, depth: int) -> tuple:
+def _current_key(mu: RationalCurrent) -> tuple:
     mass = one_letter_mass(mu)
     return ("curr", tuple((cw.letters, w / mass) for cw, w in mu.terms))
 
@@ -505,20 +519,19 @@ def _class_from_json_obj(obj: dict) -> CyclicWord:
     return cw
 
 
-# vertex kind -> (the JSON key that names it, its JSON reader, its key at a
-# key depth, its image under an automorphism); keys are tagged by kind, so
-# equal keys always belong to one kind
+# vertex kind -> (the JSON key naming it, its JSON reader, its key, tagged by kind, and its image
+# under an automorphism); a search stores no chart, so a chart has a reader only
 _VERTEX_KINDS = {
-    FreeSplitting: ("kind", FreeSplitting.from_json_obj, lambda s, depth: _tree_key(s), act),
+    FreeSplitting: ("kind", FreeSplitting.from_json_obj, _tree_key, act),
     RationalCurrent: ("terms", RationalCurrent.from_json_obj, _current_key, act_on_current),
-    CyclicWord: ("class", _class_from_json_obj, lambda cw, depth: ("class", cw.letters), act_on_class),
-    MarkedMetricGraph: ("edges", marked_graph_from_json_obj, _chart_key, act_on_chart),
+    CyclicWord: ("class", _class_from_json_obj, lambda cw: ("class", cw.letters), act_on_class),
+    MarkedMetricGraph: ("edges", marked_graph_from_json_obj),
 }
 
 
 def vertex_from_json_obj(obj: dict) -> GraphVertex:
     """The graph vertex a JSON object names, read by the first kind whose key it holds."""
-    for name, read, _, _ in _VERTEX_KINDS.values():
+    for name, read, *_ in _VERTEX_KINDS.values():
         if name in obj:
             return read(obj)
     raise ValueError("cannot tell its kind: no 'kind', 'terms', 'class' or 'edges' key")
@@ -533,18 +546,17 @@ class _Universe:
     meets a stored key is one more presentation of that vertex.  Every
     structurally distinct presentation is kept, because the partial
     adjacency certificates depend on the coordinates a presentation
-    exposes.  ``depth`` keys charts only.
+    exposes.  No chart is stored: :func:`bfs_distance` decides charts.
     """
 
-    def __init__(self, depth: int, cap: int):
-        self.depth = depth
+    def __init__(self, cap: int):
         self.cap = cap
         self.vertices: dict[tuple, list[GraphVertex]] = {}
-        # vertex kind -> every stored (key, presentation) of it, in storing order
-        self._stored: dict[type, list[tuple[tuple, GraphVertex]]] = {kind: [] for kind in _VERTEX_KINDS}
+        # vertex kind -> its stored (key, presentation) pairs in storing order, which rules only read
+        self.stored: dict[type, list[tuple[tuple, GraphVertex]]] = {kind: [] for kind in _VERTEX_KINDS}
 
     def key(self, v: GraphVertex) -> tuple:
-        return _VERTEX_KINDS[type(v)][2](v, self.depth)
+        return _VERTEX_KINDS[type(v)][2](v)
 
     def add(self, v: GraphVertex) -> tuple:
         k = self.key(v)
@@ -553,19 +565,11 @@ class _Universe:
             if len(self.vertices) >= self.cap:
                 raise StateCapExceeded(len(self.vertices))
             self.vertices[k] = [v]
-            self._stored[type(v)].append((k, v))
+            self.stored[type(v)].append((k, v))
         elif type(v) is FreeSplitting and v not in known:
             known.append(v)
-            self._stored[FreeSplitting].append((k, v))
+            self.stored[FreeSplitting].append((k, v))
         return k
-
-    def each(self, *kinds: type) -> list[tuple[tuple, GraphVertex]]:
-        """Every stored presentation of the given kinds with its key, kind
-        by kind, each in storing order (the rules read the pairs as a
-        set).  One kind's list is the store's own: read it, do not change it."""
-        if len(kinds) == 1:
-            return self._stored[kinds[0]]
-        return [pair for kind in kinds for pair in self._stored[kind]]
 
 
 def _move_closure(universe: _Universe, seeds: Sequence[GraphVertex],
@@ -612,7 +616,7 @@ def _coordinate_rule(include_loops: bool, adjacent) -> NeighbourRule:
         views = list(universe.vertices[key])
         candidates = [u for p in views for u in _family(p, include_loops)]
         found: set[tuple] = set()
-        for uk, u in [(universe.key(u), u) for u in candidates] + universe.each(FreeSplitting):
+        for uk, u in [(universe.key(u), u) for u in candidates] + universe.stored[FreeSplitting]:
             if uk == key or uk in found:
                 # another presentation of this vertex or of a known
                 # neighbour; storing it keeps its coordinates
@@ -646,12 +650,11 @@ def _bipartite_rule(witness: type, mint, adjacent) -> NeighbourRule:
         if steps < 1 + ((type(v) is witness) == to_witness):
             return []
         if type(v) is witness:
-            return sorted({k for k, t in universe.each(FreeSplitting, MarkedMetricGraph) if adjacent(t, v)})
-        stored = universe.each(witness)  # the store's own list: minting extends it
+            return sorted({k for k, t in universe.stored[FreeSplitting] if adjacent(t, v)})
+        stored = universe.stored[witness]  # minting extends it
         seen = len(stored)
         found = {k for k, w in stored if adjacent(v, w)}
-        # a chart acts freely, so nothing is elliptic in it
-        if target not in found and type(v) is FreeSplitting and steps >= 2 + to_witness:
+        if target not in found and steps >= 2 + to_witness:
             for cw in _elliptic_classes(v, search_length):
                 universe.add(mint(cw))
             found.update(k for k, w in stored[seen:] if adjacent(v, w))
@@ -692,7 +695,6 @@ def bfs_distance(
     move_generators: Sequence[Automorphism] = (),
     *,
     search_length: int = 6,
-    key_depth: int = 4,
     state_cap: int = 5000,
 ) -> Optional[int]:
     """Distance between two vertices within an explicitly explored ball.
@@ -706,26 +708,30 @@ def bfs_distance(
     reached within ``radius``.  Z and I0 return the distance of the full
     ball but store no vertex that cannot reach the target within
     ``radius``, so ``state_cap`` counts fewer vertices than that ball.
+    A chart is an isolated vertex of I0, so a chart endpoint gives 0 for
+    two charts of one projective point and None otherwise, storing nothing.
     """
     if flavor not in _FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    if key_depth < 1 or search_length < 1:
-        raise ValueError("key depth and search length must be >= 1")
-    rank = v1.rank
-    if rank < 3:
+    if search_length < 1:
+        raise ValueError("search length must be >= 1")
+    if v1.rank < 3:
         raise ValueError("the splitting graphs are defined for rank >= 3")
-    if v2.rank != rank:
+    if v2.rank != v1.rank:
         raise ValueError("rank mismatch")
-    _check_class_count(rank, key_depth)
     graph = _FLAVORS[flavor]
     for v in (v1, v2):
         if type(v) not in graph.kinds or (graph.separating_only and v.kind != "sep"):
             raise ValueError(f"flavor {flavor} vertices are {graph.noun}")
+        if type(v) is RationalCurrent and v.is_zero:
+            raise ValueError("the zero current has no projective class")
+    if MarkedMetricGraph in (type(v1), type(v2)):  # a chart is an isolated vertex of I0
+        return 0 if type(v1) is type(v2) and _one_point(v1, v2) else None
 
     v1, v2 = (flip_normalize(v) if type(v) is CyclicWord else v for v in (v1, v2))
-    universe = _Universe(key_depth, state_cap)
+    universe = _Universe(state_cap)
     k1, k2 = universe.add(v1), universe.add(v2)
     _move_closure(universe, [v1, v2], list(move_generators), radius)
     if k1 == k2:

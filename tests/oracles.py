@@ -9,8 +9,9 @@ substitution letter by letter instead of block counts checked at each
 junction, powers of the direction map instead of images of turns,
 orbit-displacement growth instead of cyclic syllable counts, point
 displacements instead of cyclic reduction, a whole-ball search instead
-of one pruned towards its target, and a scan of the test set instead of
-Stallings pullbacks.
+of one pruned towards its target, a scan of the test set instead of
+Stallings pullbacks, and closed paths that cross each edge at most twice
+instead of loops that pass each vertex at most twice.
 """
 
 from __future__ import annotations
@@ -305,6 +306,37 @@ def first_common_elliptic(s1, s2, search_length: int):
     return None
 
 
+# -- one point of projectivised Outer space -----------------------------------
+#
+# Two charts are one projective point exactly when their length functions
+# are proportional (Culler-Morgan 1987).  The reference takes the ratios,
+# as Fractions, of lengths by the displacement identity on the classes of
+# every cyclically reduced closed path of either graph that crosses each
+# edge at most twice: a superset of the package's loops, which pass each
+# vertex at most twice, listed from every start and in both directions.
+
+
+def edge_twice_loops(graph) -> list[tuple[int, ...]]:
+    """Every cyclically reduced closed edge path of ``graph`` that crosses
+    each edge at most twice, from each of its starts, in each direction."""
+    out, paths = [], [(e,) for e in graph.oriented_edges()]
+    while paths:
+        path = paths.pop()
+        if graph.terminal(path[-1]) == graph.initial(path[0]) and path[-1] != -path[0]:
+            out.append(path)
+        crossed = [abs(f) for f in path]
+        paths += [path + (e,) for e in graph.oriented_edges()
+                  if graph.initial(e) == graph.terminal(path[-1]) and e != -path[-1] and crossed.count(abs(e)) < 2]
+    return out
+
+
+def same_projective_point(M1, M2) -> bool:
+    """Whether the length functions of the charts are proportional on the
+    classes of :func:`edge_twice_loops` of both graphs."""
+    words = [M.path_to_word(loop) for M in (M1, M2) for loop in edge_twice_loops(M.graph)]
+    return len({displacement_length(M2, w) / displacement_length(M1, w) for w in words}) == 1
+
+
 # -- the Z and I0 searches over the whole ball ---------------------------------
 #
 # Z and I0 join a splitting to a witness (a conjugacy class, or a current)
@@ -313,17 +345,21 @@ def first_common_elliptic(s1, s2, search_length: int):
 # radius, every splitting it expands mints each test-set class of zero
 # length in it (read off splitting_length, not off the vertex group cores),
 # and no state cap applies.  Vertices are stored as the package stores
-# them, so that two presentations of one vertex are one vertex.
+# them, so that two presentations of one vertex are one vertex.  A chart
+# pairs positively with every nonzero current, so it is an isolated vertex
+# of I0: a chart endpoint is at distance 0 from one point of projectivised
+# Outer space (:func:`same_projective_point`) and out of reach of any other.
 
 
-def whole_ball_bipartite_distance(
-    flavor: str, v1, v2, radius: int, moves=(), *, search_length: int = 6, key_depth: int = 4
-):
+def whole_ball_bipartite_distance(flavor: str, v1, v2, radius: int, moves=(), *, search_length: int = 6):
     """The Z or I0 distance within ``radius``, or None beyond it."""
     from outerint import splittings
     from outerint.currents import RationalCurrent, _class_current
+    from outerint.marked_graph import MarkedMetricGraph
     from outerint.words import CyclicWord, enumerate_cyclic_words, flip_normalize
 
+    if MarkedMetricGraph in (type(v1), type(v2)):
+        return 0 if type(v1) is type(v2) and same_projective_point(v1, v2) else None
     witness, mint = {"Z": (CyclicWord, lambda cw: cw), "I0": (RationalCurrent, _class_current)}[flavor]
     tree = splittings.FreeSplitting
 
@@ -332,9 +368,9 @@ def whole_ball_bipartite_distance(
 
     def adjacent(t, w) -> bool:
         classes = [w] if witness is CyclicWord else [cw for cw, _ in w.terms]
-        return type(t) is tree and all(elliptic(t, cw) for cw in classes)
+        return all(elliptic(t, cw) for cw in classes)
 
-    store = splittings._Universe(key_depth, float("inf"))
+    store = splittings._Universe(float("inf"))
     v1, v2 = (flip_normalize(v) if type(v) is CyclicWord else v for v in (v1, v2))
     source, target = store.add(v1), store.add(v2)
     splittings._move_closure(store, [v1, v2], list(moves), radius)
@@ -344,14 +380,13 @@ def whole_ball_bipartite_distance(
         reached = []
         for key in layer:
             v = store.vertices[key][0]
-            if type(v) is witness:  # a chart is adjacent to no witness
-                hits = [k for k, t in store.each(tree) if adjacent(t, v)]
+            if type(v) is witness:
+                hits = [k for k, t in store.stored[tree] if adjacent(t, v)]
             else:
-                if type(v) is tree:
-                    for cw in test_set:
-                        if elliptic(v, cw):
-                            store.add(mint(cw))
-                hits = [k for k, w in store.each(witness) if adjacent(v, w)]
+                for cw in test_set:
+                    if elliptic(v, cw):
+                        store.add(mint(cw))
+                hits = [k for k, w in store.stored[witness] if adjacent(v, w)]
             for k in hits:
                 if k not in dist:
                     dist[k] = d

@@ -363,7 +363,7 @@ class TestConfigHash:
             ("pf", "--tol", "1e-10"),
             ("current-freq", "-k", "2"),
             ("graph", "--radius", "3"),
-            ("graph", "--key-depth", "5"),
+            ("graph", "--search-length", "5"),
             ("graph", "--moves", FIXTURES / "moves_supergolden.json"),
         ],
     )
@@ -470,11 +470,9 @@ class TestUserErrors:
 
     @pytest.mark.parametrize(
         "option, value",
-        [("--key-depth", "-1"), ("--key-depth", "0"), ("--search-length", "0"),
-         ("--radius", "-1"), ("--state-cap", "0")],
+        [("--search-length", "0"), ("--radius", "-1"), ("--state-cap", "0")],
     )
     def test_graph_option_out_of_range(self, option, value):
-        # --key-depth -1 used to merge the two splittings and print distance 0
         result = run(
             "graph",
             "--flavor", "F",
@@ -589,6 +587,7 @@ class TestUserErrors:
             "loop_with_subset.json": {"kind": "loop", "rank": 3, "subset": [1], "stable": 1, "twist": None},
             "sep_with_stable.json": {"kind": "sep", "rank": 3, "subset": [1], "stable": 1, "twist": None},
             "null_subset.json": {"kind": "sep", "rank": 3, "subset": None, "twist": None},
+            "zero_current.json": {"rank": 3, "terms": []},
         }
         for name, obj in files.items():
             (directory / name).write_text(json.dumps(obj))
@@ -697,10 +696,11 @@ class TestUserErrors:
              "depth 40 has more than 1000000 reduced paths"),
             (["iwip", "--map", FIXTURES / "fibonacci_map.json", "--seed", "a", "--depth", "40"],
              "depth 40 has more than 1000000 reduced paths"),
-            (["graph", "--key-depth", "40"], "depth 40 has more than 1000000 conjugacy classes"),
             # S finds these endpoints adjacent without a search; the later --flavor wins
             (["graph", "--flavor", "Fstar", "--search-length", "40"],
              "depth 40 has more than 1000000 conjugacy classes"),
+            # a zero current used to give None at radius 0 and fail inside a longer search
+            (["graph", "--flavor", "I0", "--to", "zero_current.json"], "the zero current has no projective class"),
         ],
         ids=[
             "translen-list", "pf-list", "intersect-list", "graph-number-vertex", "graph-list-vertex",
@@ -716,8 +716,7 @@ class TestUserErrors:
             "map-vertex-outside", "map-automorphism-rank-3", "map-wrong-endpoints", "map-base-moved",
             "subset-full", "subset-empty", "stable-4", "loop-with-subset", "sep-with-stable",
             "subset-null",
-            "current-freq-depth-40", "iwip-depth-40", "graph-key-depth-40",
-            "graph-search-length-40",
+            "current-freq-depth-40", "iwip-depth-40", "graph-search-length-40", "graph-zero-current",
         ],
     )
     def test_malformed_input(self, tmp_path, monkeypatch, args, message):
@@ -789,9 +788,12 @@ class TestExitCodes:
             (["graph", "--flavor", "F", "--from", "x.json", "--to", "x.json", "--rad", "2"],
              "unrecognized arguments: --rad 2"),
             (["bbt", "x.json", "-h"], "unrecognized arguments: -h"),
+            # charts are decided exactly, so no key depth is left to set
+            (["graph", "--flavor", "F", "--from", "x.json", "--to", "x.json", "--key-depth", "4"],
+             "unrecognized arguments: --key-depth 4"),
         ],
         ids=["missing-file", "directory", "missing-option", "no-command", "bad-choice", "abbreviation",
-             "no-short-help"],
+             "no-short-help", "retired-key-depth"],
     )
     def test_each_usage_error_exits_2(self, tmp_path, monkeypatch, args, message):
         (tmp_path / "x.json").write_text("{}")

@@ -2,13 +2,12 @@
 
 Each case runs ``bfs_distance`` on a seeded random pair of vertices,
 over all five flavors, with and without the supergolden move (rank 3
-only), at radii 1-3, key depths 2-4, search lengths 3-5 and a state cap
-of 300, and compares the result (the distance, ``None``, or the error
-class name) with ``tests/golden/bfs_search.json``.  The file lists 300
-rank-3 cases, then two splittings whose lengths agree up to the key
-depth inside the family of one of them, which the exact key keeps apart,
-then 25 rank-4 cases, whose coordinate families hold seven partitions
-per twist.
+only), at radii 1-3, search lengths 3-5 and a state cap of 300, and
+compares the result (the distance, ``None``, or the error class name)
+with ``tests/golden/bfs_search.json``.  The file lists 300 rank-3 cases,
+then two splittings whose lengths agree up to depth 2 inside the family
+of one of them, which the exact key keeps apart, then 25 rank-4 cases,
+whose coordinate families hold seven partitions per twist.
 
 Regenerate the file after an intended change of search results with
 ``PYTHONPATH=src python tests/test_search_pins.py``, which prints every
@@ -29,7 +28,7 @@ from outerint import splittings
 from outerint.catalog import supergolden_automorphism
 from outerint.currents import RationalCurrent, add, counting_current
 from outerint.marked_graph import act as act_on_chart
-from outerint.marked_graph import scale_lengths, unit_rose
+from outerint.marked_graph import MarkedMetricGraph, scale_lengths, unit_rose
 from outerint.splittings import FLAVORS, act, bfs_distance, loop_splitting, separating_splitting
 from outerint.words import Automorphism, CyclicWord, OuterintError
 
@@ -43,7 +42,7 @@ STATE_CAP = 300
 
 
 def _random_cases(rank, count, seed):
-    """Yield (flavor, v1, v2, radius, moves, search length, key depth)."""
+    """Yield (flavor, v1, v2, radius, moves, search length)."""
     rng = random.Random(seed)
     g = supergolden_automorphism() if rank == 3 else None
     for i in range(count):
@@ -84,7 +83,9 @@ def _random_cases(rank, count, seed):
                 mu = add(mu, counting_current(word()))
             pair = [tree, mu]
         rng.shuffle(pair)
-        yield (flavor, *pair, rng.randint(1, 3), moves, rng.randint(3, 5), rng.randint(2, 4))
+        # the third draw is unused; it keeps every seeded case as pinned
+        radius, search_length, _ = rng.randint(1, 3), rng.randint(3, 5), rng.randint(2, 4)
+        yield flavor, *pair, radius, moves, search_length
 
 
 def _cases():
@@ -93,17 +94,15 @@ def _cases():
     # depth 2 and differ at depth 4; the second lies in the family of the
     # first, and expanding the first must not merge them
     phi = Automorphism.from_images(3, [[1, 3], [2], [3, 1, 3]], [[1, 1, -3], [2], [3, -1]])
-    yield ("Fstar", separating_splitting(3, [1], phi), separating_splitting(3, [1, 3]),
-           1, [], 3, 2)
+    yield "Fstar", separating_splitting(3, [1], phi), separating_splitting(3, [1, 3]), 1, [], 3
     yield from _random_cases(*SERIES[1])
 
 
 def _results():
     out = []
-    for flavor, v1, v2, radius, moves, search_length, key_depth in _cases():
+    for flavor, v1, v2, radius, moves, search_length in _cases():
         try:
-            d = bfs_distance(flavor, v1, v2, radius, moves, search_length=search_length,
-                             key_depth=key_depth, state_cap=STATE_CAP)
+            d = bfs_distance(flavor, v1, v2, radius, moves, search_length=search_length, state_cap=STATE_CAP)
         except OuterintError as e:
             d = type(e).__name__
         out.append(d)
@@ -123,12 +122,12 @@ def test_class_endpoint_normalised_on_entry():
     endpoint is stored flip-normalised, as every minted class is, so the
     two are one vertex."""
     seen = []
-    for flavor, v1, v2, radius, moves, search_length, key_depth in _random_cases(*SERIES[0]):
+    for flavor, v1, v2, radius, moves, search_length in _random_cases(*SERIES[0]):
         if flavor != "Z":
             continue
         s, cw = (v1, v2) if type(v2) is CyclicWord else (v2, v1)
-        got = [bfs_distance("Z", s, c, radius, moves, search_length=search_length,
-                            key_depth=key_depth, state_cap=STATE_CAP) for c in (cw, cw.inverse())]
+        got = [bfs_distance("Z", s, c, radius, moves, search_length=search_length, state_cap=STATE_CAP)
+               for c in (cw, cw.inverse())]
         assert got[0] == got[1], (s.to_json_obj(), cw.letters)
         assert bfs_distance("Z", cw.inverse(), cw, 0, moves) == 0
         seen.append((bool(moves), got[0]))
@@ -140,6 +139,9 @@ def test_search_results_pinned():
     got = _results()
     assert len(got) == len(want) == 1 + sum(count for _, count, _ in SERIES)
     assert got[COLLISION] == 1
+    # a chart is an isolated vertex of I0, and no case pairs two charts
+    charts = [d for d, (_, v1, v2, *_) in zip(got, _cases()) if MarkedMetricGraph in (type(v1), type(v2))]
+    assert charts == [None] * 21
     diff = _changed(want, got)
     assert not diff, f"{len(diff)} changed results (index, pinned, now): {diff[:10]}"
 
@@ -154,11 +156,11 @@ def _bipartite_searches():
 
     for seed in (1, 2, 3, 4):
         cases = [c for c in _random_cases(3, 75, seed) if c[0] in ("Z", "I0")]
-        for (flavor, v1, v2, _, moves, search_length, key_depth), other in zip(cases, cases[2:]):
+        for (flavor, v1, v2, _, moves, search_length), other in zip(cases, cases[2:]):
             (t, w), (t2, w2) = (sorted(pair, key=side) for pair in ((v1, v2), other[1:3]))
             for pair in ((v1, v2), (t, t2), (w, w2)):
                 for radius in range(4):
-                    yield flavor, *pair, radius, moves, search_length, key_depth
+                    yield flavor, *pair, radius, moves, search_length
 
 
 def _whole_ball_mismatches():
@@ -172,10 +174,9 @@ def _whole_ball_mismatches():
             return type(e).__name__
 
     out, seen = [], []
-    for i, (flavor, v1, v2, radius, moves, search_length, key_depth) in enumerate(_bipartite_searches()):
-        lengths = {"search_length": search_length, "key_depth": key_depth}
-        want = result(whole_ball_bipartite_distance, flavor, v1, v2, radius, moves, **lengths)
-        got = result(bfs_distance, flavor, v1, v2, radius, moves, state_cap=10**6, **lengths)
+    for i, (flavor, v1, v2, radius, moves, search_length) in enumerate(_bipartite_searches()):
+        want = result(whole_ball_bipartite_distance, flavor, v1, v2, radius, moves, search_length=search_length)
+        got = result(bfs_distance, flavor, v1, v2, radius, moves, search_length=search_length, state_cap=10**6)
         seen.append(want)
         if got != want:
             out.append((i, flavor, radius, want, got))
@@ -186,6 +187,9 @@ def test_z_and_i0_distances_are_those_of_the_whole_ball():
     mismatches, seen = _whole_ball_mismatches()
     assert not mismatches, f"{len(mismatches)} (index, flavor, radius, whole ball, now): {mismatches[:10]}"
     assert {0, 1, 2, 3, None} <= set(seen)
+    # one pair of charts, of one projective point, at radii 0-3
+    charts = [d for (_, v1, v2, *_), d in zip(_bipartite_searches(), seen) if type(v1) is type(v2) is MarkedMetricGraph]
+    assert charts == [0] * 4
 
 
 def test_whole_ball_oracle_catches_a_mint_bound_one_step_too_strict(monkeypatch):

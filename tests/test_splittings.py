@@ -1,11 +1,20 @@
 import random
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
 from outerint.catalog import supergolden_automorphism
 from outerint.currents import RationalCurrent, _class_current, add, counting_current, scale
-from outerint.marked_graph import scale_lengths, unit_rose
+from outerint.marked_graph import act as act_on_chart
+from outerint.marked_graph import (
+    marked_graph_from_json_obj,
+    marked_graph_to_json_obj,
+    scale_lengths,
+    subdivide_edge,
+    translation_length,
+    unit_rose,
+)
 from outerint.splittings import (
     FreeSplitting,
     StateCapExceeded,
@@ -50,10 +59,13 @@ from outerint.words import (
 from _generators import (
     elementary_automorphisms,
     random_automorphism,
+    random_blown_up_chart,
     random_cyclically_reduced_word,
+    random_fraction,
+    random_marked_graph,
     random_reduced_word,
 )
-from oracles import bass_serre_translation_length, first_common_elliptic
+from oracles import bass_serre_translation_length, first_common_elliptic, whole_ball_bipartite_distance
 
 
 def nontrivial_automorphism(rng, rank):
@@ -760,12 +772,10 @@ VERTICES = {
 class TestBFS:
     @pytest.mark.parametrize("depth", [0, -1])
     def test_depth_and_search_length_below_one_rejected(self, depth):
-        # an empty key test set would merge distinct splittings (distance 0)
+        # an empty test set would give every splitting one key
         s1, s2 = separating_splitting(3, [1]), separating_splitting(3, [1, 2])
         with pytest.raises(ValueError, match="key depth"):
             vertex_key(s1, depth)
-        with pytest.raises(ValueError, match="key depth"):
-            bfs_distance("F", s1, s2, 2, key_depth=depth)
         with pytest.raises(ValueError, match="search length"):
             bfs_distance("F", s1, s2, 2, search_length=depth)
 
@@ -956,19 +966,19 @@ class TestBFS:
         rng = random.Random(12)
         moves = [supergolden_automorphism(), nontrivial_automorphism(rng, 3)]
         seeds = [flip_normalize(cyclic_reduce(random_reduced_word(rng, 3, 3))[0]) for _ in range(5)]
-        universe = _Universe(4, 5000)
+        universe = _Universe(5000)
         for cw in seeds:
             universe.add(cw)
         splittings._move_closure(universe, seeds, moves, 2)
-        stored = [v for _, v in universe.each(CyclicWord)]
+        stored = [v for _, v in universe.stored[CyclicWord]]
         assert len(stored) > len(seeds)
         assert all(flip_normalize(v) == v for v in stored)
 
     def test_collision_inside_the_family_of_a_vertex(self):
         # sep{1} and sep{1, 2}, both twisted by phi, share their lengths up
         # to depth 2 and differ at depth 4; the second lies in the family
-        # of the first.  Their exact keys differ, so no key depth merges
-        # them.  The target is the tree of sep{1, 3} twisted by phi, which
+        # of the first.  Their exact keys differ, so the search keeps them
+        # apart.  The target is the tree of sep{1, 3} twisted by phi, which
         # lies in that family too, and shares a class elliptic in sep{1}
         phi = Automorphism.from_images(3, [[1, 3], [2], [3, 1, 3]], [[1, 1, -3], [2], [3, -1]])
         s, t = separating_splitting(3, [1], phi), separating_splitting(3, [1, 3])
@@ -978,8 +988,7 @@ class TestBFS:
         assert _tree_key(t) == _tree_key(separating_splitting(3, [1, 3], phi))
         witness = fstar_adjacent(s, t, 3)
         assert splitting_length(s, witness.as_word()) == splitting_length(t, witness.as_word()) == 0
-        for key_depth in (1, 2, 4):
-            assert bfs_distance("Fstar", s, t, 1, search_length=3, key_depth=key_depth) == 1
+        assert bfs_distance("Fstar", s, t, 1, search_length=3) == 1
 
 
 def equivariance_cases(seed, count):
@@ -1012,13 +1021,13 @@ def search_result(*args, **kwargs):
 class TestEquivariance:
     """An automorphism psi is an isometry of every splitting graph, so a
     move-free search between psi(s1) and psi(s2) gives the distance
-    between s1 and s2, whatever the presentations and the key depth."""
+    between s1 and s2, whatever the presentations."""
 
     def test_searches_are_equivariant(self):
         results, changed = [], []
         for i, (flavor, s1, s2, radius, psi) in enumerate(equivariance_cases(1, 420)):
-            d = search_result(flavor, s1, s2, radius, key_depth=2)
-            moved = search_result(flavor, act(psi, s1), act(psi, s2), radius, key_depth=2)
+            d = search_result(flavor, s1, s2, radius)
+            moved = search_result(flavor, act(psi, s1), act(psi, s2), radius)
             results.append(d)
             if moved != d:
                 changed.append((i, flavor, s1.rank, d, moved))
@@ -1034,6 +1043,115 @@ class TestEquivariance:
         changed = [i for i, (flavor, s1, s2, radius, psi) in enumerate(equivariance_cases(1, 420))
                    if search_result(flavor, s1, s2, radius) != search_result(flavor, act(psi, s1), act(psi, s2), radius)]
         assert changed
+
+
+def inner(u: Word) -> Automorphism:
+    """Conjugation by ``u``: each generator x goes to u x u^-1."""
+    gens = [Word(u.rank, (i,)) for i in range(1, u.rank + 1)]
+    return Automorphism(u.rank, tuple(u * x * u.inverse() for x in gens),
+                        tuple(u.inverse() * x * u for x in gens))
+
+
+def one_point_variants(rng, M):
+    """Charts of the projective point of ``M``: scaled, subdivided,
+    re-marked by an inner automorphism, and read back from JSON."""
+    return [
+        scale_lengths(M, random_fraction(rng)),
+        subdivide_edge(M, rng.randint(1, M.graph.num_edges), Fraction(rng.randint(1, 3), 4)),
+        act_on_chart(inner(random_reduced_word(rng, M.rank, rng.randint(1, 4))), M),
+        marked_graph_from_json_obj(marked_graph_to_json_obj(M)),
+    ]
+
+
+def charts_apart_up_to_depth_2():
+    """Two charts ``act(psi, unit_rose(3))`` whose lengths are proportional
+    on every class up to length 2, and that are different points."""
+    psi1 = Automorphism.from_images(3, [[1], [-2], [3, -2]], [[1], [-2], [3, -2]])
+    psi2 = Automorphism.from_images(3, [[1], [2], [-3, 2]], [[1], [2], [2, -3]])
+    return act_on_chart(psi1, unit_rose(3)), act_on_chart(psi2, unit_rose(3))
+
+
+def normalised_lengths(M, depth):
+    lengths = [translation_length(M, cw.as_word()) for cw in enumerate_cyclic_words(M.rank, depth, up_to_inversion=True)]
+    return [x / lengths[0] for x in lengths]
+
+
+def chart_disagreements(pairs, radius=1):
+    """The pairs of charts whose I0 distance, in either order, is not the
+    one the whole-ball oracle gives."""
+    return [(M, N) for M, N in pairs
+            if {bfs_distance("I0", M, N, radius), bfs_distance("I0", N, M, radius)}
+            != {whole_ball_bipartite_distance("I0", M, N, radius)}]
+
+
+class TestChartEndpoints:
+    """A chart pairs positively with every nonzero current, so it is an
+    isolated vertex of I0: an I0 search with a chart endpoint gives 0 for
+    two charts of one projective point and None otherwise."""
+
+    @pytest.mark.parametrize("rank", [3, 4])
+    def test_charts_of_one_point_are_at_distance_0(self, rank):
+        rng = random.Random(rank)
+        pairs = []
+        for _ in range(3):
+            for M in (random_blown_up_chart(rng, rank), random_marked_graph(rng, rank)):
+                pairs += [(M, N) for N in one_point_variants(rng, M)]
+        for M, N in pairs:
+            assert [bfs_distance("I0", M, N, r) for r in (0, 2)] == [0, 0]
+            assert bfs_distance("I0", N, M, 1) == 0
+        if rank == 3:  # the oracle lists too many paths at rank 4
+            assert not chart_disagreements(pairs[:4])
+
+    def test_a_unit_rose_is_its_signed_petal_permutations(self):
+        rng = random.Random(5)
+        signed = elementary_automorphisms(3)[6:]  # the inversions and the swaps
+        for _ in range(10):
+            sigma = Automorphism.identity(3)
+            for _ in range(4):
+                sigma = compose(rng.choice(signed), sigma)
+            assert bfs_distance("I0", unit_rose(3), act_on_chart(sigma, unit_rose(3)), 1) == 0
+
+    def test_charts_that_agree_up_to_depth_2_are_apart(self):
+        M, N = charts_apart_up_to_depth_2()
+        assert normalised_lengths(M, 2) == normalised_lengths(N, 2)
+        assert normalised_lengths(M, 5) != normalised_lengths(N, 5)
+        assert [bfs_distance("I0", *pair, r) for pair in ((M, N), (N, M)) for r in range(3)] == [None] * 6
+        assert not chart_disagreements([(M, N), (M, scale_lengths(N, 2))])
+
+    def test_a_helper_that_compares_depth_2_lengths_is_caught(self, monkeypatch):
+        monkeypatch.setattr(splittings, "_one_point",
+                            lambda M1, M2: normalised_lengths(M1, 2) == normalised_lengths(M2, 2))
+        assert chart_disagreements([charts_apart_up_to_depth_2()])
+
+    def test_results_are_unchanged_when_psi_moves_both_charts(self):
+        rng = random.Random(8)
+        M, N = charts_apart_up_to_depth_2()
+        pairs = [(M, N)] + [(M, V) for V in one_point_variants(rng, M)]
+        for rank in (3, 4):
+            R = random_blown_up_chart(rng, rank)
+            pairs += [(R, V) for V in one_point_variants(rng, R)] + [(R, random_blown_up_chart(rng, rank))]
+        results = []
+        for M, N in pairs:
+            psi = nontrivial_automorphism(rng, M.rank)
+            results.append(bfs_distance("I0", M, N, 1))
+            assert bfs_distance("I0", act_on_chart(psi, M), act_on_chart(psi, N), 1) == results[-1]
+        assert set(results) == {0, None}
+
+    def test_a_chart_search_stores_nothing(self, monkeypatch):
+        added = []
+        monkeypatch.setattr(_Universe, "add", lambda universe, v: added.append(v))
+        M, g = unit_rose(3), supergolden_automorphism()
+        mu = counting_current(parse_word("b", 3))
+        for pair, distance in (((M, scale_lengths(M, 2)), 0), ((M, mu), None), ((mu, M), None)):
+            assert bfs_distance("I0", *pair, 2, [g], state_cap=1) == distance
+        assert added == []
+
+    @pytest.mark.parametrize("radius", [0, 1, 2])
+    def test_a_zero_current_endpoint_is_refused(self, radius):
+        s, zero = separating_splitting(3, [1]), RationalCurrent(3)
+        for pair in ((s, zero), (zero, s), (zero, zero), (unit_rose(3), zero), (zero, unit_rose(3))):
+            with pytest.raises(ValueError, match="^the zero current has no projective class$"):
+                bfs_distance("I0", *pair, radius)
 
 
 class TestPartition:
@@ -1111,7 +1229,7 @@ class TestSameTree:
         depths = []
         keyed = splittings.vertex_key
         monkeypatch.setattr(splittings, "vertex_key", lambda v, depth=4: depths.append(depth) or keyed(v, depth))
-        universe = _Universe(4, 10)
+        universe = _Universe(10)
         assert universe.add(s) == universe.add(t)
         assert universe.vertices[universe.key(s)] == [s, t]
         assert depths == []
