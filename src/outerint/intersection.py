@@ -1,16 +1,21 @@
 """The intersection pairing between marked metric graphs and rational
 currents, computed by two independent routes that must agree exactly.
 
-Both routes read one axis period per term of the current, and nothing
-else in common.  Route A sums the chart's cached integer lengths along
-the period and folds each weight in by cross-multiplication; route B
-tallies the crossings of each positive edge by the period, weights them
-as integers over the lcm of the weight denominators, and sums edge length
-(from ``M.lengths``, over their own lcm) times crossings, that is, times
-the one-edge cylinder counts.  Each route makes one ``Fraction`` at the
-end.  Both are exact rational arithmetic, so any difference between them
-is a defect, not a rounding artefact: a mismatch raises
-:class:`RouteDisagreement` instead of being averaged away.
+Both routes read one input per term of the current, and nothing else
+in common: the letters on a junction-free chart, else one axis period.
+On a junction-free chart no two loops cancel where they meet unless
+their letters do, so a cyclically reduced word's loops, end to end, are
+its axis period, and the pairing is linear in the letter counts (the
+cylinder formula on the rose's one-letter cylinders).  Route A sums the
+chart's cached integer lengths, of each letter's loop or of each edge,
+and folds each weight in by cross-multiplication; route B tallies the
+letters or the edge crossings, weights them as integers over the lcm of
+the weight denominators, expands each letter into the crossings of its
+loop, and sums edge length (from ``M.lengths``, over their own lcm) times
+crossings, that is, times the one-edge cylinder counts.  Each route makes
+one ``Fraction`` at the end.  Both are exact rational arithmetic, so any
+difference between them is a defect, not a rounding artefact: a mismatch
+raises :class:`RouteDisagreement` instead of being averaged away.
 
 Length functions that are not backed by a chart (for example limits
 produced by iterating an automorphism) enter through
@@ -49,24 +54,32 @@ class IntersectionReport:
 
 
 def _edge_tally(period) -> Counter:
-    """Route B's crossings of each positive edge by one axis period."""
+    """Route B's crossings of each positive edge by one axis period, or of
+    each letter by the letters of a junction-free chart."""
     return Counter(map(abs, period))
 
 
 def intersect_report(M: MarkedMetricGraph, mu: RationalCurrent) -> IntersectionReport:
     if M.rank != mu.rank:
         raise ValueError("rank mismatch")
+    free = M._junction_free
     # route A: num / den; route B: crossings over the lcm D, lengths over the lcm E
-    num, den, nums = 0, 1, M._length_nums
+    num, den, nums = 0, 1, M._letter_nums if free else M._length_nums
     D = lcm(*(weight.denominator for _, weight in mu.terms))
     crossings = Counter()
     for cw, weight in mu.terms:
-        period = M.axis_period(cw)  # read by both routes
+        period = cw.letters if free else M.axis_period(cw)  # the one input of both routes
         n, d = weight.numerator, weight.denominator
         num, den = num * d + n * den * sum(map(nums.__getitem__, period)), den * d
         p = n * (D // d)
         for k, c in _edge_tally(period).items():
             crossings[k] += p * c
+    # route B: each letter crosses its loop's edges; a standard rose's letters are its edges
+    if free and M._loops:
+        letters, crossings = crossings, Counter()
+        for i, c in letters.items():
+            for e in M._loops[i]:
+                crossings[abs(e)] += c
     via_lengths = Fraction(num, den * M._length_den)
     E = lcm(*(L.denominator for L in M.lengths))
     q = [L.numerator * (E // L.denominator) for L in M.lengths]

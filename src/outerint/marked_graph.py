@@ -18,8 +18,10 @@ generator, and a word for each edge.  Construction of a
 chart really is an isomorphism; inconsistent dictionaries are rejected.
 Construction also builds, once, the reduced loop of each letter (so
 word-to-path cancels only at junctions; a standard rose, with loops
-``(1,), (2,), ...``, reads a word as its own path) and the lengths as
-integers over one denominator (so a path length is one ``Fraction``).
+``(1,), (2,), ...``, reads a word as its own path), the lengths of the
+edges and of the letters' loops as integers over one denominator (so a
+path length is one ``Fraction``), and whether the chart is
+junction-free, that is, whether loops cancel only where their letters do.
 Paths are reduced, cut and inverted by the code of words (:mod:`.words`),
 and one breadth-first search checks connectivity and finds the tree paths.
 
@@ -225,12 +227,21 @@ class MarkedMetricGraph:
         nums = [x.numerator * (den // x.denominator) for x in self.lengths]
         loops = [reduce_path(loop) for loop in mk.generator_loops]
         standard = all(loop == (i,) for i, loop in enumerate(loops, 1))
-        object.__setattr__(self, "_loops", None if standard else _letter_table(loops))
+        table = _letter_table(loops)
+        object.__setattr__(self, "_loops", None if standard else table)
         object.__setattr__(self, "_edge_words", _letter_table([w.letters for w in mk.edge_words]))
         # a list: ``map`` over a list's bound ``__getitem__`` costs about
         # half what a tuple's slot wrapper does on a long path
-        object.__setattr__(self, "_length_nums", [0, *nums, *reversed(nums)])
+        nums = [0, *nums, *reversed(nums)]
+        object.__setattr__(self, "_length_nums", nums)
         object.__setattr__(self, "_length_den", den)
+        object.__setattr__(self, "_letter_nums", [sum(map(nums.__getitem__, loop)) for loop in table])
+        # Junction-free: the loops of the 2N signed letters start on 2N
+        # distinct edges.  Loop x ends on the inverse of the first edge of
+        # x⁻¹, so it cancels against loop y only when y = x⁻¹, and a
+        # cyclically reduced word's loops, end to end, are its axis period.
+        firsts = {loop[0] for loop in table[1:]}
+        object.__setattr__(self, "_junction_free", len(firsts) == 2 * rank)
         # Two-sided verification.  Direction 1: reading each generator loop
         # through the edge words must give back that generator.
         for i, loop in enumerate(mk.generator_loops):

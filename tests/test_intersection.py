@@ -1,6 +1,7 @@
 import copy
 import inspect
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,11 +19,12 @@ from outerint.intersection import (
 )
 from outerint.marked_graph import (
     cyclic_reduce_path,
+    reduce_path,
     scale_lengths,
     translation_length,
     unit_rose,
 )
-from outerint.words import Automorphism, Word, parse_word
+from outerint.words import Automorphism, Word, _letter_table, parse_word
 
 from _generators import (
     awkward_current,
@@ -35,6 +37,7 @@ from _generators import (
     random_marked_graph,
     random_reduced_word,
 )
+from oracles import displacement_length
 
 
 def fib_aut() -> Automorphism:
@@ -144,17 +147,29 @@ def mutant_report(old: str, new: str):
 
 def with_edge_1_cache_off_by_one(M):
     """A copy of ``M`` whose cached integer length of edge 1, which only
-    route A reads, is one too large."""
+    route A reads, is one too large, and so is each letter's cached loop
+    length by the times its loop runs along edge 1."""
     nums = list(M._length_nums)
     nums[1] += 1
     bad = copy.copy(M)
     object.__setattr__(bad, "_length_nums", nums)
+    loops = _letter_table([reduce_path(loop) for loop in M.marking.generator_loops])
+    object.__setattr__(bad, "_letter_nums", [sum(map(nums.__getitem__, loop)) for loop in loops])
+    return bad
+
+
+def always_junction_free(M):
+    """A copy of ``M`` that claims to be junction-free: a planted bug in
+    the input both routes share, which only an outside reference sees."""
+    bad = copy.copy(M)
+    object.__setattr__(bad, "_junction_free", True)
     return bad
 
 
 class TestSharedPeriod:
-    """Both routes read one axis period per term; everything after it is
-    each route's own, so a bug on either side alone still trips the check."""
+    """Both routes read one input per term, the letters on a junction-free
+    chart and else one axis period; everything after it is each route's
+    own, so a bug on either side alone still trips the check."""
 
     def test_one_cyclic_reduction_per_term(self, pairs, monkeypatch):
         real, calls = marked_graph.cyclic_reduce_path, []
@@ -162,15 +177,25 @@ class TestSharedPeriod:
             marked_graph, "cyclic_reduce_path", lambda path: calls.append(1) or real(path)
         )
         for M, mu in pairs:
+            before = len(calls)
             intersect_report(M, mu)
-        assert len(calls) == sum(len(mu.terms) for _, mu in pairs)
+            assert len(calls) - before == (0 if M._junction_free else len(mu.terms))
+        assert {M._junction_free for M, _ in pairs} == {True, False}
 
     def test_length_route_is_the_term_by_term_sum(self, pairs):
+        # on the letters of a junction-free chart as on an axis period
         for M, mu in pairs:
-            assert intersect_report(M, mu).via_lengths == sum(
+            by_lengths = sum(
                 (weight * translation_length(M, cw.as_word()) for cw, weight in mu.terms),
                 Fraction(0),
             )
+            by_periods = sum(
+                (weight * M.lengths[abs(e) - 1]
+                 for cw, weight in mu.terms
+                 for e in cyclic_reduce_path(M.word_to_path(cw.as_word()))),
+                Fraction(0),
+            )
+            assert intersect_report(M, mu).via_lengths == by_lengths == by_periods
 
     @pytest.mark.parametrize(
         "plant",
@@ -194,13 +219,33 @@ class TestSharedPeriod:
                 return tally
 
             monkeypatch.setattr(intersection, "_edge_tally", doubled)
-        caught = 0
+        caught = Counter()
         for M, mu in pairs:
             try:
                 report(chart(M), mu)
             except RouteDisagreement:
-                caught += 1
-        assert caught > len(pairs) // 2
+                caught[M._junction_free] += 1
+        assert caught.total() > len(pairs) // 2
+        # on the letter route and on the period route alike
+        for free, total in Counter(M._junction_free for M, _ in pairs).items():
+            assert caught[free] > total // 2
+
+
+class TestLetterRoute:
+    """On a junction-free chart both routes read the letters of each term,
+    so a wrong flag is seen only from outside."""
+
+    def test_a_flag_that_always_says_junction_free_is_caught(self, pairs):
+        wrong = []
+        for M, mu in pairs:
+            expected = sum(
+                (weight * displacement_length(M, cw.as_word()) for cw, weight in mu.terms),
+                Fraction(0),
+            )
+            if intersect(always_junction_free(M), mu) != expected:
+                assert not M._junction_free
+                wrong.append(M)
+        assert wrong
 
 
 class TestEquivariance:

@@ -578,3 +578,70 @@ class TestTrustedTables:
                     assert M.path_length(p) == edge_sum(M, p)
                 assert translation_length(M, w) == edge_sum(M, cyclic_reduce_path(path))
                 assert M.volume() == edge_sum(M, M.graph.positive_edges)
+
+
+def signed_loops(M: MarkedMetricGraph) -> dict[int, tuple[int, ...]]:
+    """The reduced loop of each signed letter."""
+    loops = {i: reduce_path(loop) for i, loop in enumerate(M.marking.generator_loops, 1)}
+    return {**loops, **{-i: inverse_path(loop) for i, loop in loops.items()}}
+
+
+def cancelling_junctions(M: MarkedMetricGraph) -> set[tuple[int, int]]:
+    """Each letter pair ``(x, y)``, ``y != x^-1``, whose loops cancel where
+    loop x meets loop y."""
+    loops = signed_loops(M)
+    return {(x, y) for x in loops for y in loops if y != -x and loops[x][-1] == -loops[y][0]}
+
+
+class TestJunctionFree:
+    """A chart is junction-free when loops cancel only where their letters
+    do; then a cyclically reduced word's loops, end to end, are its axis
+    period."""
+
+    def test_roses_and_their_subdivisions(self):
+        rng = random.Random(81)
+        for _ in range(30):
+            rank = rng.choice([2, 3, 4])
+            R = rose(rank, [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(rank)])
+            assert R._junction_free
+            M = R
+            for e in R.graph.positive_edges:
+                assert subdivide_edge(R, e, Fraction(rng.randint(1, 3), 4))._junction_free
+                M = subdivide_edge(M, rng.randint(1, M.graph.num_edges))  # again and again
+                assert M._junction_free
+
+    def test_one_cancelling_junction_is_enough(self):
+        # a is petal 1 and b runs along petal 1 then petal 2, so loop A's
+        # last edge cancels loop b's first: the junction A.b, and its inverse B.a
+        graph = SerreGraph(("v",), ("a", "b"), ("A", "B"), ("v", "v"), ("v", "v"))
+        marking = Marking("v", ((1,), (1, 2)), (Word(2, (1,)), Word(2, (-1, 2))), frozenset())
+        M = MarkedMetricGraph(graph, marking, (Fraction(2), Fraction(3)))
+        assert cancelling_junctions(M) == {(-1, 2), (-2, 1)}
+        assert not M._junction_free
+        assert translation_length(M, parse_word("Ab", 2)) == 3
+
+    def test_flag_is_the_definition(self):
+        rng, blown = random.Random(82), random.Random(83)
+        kinds = set()
+        for _ in range(60):
+            rank = rng.choice([2, 3, 4])
+            charts = (*random_chart_of_each_kind(rng, rank), random_marked_graph(rng, rank),
+                      random_blown_up_chart(blown, rank), *backtracking_charts())
+            for M in charts:
+                assert M._junction_free == (not cancelling_junctions(M))
+                kinds.add(M._junction_free)
+        assert kinds == {True, False}
+
+    def test_loops_end_to_end_are_the_axis_period(self):
+        rng = random.Random(84)
+        for _ in range(40):
+            rank = rng.choice([2, 3, 4])
+            for M in random_chart_of_each_kind(rng, rank):
+                if not M._junction_free:
+                    continue
+                loops = signed_loops(M)
+                for _ in range(5):
+                    w = random_cyclically_reduced_word(rng, rank, rng.randint(1, 20))
+                    period = tuple(e for x in w.letters for e in loops[x])
+                    assert cyclic_reduce_path(period) == period
+                    assert M._path_length(period) == translation_length(M, w)
