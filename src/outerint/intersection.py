@@ -11,8 +11,9 @@ chart's cached integer lengths, of each letter's loop or of each edge,
 and folds each weight in by cross-multiplication; route B tallies the
 letters or the edge crossings, weights them as integers over the lcm of
 the weight denominators, expands each letter into the crossings of its
-loop, and sums edge length (from ``M.lengths``, over their own lcm) times
-crossings, that is, times the one-edge cylinder counts.  Each route makes
+loop, and sums edge length (from ``M.lengths``, over their own lcm, in a
+table the chart builds once for this route alone) times crossings, that
+is, times the one-edge cylinder counts.  Each route makes
 one ``Fraction`` at the end.  Both are exact rational arithmetic, so any
 difference between them is a defect, not a rounding artefact: a mismatch
 raises :class:`RouteDisagreement` instead of being averaged away.
@@ -81,8 +82,7 @@ def intersect_report(M: MarkedMetricGraph, mu: RationalCurrent) -> IntersectionR
             for e in M._loops[i]:
                 crossings[abs(e)] += c
     via_lengths = Fraction(num, den * M._length_den)
-    E = lcm(*(L.denominator for L in M.lengths))
-    q = [L.numerator * (E // L.denominator) for L in M.lengths]
+    E, q = M._crossing_lengths
     via_crossings = Fraction(sum(q[k - 1] * c for k, c in crossings.items()), D * E)
     if via_lengths != via_crossings:
         raise RouteDisagreement(

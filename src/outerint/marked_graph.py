@@ -20,8 +20,10 @@ Construction also builds, once, the reduced loop of each letter (so
 word-to-path cancels only at junctions; a standard rose, with loops
 ``(1,), (2,), ...``, reads a word as its own path), the lengths of the
 edges and of the letters' loops as integers over one denominator (so a
-path length is one ``Fraction``), and whether the chart is
-junction-free, that is, whether loops cancel only where their letters do.
+path length is one ``Fraction``), whether the chart is junction-free,
+that is, whether loops cancel only where their letters do, and the edge
+lengths over their lcm once more, from ``lengths``, for the pairing's
+second route.
 Paths are reduced, cut and inverted by the code of words (:mod:`.words`),
 and one breadth-first search checks connectivity and finds the tree paths.
 
@@ -236,6 +238,10 @@ class MarkedMetricGraph:
         object.__setattr__(self, "_length_nums", nums)
         object.__setattr__(self, "_length_den", den)
         object.__setattr__(self, "_letter_nums", [sum(map(nums.__getitem__, loop)) for loop in table])
+        # the pairing's route B reads the lengths over their lcm from its own
+        # table, built again from ``lengths`` so that it shares none with route A
+        E = lcm(*(x.denominator for x in self.lengths))
+        object.__setattr__(self, "_crossing_lengths", (E, [x.numerator * (E // x.denominator) for x in self.lengths]))
         # Junction-free: the loops of the 2N signed letters start on 2N
         # distinct edges.  Loop x ends on the inverse of the first edge of
         # x⁻¹, so it cancels against loop y only when y = x⁻¹, and a

@@ -37,7 +37,11 @@ route, tests adjacency to a stored witness, and :func:`vertex_key`, the
 lengths on a test set, is the view the tests check keys against.
 Composed twists are memoised per (move, twist) in one more bounded
 process-wide cache, and a twist computes its hash once, for all these
-lookups.
+lookups; each move is inverted once, in a bounded memo beside it, so that
+its inverse meets these lookups as one object.  A move closure applies to
+each vertex every direction but the way back to the presentation that
+reached it (:func:`_move_closure`), and :func:`act` builds each image of
+a validated splitting through a trusted constructor.
 
 Refinement adjacency is deliberately partial: it decides only
 coordinate-compatible pairs, for want of an algorithm.  Common-elliptic
@@ -129,8 +133,8 @@ class FreeSplitting:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.subset == other.subset and self.stable == other.stable and self.kind == other.kind
-                and self.rank == other.rank and self.twist == other.twist)
+        return other is self or (self.subset == other.subset and self.stable == other.stable
+                                 and self.kind == other.kind and self.rank == other.rank and self.twist == other.twist)
 
     def __hash__(self):
         return hash((self.rank, self.kind, self.subset, self.stable, self.twist))
@@ -155,6 +159,13 @@ class FreeSplitting:
                 raise ValueError("stable letter out of range")
         else:
             raise ValueError(f"unknown splitting kind {self.kind!r}")
+
+    @classmethod
+    def _make(cls, s: "FreeSplitting", twist: Automorphism) -> "FreeSplitting":
+        """Trusted: the validated ``s`` under another twist of its rank."""
+        u = object.__new__(cls)
+        u.__dict__.update(s.__dict__, twist=twist)
+        return u
 
     def to_json_obj(self) -> dict:
         obj: dict = {"kind": self.kind, "rank": self.rank}
@@ -203,7 +214,7 @@ def loop_splitting(rank: int, stable: int, twist: Automorphism | None = None) ->
 def act(phi: Automorphism, s: FreeSplitting) -> FreeSplitting:
     if phi.rank != s.rank:
         raise ValueError("rank mismatch")
-    return FreeSplitting(s.rank, s.kind, s.subset, s.stable, _compose(phi, s.twist))
+    return FreeSplitting._make(s, _compose(phi, s.twist))
 
 
 def splitting_length(s: FreeSplitting, g: Word) -> int:
@@ -228,9 +239,11 @@ def splitting_length(s: FreeSplitting, g: Word) -> int:
 # cores and keys are memoised per splitting; equal splittings compare
 # equal and share an entry
 _KEY_CACHE_SIZE = 4096
-# a move closure composes the same (move, twist) pairs again in every round
+# a move closure composes the same (move, twist) pairs again in every round;
+# each move is inverted once, so that these lookups meet the same inverse
 _COMPOSE_SIZE = 32
 _compose = lru_cache(maxsize=_COMPOSE_SIZE)(compose)
+_invert = lru_cache(maxsize=_COMPOSE_SIZE)(Automorphism.inverse)
 
 
 def _elliptic_classes(s: FreeSplitting, search_length: int) -> list[CyclicWord]:
@@ -558,8 +571,11 @@ class _Universe:
     def key(self, v: GraphVertex) -> tuple:
         return _VERTEX_KINDS[type(v)][2](v)
 
-    def add(self, v: GraphVertex) -> tuple:
-        k = self.key(v)
+    def add(self, v: GraphVertex, k: tuple | None = None) -> tuple:
+        """Store ``v`` under its key ``k`` (computed if not given) and return ``k``; at a
+        stored key only a splitting unequal to each stored presentation is kept."""
+        if k is None:
+            k = self.key(v)
         known = self.vertices.get(k)
         if known is None:
             if len(self.vertices) >= self.cap:
@@ -575,19 +591,22 @@ class _Universe:
 def _move_closure(universe: _Universe, seeds: Sequence[GraphVertex],
                   moves: Sequence[Automorphism], depth: int) -> None:
     """Add the images of the (already stored) seeds under up to ``depth``
-    applications of the moves and their inverses."""
-    both_ways = [psi for phi in moves for psi in (phi, phi.inverse())]
-    frontier = seeds
+    applications of the moves and their inverses.  A vertex reached in
+    direction j (``2i`` is move i, ``2i + 1`` its inverse) skips ``j ^ 1``,
+    whose image is the stored presentation it came from: a no-op."""
+    both_ways = [psi for phi in moves for psi in (phi, _invert(phi))]
+    frontier = [(v, None) for v in seeds]  # (vertex, its direction back)
     for _ in range(depth):
         nxt = []
-        for v in frontier:
+        for v, back in frontier:
             image = _VERTEX_KINDS[type(v)][3]
-            for psi in both_ways:
-                u = image(psi, v)
-                known = len(universe.vertices)
-                universe.add(u)
-                if len(universe.vertices) > known:
-                    nxt.append(u)
+            for i, psi in enumerate(both_ways):
+                if i != back:
+                    u = image(psi, v)
+                    known = len(universe.vertices)
+                    universe.add(u)
+                    if len(universe.vertices) > known:
+                        nxt.append((u, i ^ 1))
         frontier = nxt
 
 
@@ -616,15 +635,16 @@ def _coordinate_rule(include_loops: bool, adjacent) -> NeighbourRule:
         views = list(universe.vertices[key])
         candidates = [u for p in views for u in _family(p, include_loops)]
         found: set[tuple] = set()
-        for uk, u in [(universe.key(u), u) for u in candidates] + universe.stored[FreeSplitting]:
-            if uk == key or uk in found:
-                # another presentation of this vertex or of a known
-                # neighbour; storing it keeps its coordinates
-                universe.add(u)
-                continue
-            if adjacent(views, u, search_length):
-                universe.add(u)
+        fresh = len(candidates)
+        for i, (uk, u) in enumerate([(universe.key(u), u) for u in candidates] + universe.stored[FreeSplitting]):
+            # another presentation of this vertex or of a known neighbour
+            # is stored without a test, to keep its coordinates
+            if uk != key and uk not in found:
+                if not adjacent(views, u, search_length):
+                    continue
                 found.add(uk)
+            if i < fresh:  # a stored splitting is there already
+                universe.add(u, uk)
         return sorted(found)
 
     return neighbours
@@ -721,6 +741,10 @@ def bfs_distance(
         raise ValueError("the splitting graphs are defined for rank >= 3")
     if v2.rank != v1.rank:
         raise ValueError("rank mismatch")
+    moves = list(move_generators)
+    for i, phi in enumerate(moves, 1):  # at every radius, for every endpoint kind
+        if phi.rank != v1.rank:
+            raise ValueError(f"rank mismatch: move {i} has rank {phi.rank}, the endpoints rank {v1.rank}")
     graph = _FLAVORS[flavor]
     for v in (v1, v2):
         if type(v) not in graph.kinds or (graph.separating_only and v.kind != "sep"):
@@ -733,7 +757,7 @@ def bfs_distance(
     v1, v2 = (flip_normalize(v) if type(v) is CyclicWord else v for v in (v1, v2))
     universe = _Universe(state_cap)
     k1, k2 = universe.add(v1), universe.add(v2)
-    _move_closure(universe, [v1, v2], list(move_generators), radius)
+    _move_closure(universe, [v1, v2], moves, radius)
     if k1 == k2:
         return 0
 

@@ -385,8 +385,8 @@ class Automorphism:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.images == other.images and self.inverse_images == other.inverse_images
-                and self.rank == other.rank)
+        return other is self or (self.images == other.images and self.inverse_images == other.inverse_images
+                                 and self.rank == other.rank)
 
     def __hash__(self):  # computed once: the splitting caches hash a twist on every lookup
         if "_hash" not in self.__dict__:

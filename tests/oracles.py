@@ -9,8 +9,9 @@ substitution letter by letter instead of block counts checked at each
 junction, powers of the direction map instead of images of turns,
 orbit-displacement growth instead of cyclic syllable counts, point
 displacements instead of cyclic reduction, a whole-ball search instead
-of one pruned towards its target, a scan of the test set instead of
-Stallings pullbacks, and closed paths that cross each edge at most twice
+of one pruned towards its target, a move closure that applies every
+direction to every vertex instead of one that skips the way back, a scan
+of the test set instead of Stallings pullbacks, and closed paths that cross each edge at most twice
 instead of loops that pass each vertex at most twice.
 """
 
@@ -337,6 +338,31 @@ def same_projective_point(M1, M2) -> bool:
     return len({displacement_length(M2, w) / displacement_length(M1, w) for w in words}) == 1
 
 
+# -- the move closure ----------------------------------------------------------
+
+
+def naive_move_closure(store, seeds, moves, depth: int) -> None:
+    """Add to ``store`` the images of the stored ``seeds`` under up to
+    ``depth`` moves, by the definition: each round applies every move and
+    every inverse, each inverted afresh, to every vertex whose key the
+    last round stored, through the public image functions."""
+    from outerint import currents, splittings
+    from outerint.words import CyclicWord, act_on_class
+
+    image = {splittings.FreeSplitting: splittings.act, currents.RationalCurrent: currents.act,
+             CyclicWord: act_on_class}
+    frontier = list(seeds)
+    for _ in range(depth):
+        reached = []
+        for v in frontier:
+            for psi in [psi for phi in moves for psi in (phi, phi.inverse())]:
+                u = image[type(v)](psi, v)
+                if store.key(u) not in store.vertices:
+                    reached.append(u)
+                store.add(u)
+        frontier = reached
+
+
 # -- the Z and I0 searches over the whole ball ---------------------------------
 #
 # Z and I0 join a splitting to a witness (a conjugacy class, or a current)
@@ -373,7 +399,7 @@ def whole_ball_bipartite_distance(flavor: str, v1, v2, radius: int, moves=(), *,
     store = splittings._Universe(float("inf"))
     v1, v2 = (flip_normalize(v) if type(v) is CyclicWord else v for v in (v1, v2))
     source, target = store.add(v1), store.add(v2)
-    splittings._move_closure(store, [v1, v2], list(moves), radius)
+    naive_move_closure(store, [v1, v2], list(moves), radius)
     test_set = enumerate_cyclic_words(v1.rank, search_length, up_to_inversion=True)
     dist, layer = {source: 0}, [source]
     for d in range(1, radius + 1):

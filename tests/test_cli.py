@@ -484,6 +484,18 @@ class TestUserErrors:
         assert result.exit_code == 2
         self.assert_one_line_error(result, option)
 
+    @pytest.mark.parametrize("radius", ["0", "1", "2"])
+    @pytest.mark.parametrize("flavor, to", [("F", "splitting_ab_rank3.json"), ("I0", "current_b_rank3.json"),
+                                            ("I0", "rose3.json")])
+    def test_graph_moves_of_another_rank(self, tmp_path, flavor, to, radius):
+        moves = tmp_path / "moves_rank2.json"
+        moves.write_text(json.dumps([{"rank": 2, "images": [[1, 2], [2]], "inverse_images": [[1, -2], [2]]}]))
+        start = FIXTURES / ("rose3.json" if to == "rose3.json" else "splitting_a_rank3.json")
+        result = run("graph", "--flavor", flavor, "--from", start, "--to", FIXTURES / to,
+                     "--radius", radius, "--moves", moves)
+        assert result.exit_code == 1
+        self.assert_one_line_error(result, "rank mismatch: move 1 has rank 2, the endpoints rank 3")
+
     def test_current_freq_rank_mismatch(self):
         result = run("current-freq", FIXTURES / "current_b_rank3.json", FIXTURES / "rose2.json")
         assert result.exit_code == 1

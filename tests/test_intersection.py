@@ -158,6 +158,15 @@ def with_edge_1_cache_off_by_one(M):
     return bad
 
 
+def with_edge_1_crossing_length_off_by_one(M):
+    """A copy of ``M`` whose integer length of edge 1 in route B's own
+    table is one too large."""
+    E, q = M._crossing_lengths
+    bad = copy.copy(M)
+    object.__setattr__(bad, "_crossing_lengths", (E, [q[0] + 1, *q[1:]]))
+    return bad
+
+
 def always_junction_free(M):
     """A copy of ``M`` that claims to be junction-free: a planted bug in
     the input both routes share, which only an outside reference sees."""
@@ -199,13 +208,15 @@ class TestSharedPeriod:
 
     @pytest.mark.parametrize(
         "plant",
-        ["length-cache-off-by-one", "route-a-denominator", "route-b-weight-scaling",
-         "edge-1-crossings-doubled"],
+        ["length-cache-off-by-one", "crossing-table-off-by-one", "route-a-denominator",
+         "route-b-weight-scaling", "edge-1-crossings-doubled"],
     )
     def test_check_fails_from_one_side_alone(self, pairs, monkeypatch, plant):
         report, chart = intersect_report, lambda M: M
         if plant == "length-cache-off-by-one":
             chart = with_edge_1_cache_off_by_one
+        elif plant == "crossing-table-off-by-one":
+            chart = with_edge_1_crossing_length_off_by_one
         elif plant == "route-a-denominator":
             report = mutant_report("den * d", "den")
         elif plant == "route-b-weight-scaling":

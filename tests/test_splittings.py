@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -65,7 +66,12 @@ from _generators import (
     random_marked_graph,
     random_reduced_word,
 )
-from oracles import bass_serre_translation_length, first_common_elliptic, whole_ball_bipartite_distance
+from oracles import (
+    bass_serre_translation_length,
+    first_common_elliptic,
+    naive_move_closure,
+    whole_ball_bipartite_distance,
+)
 
 
 def nontrivial_automorphism(rng, rank):
@@ -291,9 +297,10 @@ class TestFstarAdjacency:
 
 @pytest.fixture()
 def cold_tables():
-    """Empty composed twists, vertex group cores and keys before and after
-    the test, so that nothing it computes is served to another test."""
-    caches = (_compose, _vertex_group_cores, _tree_key)
+    """Empty inverted moves, composed twists, vertex group cores and keys
+    before and after the test, so that nothing it computes is served to
+    another test."""
+    caches = (splittings._invert, _compose, _vertex_group_cores, _tree_key)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -779,6 +786,29 @@ class TestBFS:
         with pytest.raises(ValueError, match="search length"):
             bfs_distance("F", s1, s2, 2, search_length=depth)
 
+    @pytest.mark.parametrize("radius", [0, 1, 2])
+    @pytest.mark.parametrize("flavor, ends", [
+        ("F", "splittings"), ("S", "equal splittings"), ("Fstar", "splittings"), ("Z", "splitting, class"),
+        ("I0", "splitting, current"), ("I0", "charts"), ("I0", "chart, current"),
+    ])
+    def test_moves_of_another_rank_are_refused(self, flavor, ends, radius):
+        """One error for every radius and endpoint kind, before any
+        answer: a chart endpoint or radius 0 would otherwise never apply
+        the move, and radius 1 or more would fail inside the closure."""
+        s, mu = separating_splitting(3, [1]), counting_current(parse_word("b", 3))
+        v1, v2 = {
+            "splittings": (s, separating_splitting(3, [1, 2])),
+            "equal splittings": (s, separating_splitting(3, [2, 3])),
+            "splitting, class": (s, enumerate_cyclic_words(3, 1, True)[1]),
+            "splitting, current": (s, mu),
+            "charts": (unit_rose(3), unit_rose(3)),
+            "chart, current": (unit_rose(3), mu),
+        }[ends]
+        rank2 = Automorphism.from_images(2, [[1, 2], [2]], [[1, -2], [2]])
+        for moves, named in (([rank2], "move 1"), ([supergolden_automorphism(), rank2], "move 2")):
+            with pytest.raises(ValueError, match=f"^rank mismatch: {named} has rank 2, the endpoints rank 3$"):
+                bfs_distance(flavor, v1, v2, radius, moves)
+
     def test_same_vertex_distance_zero(self):
         s = separating_splitting(3, [1])
         assert bfs_distance("F", s, separating_splitting(3, [2, 3]), 3) == 0
@@ -989,6 +1019,76 @@ class TestBFS:
         witness = fstar_adjacent(s, t, 3)
         assert splitting_length(s, witness.as_word()) == splitting_length(t, witness.as_word()) == 0
         assert bfs_distance("Fstar", s, t, 1, search_length=3) == 1
+
+
+def closure_cases():
+    """(seeds, moves, radius): pairs of stored seeds covering separating,
+    loop and twisted splittings, classes and currents, under [g], [g, g^-1],
+    an involution and two unrelated moves, at radii 0-3."""
+    rng = random.Random(40)
+    g, twist = supergolden_automorphism(), nontrivial_automorphism(rng, 3)
+    cw = flip_normalize(cyclic_reduce(random_cyclically_reduced_word(rng, 3, 4))[0])
+    mu = add(counting_current(random_cyclically_reduced_word(rng, 3, 3)), counting_current(parse_word("ab", 3)))
+    seeds = [
+        (separating_splitting(3, [1]), loop_splitting(3, 2)),
+        (separating_splitting(3, [1, 3], twist), loop_splitting(3, 3, twist)),
+        (loop_splitting(3, 1, twist), cw),
+        (separating_splitting(3, [2]), mu),
+        (cw, mu),
+    ]
+    swap = Automorphism.from_images(3, [[2], [1], [3]], [[2], [1], [3]])
+    moves = [[g], [g, g.inverse()], [swap], [g, nontrivial_automorphism(rng, 3)]]
+    return [(pair, ms, radius) for pair in seeds for ms in moves for radius in range(4)]
+
+
+def closed_universe(closure, seeds, moves, radius):
+    """The keys with their presentation lists, and the storing order per
+    kind, of a store closed from ``seeds`` by ``closure``."""
+    universe = _Universe(10 ** 6)
+    for v in seeds:
+        universe.add(v)
+    closure(universe, seeds, moves, radius)
+    return list(universe.vertices.items()), universe.stored
+
+
+def mutant_closure(old: str, new: str):
+    """``_move_closure`` with one piece of its source replaced."""
+    source = inspect.getsource(splittings._move_closure)
+    assert source.count(old) == 1
+    namespace = dict(vars(splittings))
+    exec(compile(source.replace(old, new), splittings.__file__, "exec"), namespace)
+    return namespace["_move_closure"]
+
+
+class TestMoveClosure:
+    """The closure skips each vertex's way back; the oracle applies every
+    direction to every vertex, and both must store the same universe."""
+
+    @pytest.mark.parametrize("seeds, moves, radius", closure_cases())
+    def test_universe_is_the_naive_closure(self, seeds, moves, radius):
+        got = closed_universe(splittings._move_closure, seeds, moves, radius)
+        assert got == closed_universe(naive_move_closure, seeds, moves, radius)
+
+    def test_cases_grow_and_hold_several_presentations(self):
+        """Every case past radius 0 stores more than its seeds, and some
+        store two presentations of one vertex, so that the lists matter."""
+        several = 0
+        for seeds, moves, radius in closure_cases():
+            vertices, _ = closed_universe(naive_move_closure, seeds, moves, radius)
+            assert (len(vertices) > len(seeds)) == (radius > 0)
+            several += sum(len(presentations) > 1 for _, presentations in vertices)
+        assert several
+
+    @pytest.mark.parametrize("old, new", [
+        ("(u, i ^ 1)", "(u, i)"),  # skips the way on instead of the way back
+        ("enumerate(both_ways)", "enumerate(both_ways[1:], 1)"),  # drops the first move's forward image
+    ], ids=["wrong-direction-skipped", "forward-image-dropped"])
+    def test_planted_bugs_are_caught(self, old, new):
+        bad = mutant_closure(old, new)
+        caught = [case[1:] for case in closure_cases()
+                  if closed_universe(bad, *case) != closed_universe(naive_move_closure, *case)]
+        # under the benchmark's one move, at radius 3, from each of the five seed pairs
+        assert caught.count(([supergolden_automorphism()], 3)) == 5
 
 
 def equivariance_cases(seed, count):
